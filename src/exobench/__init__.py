@@ -28,8 +28,8 @@ from .questionnaire import (EQDefinition, FactorReport, QuestionnaireResponse,
                             aggregate_reports, consistency, default_definition,
                             factor_score, factor_weights, reverse_map,
                             score_session, subfactor_score)
-from .segmentation import (GaitRegressor, TrainingSet, label_from_soles, phase,
-                           train, training_session_builder)
+from .segmentation import (GaitRegressor, TrainingSet, label_from_soles, train,
+                           training_session_builder)
 from .simulator import (GaitPattern, ReplayResult, SmoothnessReport,
                         TimingReport, generate_cycle,
                         generate_training_protocol, joint_angles, load_share,

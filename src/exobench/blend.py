@@ -14,7 +14,9 @@ step gets cheaper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from .segmentation import GaitRegressor
 _ZERO6 = (0.0,) * 6
 
 
-@dataclass(frozen=True)
-class BlendGains:
+class BlendGains(NamedTuple):
     """Stance mixing gains; each in [0, 1] and summing to one exactly."""
 
     gamma_l: float
@@ -42,7 +43,7 @@ class BlendGains:
 
 def gains(raw_phase: float) -> BlendGains:
     """Gains from the raw (unclamped) phase: gamma_l = clamp((p+1)/2)."""
-    if raw_phase != raw_phase or raw_phase in (float("inf"), float("-inf")):
+    if not isfinite(raw_phase):
         raise ValueError("raw_phase must be finite")
     gl = 0.5 * (raw_phase + 1.0)
     if gl < 0.0:
@@ -105,9 +106,12 @@ class ControlLoop:
 
     Each step estimates joint velocity/acceleration from the incoming
     angle stream, regresses the gait phase, and emits the blended
-    assistance command.  ``blending='hard'`` switches stance models at
-    phase zero instead of mixing them; it exists to demonstrate what the
-    blend buys and must not be used for assistance.
+    assistance command.  Gains come from ``gains``, so a non-finite phase
+    raises ValueError before any torque is evaluated.  ``blending='hard'``
+    switches stance models at phase zero instead of mixing them: it feeds
+    ``gains`` the phase saturated to +-1, while the command still logs the
+    regressed phase.  Hard blending exists to demonstrate what the blend
+    buys and must not be used for assistance.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
@@ -129,8 +133,6 @@ class ControlLoop:
         self.degraded_policy = degraded_policy
         self.estimator = AccelerationEstimator(cutoff_hz=accel_cutoff_hz)
         self._last_t = None
-        # trigger any one-time kernel compilation outside the timed steps
-        blended_torque(_ZERO6, _ZERO6, _ZERO6, 0.5, 0.5, left, right, tables)
 
     def reset(self):
         self.estimator.reset()
@@ -154,14 +156,10 @@ class ControlLoop:
             qdd = _ZERO6
         raw = self.regressor.phase(q)
         if self.blending == "smooth":
-            gl = 0.5 * (raw + 1.0)
-            if gl < 0.0:
-                gl = 0.0
-            elif gl > 1.0:
-                gl = 1.0
+            gl, gr = gains(raw)
         else:
-            gl = 1.0 if raw >= 0.0 else 0.0
-        gr = 1.0 - gl
+            # NaN passes through unsaturated for gains() to reject
+            gl, gr = gains(1.0 if raw >= 0.0 else -1.0 if raw < 0.0 else raw)
         if degraded and self.degraded_policy == "passive":
             tau6 = _ZERO6
         else:

@@ -77,13 +77,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    _apply_config(args, ("rate",))
     params, tables = load_calibration(args.calibration)
     regressor = GaitRegressor.load(args.model)
     stream = SensorStream.load_csv(args.stream)
     loop = ControlLoop(StanceModel("left", params),
-                       StanceModel("right", params), regressor, tables,
-                       rate=args.rate or 5000.0)
+                       StanceModel("right", params), regressor, tables)
     result = replay(stream, loop)
     if args.out:
         result.save_csv(args.out)
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", default=None, help="command log CSV")
     p.add_argument("--report", default=None, help="timing/smoothness JSON")
-    p.add_argument("--rate", type=float, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_replay)
 

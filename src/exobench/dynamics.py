@@ -13,13 +13,13 @@ chain is q = 0, and the chain tips toward +x for positive angles.
 Two torque evaluation paths exist on purpose:
 
 * ``inertia_matrix`` / ``gravity_vector`` build the dense operators with
-  vectorised numpy; they are the readable reference used by analysis code.
+  vectorised numpy; they are the readable reference used by analysis code
+  and by the tests as an oracle.
 * ``blended_torque`` is the canonical full-torque evaluator used by the
-  control loop, where a step must fit a 5 kHz budget.  It runs through a
-  numba-compiled kernel when numba is importable and through an equivalent
-  pure-Python path otherwise; ``stance_torque`` routes through the same
-  evaluator so logged commands and one-shot evaluations are bit-identical
-  within a process.
+  control loop, where a step must fit a 5 kHz budget.  It runs the fused
+  scalar evaluator ``PlanarChain.torque`` for each active stance side;
+  ``stance_torque`` routes through the same evaluator so logged commands
+  and one-shot evaluations are bit-identical.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class PlanarChain:
         tail = np.flip(np.cumsum(np.flip(np.asarray(self.inertias))))
         idx = np.arange(n)
         self._R = np.ascontiguousarray(tail[np.maximum.outer(idx, idx)])
-        # flattened copies for the pure-python kernel
+        # flattened copies for the scalar evaluator
         self._P_rows = tuple(tuple(row) for row in self._P)
         self._R_rows = tuple(tuple(row) for row in self._R)
         self._w_t = tuple(self._w)
@@ -204,15 +204,14 @@ class PlanarChain:
             raise ValueError("joint angles must be finite")
         return q
 
-    # -- fused scalar kernel (control-loop hot path) ------------------------
+    # -- fused scalar evaluator (control-loop hot path) ---------------------
 
-    def torque(self, q, qdd, perm=None):
+    def torque(self, q, qdd, perm):
         """B(q) @ qdd + G(q) as a list of floats.
 
-        Accepts any indexable float sequences and performs no validation.
-        With ``perm`` given, joint i of the chain reads ``q[perm[i]]``,
-        saving the caller a copy.  This is the pure-python twin of the
-        jitted kernel behind ``blended_torque``.
+        Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]``, so
+        6-joint sensor vectors go in without a copy.  Accepts any indexable
+        float sequences and performs no validation.
         """
         n = self.n
         sin = math.sin
@@ -220,19 +219,12 @@ class PlanarChain:
         s = [0.0] * n
         c = [0.0] * n
         acc = 0.0
-        if perm is None:
-            for i in range(n):
-                acc += q[i]
-                s[i] = sin(acc)
-                c[i] = cos(acc)
-            qdd5 = qdd
-        else:
-            for i in range(n):
-                acc += q[perm[i]]
-                s[i] = sin(acc)
-                c[i] = cos(acc)
-            qdd5 = (qdd[perm[0]], qdd[perm[1]], qdd[perm[2]], qdd[perm[3]],
-                    qdd[perm[4]])
+        for i in range(n):
+            acc += q[perm[i]]
+            s[i] = sin(acc)
+            c[i] = cos(acc)
+        qdd5 = (qdd[perm[0]], qdd[perm[1]], qdd[perm[2]], qdd[perm[3]],
+                qdd[perm[4]])
         w = self._w_t
         g = self.gravity
         tau = [0.0] * n
@@ -291,7 +283,6 @@ class StanceModel:
             gravity=p.gravity,
         )
         self._perm_arr = np.asarray(self.perm)
-        self._perm_np = np.asarray(self.perm, dtype=np.int64)
 
     def select(self, q6) -> np.ndarray:
         """Permute a 6-joint vector into the 5-joint stance ordering."""
@@ -380,29 +371,6 @@ class CompensationTables:
             (JOINTS.index(j), self.friction[j], self.ripple[j])
             for j in ACTUATED_JOINTS
         )
-        self._pack_for_kernel()
-
-    def _pack_for_kernel(self):
-        # rectangular per-joint table arrays for the jitted evaluator;
-        # short rows are padded by repeating their last entry, which is
-        # invisible behind the endpoint clamp
-        self._jidx = np.asarray([JOINTS.index(j) for j in ACTUATED_JOINTS],
-                                dtype=np.int64)
-
-        def pack(tabs):
-            width = max(t.breakpoints.size for t in tabs)
-            bp = np.empty((len(tabs), width))
-            val = np.empty((len(tabs), width))
-            for i, t in enumerate(tabs):
-                k = t.breakpoints.size
-                bp[i, :k] = t.breakpoints
-                val[i, :k] = t.values
-                bp[i, k:] = t.breakpoints[-1]
-                val[i, k:] = t.values[-1]
-            return bp, val
-
-        self._fbp, self._fval = pack([self.friction[j] for j in ACTUATED_JOINTS])
-        self._rbp, self._rval = pack([self.ripple[j] for j in ACTUATED_JOINTS])
 
     def evaluate_scalar(self, q, qd):
         """Compensation torques as a list of 6 floats (ankles zero)."""
@@ -446,101 +414,6 @@ def friction_ripple(tables: CompensationTables, q, qd) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _blended_tau6_impl(q, qd, qdd, gl, gr, perm_l, perm_r, p_l, r_l, w_l,
-                       p_r, r_r, w_r, g, jidx, fbp, fval, rbp, rval, out):
-    # written in the numba-compilable subset; also runs under plain python
-    n = 5
-    s = np.empty(n)
-    c = np.empty(n)
-    tau5 = np.empty(n)
-    qc = np.empty(n)
-    for side in range(2):
-        gain = gl if side == 0 else gr
-        if gain <= 0.0:
-            continue
-        perm = perm_l if side == 0 else perm_r
-        P = p_l if side == 0 else p_r
-        R = r_l if side == 0 else r_r
-        w = w_l if side == 0 else w_r
-        acc = 0.0
-        for i in range(n):
-            acc += q[perm[i]]
-            s[i] = math.sin(acc)
-            c[i] = math.cos(acc)
-        acc = 0.0
-        for i in range(n - 1, -1, -1):
-            acc += w[i] * s[i]
-            tau5[i] = -g * acc
-        acc = 0.0
-        for j in range(n):
-            acc += qdd[perm[j]]
-            qc[j] = acc
-        accv = 0.0
-        for a in range(n - 1, -1, -1):
-            da = 0.0
-            for b in range(n):
-                da += P[a, b] * (c[a] * c[b] + s[a] * s[b]) * qc[b]
-            accv += da
-            tau5[a] += accv
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += R[i, j] * qdd[perm[j]]
-            tau5[i] += acc
-        for k in range(n):
-            out[perm[k]] += gain * tau5[k]
-    for a in range(jidx.shape[0]):
-        j = jidx[a]
-        for kind in range(2):
-            x = qd[j] if kind == 0 else q[j]
-            bp = fbp[a] if kind == 0 else rbp[a]
-            val = fval[a] if kind == 0 else rval[a]
-            m = bp.shape[0]
-            if x <= bp[0]:
-                out[j] += val[0]
-            elif x >= bp[m - 1]:
-                out[j] += val[m - 1]
-            else:
-                lo = 0
-                hi = m - 1
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if bp[mid] <= x:
-                        lo = mid
-                    else:
-                        hi = mid
-                t = (x - bp[lo]) / (bp[lo + 1] - bp[lo])
-                out[j] += val[lo] + t * (val[lo + 1] - val[lo])
-    return out
-
-
-_KERNEL = {"fn": None, "tried": False}
-
-
-def _get_kernel():
-    """Compile the fused evaluator on first use; None when numba is not
-    usable (the pure-python path takes over)."""
-    if not _KERNEL["tried"]:
-        _KERNEL["tried"] = True
-        try:
-            from numba import njit
-
-            fn = njit(cache=True, fastmath=False)(_blended_tau6_impl)
-            z6 = np.zeros(6)
-            perm = np.arange(5, dtype=np.int64)
-            m5 = np.eye(5)
-            w5 = np.zeros(5)
-            tab = np.zeros((1, 2))
-            tab[0, 1] = 1.0
-            fn(z6, z6, z6, 0.5, 0.5, perm, perm, m5, m5, w5, m5, m5, w5,
-               9.81, np.zeros(1, dtype=np.int64), tab, np.zeros((1, 2)),
-               tab, np.zeros((1, 2)), np.zeros(6))
-            _KERNEL["fn"] = fn
-        except Exception:
-            _KERNEL["fn"] = None
-    return _KERNEL["fn"]
-
-
 def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
                    left: StanceModel, right: StanceModel,
                    tables: CompensationTables) -> np.ndarray:
@@ -550,26 +423,15 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
     A side whose gain is exactly zero is skipped entirely, so saturated
     gains reproduce the corresponding single-stance torque bit for bit.
     """
-    kern = _get_kernel()
-    if kern is not None:
-        out = np.zeros(6)
-        kern(np.asarray(q, dtype=np.float64), np.asarray(qd, dtype=np.float64),
-             np.asarray(qdd, dtype=np.float64), gamma_l, gamma_r,
-             left._perm_np, right._perm_np,
-             left.chain._P, left.chain._R, left.chain._w,
-             right.chain._P, right.chain._R, right.chain._w,
-             left.chain.gravity, tables._jidx, tables._fbp, tables._fval,
-             tables._rbp, tables._rval, out)
-        return out
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
         perm = left.perm
-        tau5 = left.chain.torque(q, qdd, perm=perm)
+        tau5 = left.chain.torque(q, qdd, perm)
         for k in range(5):
             tau6[perm[k]] += gamma_l * tau5[k]
     if gamma_r > 0.0:
         perm = right.perm
-        tau5 = right.chain.torque(q, qdd, perm=perm)
+        tau5 = right.chain.torque(q, qdd, perm)
         for k in range(5):
             tau6[perm[k]] += gamma_r * tau5[k]
     comp = tables.evaluate_scalar(q, qd)

@@ -354,8 +354,3 @@ def infer(model: FuzzyModel, inputs: NormalizedInputs) -> PIScores:
         else:
             scores[name] = float(np.sum(agg[name] * _GRID) / area)
     return PIScores(degraded=tuple(degraded), **scores)
-
-
-def score_windows(model: FuzzyModel,
-                  rows: list[NormalizedInputs]) -> list[PIScores]:
-    return [infer(model, row) for row in rows]

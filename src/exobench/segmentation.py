@@ -123,10 +123,6 @@ class GaitRegressor:
                    metadata=doc.get("metadata", {}))
 
 
-def phase(regressor: GaitRegressor, q) -> float:
-    return regressor.phase(q)
-
-
 def default_ridge(q: np.ndarray) -> float:
     return 1e-6 * float(np.trace(q.T @ q)) / q.shape[1]
 

@@ -306,9 +306,9 @@ class ReplayResult:
             f.write("t,raw_phase,gamma_l,tau_rh,tau_rk,tau_ra,tau_lh,tau_lk,"
                     "tau_la,step_time_us\n")
             for i in range(self.t.size):
-                taus = ",".join(repr(float(v)) for v in self.tau[i])
-                f.write(f"{self.t[i]!r},{self.raw_phase[i]!r},"
-                        f"{self.gamma_l[i]!r},{taus},{self.step_us[i]!r}\n")
+                row = (self.t[i], self.raw_phase[i], self.gamma_l[i],
+                       *self.tau[i], self.step_us[i])
+                f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import exobench.blend
 from exobench.blend import (AssistCommand, BlendGains, ControlLoop, assist,
                             blend_gains, gains)
 from exobench.dynamics import (CompensationTables, JointState, StanceModel,
@@ -168,6 +169,26 @@ class TestControlLoop:
         stream = generate_cycle(pattern, rate=1000, cycles=2, seed=5)
         result = replay(stream, loop)
         assert set(np.unique(result.gamma_l)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(
+            result.gamma_l, np.where(result.raw_phase >= 0.0, 1.0, 0.0))
+        # the log keeps the regressed phase, not the saturated one
+        assert np.any(np.abs(result.raw_phase) < 1.0)
+
+    @pytest.mark.parametrize("blending", ["smooth", "hard"])
+    def test_nan_angle_raises_before_torque(self, rig, blending, monkeypatch):
+        loop = self.make_loop(rig, blending)
+        dt = 1 / 5000
+        q = (0.1,) * 6
+        for k in range(3):
+            loop.step(SensorFrame(k * dt, q, 200.0, 200.0))
+
+        def no_torque(*args):
+            raise AssertionError("torque evaluated for a NaN frame")
+
+        monkeypatch.setattr(exobench.blend, "blended_torque", no_torque)
+        bad = (0.1, float("nan"), 0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match="raw_phase must be finite"):
+            loop.step(SensorFrame(3 * dt, bad, 200.0, 200.0))
 
     def test_actuated_mask(self):
         assert AssistCommand.actuated == (True, True, False, True, True, False)

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exobench
 from exobench.cli import main
 from exobench.dynamics import (CompensationTables, ExoParams,
                                save_calibration)
@@ -107,6 +112,30 @@ class TestReplay:
                 rows = [r[:9] for r in csv.reader(f)]  # drop step_time column
             logs.append(rows)
         assert logs[0] == logs[1]
+
+    def test_nan_angle_exits_one_without_traceback(self, tmp_path, calibration):
+        data = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "5"])
+        main(["train", str(data), "--out", str(model)])
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "200"])
+        lines = stream.read_text().splitlines()
+        cells = lines[100].split(",")
+        cells[2] = "nan"
+        lines[100] = ",".join(cells)
+        stream.write_text("\n".join(lines) + "\n")
+        src = str(Path(exobench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "exobench.cli", "replay", str(stream),
+             "--model", str(model), "--calibration", str(calibration)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAnalyze:

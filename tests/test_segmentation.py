@@ -4,7 +4,7 @@ import pytest
 from exobench.errors import (AirborneError, IncompleteTrainingError,
                              SingularityError)
 from exobench.segmentation import (GaitRegressor, TrainingSet,
-                                   label_from_soles, phase, train,
+                                   label_from_soles, train,
                                    training_session_builder)
 from exobench.streams import SensorStream
 
@@ -115,7 +115,7 @@ class TestTrain:
 class TestPhase:
     def test_zero_weights(self):
         reg = GaitRegressor(weights=np.zeros(6), rmse=0.0)
-        assert phase(reg, np.ones(6)) == 0.0
+        assert reg.phase(np.ones(6)) == 0.0
 
     def test_unit_weight_picks_component(self):
         w = np.zeros(6)
@@ -123,13 +123,13 @@ class TestPhase:
         reg = GaitRegressor(weights=w, rmse=0.0)
         q = np.zeros(6)
         q[2] = 0.7
-        assert phase(reg, q) == pytest.approx(0.7)
+        assert reg.phase(q) == pytest.approx(0.7)
 
     def test_linear_in_q(self):
         rng = np.random.default_rng(8)
         reg = GaitRegressor(weights=rng.normal(size=6), rmse=0.0)
         q1, q2 = rng.normal(size=6), rng.normal(size=6)
-        assert phase(reg, q1 + q2) == pytest.approx(phase(reg, q1) + phase(reg, q2))
+        assert reg.phase(q1 + q2) == pytest.approx(reg.phase(q1) + reg.phase(q2))
 
 
 def staged_stream(stages):

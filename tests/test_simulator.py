@@ -164,3 +164,8 @@ class TestReplay:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("t,raw_phase,gamma_l,")
         assert len(lines) == result.commands + 1
+        log = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(log[:, 0], result.t)
+        assert np.array_equal(log[:, 1], result.raw_phase)
+        assert np.array_equal(log[:, 2], result.gamma_l)
+        assert np.array_equal(log[:, 3:9], result.tau)
