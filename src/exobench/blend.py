@@ -163,10 +163,10 @@ class ControlLoop:
         if degraded and self.degraded_policy == "passive":
             tau6 = _ZERO6
         else:
-            tau6 = blended_torque(q, qd, qdd, gl, gr, self.left, self.right,
-                                  self.tables)
+            tau6 = tuple(blended_torque(q, qd, qdd, gl, gr, self.left,
+                                        self.right, self.tables).tolist())
         self._last_t = t
-        cmd = AssistCommand(t=t, tau=tuple(tau6), raw_phase=raw, gamma_l=gl,
+        cmd = AssistCommand(t=t, tau=tau6, raw_phase=raw, gamma_l=gl,
                             gamma_r=gr, degraded=degraded, qd=tuple(qd),
                             qdd=tuple(qdd))
         cmd.step_time_us = (perf_counter() - t0) * 1e6

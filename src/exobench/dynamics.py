@@ -167,10 +167,10 @@ class PlanarChain:
         tail = np.flip(np.cumsum(np.flip(np.asarray(self.inertias))))
         idx = np.arange(n)
         self._R = np.ascontiguousarray(tail[np.maximum.outer(idx, idx)])
-        # flattened copies for the scalar evaluator
-        self._P_rows = tuple(tuple(row) for row in self._P)
-        self._R_rows = tuple(tuple(row) for row in self._R)
-        self._w_t = tuple(self._w)
+        # native-float rows, tip first, for the scalar evaluator
+        self._P_rev = tuple(tuple(row) for row in reversed(self._P.tolist()))
+        self._R_rev = tuple(tuple(row) for row in reversed(self._R.tolist()))
+        self._w_rev = tuple(reversed(self._w.tolist()))
 
     # -- reference (vectorised) evaluators ---------------------------------
 
@@ -213,50 +213,40 @@ class PlanarChain:
         6-joint sensor vectors go in without a copy.  Accepts any indexable
         float sequences and performs no validation.
         """
-        n = self.n
+        phi = []
+        qdd5 = []
+        qc = []
+        acc = 0.0
+        accd = 0.0
+        for k in perm:
+            acc += q[k]
+            phi.append(acc)
+            x = qdd[k]
+            qdd5.append(x)
+            accd += x
+            qc.append(accd)
         sin = math.sin
         cos = math.cos
-        s = [0.0] * n
-        c = [0.0] * n
-        acc = 0.0
-        for i in range(n):
-            acc += q[perm[i]]
-            s[i] = sin(acc)
-            c[i] = cos(acc)
-        qdd5 = (qdd[perm[0]], qdd[perm[1]], qdd[perm[2]], qdd[perm[3]],
-                qdd[perm[4]])
-        w = self._w_t
+        s = [sin(x) for x in phi]
+        c = [cos(x) for x in phi]
         g = self.gravity
-        tau = [0.0] * n
-        acc = 0.0
-        for i in range(n - 1, -1, -1):
-            acc += w[i] * s[i]
-            tau[i] = -g * acc
-        # inertia contribution: tau_i += sum_{a>=i} sum_b P[a][b]
-        # * cos(phi_a - phi_b) * (prefix sum of qdd up to b)
-        P = self._P_rows
-        R = self._R_rows
-        qc = [0.0] * n
-        acc = 0.0
-        for j in range(n):
-            acc += qdd5[j]
-            qc[j] = acc
+        # from the tip down: tau_a = gravity + sum_{a'>=a} sum_b P[a'][b]
+        # * cos(phi_a' - phi_b) * (prefix sum of qdd up to b) + R[a] @ qdd
+        tau = []
+        accg = 0.0
         accv = 0.0
-        for a in range(n - 1, -1, -1):
-            Pa = P[a]
-            ca = c[a]
-            sa = s[a]
+        for Pa, Ra, wa, ca, sa in zip(self._P_rev, self._R_rev, self._w_rev,
+                                      reversed(c), reversed(s)):
+            accg += wa * sa
             da = 0.0
-            for b in range(n):
-                da += Pa[b] * (ca * c[b] + sa * s[b]) * qc[b]
+            for p, cb, sb, qb in zip(Pa, c, s, qc):
+                da += p * (ca * cb + sa * sb) * qb
             accv += da
-            tau[a] += accv
-        for i in range(n):
-            Ri = R[i]
-            acc = 0.0
-            for j in range(n):
-                acc += Ri[j] * qdd5[j]
-            tau[i] += acc
+            accr = 0.0
+            for r, x in zip(Ra, qdd5):
+                accr += r * x
+            tau.append(-g * accg + accv + accr)
+        tau.reverse()
         return tau
 
 
@@ -367,8 +357,10 @@ class CompensationTables:
                 raise ConfigurationError(f"missing friction table for joint {joint}")
             if joint not in self.ripple:
                 raise ConfigurationError(f"missing ripple table for joint {joint}")
+        # bound methods: calling them skips the instance __call__ lookup
         self._fr = tuple(
-            (JOINTS.index(j), self.friction[j], self.ripple[j])
+            (JOINTS.index(j), self.friction[j].__call__,
+             self.ripple[j].__call__)
             for j in ACTUATED_JOINTS
         )
 
@@ -426,18 +418,14 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
         perm = left.perm
-        tau5 = left.chain.torque(q, qdd, perm)
-        for k in range(5):
-            tau6[perm[k]] += gamma_l * tau5[k]
+        for k, x in zip(perm, left.chain.torque(q, qdd, perm)):
+            tau6[k] += gamma_l * x
     if gamma_r > 0.0:
         perm = right.perm
-        tau5 = right.chain.torque(q, qdd, perm)
-        for k in range(5):
-            tau6[perm[k]] += gamma_r * tau5[k]
-    comp = tables.evaluate_scalar(q, qd)
-    for i in range(6):
-        tau6[i] += comp[i]
-    return np.asarray(tau6)
+        for k, x in zip(perm, right.chain.torque(q, qdd, perm)):
+            tau6[k] += gamma_r * x
+    return np.asarray([a + b for a, b in
+                       zip(tau6, tables.evaluate_scalar(q, qd))])
 
 
 def stance_torque(model: StanceModel, state: JointState,
@@ -492,32 +480,37 @@ class AccelerationEstimator:
             self._q1 = q
             self._seen = 1
             return None, None
-        dt = t - self._t1
+        t1, q1 = self._t1, self._q1
+        dt = t - t1
         if dt <= 0:
             raise ValueError("timestamps must be strictly increasing")
-        n = self.n
-        q1 = self._q1
-        qd_raw = [(q[i] - q1[i]) / dt for i in range(n)]
-        self._qd = self._filter(self._qd, qd_raw, dt)
+        # finite difference and one-pole filter fused in one pass per signal
+        rc = self._rc
+        alpha = None if rc is None else dt / (dt + rc)
+        prev = self._qd
+        if alpha is None or prev is None:
+            qd = [(a - b) / dt for a, b in zip(q, q1)]
+        else:
+            qd = [p + alpha * ((a - b) / dt - p)
+                  for p, a, b in zip(prev, q, q1)]
+        self._qd = qd
+        qdd = None
         if seen == 1:
-            self._t2, self._q2 = self._t1, self._q1
-            self._t1, self._q1 = t, q
             self._seen = 2
-            return self._qd, None
-        q2 = self._q2
-        dth = 0.5 * (t - self._t2)
-        inv = 1.0 / (dth * dth)
-        qdd_raw = [(q[i] - 2.0 * q1[i] + q2[i]) * inv for i in range(n)]
-        self._qdd = self._filter(self._qdd, qdd_raw, dt)
-        self._t2, self._q2 = self._t1, self._q1
+        else:
+            q2 = self._q2
+            dth = 0.5 * (t - self._t2)
+            inv = 1.0 / (dth * dth)
+            prev = self._qdd
+            if alpha is None or prev is None:
+                qdd = [(a - 2.0 * b + c) * inv for a, b, c in zip(q, q1, q2)]
+            else:
+                qdd = [p + alpha * ((a - 2.0 * b + c) * inv - p)
+                       for p, a, b, c in zip(prev, q, q1, q2)]
+            self._qdd = qdd
+        self._t2, self._q2 = t1, q1
         self._t1, self._q1 = t, q
-        return self._qd, self._qdd
-
-    def _filter(self, prev, raw, dt):
-        if self._rc is None or prev is None:
-            return raw
-        alpha = dt / (dt + self._rc)
-        return [p + alpha * (r - p) for p, r in zip(prev, raw)]
+        return qd, qdd
 
 
 def estimate_acceleration(history, cutoff_hz: float | None = 20.0):
