@@ -33,7 +33,7 @@ from .segmentation import (GaitRegressor, TrainingSet, label_from_soles, train,
 from .simulator import (GaitPattern, ReplayResult, SmoothnessReport,
                         TimingReport, generate_cycle,
                         generate_training_protocol, joint_angles, load_share,
-                        replay)
+                        replay, replay_batch)
 from .streams import SensorFrame, SensorStream
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.interpolate
-import scipy.signal
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
 
@@ -81,6 +79,8 @@ def detect_beats(ecg, fs: float, refractory_s: float = 0.25) -> BeatDetection:
     if np.all(flat_mask):
         return BeatDetection(times=np.empty(0), gaps=gaps)
 
+    # scipy submodules load on first use: importing them costs over a second
+    import scipy.signal
     sos = scipy.signal.butter(2, [5.0, 18.0], btype="bandpass", fs=fs,
                               output="sos")
     band = scipy.signal.sosfiltfilt(sos, x)
@@ -145,6 +145,8 @@ def lf_power(intervals_ms, resample_hz: float = 4.0,
             f"window of {duration:.1f} s is shorter than {min_seconds:.0f} s")
     beat_t = np.cumsum(iv) / 1000.0
     grid = np.arange(beat_t[0], beat_t[-1], 1.0 / resample_hz)
+    import scipy.interpolate
+    import scipy.signal
     tacho = scipy.interpolate.interp1d(beat_t, iv, kind="cubic",
                                        assume_sorted=True)(grid)
     tacho = scipy.signal.detrend(tacho, type="linear")
@@ -189,6 +191,7 @@ def respiration_rate(waveform=None, fs: float | None = None,
     x = np.asarray(waveform, dtype=float)
     if x.size / fs < 30.0 - 1e-9:
         raise InsufficientDataError("need at least a 30 s window")
+    import scipy.signal
     x = scipy.signal.detrend(x, type="linear")
     nperseg = min(x.size, 512)
     freqs, psd = scipy.signal.welch(x, fs=fs, nperseg=nperseg,
@@ -246,6 +249,7 @@ def gsr_decompose(gsr, fs: float) -> GsrDecomposition:
     duration = x.size / fs
     if duration < 60.0 - 1e-9:
         raise InsufficientDataError("need at least a 60 s window")
+    import scipy.signal
     sos = scipy.signal.butter(2, SCL_CUTOFF_HZ, btype="lowpass", fs=fs,
                               output="sos")
     scl = scipy.signal.sosfiltfilt(sos, x)

@@ -109,9 +109,9 @@ class ControlLoop:
     assistance command.  Gains come from ``gains``, so a non-finite phase
     raises ValueError before any torque is evaluated.  ``blending='hard'``
     switches stance models at phase zero instead of mixing them: it feeds
-    ``gains`` the phase saturated to +-1, while the command still logs the
-    regressed phase.  Hard blending exists to demonstrate what the blend
-    buys and must not be used for assistance.
+    ``gains`` the finite phase saturated to +-1, while the command still
+    logs the regressed phase.  Hard blending exists to demonstrate what the
+    blend buys and must not be used for assistance.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
@@ -140,9 +140,12 @@ class ControlLoop:
 
     def step(self, frame) -> AssistCommand:
         """Process one sensor frame; raises OutOfOrderFrameError on a
-        timestamp regression (the frame must be dropped)."""
+        timestamp regression (the frame must be dropped) and ValueError on
+        a non-finite timestamp or phase, before any torque is evaluated."""
         t0 = perf_counter()
         t = frame.t
+        if not isfinite(t):
+            raise ValueError(f"frame timestamp must be finite, got {t}")
         last = self._last_t
         if last is not None and t <= last:
             raise OutOfOrderFrameError(
@@ -155,11 +158,10 @@ class ControlLoop:
         if qdd is None:
             qdd = _ZERO6
         raw = self.regressor.phase(q)
-        if self.blending == "smooth":
-            gl, gr = gains(raw)
+        if self.blending == "smooth" or not isfinite(raw):
+            gl, gr = gains(raw)   # rejects a non-finite phase
         else:
-            # NaN passes through unsaturated for gains() to reject
-            gl, gr = gains(1.0 if raw >= 0.0 else -1.0 if raw < 0.0 else raw)
+            gl, gr = gains(1.0 if raw >= 0.0 else -1.0)
         if degraded and self.degraded_policy == "passive":
             tau6 = _ZERO6
         else:

@@ -89,7 +89,8 @@ def cmd_replay(args) -> int:
     smooth = result.smoothness()
     print(f"{result.commands} commands ({result.dropped_frames} dropped); "
           f"step time us p50={timing.p50_us:.1f} p95={timing.p95_us:.1f} "
-          f"p99={timing.p99_us:.1f}; "
+          f"p99={timing.p99_us:.1f}; {timing.overruns} over the "
+          f"{result.period_us:.0f} us period; "
           f"max/median torque jump={smooth.jump_ratio:.2f}")
     if args.report:
         doc = {"timing": timing.to_dict(), "smoothness": smooth.to_dict(),

@@ -10,16 +10,18 @@ about the COM); the swing-side foot rides as a point mass fixed to the
 swing shank.  Joint angles are relative, measured so that a fully vertical
 chain is q = 0, and the chain tips toward +x for positive angles.
 
-Two torque evaluation paths exist on purpose:
+There is one torque evaluator plus a test oracle:
 
+* ``PlanarChain.torque`` is the evaluator.  Its source is type-generic:
+  with native floats and ``math.sin``/``math.cos`` (the defaults) it is
+  the fused scalar path of the 5 kHz control step; with ``(6, m)`` numpy
+  column stacks and ``np.sin``/``np.cos`` the same operations run over m
+  frames at once.  ``blended_torque`` mixes it per frame and
+  ``blended_torque_array`` over (n, 6) rows, bit-identically, and
+  ``stance_torque`` routes through the same path.
 * ``inertia_matrix`` / ``gravity_vector`` build the dense operators with
-  vectorised numpy; they are the readable reference used by analysis code
-  and by the tests as an oracle.
-* ``blended_torque`` is the canonical full-torque evaluator used by the
-  control loop, where a step must fit a 5 kHz budget.  It runs the fused
-  scalar evaluator ``PlanarChain.torque`` for each active stance side;
-  ``stance_torque`` routes through the same evaluator so logged commands
-  and one-shot evaluations are bit-identical.
+  vectorised numpy; they are the readable reference the tests and the
+  benchmark use as an oracle.
 """
 
 from __future__ import annotations
@@ -206,12 +208,15 @@ class PlanarChain:
 
     # -- fused scalar evaluator (control-loop hot path) ---------------------
 
-    def torque(self, q, qdd, perm):
-        """B(q) @ qdd + G(q) as a list of floats.
+    def torque(self, q, qdd, perm, sin=math.sin, cos=math.cos):
+        """B(q) @ qdd + G(q) as a list of per-joint values.
 
         Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]``, so
         6-joint sensor vectors go in without a copy.  Accepts any indexable
-        float sequences and performs no validation.
+        float sequences and performs no validation.  Stored accumulators
+        are rebound rather than updated in place, so ``q``/``qdd`` may also
+        be (6, m) arrays evaluated with ``sin=np.sin, cos=np.cos``; each
+        column then gets the scalar result bit for bit.
         """
         phi = []
         qdd5 = []
@@ -219,14 +224,12 @@ class PlanarChain:
         acc = 0.0
         accd = 0.0
         for k in perm:
-            acc += q[k]
+            acc = acc + q[k]
             phi.append(acc)
             x = qdd[k]
             qdd5.append(x)
-            accd += x
+            accd = accd + x
             qc.append(accd)
-        sin = math.sin
-        cos = math.cos
         s = [sin(x) for x in phi]
         c = [cos(x) for x in phi]
         g = self.gravity
@@ -331,6 +334,18 @@ class LookupTable1D:
         t = (x - xs[i]) / (xs[i + 1] - xs[i])
         return ys[i] + t * (ys[i + 1] - ys[i])
 
+    def evaluate_array(self, x) -> np.ndarray:
+        """``__call__`` applied to every entry of a float array, with the
+        same interval search, interpolation formula and end clamps."""
+        xs = self.breakpoints
+        ys = self.values
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        x0 = xs[i]
+        y0 = ys[i]
+        t = (x - x0) / (xs[i + 1] - x0)
+        y = y0 + t * (ys[i + 1] - y0)
+        return np.where(x <= xs[0], ys[0], np.where(x >= xs[-1], ys[-1], y))
+
     def to_dict(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist(),
                 "values": self.values.tolist()}
@@ -369,6 +384,15 @@ class CompensationTables:
         out = [0.0] * 6
         for idx, ftab, rtab in self._fr:
             out[idx] = ftab(qd[idx]) + rtab(q[idx])
+        return out
+
+    def evaluate_array(self, q, qd) -> np.ndarray:
+        """``evaluate_scalar`` over (n, 6) rows, as an (n, 6) array."""
+        out = np.zeros(np.shape(q))
+        for joint in ACTUATED_JOINTS:
+            idx = JOINTS.index(joint)
+            out[:, idx] = (self.friction[joint].evaluate_array(qd[:, idx])
+                           + self.ripple[joint].evaluate_array(q[:, idx]))
         return out
 
     @classmethod
@@ -426,6 +450,30 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
             tau6[k] += gamma_r * x
     return np.asarray([a + b for a, b in
                        zip(tau6, tables.evaluate_scalar(q, qd))])
+
+
+def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
+                         right: StanceModel,
+                         tables: CompensationTables) -> np.ndarray:
+    """``blended_torque`` for every row of (n, 6) arrays, bit for bit.
+
+    Each side's chain runs ``PlanarChain.torque`` once, on (6, m) column
+    stacks of the m rows whose gain is positive, and the terms are summed
+    in the scalar path's order: gained stance torques into zeros, then the
+    full six-wide compensation (zero ankle columns included).
+    """
+    tau = np.zeros(np.shape(q))
+    for gain, model in ((gamma_l, left), (gamma_r, right)):
+        rows = gain > 0.0
+        if not rows.any():
+            continue
+        perm = model.perm
+        parts = model.chain.torque(q[rows].T, qdd[rows].T, perm,
+                                   sin=np.sin, cos=np.cos)
+        g = gain[rows]
+        for k, x in zip(perm, parts):
+            tau[rows, k] += g * x
+    return tau + tables.evaluate_array(q, qd)
 
 
 def stance_torque(model: StanceModel, state: JointState,
@@ -511,6 +559,47 @@ class AccelerationEstimator:
         self._t2, self._q2 = t1, q1
         self._t1, self._q1 = t, q
         return qd, qdd
+
+    def estimate_array(self, t, q):
+        """(qd, qdd) for every row of a strictly increasing stream, as if
+        ``reset()`` and then ``push()`` ran on each row: bit-identical, with
+        zero rows where ``push`` returns None.  The state is left alone."""
+        qd = np.zeros(np.shape(q))
+        qdd = np.zeros(np.shape(q))
+        n = len(t)
+        if n < 2:
+            return qd, qdd
+        dt = t[1:] - t[:-1]
+        if not np.all(dt > 0):
+            raise ValueError("timestamps must be strictly increasing")
+        rc = self._rc
+        # alpha[k] is the filter weight of row k, as push computes it
+        alpha = None if rc is None else [0.0] + (dt / (dt + rc)).tolist()
+        qd[1:] = (q[1:] - q[:-1]) / dt[:, None]
+        if alpha:
+            _one_pole(qd, 1, alpha)
+        if n > 2:
+            dth = 0.5 * (t[2:] - t[:-2])
+            inv = 1.0 / (dth * dth)
+            qdd[2:] = (q[2:] - 2.0 * q[1:-1] + q[:-2]) * inv[:, None]
+            if alpha:
+                _one_pole(qdd, 2, alpha)
+        return qd, qdd
+
+
+def _one_pole(x, first: int, alpha):
+    """Smooth rows after ``first`` in place: ``x[k] = x[k-1] + alpha[k] *
+    (x[k] - x[k-1])``, one column at a time on native floats, in
+    ``AccelerationEstimator.push``'s operation order."""
+    a = alpha[first + 1:]
+    for j in range(x.shape[1]):
+        col = x[first:, j].tolist()
+        p = col[0]
+        out = [p]
+        for ak, v in zip(a, col[1:]):
+            p = p + ak * (v - p)
+            out.append(p)
+        x[first:, j] = out
 
 
 def estimate_acceleration(history, cutoff_hz: float | None = 20.0):

@@ -8,6 +8,12 @@ one report dict plus a wall-clock timing sidecar.
 The report is fully deterministic for fixed inputs: wall-clock step times
 live in the sidecar only, and the report carries sha256 digests of every
 input file plus a digest of the command stream for provenance.
+
+The controller section computes each subject's whole command stream with
+``replay_batch``, which is bit-identical to streaming ``replay`` but much
+faster.  Step times come from a separate streaming ``replay`` of the first
+``PROBE_STEPS`` frames, which is what the sidecar's percentiles and
+overrun counts cover.
 """
 
 from __future__ import annotations
@@ -28,10 +34,18 @@ from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
 from .segmentation import train, training_session_builder
-from .simulator import replay
+from .simulator import replay, replay_batch
 from .streams import SensorStream
+from .synthdata import SET_SCHEMA_VERSION
 
 REPORT_SCHEMA_VERSION = 1
+
+# frames per subject that the streaming timing probe steps through
+PROBE_STEPS = 5_000
+
+TIMING_NOTE = (f"step times come from streaming ControlLoop.step over the "
+               f"first {PROBE_STEPS:,} frames of each gait stream; overruns "
+               f"count steps slower than the sample period")
 
 
 def file_digest(path) -> str:
@@ -106,7 +120,9 @@ def _controller_section(subject: SubjectSession, calibration_path):
     stream = SensorStream.load_csv(subject.gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)
-    result = replay(stream, loop)
+    result = replay_batch(stream, loop)
+    loop.reset()
+    probe = replay(stream.head(PROBE_STEPS), loop)
     smooth = result.smoothness()
     digest = hashlib.sha256()
     digest.update(result.t.tobytes())
@@ -120,15 +136,40 @@ def _controller_section(subject: SubjectSession, calibration_path):
         "smoothness": smooth.to_dict(),
         "command_digest": digest.hexdigest(),
     }
-    return section, result.timing().to_dict()
+    return section, probe.timing().to_dict()
+
+
+def _check_manifest(manifest) -> None:
+    """Raise SchemaError unless the set manifest is one this version reads."""
+    if not isinstance(manifest, dict):
+        raise SchemaError("set manifest must be a JSON object")
+    version = manifest.get("schema_version")
+    if version != SET_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported set schema_version {version!r}")
+    subjects = manifest.get("subjects")
+    if (not isinstance(subjects, list) or not subjects
+            or not all(isinstance(sid, str) for sid in subjects)):
+        raise SchemaError("set manifest needs a non-empty 'subjects' list "
+                          "of subject ids")
+    files = manifest.get("files")
+    if (not isinstance(files, dict)
+            or not all(isinstance(rel, str) for rel in files.values())):
+        raise SchemaError("set manifest needs a 'files' object of paths")
+    required = ["calibration"]
+    if "responses" in files or "preferences" in files:
+        required += ["responses", "preferences", "eq_definition"]
+    for key in required:
+        if key not in files:
+            raise SchemaError(f"set manifest 'files' lacks {key!r}")
 
 
 def analyze_session_set(root, lenient: bool = False):
     """Run every pipeline over a session-set directory.
 
     Returns ``(report_dict, timing_dict)``; the timing dict holds the
-    non-deterministic wall-clock step-time percentiles and is meant for a
-    sidecar file, keeping the report byte-reproducible.
+    non-deterministic wall-clock step-time percentiles of each subject's
+    streaming probe and is meant for a sidecar file, keeping the report
+    byte-reproducible.  A malformed set manifest raises SchemaError.
     """
     root = Path(root)
     manifest_path = root / "set_manifest.json"
@@ -137,13 +178,14 @@ def analyze_session_set(root, lenient: bool = False):
             manifest = json.load(f)
     except FileNotFoundError:
         raise SchemaError(f"{root}: not a session set (no set_manifest.json)")
-    subject_ids = manifest.get("subjects", [])
-    files = manifest.get("files", {})
+    _check_manifest(manifest)
+    subject_ids = manifest["subjects"]
+    files = manifest["files"]
 
     fuzzy_model = load_fuzzy_model(
         root / files["fuzzy_model"] if "fuzzy_model" in files else None)
     calibration_path = root / files["calibration"]
-    have_questionnaire = "responses" in files and "preferences" in files
+    have_questionnaire = "responses" in files
     if have_questionnaire:
         definition = EQDefinition.load(root / files["eq_definition"])
         responses = load_responses_csv(root / files["responses"],
@@ -217,7 +259,7 @@ def analyze_session_set(root, lenient: bool = False):
         },
         "summary": {"total_invalid_flags": int(total_invalid)},
     }
-    return report, {"subjects": timing}
+    return report, {"note": TIMING_NOTE, "subjects": timing}
 
 
 def render_factor_table(factor_stats: dict) -> str:

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AirborneError, IncompleteTrainingError, SingularityError
 from .streams import SensorStream
@@ -99,7 +98,12 @@ class GaitRegressor:
                 + w[3] * q[3] + w[4] * q[4] + w[5] * q[5])
 
     def phase_array(self, q_rows: np.ndarray) -> np.ndarray:
-        return np.asarray(q_rows, dtype=float) @ self.weights
+        """``phase`` of every row, summed over columns in the same order,
+        so each entry equals the scalar result bit for bit."""
+        q = np.asarray(q_rows, dtype=float)
+        w = self._w
+        return (w[0] * q[:, 0] + w[1] * q[:, 1] + w[2] * q[:, 2]
+                + w[3] * q[:, 3] + w[4] * q[:, 4] + w[5] * q[:, 5])
 
     def save(self, path):
         doc = {
@@ -134,6 +138,8 @@ def train(data: TrainingSet, ridge: float | None = None) -> GaitRegressor:
     ``ridge=0`` solves the plain objective and fails loudly on a
     rank-deficient problem.
     """
+    import scipy.linalg   # on first use, not at package import: slow to load
+
     Q = data.q
     p = data.labels
     T, n = Q.shape

@@ -7,6 +7,12 @@ profile whose transitions span the double-support fraction of the cycle,
 so the load-share label moves smoothly between -1 and +1.
 
 Everything is reproducible from an explicit seed.
+
+Replay comes in two forms with the same commands bit for bit.  ``replay``
+streams every frame through ``ControlLoop.step``; it is the reference and
+the only source of per-step wall times.  ``replay_batch`` computes the
+same causal outputs over whole arrays and records no step times; offline
+analysis uses it and times a short streaming probe instead.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blend import AssistCommand, ControlLoop
+from .blend import AssistCommand, ControlLoop, blend_gains
+from .dynamics import blended_torque_array
 from .errors import OutOfOrderFrameError
 from .streams import SensorStream
 
@@ -228,18 +235,20 @@ def generate_training_protocol(pattern: GaitPattern | None = None,
 
 @dataclass
 class TimingReport:
-    """Wall-clock step-time distribution in microseconds."""
+    """Wall-clock step-time distribution in microseconds; ``overruns``
+    counts steps slower than the loop's sample period."""
 
     steps: int
     p50_us: float
     p95_us: float
     p99_us: float
     max_us: float
+    overruns: int
 
     def to_dict(self) -> dict:
         return {"steps": self.steps, "p50_us": self.p50_us,
                 "p95_us": self.p95_us, "p99_us": self.p99_us,
-                "max_us": self.max_us}
+                "max_us": self.max_us, "overruns": self.overruns}
 
 
 @dataclass
@@ -263,26 +272,38 @@ class SmoothnessReport:
 
 @dataclass
 class ReplayResult:
+    """A replayed command stream.  ``step_us`` (wall time per step) and
+    ``period_us`` (the loop's sample period) exist only for streaming
+    ``replay``; ``replay_batch`` leaves them None."""
+
     t: np.ndarray
     raw_phase: np.ndarray
     gamma_l: np.ndarray
     tau: np.ndarray
-    step_us: np.ndarray
     degraded: np.ndarray
     dropped_frames: int
+    step_us: np.ndarray | None = None
+    period_us: float | None = None
 
     @property
     def commands(self) -> int:
         return self.t.size
 
+    def _step_times(self) -> np.ndarray:
+        if self.step_us is None:
+            raise ValueError("a batch replay has no step times; "
+                             "time a streaming replay() instead")
+        return self.step_us
+
     def timing(self) -> TimingReport:
-        us = self.step_us
+        us = self._step_times()
         return TimingReport(
             steps=int(us.size),
             p50_us=float(np.percentile(us, 50)),
             p95_us=float(np.percentile(us, 95)),
             p99_us=float(np.percentile(us, 99)),
             max_us=float(np.max(us)),
+            overruns=int(np.count_nonzero(us > self.period_us)),
         )
 
     def smoothness(self) -> SmoothnessReport:
@@ -302,12 +323,13 @@ class ReplayResult:
         )
 
     def save_csv(self, path):
+        us = self._step_times()
         with open(path, "w", encoding="utf-8") as f:
             f.write("t,raw_phase,gamma_l,tau_rh,tau_rk,tau_ra,tau_lh,tau_lk,"
                     "tau_la,step_time_us\n")
             for i in range(self.t.size):
                 row = (self.t[i], self.raw_phase[i], self.gamma_l[i],
-                       *self.tau[i], self.step_us[i])
+                       *self.tau[i], us[i])
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -337,5 +359,43 @@ def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
         deg[k] = cmd.degraded
         k += 1
     return ReplayResult(t=t[:k], raw_phase=raw[:k], gamma_l=gl[:k],
-                        tau=tau[:k], step_us=us[:k], degraded=deg[:k],
-                        dropped_frames=dropped)
+                        tau=tau[:k], degraded=deg[:k], dropped_frames=dropped,
+                        step_us=us[:k], period_us=1e6 / loop.rate)
+
+
+def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
+    """``replay`` evaluated over whole arrays: the same ``t``, raw phase,
+    gains, torques, degraded flags and dropped-frame count bit for bit,
+    without step times.
+
+    Honours the loop's blending, degraded policy and acceleration cutoff,
+    and raises ValueError where ``ControlLoop.step`` would (a non-finite
+    timestamp, or a non-finite phase on a kept frame).  It reads the
+    loop's settings, never its state.
+    """
+    t_all = stream.t
+    finite = np.isfinite(t_all)
+    if not finite.all():
+        raise ValueError(
+            f"frame timestamp must be finite, got {t_all[~finite][0]}")
+    # a frame is kept when it is later than every frame before it
+    keep = np.ones(t_all.size, dtype=bool)
+    keep[1:] = t_all[1:] > np.maximum.accumulate(t_all)[:-1]
+    t = t_all[keep]
+    q = stream.q[keep]
+    raw = loop.regressor.phase_array(q)
+    if loop.blending == "smooth" or not np.all(np.isfinite(raw)):
+        gl, gr = blend_gains(raw)   # rejects a non-finite phase
+    else:
+        gl, gr = blend_gains(np.where(raw >= 0.0, 1.0, -1.0))
+    qd, qdd = loop.estimator.estimate_array(t, q)
+    # the first two commands precede the acceleration estimate
+    degraded = np.arange(t.size) < 2
+    live = 2 if loop.degraded_policy == "passive" else 0
+    tau = np.zeros(q.shape)
+    tau[live:] = blended_torque_array(q[live:], qd[live:], qdd[live:],
+                                      gl[live:], gr[live:], loop.left,
+                                      loop.right, loop.tables)
+    return ReplayResult(t=t, raw_phase=raw, gamma_l=gl, tau=tau,
+                        degraded=degraded,
+                        dropped_frames=int(t_all.size - t.size))

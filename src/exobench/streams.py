@@ -67,6 +67,13 @@ class SensorStream:
             yield SensorFrame(t[i], tuple(q_rows[i]), left[i], right[i],
                               "" if stage is None else str(stage[i]))
 
+    def head(self, n: int) -> "SensorStream":
+        """The first ``n`` samples (all of them if the stream is shorter)."""
+        return SensorStream(
+            t=self.t[:n], q=self.q[:n], left_load=self.left_load[:n],
+            right_load=self.right_load[:n],
+            stage=None if self.stage is None else self.stage[:n])
+
     @staticmethod
     def concatenate(parts: list["SensorStream"]) -> "SensorStream":
         return SensorStream(
@@ -94,7 +101,7 @@ class SensorStream:
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
-        t, q, left, right, stage = [], [], [], [], []
+        t, q, left, right, stage, lines = [], [], [], [], [], []
         with open(path, "r", newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             header = next(reader, None)
@@ -114,8 +121,18 @@ class SensorStream:
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 stage.append(row[9])
+                lines.append(lineno)
         if not t:
             raise ValueError(f"{path}: no samples")
-        return cls(t=np.asarray(t), q=np.asarray(q),
-                   left_load=np.asarray(left), right_load=np.asarray(right),
-                   stage=np.asarray(stage, dtype=object))
+        stream = cls(t=np.asarray(t), q=np.asarray(q),
+                     left_load=np.asarray(left), right_load=np.asarray(right),
+                     stage=np.asarray(stage, dtype=object))
+        values = np.column_stack([stream.t, stream.q, stream.left_load,
+                                  stream.right_load])
+        finite = np.isfinite(values)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"{path}: line {lines[row]}: "
+                             f"non-finite {CSV_HEADER[col]} value "
+                             f"{values[row, col]}")
+        return stream

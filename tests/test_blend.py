@@ -190,5 +190,28 @@ class TestControlLoop:
         with pytest.raises(ValueError, match="raw_phase must be finite"):
             loop.step(SensorFrame(3 * dt, bad, 200.0, 200.0))
 
+    @pytest.mark.parametrize("blending", ["smooth", "hard"])
+    @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
+    def test_nonfinite_timestamp_raises_before_torque(self, rig, blending,
+                                                      bad_t, monkeypatch):
+        loop = self.make_loop(rig, blending)
+        dt = 1 / 5000
+        q = (0.1,) * 6
+        for k in range(3):
+            loop.step(SensorFrame(k * dt, q, 200.0, 200.0))
+
+        def no_torque(*args):
+            raise AssertionError("torque evaluated for a bad timestamp")
+
+        monkeypatch.setattr(exobench.blend, "blended_torque", no_torque)
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            loop.step(SensorFrame(bad_t, q, 200.0, 200.0))
+
+    def test_hard_mode_rejects_infinite_phase(self, rig):
+        loop = self.make_loop(rig, "hard")
+        bad = (0.1, float("inf"), 0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match="raw_phase must be finite"):
+            loop.step(SensorFrame(0.0, bad, 200.0, 200.0))
+
     def test_actuated_mask(self):
         assert AssistCommand.actuated == (True, True, False, True, True, False)

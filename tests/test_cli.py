@@ -18,6 +18,15 @@ from exobench.synthdata import (synth_physio_session,
                                 synth_session_set)
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(Path(exobench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
 @pytest.fixture(scope="module")
 def calibration(tmp_path_factory):
     path = tmp_path_factory.mktemp("calib") / "calibration.json"
@@ -126,19 +135,75 @@ class TestReplay:
         cells[2] = "nan"
         lines[100] = ",".join(cells)
         stream.write_text("\n".join(lines) + "\n")
-        src = str(Path(exobench.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "exobench.cli", "replay", str(stream),
-             "--model", str(model), "--calibration", str(calibration)],
-            capture_output=True, text=True, env=env)
+        proc = _python("-m", "exobench.cli", "replay", str(stream),
+                       "--model", str(model), "--calibration", str(calibration))
         assert proc.returncode == 1
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # rejected where it enters: the CSV reader names the file and line
+        assert f"{stream}: line 101: non-finite q_rk value nan" in proc.stderr
+
+    def test_replay_summary_counts_overruns(self, tmp_path, calibration,
+                                            capsys):
+        data = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "5"])
+        main(["train", str(data), "--out", str(model)])
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "200"])
+        capsys.readouterr()
+        rep = tmp_path / "replay.json"
+        assert main(["replay", str(stream), "--model", str(model),
+                     "--calibration", str(calibration),
+                     "--report", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        overruns = doc["timing"]["overruns"]
+        assert 0 <= overruns <= doc["timing"]["steps"] == 240
+        assert f"{overruns} over the 200 us period" in capsys.readouterr().out
+
+
+def _manifest(**changes):
+    doc = {"schema_version": 1, "seed": 0, "subjects": ["s01"],
+           "files": {"calibration": "calibration.json",
+                     "eq_definition": "eq_definition.json",
+                     "responses": "questionnaire_responses.csv",
+                     "preferences": "questionnaire_preferences.csv"}}
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+_FILES = _manifest()["files"]
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("manifest, reason", [
+        (_manifest(files={k: v for k, v in _FILES.items()
+                          if k != "calibration"}), "calibration"),
+        (_manifest(files={k: v for k, v in _FILES.items()
+                          if k != "eq_definition"}), "eq_definition"),
+        (_manifest(files={k: v for k, v in _FILES.items()
+                          if k not in ("eq_definition", "preferences")}),
+         "preferences"),
+        (_manifest(schema_version=99), "schema_version 99"),
+        (_manifest(schema_version=None), "schema_version None"),
+        (_manifest(subjects=[]), "non-empty 'subjects'"),
+        (_manifest(subjects=None), "non-empty 'subjects'"),
+        (_manifest(files=["calibration.json"]), "'files' object"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_bad_set_manifest_exits_one(self, tmp_path, manifest, reason):
+        (tmp_path / "set_manifest.json").write_text(json.dumps(manifest))
+        proc = _python("-m", "exobench.cli", "analyze", str(tmp_path),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and reason in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_full_report(self, session_set, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", str(session_set), "--out", str(out)]) == 0
@@ -230,6 +295,34 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 1
         assert "hr coverage gap" in capsys.readouterr().out
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_validate_fails_a_stream_with_a_nonfinite_cell(self, tmp_path,
+                                                           capsys, cell):
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "200"])
+        lines = stream.read_text().splitlines()
+        cells = lines[40].split(",")
+        cells[7] = cell
+        lines[40] = ",".join(cells)
+        stream.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(stream)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL {stream}")
+        assert "line 41: non-finite left_load" in out
+
+
+class TestImport:
+    def test_package_import_leaves_scipy_submodules_unloaded(self):
+        code = ("import sys, exobench; print(sorted(m for m in ('scipy.signal',"
+                " 'scipy.interpolate', 'scipy.linalg') if m in sys.modules))")
+        proc = _python("-c", code)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConfigFallback:

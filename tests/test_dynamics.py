@@ -130,6 +130,16 @@ class TestLookupTables:
         with pytest.raises(ValueError):
             LookupTable1D([0.0, 1.0], [1.0])
 
+    def test_array_lookup_matches_scalar_bit_for_bit(self):
+        bp = np.linspace(-4.0, 4.0, 81)
+        tab = LookupTable1D(bp, np.tanh(bp / 0.2))
+        rng = np.random.default_rng(3)
+        # breakpoints, signed zeros, both ends, beyond them, and random
+        x = np.concatenate([bp, [0.0, -0.0, -4.0, 4.0, -9.0, 9.0],
+                            np.nextafter(bp, np.inf), rng.uniform(-5, 5, 2000)])
+        expected = np.array([tab(v) for v in x.tolist()])
+        assert tab.evaluate_array(x).tobytes() == expected.tobytes()
+
     def test_missing_actuated_table_is_configuration_error(self):
         flat = LookupTable1D([-1.0, 1.0], [0.0, 0.0])
         friction = {j: flat for j in ACTUATED_JOINTS if j != "LK"}

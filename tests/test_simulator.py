@@ -7,7 +7,8 @@ from exobench.segmentation import (label_from_soles, train,
                                    training_session_builder)
 from exobench.simulator import (GaitPattern, TREADMILL_SPEEDS_KMH,
                                 generate_cycle, generate_training_protocol,
-                                replay)
+                                replay, replay_batch)
+from exobench.streams import SensorStream
 
 
 class TestGaitPattern:
@@ -169,3 +170,111 @@ class TestReplay:
         assert np.array_equal(log[:, 1], result.raw_phase)
         assert np.array_equal(log[:, 2], result.gamma_l)
         assert np.array_equal(log[:, 3:9], result.tau)
+
+    def test_overruns_count_steps_slower_than_the_period(self, loop_parts):
+        left, right, reg, tables = loop_parts
+        stream = generate_cycle(GaitPattern(), rate=1000, cycles=1, seed=13)
+        # a 1 GHz loop has a 1 ns period, so every step overruns it
+        fast = replay(stream, ControlLoop(left, right, reg, tables, rate=1e9))
+        timing = fast.timing()
+        assert timing.overruns == timing.steps == fast.commands
+        assert fast.timing().to_dict()["overruns"] == timing.steps
+        # a 1 mHz loop has a 1000 s period, which no step overruns
+        slow = replay(stream, ControlLoop(left, right, reg, tables, rate=1e-3))
+        assert slow.timing().overruns == 0
+
+
+def _variant(stream, t=None, q=None):
+    """``stream`` with its timestamps or joint angles replaced."""
+    return SensorStream(t=stream.t if t is None else t,
+                        q=stream.q if q is None else q,
+                        left_load=stream.left_load,
+                        right_load=stream.right_load, stage=stream.stage)
+
+
+@pytest.fixture(scope="module")
+def batch_streams():
+    # the acceptance corpus: 5 kHz, 10 cycles, seed 4, noise free
+    corpus = generate_cycle(GaitPattern(angle_noise=0.0, load_noise=0.0),
+                            rate=5000, cycles=10, seed=4)
+    short = generate_cycle(GaitPattern(), rate=5000, cycles=1, seed=7)
+    t = short.t.copy()
+    # late, duplicate and rewound timestamps, including right at the start
+    t[[1, 50, 51, 300, 301, 900]] = t[[0, 48, 10, 299, 299, 100]]
+    jitter = np.random.default_rng(8).uniform(0.0, 1.5e-4, len(short))
+    return {"corpus": corpus,
+            "out_of_order": _variant(short, t=t),
+            "jittered": _variant(short, t=short.t + jitter)}
+
+
+class TestReplayBatch:
+    """``replay_batch`` must give streaming ``replay``'s commands bit for
+    bit: the analyze report's command digest depends on it."""
+
+    @pytest.mark.parametrize("stream_name, options", [
+        ("corpus", {}),
+        ("out_of_order", {}),
+        ("jittered", {}),
+        ("corpus", {"blending": "hard"}),
+        ("out_of_order", {"degraded_policy": "passive"}),
+        ("jittered", {"accel_cutoff_hz": None}),
+        ("out_of_order", {"blending": "hard", "degraded_policy": "passive",
+                          "accel_cutoff_hz": None}),
+    ])
+    def test_bit_identical_to_streaming(self, loop_parts, batch_streams,
+                                        stream_name, options):
+        left, right, reg, tables = loop_parts
+        stream = batch_streams[stream_name]
+        loop = ControlLoop(left, right, reg, tables, **options)
+        batch = replay_batch(stream, loop)
+        ref = replay(stream, loop)   # no reset: the batch leaves no state
+        for name in ("t", "raw_phase", "gamma_l", "tau"):
+            assert (getattr(batch, name).tobytes()
+                    == getattr(ref, name).tobytes()), name
+        assert np.array_equal(batch.degraded, ref.degraded)
+        assert batch.dropped_frames == ref.dropped_frames
+        if stream_name == "out_of_order":
+            assert ref.dropped_frames == 6
+
+    def test_short_streams(self, loop_parts, batch_streams):
+        left, right, reg, tables = loop_parts
+        for n in range(5):
+            stream = batch_streams["jittered"].head(n)
+            loop = ControlLoop(left, right, reg, tables)
+            batch = replay_batch(stream, loop)
+            ref = replay(stream, ControlLoop(left, right, reg, tables))
+            assert batch.tau.tobytes() == ref.tau.tobytes()
+            assert np.array_equal(batch.degraded, ref.degraded)
+
+    def test_has_no_step_times(self, loop_parts, batch_streams):
+        left, right, reg, tables = loop_parts
+        stream = batch_streams["jittered"].head(10)
+        batch = replay_batch(stream, ControlLoop(left, right, reg, tables))
+        with pytest.raises(ValueError, match="no step times"):
+            batch.timing()
+
+    @pytest.mark.parametrize("blending", ["smooth", "hard"])
+    def test_raises_where_streaming_raises(self, loop_parts, batch_streams,
+                                           blending):
+        left, right, reg, tables = loop_parts
+        short = batch_streams["jittered"].head(20)
+        t = short.t.copy()
+        t[5] = np.nan
+        q = short.q.copy()
+        q[5, 1] = np.inf
+        cases = ((_variant(short, t=t), "timestamp must be finite"),
+                 (_variant(short, q=q), "raw_phase must be finite"))
+        for stream, match in cases:
+            for run in (replay, replay_batch):
+                loop = ControlLoop(left, right, reg, tables, blending=blending)
+                with pytest.raises(ValueError, match=match):
+                    run(stream, loop)
+        # a bad value on a dropped frame is never evaluated by either path
+        t = short.t.copy()
+        t[6] = t[4]
+        q = short.q.copy()
+        q[6] = np.nan
+        dropped = _variant(short, t=t, q=q)
+        loop = ControlLoop(left, right, reg, tables, blending=blending)
+        assert (replay_batch(dropped, loop).tau.tobytes()
+                == replay(dropped, loop).tau.tobytes())
