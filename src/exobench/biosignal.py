@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
+from .streams import bad_line_error
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -392,7 +393,13 @@ class PhysioSession:
             spec = channels.get(name)
             if spec is None:
                 return None, None
-            data = np.loadtxt(directory / spec["file"], skiprows=1)
+            path = directory / spec["file"]
+            try:
+                data = np.loadtxt(path, skiprows=1, encoding="utf-8")
+            except ValueError:
+                raise _bad_channel_line(path, name) from None
+            if not np.isfinite(data).all():
+                raise _bad_channel_line(path, name)
             return np.atleast_1d(data), spec.get("fs")
 
         ecg, ecg_fs = read("ecg")
@@ -404,6 +411,18 @@ class PhysioSession:
                    beat_intervals_ms=beats, respiration=resp,
                    respiration_fs=resp_fs or 25.0, breath_times=marks,
                    gsr=gsr, gsr_fs=gsr_fs or 15.0)
+
+
+def _bad_channel_line(path, name) -> ValueError:
+    """The error naming the line of a one-column channel file that failed to
+    load; lines are split as ``np.loadtxt`` splits them (whitespace, ``#``
+    comments) and numbered from 1 for the header."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = enumerate(f, start=1)
+        next(lines, None)  # the header
+        records = ((lineno, fields) for lineno, line in lines
+                   if (fields := line.split("#", 1)[0].split()))
+        return bad_line_error(path, records, [name], 1)
 
 
 @dataclass

@@ -6,11 +6,29 @@ two sole loads, and an optional per-sample stage tag.
 
 CSV columns: ``t, q_rh, q_rk, q_ra, q_lh, q_lk, q_la, left_load,
 right_load, stage_tag`` (header required, stage_tag may be empty).
+
+The accepted dialect is what ``save_csv`` writes (``csv.writer``
+defaults) and is read in one ``np.loadtxt`` pass:
+
+* every record has exactly ten comma-separated fields; a field may be
+  quoted with ``"``, a doubled ``""`` inside quotes is one quote, and a
+  quoted field may hold commas, ``#`` and line breaks (there are no
+  comments);
+* blank lines are skipped but still counted in the line numbers of errors;
+  a line of only whitespace is a record with one field and is rejected;
+* the nine numbers are read like ``float()`` of the stripped cell, except
+  that ``_`` digit separators and non-ASCII digits are rejected;
+* ``nan`` and ``inf`` cells are rejected.
+
+Every rejection is a ``ValueError`` that names the file and the line; line
+numbers count CSV records from 1 for the header.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -18,6 +36,9 @@ import numpy as np
 
 CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
               "left_load", "right_load", "stage_tag"]
+# one parsed record: nine numbers and the tag as a Python str
+_ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
+                + [(CSV_HEADER[9], object)])
 
 
 class SensorFrame(NamedTuple):
@@ -101,38 +122,72 @@ class SensorStream:
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
-        t, q, left, right, stage, lines = [], [], [], [], [], []
         with open(path, "r", newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
+            header = next(csv.reader(f), None)
             if header is None or [h.strip() for h in header] != CSV_HEADER:
                 raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"{path}: line {lineno}: expected "
-                                     f"{len(CSV_HEADER)} fields, got {len(row)}")
-                try:
-                    t.append(float(row[0]))
-                    q.append([float(v) for v in row[1:7]])
-                    left.append(float(row[7]))
-                    right.append(float(row[8]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                stage.append(row[9])
-                lines.append(lineno)
-        if not t:
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below as "no samples"
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(f, dtype=_ROW, delimiter=",",
+                                      comments=None, quotechar='"', ndmin=1)
+            except ValueError:
+                raise _bad_csv_line(path) from None
+        if not rows.size:
             raise ValueError(f"{path}: no samples")
-        stream = cls(t=np.asarray(t), q=np.asarray(q),
-                     left_load=np.asarray(left), right_load=np.asarray(right),
-                     stage=np.asarray(stage, dtype=object))
-        values = np.column_stack([stream.t, stream.q, stream.left_load,
-                                  stream.right_load])
-        finite = np.isfinite(values)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise ValueError(f"{path}: line {lines[row]}: "
-                             f"non-finite {CSV_HEADER[col]} value "
-                             f"{values[row, col]}")
-        return stream
+        t = rows["t"].copy()
+        q = np.column_stack([rows[name] for name in CSV_HEADER[1:7]])
+        left = rows["left_load"].copy()
+        right = rows["right_load"].copy()
+        if not all(np.isfinite(a).all() for a in (t, q, left, right)):
+            raise _bad_csv_line(path)
+        return cls(t=t, q=q, left_load=left, right_load=right,
+                   stage=rows["stage_tag"].copy())
+
+
+def _bad_csv_line(path) -> ValueError:
+    """The error naming the record of a stream CSV that failed to load; line
+    numbers count CSV records, blank ones included, from 1 for the header."""
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        records = enumerate(csv.reader(f), start=1)
+        next(records, None)  # the header
+        return bad_line_error(path, ((lineno, row) for lineno, row in records
+                                     if row), CSV_HEADER[:9], len(CSV_HEADER))
+
+
+def parse_cell(cell: str) -> float:
+    """A number cell as ``np.loadtxt`` reads it: ``float()`` of the cell
+    stripped of whitespace, where the rest must be ASCII without ``_``."""
+    text = cell.strip()
+    if "_" not in text and text.isascii():
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {cell!r}")
+
+
+def bad_line_error(path, records, names, width) -> ValueError:
+    """The error naming the line a bulk parse of ``path`` rejected.
+
+    ``records`` yields ``(line number, fields)`` for every non-blank record;
+    each must have ``width`` fields, the leading ``len(names)`` of them
+    finite numbers.  The first record with the wrong field count or a cell
+    that does not parse is named; failing that, the first non-finite cell.
+    """
+    nonfinite = None
+    for lineno, row in records:
+        if len(row) != width:
+            return ValueError(f"{path}: line {lineno}: expected {width} "
+                              f"fields, got {len(row)}")
+        for name, cell in zip(names, row):
+            try:
+                value = parse_cell(cell)
+            except ValueError as exc:
+                return ValueError(f"{path}: line {lineno}: {exc}")
+            if nonfinite is None and not math.isfinite(value):
+                nonfinite = ValueError(f"{path}: line {lineno}: non-finite "
+                                       f"{name} value {value}")
+    return nonfinite or ValueError(f"{path}: unreadable, no bad line found")

@@ -327,3 +327,31 @@ class TestPhysioSession:
             for k in a:
                 if isinstance(a[k], float) and a[k] is not None:
                     assert a[k] == pytest.approx(b[k], rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("channel, file", [
+        ("ecg", "ecg.csv"), ("beats", "beat_intervals.csv"),
+        ("respiration", "respiration.csv"),
+        ("breath_times", "breath_times.csv"), ("gsr", "gsr.csv")])
+    @pytest.mark.parametrize("cell, reason", [
+        ("nan", "non-finite {channel} value nan"),
+        ("-inf", "non-finite {channel} value -inf"),
+        ("abc", "could not convert string to float: 'abc'"),
+        ("1_0", "could not convert string to float: '1_0'"),
+        ("1 2", "expected 1 fields, got 2")])
+    def test_bad_cell_names_file_and_line(self, tmp_path, channel, file,
+                                          cell, reason):
+        series = np.arange(1.0, 41.0)
+        PhysioSession(markers={"sit": (0.0, 1.0), "sit_exo": (1.0, 2.0),
+                               "walk": (2.0, 3.0)},
+                      ecg=series, beat_intervals_ms=series,
+                      respiration=series, breath_times=series,
+                      gsr=series).save(tmp_path)
+        path = tmp_path / file
+        lines = path.read_text().splitlines()
+        lines[4] = ""  # blank lines are skipped but counted
+        lines[9] = cell
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            PhysioSession.load(tmp_path)
+        assert str(info.value) == (f"{path}: line 10: "
+                                   + reason.format(channel=channel))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,24 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path), "--out",
                      str(tmp_path / "r.json")]) == 1
         assert "set_manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel, file", [
+        ("ecg", "ecg.csv"), ("respiration", "respiration.csv"),
+        ("gsr", "gsr.csv")])
+    def test_nan_physio_cell_exits_one_naming_the_line(
+            self, session_set, tmp_path, channel, file):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s01" / "physio" / file
+        lines = path.read_text().splitlines()
+        lines[99] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert (f"error: {path}: line 100: non-finite {channel} value nan"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
 
     def test_missing_gsr_degrades_but_completes(self, tmp_path):
         root = tmp_path / "set"

@@ -1,0 +1,214 @@
+"""SensorStream CSV reading: the accepted dialect, its errors, round trips."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from exobench.streams import CSV_HEADER, SensorStream
+
+HEADER = ",".join(CSV_HEADER)
+
+
+def _row(k, tag="", t=None):
+    """A record whose nine numbers are distinct and derived from ``k``."""
+    t = f"{k}.5" if t is None else t
+    cells = [t] + [f"{k}.{j}" for j in range(1, 9)] + [tag]
+    return ",".join(cells)
+
+
+def _values(k, t=None):
+    return [float(f"{k}.5") if t is None else t] + [float(f"{k}.{j}")
+                                                    for j in range(1, 9)]
+
+
+def _ok(*rows):
+    """Expected stream: ``(k, tag)`` or ``(k, tag, t)`` per record."""
+    return ("ok", [(_values(r[0], *r[2:]), r[1]) for r in rows])
+
+
+R1, R2 = _row(1, "a"), _row(2, "b")
+
+# (file text, expected outcome); errors are the text after "{path}: "
+CASES = {
+    "crlf": (f"{HEADER}\r\n{R1}\r\n{R2}\r\n", _ok((1, "a"), (2, "b"))),
+    "lf": (f"{HEADER}\n{R1}\n{R2}\n", _ok((1, "a"), (2, "b"))),
+    "no_final_newline": (f"{HEADER}\r\n{R1}\r\n{R2}",
+                         _ok((1, "a"), (2, "b"))),
+    "blank_lines_skipped": (f"{HEADER}\r\n\r\n{R1}\r\n\r\n\r\n{R2}\r\n",
+                            _ok((1, "a"), (2, "b"))),
+    "whitespace_only_line": (f"{HEADER}\r\n{R1}\r\n  \r\n{R2}\r\n",
+                             ("err", "line 3: expected 10 fields, got 1")),
+    "tab_only_line": (f"{HEADER}\n{R1}\n\t\n",
+                      ("err", "line 3: expected 10 fields, got 1")),
+    "short_row": (f"{HEADER}\r\n{R1}\r\n1,2,3\r\n",
+                  ("err", "line 3: expected 10 fields, got 3")),
+    "long_row": (f"{HEADER}\r\n{R1},extra\r\n",
+                 ("err", "line 2: expected 10 fields, got 11")),
+    "abc_cell": (f"{HEADER}\r\n{R1}\r\n" + _row(2, t="abc") + "\r\n",
+                 ("err", "line 3: could not convert string to float: 'abc'")),
+    "padded_abc_cell": (f"{HEADER}\r\n" + _row(1, t=" abc\t") + "\r\n",
+                        ("err", "line 2: could not convert string to float: "
+                                "' abc\\t'")),
+    "empty_cell": (f"{HEADER}\r\n" + _row(1, t="") + "\r\n",
+                   ("err", "line 2: could not convert string to float: ''")),
+    "nan_cell": (f"{HEADER}\r\n{R1}\r\n2.5,2.1,nan,2.3,2.4,2.5,2.6,2.7,2.8,b"
+                 "\r\n", ("err", "line 3: non-finite q_rk value nan")),
+    "inf_cell": (f"{HEADER}\r\n2.5,2.1,2.2,2.3,2.4,2.5,2.6,inf,2.8,b\r\n",
+                 ("err", "line 2: non-finite left_load value inf")),
+    "minus_inf_cell": (f"{HEADER}\r\n2.5,2.1,2.2,2.3,2.4,2.5,2.6,2.7,-inf,"
+                       "b\r\n",
+                       ("err", "line 2: non-finite right_load value -inf")),
+    "abc_after_blank_line": (f"{HEADER}\r\n\r\n{R1}\r\n" + _row(2, t="abc")
+                             + "\r\n", ("err", "line 4: could not convert "
+                                               "string to float: 'abc'")),
+    "empty_after_blank_line": (f"{HEADER}\r\n{R1}\r\n\r\n" + _row(2, t="")
+                               + "\r\n", ("err", "line 4: could not convert "
+                                                 "string to float: ''")),
+    "nan_after_blank_line": (f"{HEADER}\r\n{R1}\r\n\r\n" + _row(2, t="nan")
+                             + "\r\n", ("err", "line 4: non-finite t value "
+                                               "nan")),
+    # the first non-finite cell in reading order is the one named
+    "two_nonfinite_cells": (f"{HEADER}\r\n1.5,1.1,1.2,inf,1.4,1.5,1.6,1.7,1.8,a"
+                            "\r\n" + _row(2, t="nan") + "\r\n",
+                            ("err", "line 2: non-finite q_ra value inf")),
+    # a cell that does not parse is reported before an earlier nan
+    "abc_after_nan": (f"{HEADER}\r\n" + _row(1, t="nan") + "\r\n"
+                      + _row(2, t="abc") + "\r\n",
+                      ("err", "line 3: could not convert string to float: "
+                              "'abc'")),
+    "header_only": (f"{HEADER}\r\n", ("err", "no samples")),
+    "header_and_blank_lines": (f"{HEADER}\r\n\r\n\r\n", ("err", "no samples")),
+    "empty_file": ("", ("err", f"expected header {HEADER}")),
+    "bad_header": ("t,q\r\n" + R1 + "\r\n", ("err", f"expected header {HEADER}")),
+    "header_padded_with_spaces": (" " + HEADER.replace(",", " , ") + "\r\n"
+                                  + R1 + "\r\n", _ok((1, "a"))),
+    "quoted_tag_with_comma": (f"{HEADER}\r\n" + _row(1, '"x,y"') + "\r\n",
+                              _ok((1, "x,y"))),
+    "quoted_tag_with_doubled_quote": (f"{HEADER}\r\n" + _row(1, '"x""y"')
+                                      + "\r\n", _ok((1, 'x"y'))),
+    "tag_with_hash_and_spaces": (f"{HEADER}\r\n" + _row(1, " x # y ")
+                                 + "\r\n", _ok((1, " x # y "))),
+    # a quoted line break stays in the tag, and later line numbers count
+    # records, not physical lines
+    "multi_line_quoted_tag": (f"{HEADER}\r\n" + _row(1, '"x\r\ny"') + "\r\n"
+                              + R2 + "\r\n1,2\r\n",
+                              ("err", "line 4: expected 10 fields, got 2")),
+    "multi_line_quoted_tag_value": (f"{HEADER}\r\n" + _row(1, '"x\r\ny"')
+                                    + "\r\n" + R2 + "\r\n",
+                                    _ok((1, "x\r\ny"), (2, "b"))),
+    "quoted_number": (f"{HEADER}\r\n" + _row(1, "a", t='"0.25"') + "\r\n",
+                      _ok((1, "a", 0.25))),
+    "hex_number": (f"{HEADER}\r\n" + _row(1, t="0x10") + "\r\n",
+                   ("err", "line 2: could not convert string to float: "
+                           "'0x10'")),
+    # float() accepts "1_0"; the CSV dialect does not
+    "digit_separator": (f"{HEADER}\r\n{R1}\r\n" + _row(2, t="1_0") + "\r\n",
+                        ("err", "line 3: could not convert string to float: "
+                                "'1_0'")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_load_csv_outcome(tmp_path, name):
+    text, (kind, expected) = CASES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "err":
+            with pytest.raises(ValueError) as info:
+                SensorStream.load_csv(path)
+            assert str(info.value) == f"{path}: {expected}"
+            return
+        stream = SensorStream.load_csv(path)
+    values = np.column_stack([stream.t, stream.q, stream.left_load,
+                              stream.right_load])
+    assert values.tolist() == [v for v, _ in expected]
+    assert list(stream.stage) == [tag for _, tag in expected]
+
+
+_TAG = st.text(st.characters(blacklist_categories=("Cs",))
+               | st.sampled_from(',"# \r\n'), max_size=8)
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(_NUMBER, min_size=9, max_size=9), _TAG),
+                min_size=1, max_size=12))
+def test_save_load_round_trip_is_bit_identical(tmp_path_factory, rows):
+    values = np.array([v for v, _ in rows])
+    stream = SensorStream(t=values[:, 0], q=values[:, 1:7],
+                          left_load=values[:, 7], right_load=values[:, 8],
+                          stage=[tag for _, tag in rows])
+    path = tmp_path_factory.mktemp("round_trip") / "stream.csv"
+    stream.save_csv(path)
+    loaded = SensorStream.load_csv(path)
+    for name in ("t", "q", "left_load", "right_load"):
+        a, b = getattr(stream, name), getattr(loaded, name)
+        assert b.dtype == np.float64 and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+    assert list(loaded.stage) == list(stream.stage)
+
+
+SPELLINGS = ["1E5", ".5", "5.", " 1.5 ", "\t-2.25", "+7", "-0", "0e0",
+             "1e-400", "4.9e-324", "2.2250738585072009e-308",
+             "2.2250738585072014e-308", "1.7976931348623157e308",
+             "0.123456789012345678901234567890123456",
+             "123456789012345678901234567890.123456",
+             "9007199254740993", "0.1000000000000000055511151231257827",
+             "\u20031.25\u2003"]
+
+
+def test_non_repr_spellings_read_as_float_reads_them(tmp_path):
+    path = tmp_path / "spellings.csv"
+    lines = [HEADER] + [",".join([cell] * 9 + [f"s{k}"])
+                        for k, cell in enumerate(SPELLINGS)]
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    stream = SensorStream.load_csv(path)
+    expected = np.array([float(cell) for cell in SPELLINGS])
+    for got in (stream.t, *stream.q.T, stream.left_load, stream.right_load):
+        assert got.tobytes() == expected.tobytes()
+
+
+# digits, signs, separators, ASCII and Unicode whitespace (\x1c is
+# whitespace to str.strip but not to float()), non-ASCII digits, words
+_CELL = st.lists(st.sampled_from(list("0123456789.eE+-_ xnaift\t\x1c\xa0")
+                                 + ["\u2003", "\u0661", "\uff11", "inf",
+                                    "nan", "1e400"]),
+                 max_size=8).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CELL)
+@example("\x1c1.5\x1f")
+@example("1_0")
+@example("\u00a0-2\u2003")
+def test_bad_line_search_reads_cells_as_loadtxt_does(cell):
+    # the line search after a failed bulk parse must reject exactly the
+    # cells the bulk parse rejects, or it could not name the line
+    from exobench.streams import parse_cell
+
+    try:
+        bulk = np.loadtxt([cell + ",x"], dtype=[("v", "f8"), ("x", object)],
+                          delimiter=",", comments=None, quotechar=None,
+                          ndmin=1)["v"][0]
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_cell(cell)
+    else:
+        assert np.float64(parse_cell(cell)).tobytes() == bulk.tobytes()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11.5"])
+def test_cells_float_accepts_but_the_dialect_rejects(tmp_path, cell):
+    float(cell)
+    path = tmp_path / "stream.csv"
+    path.write_text(f"{HEADER}\n{R1}\n" + _row(2, t=cell) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        SensorStream.load_csv(path)
+    assert str(info.value) == (f"{path}: line 3: could not convert string "
+                               f"to float: {cell!r}")
