@@ -15,13 +15,13 @@ from .biosignal import (FeatureWindow, PhysioSession, detect_beats,
                         gsr_decompose, hr_rmssd, lf_power, load_features_csv,
                         respiration_rate, save_features_csv,
                         windowed_features)
-from .blend import AssistCommand, BlendGains, ControlLoop, assist, blend_gains, gains
+from .blend import AssistCommand, BlendGains, ControlLoop, blend_gains, gains
 from .dynamics import (ACTUATED_JOINTS, ACTUATED_MASK, JOINTS,
                        AccelerationEstimator, CompensationTables, ExoParams,
                        JointState, LookupTable1D, PlanarChain, StanceModel,
-                       blended_torque, estimate_acceleration, friction_ripple,
-                       gravity_vector, inertia_matrix, load_calibration,
-                       save_calibration, stance_torque)
+                       blended_torque, friction_ripple, gravity_vector,
+                       inertia_matrix, load_calibration, save_calibration,
+                       stance_torque)
 from .fuzzy import (FuzzyModel, NormalizedInputs, PIScores, TriangularMF,
                     default_fuzzy_model, infer, load_fuzzy_model, normalize)
 from .questionnaire import (EQDefinition, FactorReport, QuestionnaireResponse,

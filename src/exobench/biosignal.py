@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
-from .streams import bad_line_error
+from .streams import bad_line_error, not_utf8_error
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -417,12 +417,12 @@ def _bad_channel_line(path, name) -> ValueError:
     """The error naming the line of a one-column channel file that failed to
     load; lines are split as ``np.loadtxt`` splits them (whitespace, ``#``
     comments) and numbered from 1 for the header."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = enumerate(f, start=1)
-        next(lines, None)  # the header
-        records = ((lineno, fields) for lineno, line in lines
-                   if (fields := line.split("#", 1)[0].split()))
-        return bad_line_error(path, records, [name], 1)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        lines = list(enumerate(f, start=1))
+    records = ((lineno, fields) for lineno, line in lines[1:]
+               if (fields := line.split("#", 1)[0].split()))
+    return (not_utf8_error(path, lines)
+            or bad_line_error(path, records, [name], 1))
 
 
 @dataclass

@@ -21,10 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (
-    ACTUATED_MASK,
     AccelerationEstimator,
     CompensationTables,
-    JointState,
     StanceModel,
     blended_torque,
 )
@@ -67,9 +65,9 @@ class AssistCommand:
     """One control-step output.
 
     ``tau`` covers all six joints; entries for the passive ankles are
-    informational only (see ``actuated``).  ``degraded`` marks commands
-    issued before the acceleration estimate was ready, with the inertial
-    term omitted.
+    informational only (see ``dynamics.ACTUATED_MASK``).  ``degraded``
+    marks commands issued before the acceleration estimate was ready,
+    with the inertial term omitted.
     """
 
     t: float
@@ -82,23 +80,8 @@ class AssistCommand:
     qdd: tuple
     step_time_us: float = 0.0
 
-    actuated = ACTUATED_MASK
-
     def tau_array(self) -> np.ndarray:
         return np.asarray(self.tau)
-
-
-def assist(state: JointState, left: StanceModel, right: StanceModel,
-           regressor: GaitRegressor, tables: CompensationTables) -> AssistCommand:
-    """One-shot assistance evaluation for a fully known joint state."""
-    raw = regressor.phase(state.q)
-    g = gains(raw)
-    tau6 = blended_torque(state.q, state.qd, state.qdd, g.gamma_l, g.gamma_r,
-                          left, right, tables)
-    return AssistCommand(t=state.t, tau=tuple(tau6), raw_phase=raw,
-                         gamma_l=g.gamma_l, gamma_r=g.gamma_r,
-                         degraded=False, qd=tuple(state.qd),
-                         qdd=tuple(state.qdd))
 
 
 class ControlLoop:
@@ -107,7 +90,8 @@ class ControlLoop:
     Each step estimates joint velocity/acceleration from the incoming
     angle stream, regresses the gait phase, and emits the blended
     assistance command.  Gains come from ``gains``, so a non-finite phase
-    raises ValueError before any torque is evaluated.  ``blending='hard'``
+    raises ValueError before any torque is evaluated.  ``rate`` (Hz) sets
+    the period replay counts overruns against.  ``blending='hard'``
     switches stance models at phase zero instead of mixing them: it feeds
     ``gains`` the finite phase saturated to +-1, while the command still
     logs the regressed phase.  Hard blending exists to demonstrate what the
@@ -116,22 +100,16 @@ class ControlLoop:
 
     def __init__(self, left: StanceModel, right: StanceModel,
                  regressor: GaitRegressor, tables: CompensationTables,
-                 rate: float = 5000.0, accel_cutoff_hz: float | None = 20.0,
-                 blending: str = "smooth", degraded_policy: str = "gravity"):
+                 rate: float = 5000.0, blending: str = "smooth"):
         if blending not in ("smooth", "hard"):
             raise ValueError("blending must be 'smooth' or 'hard'")
-        if degraded_policy not in ("gravity", "passive"):
-            raise ValueError("degraded_policy must be 'gravity' or 'passive'")
         self.left = left
         self.right = right
         self.regressor = regressor
         self.tables = tables
         self.rate = rate
         self.blending = blending
-        # while the acceleration estimate warms up: 'gravity' keeps
-        # gravity/friction/ripple support active, 'passive' commands zero
-        self.degraded_policy = degraded_policy
-        self.estimator = AccelerationEstimator(cutoff_hz=accel_cutoff_hz)
+        self.estimator = AccelerationEstimator()
         self._last_t = None
 
     def reset(self):
@@ -153,20 +131,15 @@ class ControlLoop:
         q = frame.q
         qd, qdd = self.estimator.push(t, q)
         degraded = qdd is None
-        if qd is None:
-            qd = _ZERO6
-        if qdd is None:
-            qdd = _ZERO6
+        qd = _ZERO6 if qd is None else qd
+        qdd = _ZERO6 if degraded else qdd
         raw = self.regressor.phase(q)
         if self.blending == "smooth" or not isfinite(raw):
             gl, gr = gains(raw)   # rejects a non-finite phase
         else:
             gl, gr = gains(1.0 if raw >= 0.0 else -1.0)
-        if degraded and self.degraded_policy == "passive":
-            tau6 = _ZERO6
-        else:
-            tau6 = tuple(blended_torque(q, qd, qdd, gl, gr, self.left,
-                                        self.right, self.tables).tolist())
+        tau6 = tuple(blended_torque(q, qd, qdd, gl, gr, self.left,
+                                    self.right, self.tables).tolist())
         self._last_t = t
         cmd = AssistCommand(t=t, tau=tau6, raw_phase=raw, gamma_l=gl,
                             gamma_r=gr, degraded=degraded, qd=tuple(qd),

@@ -25,7 +25,7 @@ from .questionnaire import EQDefinition
 from .report import analyze_session_set, canonical_json, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
 from .simulator import GaitPattern, generate_cycle, generate_training_protocol, replay
-from .streams import CSV_HEADER, SensorStream
+from .streams import CSV_HEADER, SensorStream, not_utf8_error
 from .synthdata import synth_session_set
 
 
@@ -138,8 +138,11 @@ def _validate_one(path: Path) -> str | None:
             return "gait-model"
         raise SchemaError("unrecognised JSON document")
     if path.suffix == ".csv":
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().strip().split(",")
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            lines = list(enumerate(f, start=1)) or [(1, "")]
+        if error := not_utf8_error(path, lines):
+            raise error
+        header = lines[0][1].strip().split(",")
         if header == CSV_HEADER:
             SensorStream.load_csv(path)
             return "sensor-stream"
@@ -196,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", default=None, help="command log CSV")
     p.add_argument("--report", default=None, help="timing/smoothness JSON")
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("analyze", help="full benchmark report for a session set")

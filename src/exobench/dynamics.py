@@ -46,6 +46,9 @@ RIGHT_STANCE_PERM = (2, 1, 0, 3, 4)
 
 CALIBRATION_SCHEMA_VERSION = 1
 
+ACCEL_CUTOFF_HZ = 20.0  # low-pass corner of the qd/qdd estimate
+_RC = 1.0 / (2.0 * math.pi * ACCEL_CUTOFF_HZ)
+
 
 @dataclass(frozen=True)
 class ExoParams:
@@ -103,11 +106,6 @@ class JointState:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
-
-    @staticmethod
-    def static(q) -> "JointState":
-        """State with zero velocity and acceleration."""
-        return JointState(np.asarray(q, float), np.zeros(6), np.zeros(6))
 
 
 class PlanarChain:
@@ -275,18 +273,6 @@ class StanceModel:
             point_masses=[(4, p.shank_length + p.foot_height, p.foot_mass)],
             gravity=p.gravity,
         )
-        self._perm_arr = np.asarray(self.perm)
-
-    def select(self, q6) -> np.ndarray:
-        """Permute a 6-joint vector into the 5-joint stance ordering."""
-        return np.asarray(q6, dtype=float)[self._perm_arr]
-
-    def scatter(self, values5, out=None) -> np.ndarray:
-        """Place 5 chain values back into a 6-joint vector (swing ankle = 0)."""
-        if out is None:
-            out = np.zeros(6)
-        out[self._perm_arr] = values5
-        return out
 
 
 def inertia_matrix(model: StanceModel, q5) -> np.ndarray:
@@ -494,17 +480,14 @@ def stance_torque(model: StanceModel, state: JointState,
 
 
 class AccelerationEstimator:
-    """Finite-difference joint velocity/acceleration with one-pole smoothing.
+    """Finite-difference joint velocity/acceleration, each low-passed at
+    ``ACCEL_CUTOFF_HZ`` by a one-pole filter after its first estimate.
 
     Acceleration uses a three-point second difference, so it becomes
-    available on the third sample; velocity on the second.  ``cutoff_hz``
-    of ``None`` disables the low-pass stage.
+    available on the third sample; velocity on the second.
     """
 
-    def __init__(self, cutoff_hz: float | None = 20.0, n_joints: int = 6):
-        self.cutoff_hz = cutoff_hz
-        self.n = n_joints
-        self._rc = None if cutoff_hz is None else 1.0 / (2.0 * math.pi * cutoff_hz)
+    def __init__(self):
         self.reset()
 
     def reset(self):
@@ -513,11 +496,6 @@ class AccelerationEstimator:
         self._q1 = self._q2 = None
         self._qd = None
         self._qdd = None
-
-    @property
-    def ready(self) -> bool:
-        """True once an acceleration estimate exists (three samples seen)."""
-        return self._qdd is not None
 
     def push(self, t: float, q):
         """Ingest one sample; returns (qd, qdd) lists or (None, None) parts
@@ -533,10 +511,9 @@ class AccelerationEstimator:
         if dt <= 0:
             raise ValueError("timestamps must be strictly increasing")
         # finite difference and one-pole filter fused in one pass per signal
-        rc = self._rc
-        alpha = None if rc is None else dt / (dt + rc)
+        alpha = dt / (dt + _RC)
         prev = self._qd
-        if alpha is None or prev is None:
+        if prev is None:
             qd = [(a - b) / dt for a, b in zip(q, q1)]
         else:
             qd = [p + alpha * ((a - b) / dt - p)
@@ -550,7 +527,7 @@ class AccelerationEstimator:
             dth = 0.5 * (t - self._t2)
             inv = 1.0 / (dth * dth)
             prev = self._qdd
-            if alpha is None or prev is None:
+            if prev is None:
                 qdd = [(a - 2.0 * b + c) * inv for a, b, c in zip(q, q1, q2)]
             else:
                 qdd = [p + alpha * ((a - 2.0 * b + c) * inv - p)
@@ -572,18 +549,15 @@ class AccelerationEstimator:
         dt = t[1:] - t[:-1]
         if not np.all(dt > 0):
             raise ValueError("timestamps must be strictly increasing")
-        rc = self._rc
         # alpha[k] is the filter weight of row k, as push computes it
-        alpha = None if rc is None else [0.0] + (dt / (dt + rc)).tolist()
+        alpha = [0.0] + (dt / (dt + _RC)).tolist()
         qd[1:] = (q[1:] - q[:-1]) / dt[:, None]
-        if alpha:
-            _one_pole(qd, 1, alpha)
+        _one_pole(qd, 1, alpha)
         if n > 2:
             dth = 0.5 * (t[2:] - t[:-2])
             inv = 1.0 / (dth * dth)
             qdd[2:] = (q[2:] - 2.0 * q[1:-1] + q[:-2]) * inv[:, None]
-            if alpha:
-                _one_pole(qdd, 2, alpha)
+            _one_pole(qdd, 2, alpha)
         return qd, qdd
 
 
@@ -600,20 +574,6 @@ def _one_pole(x, first: int, alpha):
             p = p + ak * (v - p)
             out.append(p)
         x[first:, j] = out
-
-
-def estimate_acceleration(history, cutoff_hz: float | None = 20.0):
-    """Acceleration from a short uniformly sampled history of (t, q) pairs.
-
-    Returns ``None`` (not ready) with fewer than three points; callers
-    substitute zero acceleration.
-    """
-    est = AccelerationEstimator(cutoff_hz=cutoff_hz,
-                                n_joints=len(history[0][1]) if history else 6)
-    qdd = None
-    for t, q in history:
-        _, qdd = est.push(t, q)
-    return None if qdd is None else np.asarray(qdd)
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,7 @@ def _controller_section(subject: SubjectSession, calibration_path):
     stream = SensorStream.load_csv(subject.gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)
-    result = replay_batch(stream, loop)
-    loop.reset()
+    result = replay_batch(stream, loop)   # reads no loop state
     probe = replay(stream.head(PROBE_STEPS), loop)
     smooth = result.smoothness()
     digest = hashlib.sha256()

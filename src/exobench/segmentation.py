@@ -98,12 +98,8 @@ class GaitRegressor:
                 + w[3] * q[3] + w[4] * q[4] + w[5] * q[5])
 
     def phase_array(self, q_rows: np.ndarray) -> np.ndarray:
-        """``phase`` of every row, summed over columns in the same order,
-        so each entry equals the scalar result bit for bit."""
-        q = np.asarray(q_rows, dtype=float)
-        w = self._w
-        return (w[0] * q[:, 0] + w[1] * q[:, 1] + w[2] * q[:, 2]
-                + w[3] * q[:, 3] + w[4] * q[:, 4] + w[5] * q[:, 5])
+        """``phase`` of every row, run over the columns: bit for bit."""
+        return self.phase(np.asarray(q_rows, dtype=float).T)
 
     def save(self, path):
         doc = {

@@ -368,10 +368,9 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     gains, torques, degraded flags and dropped-frame count bit for bit,
     without step times.
 
-    Honours the loop's blending, degraded policy and acceleration cutoff,
-    and raises ValueError where ``ControlLoop.step`` would (a non-finite
-    timestamp, or a non-finite phase on a kept frame).  It reads the
-    loop's settings, never its state.
+    Honours the loop's blending and raises ValueError where
+    ``ControlLoop.step`` would (a non-finite timestamp, or a non-finite
+    phase on a kept frame).  It reads the loop's settings, never its state.
     """
     t_all = stream.t
     finite = np.isfinite(t_all)
@@ -389,13 +388,9 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     else:
         gl, gr = blend_gains(np.where(raw >= 0.0, 1.0, -1.0))
     qd, qdd = loop.estimator.estimate_array(t, q)
+    tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
+                               loop.tables)
     # the first two commands precede the acceleration estimate
-    degraded = np.arange(t.size) < 2
-    live = 2 if loop.degraded_policy == "passive" else 0
-    tau = np.zeros(q.shape)
-    tau[live:] = blended_torque_array(q[live:], qd[live:], qdd[live:],
-                                      gl[live:], gr[live:], loop.left,
-                                      loop.right, loop.tables)
     return ReplayResult(t=t, raw_phase=raw, gamma_l=gl, tau=tau,
-                        degraded=degraded,
+                        degraded=np.arange(t.size) < 2,
                         dropped_frames=int(t_all.size - t.size))

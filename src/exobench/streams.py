@@ -18,7 +18,7 @@ defaults) and is read in one ``np.loadtxt`` pass:
   a line of only whitespace is a record with one field and is rejected;
 * the nine numbers are read like ``float()`` of the stripped cell, except
   that ``_`` digit separators and non-ASCII digits are rejected;
-* ``nan`` and ``inf`` cells are rejected.
+* ``nan`` and ``inf`` cells, and bytes that are not UTF-8, are rejected.
 
 Every rejection is a ``ValueError`` that names the file and the line; line
 numbers count CSV records from 1 for the header.
@@ -123,7 +123,10 @@ class SensorStream:
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
         with open(path, "r", newline="", encoding="utf-8") as f:
-            header = next(csv.reader(f), None)
+            try:
+                header = next(csv.reader(f), None)
+            except UnicodeDecodeError:  # anywhere in the first read chunk
+                raise _bad_csv_line(path) from None
             if header is None or [h.strip() for h in header] != CSV_HEADER:
                 raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
             try:
@@ -150,11 +153,12 @@ class SensorStream:
 def _bad_csv_line(path) -> ValueError:
     """The error naming the record of a stream CSV that failed to load; line
     numbers count CSV records, blank ones included, from 1 for the header."""
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        records = enumerate(csv.reader(f), start=1)
-        next(records, None)  # the header
-        return bad_line_error(path, ((lineno, row) for lineno, row in records
-                                     if row), CSV_HEADER[:9], len(CSV_HEADER))
+    with open(path, "r", newline="", encoding="utf-8",
+              errors="surrogateescape") as f:
+        records = list(enumerate(csv.reader(f), start=1))
+    return (not_utf8_error(path, ((n, ",".join(row)) for n, row in records))
+            or bad_line_error(path, (r for r in records[1:] if r[1]),
+                              CSV_HEADER[:9], len(CSV_HEADER)))
 
 
 def parse_cell(cell: str) -> float:
@@ -167,6 +171,16 @@ def parse_cell(cell: str) -> float:
         except ValueError:
             pass
     raise ValueError(f"could not convert string to float: {cell!r}")
+
+
+def not_utf8_error(path, lines) -> ValueError | None:
+    """The error naming the first ``(line number, text)`` pair, read with
+    ``errors="surrogateescape"``, whose bytes are not UTF-8, or None."""
+    for lineno, text in lines:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return ValueError(f"{path}: line {lineno}: not valid UTF-8")
 
 
 def bad_line_error(path, records, names, width) -> ValueError:

@@ -337,7 +337,8 @@ class TestPhysioSession:
         ("-inf", "non-finite {channel} value -inf"),
         ("abc", "could not convert string to float: 'abc'"),
         ("1_0", "could not convert string to float: '1_0'"),
-        ("1 2", "expected 1 fields, got 2")])
+        ("1 2", "expected 1 fields, got 2"),
+        ("1\udce9", "not valid UTF-8")])   # a latin-1 byte
     def test_bad_cell_names_file_and_line(self, tmp_path, channel, file,
                                           cell, reason):
         series = np.arange(1.0, 41.0)
@@ -350,7 +351,8 @@ class TestPhysioSession:
         lines = path.read_text().splitlines()
         lines[4] = ""  # blank lines are skipped but counted
         lines[9] = cell
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8",
+                                                          "surrogateescape"))
         with pytest.raises(ValueError) as info:
             PhysioSession.load(tmp_path)
         assert str(info.value) == (f"{path}: line 10: "

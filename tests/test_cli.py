@@ -163,6 +163,13 @@ class TestReplay:
         assert 0 <= overruns <= doc["timing"]["steps"] == 240
         assert f"{overruns} over the 200 us period" in capsys.readouterr().out
 
+    def test_replay_takes_no_config(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["replay", "stream.csv", "--model", "model.json",
+                  "--calibration", "calibration.json", "--config", "x"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
 
 def _manifest(**changes):
     doc = {"schema_version": 1, "seed": 0, "subjects": ["s01"],
@@ -314,6 +321,27 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 1
         assert "hr coverage gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", [1, 7])
+    def test_stream_not_utf8_names_the_line(self, tmp_path, capsys, line):
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "200"])
+        lines = stream.read_bytes().split(b"\n")
+        # a latin-1 byte at the end of the header or of a stage tag
+        lines[line - 1] = lines[line - 1].replace(b"\r", b"\xe9\r")
+        stream.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["validate", str(stream)]) == 1
+        assert (capsys.readouterr().out
+                == f"FAIL {stream}: {stream}: line {line}: not valid UTF-8\n")
+
+    def test_responses_not_utf8_names_the_line(self, tmp_path, capsys):
+        responses = tmp_path / "responses.csv"
+        responses.write_bytes(b"subject_id,item_id,score\ns01,1,4\ns01,2,3\xe9\n")
+        assert main(["validate", str(responses)]) == 1
+        assert (capsys.readouterr().out == f"FAIL {responses}: {responses}: "
+                                           "line 3: not valid UTF-8\n")
 
 
 class TestNonFiniteInput:

@@ -13,7 +13,6 @@ from exobench.dynamics import (
     LookupTable1D,
     PlanarChain,
     StanceModel,
-    estimate_acceleration,
     friction_ripple,
     gravity_vector,
     inertia_matrix,
@@ -165,9 +164,11 @@ class TestStanceTorque:
         model = StanceModel("left")
         tables = CompensationTables.zeroed()
         q = np.array([0.2, -0.1, 0.05, 0.3, -0.25, 0.1])
-        state = JointState.static(q)
+        state = JointState(q, np.zeros(6), np.zeros(6))
         tau = stance_torque(model, state, tables)
-        expected = model.scatter(gravity_vector(model, model.select(q)))
+        perm = list(model.perm)
+        expected = np.zeros(6)
+        expected[perm] = gravity_vector(model, q[perm])
         np.testing.assert_allclose(tau, expected, atol=1e-12)
         # the swing-side ankle entry stays zero
         assert tau[2] == 0.0  # RA is the swing ankle for left stance
@@ -175,7 +176,8 @@ class TestStanceTorque:
     def test_vertical_static_pose_is_zero(self):
         model = StanceModel("right")
         tables = CompensationTables.zeroed()
-        tau = stance_torque(model, JointState.static(np.zeros(6)), tables)
+        zero = np.zeros(6)
+        tau = stance_torque(model, JointState(zero, zero, zero), tables)
         np.testing.assert_allclose(tau, np.zeros(6), atol=1e-12)
 
     def test_compositional_oracle(self):
@@ -190,9 +192,10 @@ class TestStanceTorque:
             qdd = rng.uniform(-20.0, 20.0, 6)
             state = JointState(q, qd, qdd)
             tau = stance_torque(model, state, tables)
-            q5 = model.select(q)
-            part = inertia_matrix(model, q5) @ model.select(qdd) + gravity_vector(model, q5)
-            expected = model.scatter(part) + friction_ripple(tables, q, qd)
+            perm = list(model.perm)
+            q5 = q[perm]
+            expected = friction_ripple(tables, q, qd)
+            expected[perm] += inertia_matrix(model, q5) @ qdd[perm] + gravity_vector(model, q5)
             np.testing.assert_allclose(tau, expected, atol=1e-12)
 
     def test_linear_in_acceleration(self):
@@ -225,10 +228,20 @@ class TestStanceTorque:
             np.testing.assert_allclose(tau_l, tau_r[swap], atol=1e-12)
 
 
+def _last_qdd(history):
+    """The acceleration estimate after pushing every ``(t, q)`` sample; the
+    first estimate is unfiltered."""
+    est = AccelerationEstimator()
+    qdd = None
+    for t, q in history:
+        _, qdd = est.push(t, q)
+    return qdd
+
+
 class TestAccelerationEstimator:
     def test_constant_history_gives_zero(self):
         hist = [(i * 0.01, (0.3,) * 6) for i in range(10)]
-        qdd = estimate_acceleration(hist, cutoff_hz=None)
+        qdd = _last_qdd(hist)
         np.testing.assert_allclose(qdd, np.zeros(6), atol=1e-12)
 
     def test_quadratic_recovers_acceleration(self):
@@ -236,24 +249,26 @@ class TestAccelerationEstimator:
         dt = 2e-4
         hist = [(k * dt, tuple(0.5 * a * (k * dt) ** 2 for _ in range(6)))
                 for k in range(3)]
-        qdd = estimate_acceleration(hist, cutoff_hz=None)
+        qdd = _last_qdd(hist)
         np.testing.assert_allclose(qdd, np.full(6, a), rtol=1e-6)
 
     def test_linear_ramp_gives_zero(self):
         v = 1.3
         dt = 1e-3
         hist = [(k * dt, (v * k * dt,) * 6) for k in range(5)]
-        qdd = estimate_acceleration(hist, cutoff_hz=None)
+        qdd = _last_qdd(hist)
         np.testing.assert_allclose(qdd, np.zeros(6), atol=1e-9)
 
     def test_not_ready_with_short_history(self):
-        assert estimate_acceleration([(0.0, (0.0,) * 6)]) is None
-        assert estimate_acceleration([(0.0, (0.0,) * 6), (0.01, (0.1,) * 6)]) is None
+        est = AccelerationEstimator()
+        assert est.push(0.0, (0.0,) * 6) == (None, None)
+        qd, qdd = est.push(0.01, (0.1,) * 6)
+        assert qd is not None and qdd is None
 
     def test_low_pass_converges_to_constant_acceleration(self):
         a = 2.0
         dt = 2e-4
-        est = AccelerationEstimator(cutoff_hz=20.0)
+        est = AccelerationEstimator()
         out = None
         for k in range(3000):
             t = k * dt

@@ -104,6 +104,9 @@ CASES = {
     "hex_number": (f"{HEADER}\r\n" + _row(1, t="0x10") + "\r\n",
                    ("err", "line 2: could not convert string to float: "
                            "'0x10'")),
+    # a latin-1 byte (written through surrogateescape) in a tag
+    "not_utf8_tag": (f"{HEADER}\r\n{R1}\r\n" + _row(2, "caf\udce9") + "\r\n",
+                     ("err", "line 3: not valid UTF-8")),
     # float() accepts "1_0"; the CSV dialect does not
     "digit_separator": (f"{HEADER}\r\n{R1}\r\n" + _row(2, t="1_0") + "\r\n",
                         ("err", "line 3: could not convert string to float: "
@@ -115,7 +118,7 @@ CASES = {
 def test_load_csv_outcome(tmp_path, name):
     text, (kind, expected) = CASES[name]
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if kind == "err":
