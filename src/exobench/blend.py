@@ -66,8 +66,8 @@ class AssistCommand:
 
     ``tau`` covers all six joints; entries for the passive ankles are
     informational only (see ``dynamics.ACTUATED_MASK``).  ``degraded``
-    marks commands issued before the acceleration estimate was ready,
-    with the inertial term omitted.
+    marks commands of the estimator's 0.1 s warm-up: zero qd and qdd, so
+    no inertial term.
     """
 
     t: float
@@ -130,9 +130,9 @@ class ControlLoop:
                 f"frame at t={t} after t={last}")
         q = frame.q
         qd, qdd = self.estimator.push(t, q)
-        degraded = qdd is None
-        qd = _ZERO6 if qd is None else qd
-        qdd = _ZERO6 if degraded else qdd
+        degraded = qd is None
+        if degraded:
+            qd = qdd = _ZERO6
         raw = self.regressor.phase(q)
         if self.blending == "smooth" or not isfinite(raw):
             gl, gr = gains(raw)   # rejects a non-finite phase

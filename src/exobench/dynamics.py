@@ -22,6 +22,10 @@ There is one torque evaluator plus a test oracle:
 * ``inertia_matrix`` / ``gravity_vector`` build the dense operators with
   vectorised numpy; they are the readable reference the tests and the
   benchmark use as an oracle.
+
+The inertial term's qd/qdd come from ``AccelerationEstimator``, one
+critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
+warm-up; ``push`` and ``estimate_array`` run the same recursion.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ RIGHT_STANCE_PERM = (2, 1, 0, 3, 4)
 
 CALIBRATION_SCHEMA_VERSION = 1
 
-ACCEL_CUTOFF_HZ = 20.0  # low-pass corner of the qd/qdd estimate
-_RC = 1.0 / (2.0 * math.pi * ACCEL_CUTOFF_HZ)
+TRACKER_RATE = 80.0  # 1/s, pole rate of the qd/qdd tracker
+WARMUP_S = 8 / TRACKER_RATE  # s after the first sample with no estimate
 
 
 @dataclass(frozen=True)
@@ -480,62 +484,44 @@ def stance_torque(model: StanceModel, state: JointState,
 
 
 class AccelerationEstimator:
-    """Finite-difference joint velocity/acceleration, each low-passed at
-    ``ACCEL_CUTOFF_HZ`` by a one-pole filter after its first estimate.
-
-    Acceleration uses a three-point second difference, so it becomes
-    available on the third sample; velocity on the second.
+    """Joint velocity and acceleration from a steady-state alpha-beta-gamma
+    tracker: per joint, angle x, velocity v and acceleration a predict the
+    next sample as ``xp = x + dt*(v + dt/2*a)``, and the residual
+    ``e = z - xp`` corrects all three with the gains of ``_tracker_gains``.
+    The first sample seeds x with v = a = 0; no estimate is given until
+    ``WARMUP_S`` after it, while that start-up transient decays.
     """
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self._seen = 0
-        self._t1 = self._t2 = 0.0
-        self._q1 = self._q2 = None
-        self._qd = None
-        self._qdd = None
+        self._x = None
 
     def push(self, t: float, q):
-        """Ingest one sample; returns (qd, qdd) lists or (None, None) parts
-        while the history is too short."""
-        seen = self._seen
-        if seen == 0:
-            self._t1 = t
-            self._q1 = q
-            self._seen = 1
+        """Ingest one sample; returns (qd, qdd) lists, or (None, None) until
+        ``WARMUP_S`` has passed since the first sample."""
+        if self._x is None:
+            self._t0 = self._t = t
+            self._x = list(q)
+            self._v = self._a = [0.0] * len(self._x)
             return None, None
-        t1, q1 = self._t1, self._q1
-        dt = t - t1
+        dt = t - self._t
         if dt <= 0:
             raise ValueError("timestamps must be strictly increasing")
-        # finite difference and one-pole filter fused in one pass per signal
-        alpha = dt / (dt + _RC)
-        prev = self._qd
-        if prev is None:
-            qd = [(a - b) / dt for a, b in zip(q, q1)]
-        else:
-            qd = [p + alpha * ((a - b) / dt - p)
-                  for p, a, b in zip(prev, q, q1)]
-        self._qd = qd
-        qdd = None
-        if seen == 1:
-            self._seen = 2
-        else:
-            q2 = self._q2
-            dth = 0.5 * (t - self._t2)
-            inv = 1.0 / (dth * dth)
-            prev = self._qdd
-            if prev is None:
-                qdd = [(a - 2.0 * b + c) * inv for a, b, c in zip(q, q1, q2)]
-            else:
-                qdd = [p + alpha * ((a - 2.0 * b + c) * inv - p)
-                       for p, a, b, c in zip(prev, q, q1, q2)]
-            self._qdd = qdd
-        self._t2, self._q2 = t1, q1
-        self._t1, self._q1 = t, q
-        return qd, qdd
+        ka, kv, kacc, h = _tracker_gains(dt)
+        xs, vs, accs = [], [], []
+        for x, v, a, z in zip(self._x, self._v, self._a, q):
+            xp = x + dt * (v + h * a)
+            e = z - xp
+            xs.append(xp + ka * e)
+            vs.append(v + dt * a + kv * e)
+            accs.append(a + kacc * e)
+        self._t = t
+        self._x, self._v, self._a = xs, vs, accs
+        if t - self._t0 < WARMUP_S:
+            return None, None
+        return vs, accs
 
     def estimate_array(self, t, q):
         """(qd, qdd) for every row of a strictly increasing stream, as if
@@ -543,37 +529,42 @@ class AccelerationEstimator:
         zero rows where ``push`` returns None.  The state is left alone."""
         qd = np.zeros(np.shape(q))
         qdd = np.zeros(np.shape(q))
-        n = len(t)
-        if n < 2:
+        if len(t) < 2:
             return qd, qdd
         dt = t[1:] - t[:-1]
         if not np.all(dt > 0):
             raise ValueError("timestamps must be strictly increasing")
-        # alpha[k] is the filter weight of row k, as push computes it
-        alpha = [0.0] + (dt / (dt + _RC)).tolist()
-        qd[1:] = (q[1:] - q[:-1]) / dt[:, None]
-        _one_pole(qd, 1, alpha)
-        if n > 2:
-            dth = 0.5 * (t[2:] - t[:-2])
-            inv = 1.0 / (dth * dth)
-            qdd[2:] = (q[2:] - 2.0 * q[1:-1] + q[:-2]) * inv[:, None]
-            _one_pole(qdd, 2, alpha)
+        # gains once per distinct step; a uniform stream has only a few
+        steps, which = np.unique(dt, return_inverse=True)
+        table = [_tracker_gains(d) for d in steps.tolist()]
+        rows = list(zip(dt.tolist(), [table[i] for i in which.tolist()]))
+        for j in range(qd.shape[1]):
+            col = q[:, j].tolist()
+            x = col[0]
+            v = a = 0.0
+            vs, accs = [v], [a]
+            for (d, (ka, kv, kacc, h)), z in zip(rows, col[1:]):
+                xp = x + d * (v + h * a)
+                e = z - xp
+                x = xp + ka * e
+                v, a = v + d * a + kv * e, a + kacc * e
+                vs.append(v)
+                accs.append(a)
+            qd[:, j] = vs
+            qdd[:, j] = accs
+        warmup = t - t[0] < WARMUP_S
+        qd[warmup] = qdd[warmup] = 0.0
         return qd, qdd
 
 
-def _one_pole(x, first: int, alpha):
-    """Smooth rows after ``first`` in place: ``x[k] = x[k-1] + alpha[k] *
-    (x[k] - x[k-1])``, one column at a time on native floats, in
-    ``AccelerationEstimator.push``'s operation order."""
-    a = alpha[first + 1:]
-    for j in range(x.shape[1]):
-        col = x[first:, j].tolist()
-        p = col[0]
-        out = [p]
-        for ak, v in zip(a, col[1:]):
-            p = p + ak * (v - p)
-            out.append(p)
-        x[first:, j] = out
+def _tracker_gains(dt: float):
+    """``(alpha, beta/dt, gamma/dt**2, dt/2)`` of the tracker for a step dt:
+    with r = exp(-TRACKER_RATE*dt), alpha = 1 - r**3, beta = 1.5*(1-r)**2
+    *(1+r) and gamma = (1-r)**3 put a triple, critically damped pole at r."""
+    r = math.exp(-TRACKER_RATE * dt)
+    u = 1.0 - r
+    return (1.0 - r * r * r, 1.5 * u * u * (1.0 + r) / dt,
+            u * u * u / (dt * dt), 0.5 * dt)
 
 
 # ---------------------------------------------------------------------------

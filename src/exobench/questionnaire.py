@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (IncompleteComparisonError, IncompleteResponseError,
                      SchemaError)
+from .streams import not_utf8_error
 
 EQ_SCHEMA_VERSION = 1
 
@@ -388,35 +389,39 @@ def save_preferences_csv(path, responses):
                     writer.writerow([resp.subject_id, factor, a, b, winner])
 
 
+def _csv_rows(path, header):
+    """DictReader rows of a CSV with this header; non-UTF-8 names its line."""
+    with open(path, "r", newline="", encoding="utf-8",
+              errors="surrogateescape") as f:
+        lines = f.readlines()
+    if error := not_utf8_error(path, enumerate(lines, start=1)):
+        raise error
+    reader = csv.DictReader(lines)
+    if reader.fieldnames != header:
+        raise SchemaError(f"{path}: unexpected header {reader.fieldnames}")
+    return reader
+
+
 def load_responses_csv(scores_path, preferences_path) -> dict:
     """Read both CSV files; returns {subject_id: QuestionnaireResponse}."""
     responses = {}
-    with open(scores_path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["subject_id", "item_id", "score"]:
-            raise SchemaError(f"{scores_path}: unexpected header "
-                              f"{reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                score = int(row["score"])
-            except (TypeError, ValueError):
-                raise SchemaError(f"{scores_path}: line {lineno}: bad score "
-                                  f"{row.get('score')!r}") from None
-            resp = responses.setdefault(
-                row["subject_id"],
-                QuestionnaireResponse(subject_id=row["subject_id"], scores={}))
-            resp.scores[row["item_id"]] = score
-    with open(preferences_path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["subject_id", "factor", "sub_a", "sub_b",
-                                 "winner"]:
-            raise SchemaError(f"{preferences_path}: unexpected header "
-                              f"{reader.fieldnames}")
-        for row in reader:
-            resp = responses.get(row["subject_id"])
-            if resp is None:
-                raise SchemaError(f"preferences for unknown subject "
-                                  f"{row['subject_id']!r}")
-            resp.preferences.setdefault(row["factor"], []).append(
-                (row["sub_a"], row["sub_b"], row["winner"]))
+    rows = _csv_rows(scores_path, ["subject_id", "item_id", "score"])
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            score = int(row["score"])
+        except (TypeError, ValueError):
+            raise SchemaError(f"{scores_path}: line {lineno}: bad score "
+                              f"{row.get('score')!r}") from None
+        resp = responses.setdefault(
+            row["subject_id"],
+            QuestionnaireResponse(subject_id=row["subject_id"], scores={}))
+        resp.scores[row["item_id"]] = score
+    for row in _csv_rows(preferences_path, ["subject_id", "factor", "sub_a",
+                                            "sub_b", "winner"]):
+        resp = responses.get(row["subject_id"])
+        if resp is None:
+            raise SchemaError(f"preferences for unknown subject "
+                              f"{row['subject_id']!r}")
+        resp.preferences.setdefault(row["factor"], []).append(
+            (row["sub_a"], row["sub_b"], row["winner"]))
     return responses

@@ -28,7 +28,7 @@ import numpy as np
 from .biosignal import (PHASE_SIT, PHASE_WALK, FeatureWindow, PhysioSession,
                         windowed_features)
 from .blend import ControlLoop
-from .dynamics import StanceModel, load_calibration
+from .dynamics import ACTUATED_MASK, StanceModel, load_calibration
 from .errors import SchemaError
 from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
@@ -128,12 +128,15 @@ def _controller_section(subject: SubjectSession, calibration_path):
     digest.update(result.raw_phase.tobytes())
     digest.update(result.gamma_l.tobytes())
     digest.update(result.tau.tobytes())
+    tau = result.tau[:, list(ACTUATED_MASK)]
     section = {
         "training_rmse": regressor.rmse,
         "commands": int(result.commands),
         "dropped_frames": int(result.dropped_frames),
         "smoothness": smooth.to_dict(),
         "command_digest": digest.hexdigest(),
+        "max_abs_tau": float(np.max(np.abs(tau))),
+        "rms_tau": float(np.sqrt(np.mean(tau * tau))),
     }
     return section, probe.timing().to_dict()
 

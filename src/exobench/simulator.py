@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blend import AssistCommand, ControlLoop, blend_gains
-from .dynamics import blended_torque_array
+from .dynamics import WARMUP_S, blended_torque_array
 from .errors import OutOfOrderFrameError
 from .streams import SensorStream
 
@@ -255,9 +255,10 @@ class TimingReport:
 class SmoothnessReport:
     """Inter-step torque-jump statistics over a replayed corpus.
 
-    Jumps touching degraded (estimator warm-up) commands are excluded:
-    the inertial term switching on as the acceleration estimate becomes
-    ready is a flagged start-up event, not a property of the blend law.
+    Jumps touching degraded commands, those of the estimator's 0.1 s
+    warm-up, are excluded: the inertial term switching on as the qd/qdd
+    tracker settles is a flagged start-up event, not a property of the
+    blend law.
     """
 
     median_jump: float
@@ -390,7 +391,6 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     qd, qdd = loop.estimator.estimate_array(t, q)
     tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
                                loop.tables)
-    # the first two commands precede the acceleration estimate
     return ReplayResult(t=t, raw_phase=raw, gamma_l=gl, tau=tau,
-                        degraded=np.arange(t.size) < 2,
+                        degraded=t - t[:1] < WARMUP_S,
                         dropped_frames=int(t_all.size - t.size))

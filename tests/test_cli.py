@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -247,6 +248,34 @@ class TestAnalyze:
         assert (f"error: {path}: line 100: non-finite {channel} value nan"
                 in proc.stderr)
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key", ["responses", "preferences"])
+    def test_questionnaire_not_utf8_exits_one_naming_the_line(
+            self, session_set, tmp_path, key):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / _FILES[key]
+        lines = path.read_bytes().split(b"\n")
+        lines[5] = lines[5].replace(b",", b"\xe9,", 1)   # a latin-1 byte
+        path.write_bytes(b"\n".join(lines))
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}: line 6: not valid UTF-8\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_controller_reports_torque_magnitude(self, tmp_path):
+        # 5 kHz angles at the default noise: the estimator must keep the
+        # commands at the size of the joint torques of walking
+        root = tmp_path / "set"
+        synth_session_set(root, subjects=1, seed=2024, gait_seconds=2.4,
+                          control_rate=5000.0)
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(root), "--out", str(out)]) == 0
+        ctrl = json.loads(out.read_text())["controller"]["subjects"]["s01"]
+        assert math.isfinite(ctrl["max_abs_tau"])
+        assert math.isfinite(ctrl["rms_tau"])
+        assert 0.0 < ctrl["rms_tau"] <= ctrl["max_abs_tau"] < 2000.0
 
     def test_missing_gsr_degrades_but_completes(self, tmp_path):
         root = tmp_path / "set"

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from exobench.dynamics import (
     ACTUATED_JOINTS,
+    ACTUATED_MASK,
+    WARMUP_S,
     AccelerationEstimator,
     CompensationTables,
     ExoParams,
@@ -13,6 +16,7 @@ from exobench.dynamics import (
     LookupTable1D,
     PlanarChain,
     StanceModel,
+    blended_torque_array,
     friction_ripple,
     gravity_vector,
     inertia_matrix,
@@ -21,6 +25,7 @@ from exobench.dynamics import (
     stance_torque,
 )
 from exobench.errors import ConfigurationError
+from exobench.simulator import GaitPattern, generate_cycle
 
 
 def two_link_textbook_inertia(m1, l1, m2, l2, q2, c=0.5):
@@ -228,58 +233,81 @@ class TestStanceTorque:
             np.testing.assert_allclose(tau_l, tau_r[swap], atol=1e-12)
 
 
-def _last_qdd(history):
-    """The acceleration estimate after pushing every ``(t, q)`` sample; the
-    first estimate is unfiltered."""
+def _pushed(samples, dt=2e-4):
+    """(t, qd, qdd) of every push of ``samples`` (one value for all six
+    joints) at a uniform step."""
     est = AccelerationEstimator()
-    qdd = None
-    for t, q in history:
-        _, qdd = est.push(t, q)
-    return qdd
+    out = []
+    for k, z in enumerate(samples):
+        t = k * dt
+        out.append((t, *est.push(t, (z,) * 6)))
+    return out
 
 
 class TestAccelerationEstimator:
-    def test_constant_history_gives_zero(self):
-        hist = [(i * 0.01, (0.3,) * 6) for i in range(10)]
-        qdd = _last_qdd(hist)
-        np.testing.assert_allclose(qdd, np.zeros(6), atol=1e-12)
+    def test_constant_input_gives_exact_zeros(self):
+        for _, qd, qdd in _pushed([0.3] * 1000)[500:]:
+            assert qd == [0.0] * 6 and qdd == [0.0] * 6
 
     def test_quadratic_recovers_acceleration(self):
         a = 4.2
         dt = 2e-4
-        hist = [(k * dt, tuple(0.5 * a * (k * dt) ** 2 for _ in range(6)))
-                for k in range(3)]
-        qdd = _last_qdd(hist)
-        np.testing.assert_allclose(qdd, np.full(6, a), rtol=1e-6)
+        out = _pushed([0.5 * a * (k * dt) ** 2 for k in range(2500)], dt)
+        for t, qd, qdd in out:
+            if t >= 2 * WARMUP_S:
+                np.testing.assert_allclose(qdd, np.full(6, a), rtol=1e-3)
+                np.testing.assert_allclose(qd, np.full(6, a * t), rtol=1e-3)
+        np.testing.assert_allclose(out[-1][2], np.full(6, a), rtol=1e-9)
 
-    def test_linear_ramp_gives_zero(self):
+    def test_linear_ramp_gives_zero_acceleration(self):
         v = 1.3
-        dt = 1e-3
-        hist = [(k * dt, (v * k * dt,) * 6) for k in range(5)]
-        qdd = _last_qdd(hist)
-        np.testing.assert_allclose(qdd, np.zeros(6), atol=1e-9)
-
-    def test_not_ready_with_short_history(self):
-        est = AccelerationEstimator()
-        assert est.push(0.0, (0.0,) * 6) == (None, None)
-        qd, qdd = est.push(0.01, (0.1,) * 6)
-        assert qd is not None and qdd is None
-
-    def test_low_pass_converges_to_constant_acceleration(self):
-        a = 2.0
         dt = 2e-4
-        est = AccelerationEstimator()
-        out = None
-        for k in range(3000):
-            t = k * dt
-            _, out = est.push(t, tuple(0.5 * a * t * t for _ in range(6)))
-        np.testing.assert_allclose(out, np.full(6, a), rtol=1e-3)
+        out = _pushed([v * k * dt for k in range(2500)], dt)
+        for t, qd, qdd in out:
+            if t >= 3 * WARMUP_S:
+                np.testing.assert_allclose(qdd, np.zeros(6), atol=1e-5)
+                np.testing.assert_allclose(qd, np.full(6, v), rtol=1e-6)
+        np.testing.assert_allclose(out[-1][2], np.zeros(6), atol=1e-9)
+
+    def test_not_ready_until_warmup(self):
+        dt = 1e-3
+        out = _pushed([0.1 * k for k in range(200)], dt)
+        for t, qd, qdd in out:
+            if t < WARMUP_S:
+                assert qd is None and qdd is None
+            else:
+                assert len(qd) == 6 and len(qdd) == 6
+        assert sum(qd is None for _, qd, _ in out) == round(WARMUP_S / dt)
 
     def test_rejects_backward_time(self):
         est = AccelerationEstimator()
         est.push(0.0, (0.0,) * 6)
         with pytest.raises(ValueError):
             est.push(-0.1, (0.0,) * 6)
+        with pytest.raises(ValueError):
+            AccelerationEstimator().estimate_array(np.array([0.0, 0.0]),
+                                                   np.zeros((2, 6)))
+
+    def test_noisy_stream_torque_error(self):
+        # the inertial term from noisy angles must beat leaving it out
+        # (about 119 Nm RMS here) against the noise-free torque
+        pattern = GaitPattern()
+        noisy = generate_cycle(pattern, rate=5000, cycles=10, seed=4)
+        clean = generate_cycle(replace(pattern, angle_noise=0.0,
+                                       load_noise=0.0),
+                               rate=5000, cycles=10, seed=4)
+        t = noisy.t
+        gl = 0.5 * (1.0 + np.sin(2 * np.pi * t / pattern.cycle_duration))
+        models = (StanceModel("left"), StanceModel("right"),
+                  CompensationTables.zeroed())
+        qd, qdd = AccelerationEstimator().estimate_array(t, noisy.q)
+        tau = blended_torque_array(noisy.q, qd, qdd, gl, 1.0 - gl, *models)
+        qd_ref = np.gradient(clean.q, t, axis=0)
+        qdd_ref = np.gradient(qd_ref, t, axis=0)
+        ref = blended_torque_array(clean.q, qd_ref, qdd_ref, gl, 1.0 - gl,
+                                   *models)
+        err = (tau - ref)[t >= 0.5][:, list(ACTUATED_MASK)]
+        assert np.sqrt(np.mean(err ** 2)) <= 60.0
 
 
 class TestParamsAndCalibration:
