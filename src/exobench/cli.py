@@ -86,7 +86,10 @@ def cmd_replay(args) -> int:
     if args.out:
         result.save_csv(args.out)
     timing = result.timing()
-    smooth = result.smoothness()
+    try:
+        smooth = result.smoothness()
+    except ValueError as exc:
+        raise ValueError(f"{args.stream}: {exc}") from exc
     print(f"{result.commands} commands ({result.dropped_frames} dropped); "
           f"step time us p50={timing.p50_us:.1f} p95={timing.p95_us:.1f} "
           f"p99={timing.p99_us:.1f}; {timing.overruns} over the "

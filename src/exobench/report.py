@@ -122,7 +122,10 @@ def _controller_section(subject: SubjectSession, calibration_path):
                        regressor, tables)
     result = replay_batch(stream, loop)   # reads no loop state
     probe = replay(stream.head(PROBE_STEPS), loop)
-    smooth = result.smoothness()
+    try:
+        smooth = result.smoothness()
+    except ValueError as exc:
+        raise ValueError(f"{subject.gait_csv}: {exc}") from exc
     digest = hashlib.sha256()
     digest.update(result.t.tobytes())
     digest.update(result.raw_phase.tobytes())

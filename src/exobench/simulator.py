@@ -312,7 +312,11 @@ class ReplayResult:
         settled = ~self.degraded[:-1] & ~self.degraded[1:]
         jumps = jumps[settled]
         if jumps.size == 0:
-            raise ValueError("no settled command pairs to measure")
+            span = float(np.ptp(self.t)) if self.commands else 0.0
+            raise ValueError(
+                f"no settled command pairs to measure: the stream spans "
+                f"{span:.3f} s, and the acceleration estimator gives no "
+                f"estimate in its first {WARMUP_S} s")
         median = float(np.median(jumps))
         peak = float(np.max(jumps))
         dt = float(np.median(np.diff(self.t)))
@@ -388,9 +392,9 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
         gl, gr = blend_gains(raw)   # rejects a non-finite phase
     else:
         gl, gr = blend_gains(np.where(raw >= 0.0, 1.0, -1.0))
-    qd, qdd = loop.estimator.estimate_array(t, q)
+    qd, qdd, ready = loop.estimator.estimate_array(t, q)
     tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
                                loop.tables)
     return ReplayResult(t=t, raw_phase=raw, gamma_l=gl, tau=tau,
-                        degraded=t - t[:1] < WARMUP_S,
+                        degraded=~ready,
                         dropped_frames=int(t_all.size - t.size))

@@ -11,7 +11,7 @@ import pytest
 
 import exobench
 from exobench.cli import main
-from exobench.dynamics import (CompensationTables, ExoParams,
+from exobench.dynamics import (WARMUP_S, CompensationTables, ExoParams,
                                save_calibration)
 from exobench.fuzzy import default_fuzzy_model
 from exobench.questionnaire import default_definition
@@ -145,6 +145,25 @@ class TestReplay:
         # rejected where it enters: the CSV reader names the file and line
         assert f"{stream}: line 101: non-finite q_rk value nan" in proc.stderr
 
+    def test_stream_within_warmup_exits_one_naming_it(self, tmp_path,
+                                                      calibration):
+        data = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "5"])
+        main(["train", str(data), "--out", str(model)])
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "5000"])
+        lines = stream.read_text().splitlines()
+        stream.write_text("\n".join(lines[:401]) + "\n")   # 400 frames
+        proc = _python("-m", "exobench.cli", "replay", str(stream),
+                       "--model", str(model), "--calibration", str(calibration))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {stream}: no settled command pairs to measure: the "
+            f"stream spans 0.080 s, and the acceleration estimator gives no "
+            f"estimate in its first {WARMUP_S} s\n")
+
     def test_replay_summary_counts_overruns(self, tmp_path, calibration,
                                             capsys):
         data = tmp_path / "training.csv"
@@ -262,6 +281,21 @@ class TestAnalyze:
                        "--out", str(tmp_path / "report.json"))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: line 6: not valid UTF-8\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_gait_stream_within_warmup_exits_one_naming_it(
+            self, session_set, tmp_path):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s01" / "gait_stream.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:81]) + "\n")   # 80 frames at 1 kHz
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: {path}: no settled command pairs to measure")
+        assert f"first {WARMUP_S} s" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_controller_reports_torque_magnitude(self, tmp_path):

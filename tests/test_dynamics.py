@@ -279,11 +279,24 @@ class TestAccelerationEstimator:
                 assert len(qd) == 6 and len(qdd) == 6
         assert sum(qd is None for _, qd, _ in out) == round(WARMUP_S / dt)
 
+    def test_array_matches_push(self):
+        samples = [0.1 * k * k for k in range(200)]
+        out = _pushed(samples, 1e-3)
+        t = np.array([t for t, _, _ in out])
+        q = np.repeat(np.array(samples)[:, None], 6, axis=1)
+        qd, qdd, ready = AccelerationEstimator().estimate_array(t, q)
+        assert ready.tolist() == [v is not None for _, v, _ in out]
+        for k, (_, v, a) in enumerate(out):
+            assert qd[k].tolist() == (v or [0.0] * 6)
+            assert qdd[k].tolist() == (a or [0.0] * 6)
+
     def test_rejects_backward_time(self):
         est = AccelerationEstimator()
         est.push(0.0, (0.0,) * 6)
         with pytest.raises(ValueError):
             est.push(-0.1, (0.0,) * 6)
+        with pytest.raises(ValueError):
+            est.push(float("nan"), (0.0,) * 6)
         with pytest.raises(ValueError):
             AccelerationEstimator().estimate_array(np.array([0.0, 0.0]),
                                                    np.zeros((2, 6)))
@@ -300,7 +313,7 @@ class TestAccelerationEstimator:
         gl = 0.5 * (1.0 + np.sin(2 * np.pi * t / pattern.cycle_duration))
         models = (StanceModel("left"), StanceModel("right"),
                   CompensationTables.zeroed())
-        qd, qdd = AccelerationEstimator().estimate_array(t, noisy.q)
+        qd, qdd, _ = AccelerationEstimator().estimate_array(t, noisy.q)
         tau = blended_torque_array(noisy.q, qd, qdd, gl, 1.0 - gl, *models)
         qd_ref = np.gradient(clean.q, t, axis=0)
         qdd_ref = np.gradient(qd_ref, t, axis=0)
