@@ -33,6 +33,13 @@ LF_BAND = (0.04, 0.15)
 TOTAL_BAND = (0.04, 0.4)
 RESP_BAND = (0.07, 1.0)
 
+WINDOW_S = 60.0            # features over non-overlapping one-minute windows
+LF_CONTEXT_S = 120.0       # LF needs a 2-minute interval span (ESC/NASPE 1996)
+TACHOGRAM_HZ = 4.0         # uniform resampling rate of the tachogram
+BEAT_REFRACTORY_S = 0.25
+RESP_PEAK_TO_MEDIAN = 6.0  # spectral peak over in-band median for a valid rate
+PROTOCOL_TOLERANCE = 0.05  # relative SIT/WALK duration tolerance
+
 SCR_MIN_AMPLITUDE_US = 0.01
 SCR_MIN_SEPARATION_S = 1.0
 SCL_CUTOFF_HZ = 0.05
@@ -55,7 +62,7 @@ class BeatDetection:
         return not self.gaps
 
 
-def detect_beats(ecg, fs: float, refractory_s: float = 0.25) -> BeatDetection:
+def detect_beats(ecg, fs: float) -> BeatDetection:
     """R-peak picking: band-pass, envelope, adaptive threshold.
 
     Flat-line stretches produce gap markers instead of spurious beats.
@@ -93,8 +100,8 @@ def detect_beats(ecg, fs: float, refractory_s: float = 0.25) -> BeatDetection:
     height = 0.2 * np.percentile(env[~flat_mask], 98)
     if height <= 0:
         return BeatDetection(times=np.empty(0), gaps=gaps)
-    peaks, _ = scipy.signal.find_peaks(env, height=height,
-                                       distance=max(1, int(refractory_s * fs)))
+    peaks, _ = scipy.signal.find_peaks(
+        env, height=height, distance=max(1, int(BEAT_REFRACTORY_S * fs)))
     # refine to the local extremum of the band-passed signal
     half = int(0.05 * fs)
     times = []
@@ -105,7 +112,8 @@ def detect_beats(ecg, fs: float, refractory_s: float = 0.25) -> BeatDetection:
         times.append(refined / fs)
     times = np.asarray(sorted(set(times)))
     if times.size > 1:
-        keep = np.concatenate([[True], np.diff(times) > refractory_s * 0.5])
+        keep = np.concatenate([[True],
+                               np.diff(times) > BEAT_REFRACTORY_S * 0.5])
         times = times[keep]
     return BeatDetection(times=times, gaps=gaps)
 
@@ -127,32 +135,31 @@ def hr_rmssd(intervals_ms) -> tuple[float, float]:
     return hr, rmssd
 
 
-def lf_power(intervals_ms, resample_hz: float = 4.0,
-             min_seconds: float = 120.0) -> tuple[float, float]:
+def lf_power(intervals_ms) -> tuple[float, float]:
     """Low-frequency band power of the interval tachogram.
 
     The tachogram is resampled uniformly by cubic interpolation, linearly
     detrended, and estimated with averaged 50%-overlap periodograms.
     Returns (power in the 0.04-0.15 Hz band in ms^2, fraction of the
-    0.04-0.4 Hz total).  A 5% slack on ``min_seconds`` absorbs the partial
+    0.04-0.4 Hz total).  A 5% slack on ``LF_CONTEXT_S`` absorbs the partial
     beats at the window edges.
     """
     iv = np.asarray(intervals_ms, dtype=float)
     if iv.size < 4:
         raise InsufficientDataError("too few intervals")
     duration = float(np.sum(iv)) / 1000.0
-    if duration < 0.95 * min_seconds:
+    if duration < 0.95 * LF_CONTEXT_S:
         raise InsufficientDataError(
-            f"window of {duration:.1f} s is shorter than {min_seconds:.0f} s")
+            f"window of {duration:.1f} s is shorter than {LF_CONTEXT_S:.0f} s")
     beat_t = np.cumsum(iv) / 1000.0
-    grid = np.arange(beat_t[0], beat_t[-1], 1.0 / resample_hz)
+    grid = np.arange(beat_t[0], beat_t[-1], 1.0 / TACHOGRAM_HZ)
     import scipy.interpolate
     import scipy.signal
     tacho = scipy.interpolate.interp1d(beat_t, iv, kind="cubic",
                                        assume_sorted=True)(grid)
     tacho = scipy.signal.detrend(tacho, type="linear")
     nperseg = min(tacho.size, 256)
-    freqs, psd = scipy.signal.welch(tacho, fs=resample_hz, nperseg=nperseg,
+    freqs, psd = scipy.signal.welch(tacho, fs=TACHOGRAM_HZ, nperseg=nperseg,
                                     noverlap=nperseg // 2)
     lf = _band_power(freqs, psd, LF_BAND)
     total = _band_power(freqs, psd, TOTAL_BAND)
@@ -173,12 +180,11 @@ def _band_power(freqs, psd, band) -> float:
 
 
 def respiration_rate(waveform=None, fs: float | None = None,
-                     breath_times=None,
-                     peak_to_median: float = 6.0) -> tuple[float, bool]:
+                     breath_times=None) -> tuple[float, bool]:
     """Breaths per minute from a waveform (spectral peak) or breath marks.
 
     Returns ``(rate_bpm, valid)``; the estimate is invalid when no
-    spectral peak rises ``peak_to_median`` times above the in-band median
+    spectral peak rises ``RESP_PEAK_TO_MEDIAN`` times above the in-band median
     (noise floor).
     """
     if breath_times is not None:
@@ -204,7 +210,7 @@ def respiration_rate(waveform=None, fs: float | None = None,
     pband = psd[mask]
     k = int(np.argmax(pband))
     floor = float(np.median(pband))
-    if floor <= 0 or pband[k] < peak_to_median * floor:
+    if floor <= 0 or pband[k] < RESP_PEAK_TO_MEDIAN * floor:
         return float("nan"), False
     # parabolic refinement of the peak bin
     f_peak = fband[k]
@@ -309,17 +315,17 @@ class PhysioSession:
         if self.ecg is None and self.beat_intervals_ms is None:
             raise SchemaError("need an ECG channel or precomputed intervals")
 
-    def validate_protocol(self, lenient: bool = False, tolerance: float = 0.05):
+    def validate_protocol(self, lenient: bool = False):
         """Check SIT and WALK durations against the protocol (+-5%)."""
         if lenient:
             return
         for phase, nominal in ((PHASE_SIT, SIT_DURATION_S),
                                (PHASE_WALK, WALK_DURATION_S)):
             start, stop = self.markers[phase]
-            if abs((stop - start) - nominal) > tolerance * nominal:
+            if abs((stop - start) - nominal) > PROTOCOL_TOLERANCE * nominal:
                 raise SchemaError(
                     f"{phase} duration {stop - start:.1f} s outside "
-                    f"{nominal:.0f} s +-{tolerance * 100:.0f}%")
+                    f"{nominal:.0f} s +-{PROTOCOL_TOLERANCE * 100:.0f}%")
 
     def phase_bounds(self, phase: str) -> tuple[float, float]:
         return tuple(self.markers[phase])
@@ -494,14 +500,12 @@ def _window_intervals(beats: np.ndarray, start: float, stop: float):
     return np.diff(inside) * 1000.0
 
 
-def windowed_features(session: PhysioSession, window: float = 60.0,
-                      hop: float = 60.0,
-                      lf_context: float = 120.0) -> list[FeatureWindow]:
-    """Per-phase feature windows (default: non-overlapping minutes).
+def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
+    """Per-phase feature windows: non-overlapping ``WINDOW_S`` spans.
 
     Windows straddling a phase boundary are excluded.  The LF estimate
     needs more context than one window, so it is computed over a
-    ``lf_context``-second span ending at the window where possible,
+    ``LF_CONTEXT_S``-second span ending at the window where possible,
     shifted to fit inside the phase otherwise; windows of phases shorter
     than the context get no LF value.
     """
@@ -509,10 +513,10 @@ def windowed_features(session: PhysioSession, window: float = 60.0,
     out = []
     for phase in PHASES:
         t0, t1 = session.phase_bounds(phase)
-        n_win = int(np.floor((t1 - t0 + 1e-9 - window) / hop)) + 1
+        n_win = int(np.floor((t1 - t0 + 1e-9 - WINDOW_S) / WINDOW_S)) + 1
         for i in range(max(0, n_win)):
-            start = t0 + i * hop
-            stop = start + window
+            start = t0 + i * WINDOW_S
+            stop = start + WINDOW_S
             if stop > t1 + 1e-9:
                 break
             fw = FeatureWindow(phase=phase, start=start, stop=stop)
@@ -523,8 +527,8 @@ def windowed_features(session: PhysioSession, window: float = 60.0,
                 except InsufficientDataError:
                     pass
             # LF: context window clamped into the phase
-            ctx_start = max(t0, stop - lf_context)
-            ctx_stop = ctx_start + lf_context
+            ctx_start = max(t0, stop - LF_CONTEXT_S)
+            ctx_stop = ctx_start + LF_CONTEXT_S
             if ctx_stop <= t1 + 1e-9:
                 ctx_iv = _window_intervals(beats, ctx_start, ctx_stop)
                 if ctx_iv is not None:

@@ -87,15 +87,16 @@ class AssistCommand:
 class ControlLoop:
     """Deterministic single-threaded control pipeline.
 
-    Each step estimates joint velocity/acceleration from the incoming
-    angle stream, regresses the gait phase, and emits the blended
-    assistance command.  Gains come from ``gains``, so a non-finite phase
-    raises ValueError before any torque is evaluated.  ``rate`` (Hz) sets
-    the period replay counts overruns against.  ``blending='hard'``
-    switches stance models at phase zero instead of mixing them: it feeds
-    ``gains`` the finite phase saturated to +-1, while the command still
-    logs the regressed phase.  Hard blending exists to demonstrate what the
-    blend buys and must not be used for assistance.
+    Each step regresses the gait phase, estimates joint
+    velocity/acceleration from the incoming angle stream, and emits the
+    blended assistance command.  Gains come from ``gains``, so a
+    non-finite phase raises ValueError before the estimator or any torque
+    sees the frame.  ``rate`` (Hz) sets the period replay counts overruns
+    against.  ``blending='hard'`` switches stance models at phase zero
+    instead of mixing them: it feeds ``gains`` the finite phase saturated
+    to +-1, while the command still logs the regressed phase.  Hard
+    blending exists to demonstrate what the blend buys and must not be
+    used for assistance.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
@@ -119,7 +120,9 @@ class ControlLoop:
     def step(self, frame) -> AssistCommand:
         """Process one sensor frame; raises OutOfOrderFrameError on a
         timestamp regression (the frame must be dropped) and ValueError on
-        a non-finite timestamp or phase, before any torque is evaluated."""
+        a non-finite timestamp or phase.  A rejected frame changes no
+        state: it raises before the estimator sees it, so the next frame
+        is processed as if it had never arrived."""
         t0 = perf_counter()
         t = frame.t
         if not isfinite(t):
@@ -129,15 +132,15 @@ class ControlLoop:
             raise OutOfOrderFrameError(
                 f"frame at t={t} after t={last}")
         q = frame.q
-        qd, qdd = self.estimator.push(t, q)
-        degraded = qd is None
-        if degraded:
-            qd = qdd = _ZERO6
         raw = self.regressor.phase(q)
         if self.blending == "smooth" or not isfinite(raw):
             gl, gr = gains(raw)   # rejects a non-finite phase
         else:
             gl, gr = gains(1.0 if raw >= 0.0 else -1.0)
+        qd, qdd = self.estimator.push(t, q)
+        degraded = qd is None
+        if degraded:
+            qd = qdd = _ZERO6
         tau6 = tuple(blended_torque(q, qd, qdd, gl, gr, self.left,
                                     self.right, self.tables).tolist())
         self._last_t = t

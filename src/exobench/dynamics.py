@@ -10,18 +10,20 @@ about the COM); the swing-side foot rides as a point mass fixed to the
 swing shank.  Joint angles are relative, measured so that a fully vertical
 chain is q = 0, and the chain tips toward +x for positive angles.
 
-There is one torque evaluator plus a test oracle:
+There is one torque evaluator plus a test oracle; they share only the
+link parameters:
 
-* ``PlanarChain.torque`` is the evaluator.  Its source is type-generic:
-  with native floats and ``math.sin``/``math.cos`` (the defaults) it is
-  the fused scalar path of the 5 kHz control step; with ``(6, m)`` numpy
-  column stacks and ``np.sin``/``np.cos`` the same operations run over m
-  frames at once.  ``blended_torque`` mixes it per frame and
-  ``blended_torque_array`` over (n, 6) rows, bit-identically, and
-  ``stance_torque`` routes through the same path.
-* ``inertia_matrix`` / ``gravity_vector`` build the dense operators with
-  vectorised numpy; they are the readable reference the tests and the
-  benchmark use as an oracle.
+* ``PlanarChain.torque`` is one recursive Newton-Euler pass at qd = 0
+  over links lumped into mass, first and second moment (point masses
+  included), O(n) per chain (Luh, Walker & Paul 1980; Featherstone 2008,
+  ch. 5).  Its source is type-generic: native floats with ``math``
+  sin/cos for the 5 kHz step, or ``(6, m)`` column stacks with
+  ``np.sin``/``np.cos`` for m frames at once, bit-identically;
+  ``blended_torque``, ``blended_torque_array`` and ``stance_torque`` all
+  route through it.
+* ``inertia_matrix`` / ``gravity_vector`` build the dense Lagrangian
+  operators B(q) and G(q) from each body's reach coefficients with
+  vectorised numpy: the oracle of the tests and the benchmark.
 
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
@@ -146,40 +148,32 @@ class PlanarChain:
 
     def _precompute(self):
         n = self.n
-        # each body b has COM position sum_{j<k} l_j u(phi_j) + d_b u(phi_k);
-        # collect its reach coefficients over joints
+        # a body at distance d along link k sits at
+        # sum_{j<k} l_j u(phi_j) + d u(phi_k): its reach coefficients over
+        # the joints feed the oracle, and its mass, first moment m*d and
+        # second moment m*d^2 about joint k lump into link k for ``torque``
+        bodies = [(k, f * l, m) for k, (f, l, m) in enumerate(
+            zip(self.com_fractions, self.lengths, self.masses))]
+        bodies += self.point_masses
         coefs = []
-        bmass = []
-        for k in range(n):
-            c = [0.0] * n
-            for j in range(k):
-                c[j] = self.lengths[j]
-            c[k] = self.com_fractions[k] * self.lengths[k]
-            coefs.append(c)
-            bmass.append(self.masses[k])
-        for k, d, m in self.point_masses:
+        lumped = [(0.0, 0.0, inertia) for inertia in self.inertias]
+        for k, d, m in bodies:
             if not 0 <= k < n:
                 raise ValueError("point mass attached to unknown link")
-            c = [0.0] * n
-            for j in range(k):
-                c[j] = self.lengths[j]
-            c[k] = d
-            coefs.append(c)
-            bmass.append(m)
+            coefs.append(self.lengths[:k] + (d,) + (0.0,) * (n - 1 - k))
+            mass, first, second = lumped[k]
+            lumped[k] = (mass + m, first + m * d, second + m * d * d)
+        self._links = tuple((l, *lk) for l, lk in zip(self.lengths, lumped))
         C = np.asarray(coefs)
-        m = np.asarray(bmass)
-        # quadratic mass coupling and gravity weights, configuration independent
-        self._P = np.ascontiguousarray((C.T * m) @ C)
-        self._w = np.ascontiguousarray(m @ C)
+        m = np.asarray([body[2] for body in bodies])
+        # oracle only: quadratic mass coupling and gravity weights
+        self._P = (C.T * m) @ C
+        self._w = m @ C
         # rotational inertia coupling: joints i and i' both spin every link
         # k >= max(i, i')
         tail = np.flip(np.cumsum(np.flip(np.asarray(self.inertias))))
         idx = np.arange(n)
-        self._R = np.ascontiguousarray(tail[np.maximum.outer(idx, idx)])
-        # native-float rows, tip first, for the scalar evaluator
-        self._P_rev = tuple(tuple(row) for row in reversed(self._P.tolist()))
-        self._R_rev = tuple(tuple(row) for row in reversed(self._R.tolist()))
-        self._w_rev = tuple(reversed(self._w.tolist()))
+        self._R = tail[np.maximum.outer(idx, idx)]
 
     # -- reference (vectorised) evaluators ---------------------------------
 
@@ -213,49 +207,43 @@ class PlanarChain:
             raise ValueError("joint angles must be finite")
         return q
 
-    # -- fused scalar evaluator (control-loop hot path) ---------------------
+    # -- recursive Newton-Euler evaluator (control-loop hot path) ----------
 
     def torque(self, q, qdd, perm, sin=math.sin, cos=math.cos):
-        """B(q) @ qdd + G(q) as a list of per-joint values.
+        """B(q) @ qdd + G(q) as a list of per-joint values, by one
+        Newton-Euler pass at qd = 0 over the lumped links.
+
+        Base to tip: each link's absolute angle phi, angular acceleration
+        alpha and proximal-joint acceleration (ax, ay), from an upward base
+        acceleration g that stands in for gravity.  Tip to base: the force
+        (fx, fy) each subtree needs and its moment about its joint, which
+        is that joint's torque.
 
         Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]``, so
         6-joint sensor vectors go in without a copy.  Accepts any indexable
-        float sequences and performs no validation.  Stored accumulators
-        are rebound rather than updated in place, so ``q``/``qdd`` may also
-        be (6, m) arrays evaluated with ``sin=np.sin, cos=np.cos``; each
-        column then gets the scalar result bit for bit.
+        float sequences and performs no validation.  Accumulators are
+        rebound rather than updated in place, so ``q``/``qdd`` may also be
+        (6, m) arrays evaluated with ``sin=np.sin, cos=np.cos``; each column
+        then gets the scalar result bit for bit.
         """
-        phi = []
-        qdd5 = []
-        qc = []
-        acc = 0.0
-        accd = 0.0
-        for k in perm:
-            acc = acc + q[k]
-            phi.append(acc)
-            x = qdd[k]
-            qdd5.append(x)
-            accd = accd + x
-            qc.append(accd)
-        s = [sin(x) for x in phi]
-        c = [cos(x) for x in phi]
-        g = self.gravity
-        # from the tip down: tau_a = gravity + sum_{a'>=a} sum_b P[a'][b]
-        # * cos(phi_a' - phi_b) * (prefix sum of qdd up to b) + R[a] @ qdd
+        phi = alpha = ax = 0.0
+        ay = self.gravity
+        fwd = []
+        for k, (l, mass, first, second) in zip(perm, self._links):
+            phi = phi + q[k]
+            alpha = alpha + qdd[k]
+            s, c = sin(phi), cos(phi)
+            fwd.append((l, mass, first, second, s, c, alpha, ax, ay))
+            ax = ax + l * alpha * c
+            ay = ay - l * alpha * s
+        fx = fy = moment = 0.0
         tau = []
-        accg = 0.0
-        accv = 0.0
-        for Pa, Ra, wa, ca, sa in zip(self._P_rev, self._R_rev, self._w_rev,
-                                      reversed(c), reversed(s)):
-            accg += wa * sa
-            da = 0.0
-            for p, cb, sb, qb in zip(Pa, c, s, qc):
-                da += p * (ca * cb + sa * sb) * qb
-            accv += da
-            accr = 0.0
-            for r, x in zip(Ra, qdd5):
-                accr += r * x
-            tau.append(-g * accg + accv + accr)
+        for l, mass, first, second, s, c, alpha, ax, ay in reversed(fwd):
+            moment = (moment + l * (c * fx - s * fy)
+                      + first * (c * ax - s * ay) + second * alpha)
+            tau.append(moment)
+            fx = fx + mass * ax + first * alpha * c
+            fy = fy + mass * ay - first * alpha * s
         tau.reverse()
         return tau
 

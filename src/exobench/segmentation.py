@@ -134,8 +134,6 @@ def train(data: TrainingSet, ridge: float | None = None) -> GaitRegressor:
     ``ridge=0`` solves the plain objective and fails loudly on a
     rank-deficient problem.
     """
-    import scipy.linalg   # on first use, not at package import: slow to load
-
     Q = data.q
     p = data.labels
     T, n = Q.shape
@@ -148,13 +146,13 @@ def train(data: TrainingSet, ridge: float | None = None) -> GaitRegressor:
     A = Q.T @ Q + lam * np.eye(n)
     b = Q.T @ p
     try:
-        cf = scipy.linalg.cho_factor(A)
-        Y = scipy.linalg.cho_solve(cf, b)
-    except scipy.linalg.LinAlgError:
+        L = np.linalg.cholesky(A)
+        Y = np.linalg.solve(L.T, np.linalg.solve(L, b))
+    except np.linalg.LinAlgError:
         # ill-conditioned: orthogonal decomposition on the augmented system
         aug_q = np.vstack([Q, np.sqrt(lam) * np.eye(n)]) if lam > 0 else Q
         aug_p = np.concatenate([p, np.zeros(n)]) if lam > 0 else p
-        Y, *_ = scipy.linalg.lstsq(aug_q, aug_p)
+        Y, *_ = np.linalg.lstsq(aug_q, aug_p, rcond=None)
     residual = Q @ Y - p
     rmse = float(np.linalg.norm(residual) / np.sqrt(T))
     meta = {

@@ -18,7 +18,7 @@ from exobench.fuzzy import (INPUT_NAMES, OUTPUT_NAMES, NormalizedInputs,
                             default_fuzzy_model, infer)
 from exobench.questionnaire import (EQDefinition, default_definition,
                                     factor_score, reverse_map)
-from exobench.segmentation import (GaitRegressor, label_from_soles, train,
+from exobench.segmentation import (label_from_soles, train,
                                    training_session_builder)
 from exobench.simulator import GaitPattern, generate_cycle, \
     generate_training_protocol, replay
@@ -52,15 +52,6 @@ class Gate:
             assert elapsed < self.budget, (
                 f"{self.name} exceeded its {self.budget}s budget: {elapsed:.1f}s")
         return False
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernel():
-    # one-time jit compilation happens at loop construction, outside the
-    # per-criterion budgets (standard warm-up for a timed harness)
-    left, right = StanceModel("left"), StanceModel("right")
-    reg = GaitRegressor(weights=np.zeros(6), rmse=0.0)
-    ControlLoop(left, right, reg, CompensationTables.zeroed())
 
 
 @pytest.fixture(scope="module")

@@ -261,8 +261,7 @@ class TestWindowedFeatures:
     def test_boundary_straddling_excluded(self):
         # a 250 s sit phase yields 4 full windows, not 5
         session = small_session(sit=250.0)
-        rows = [fw for fw in windowed_features(session, 60.0, 60.0)
-                if fw.phase == "sit"]
+        rows = [fw for fw in windowed_features(session) if fw.phase == "sit"]
         assert len(rows) == 4
         assert all(fw.stop <= 250.0 + 1e-9 for fw in rows)
 

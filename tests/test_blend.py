@@ -192,6 +192,24 @@ class TestControlLoop:
         with pytest.raises(ValueError, match="raw_phase must be finite"):
             loop.step(SensorFrame(3 * dt, bad, 200.0, 200.0))
 
+    def test_rejected_nan_frame_changes_no_state(self, rig):
+        pattern = GaitPattern()
+        frames = list(generate_cycle(pattern, rate=5000, cycles=1,
+                                     seed=9).frames())[:1100]
+        clean = self.make_loop(rig)
+        expected = [clean.step(f) for f in frames]
+        loop = self.make_loop(rig)
+        got = [loop.step(f) for f in frames[:1000]]
+        # between frames 999 and 1000, past the estimator's warm-up
+        bad = frames[999]._replace(t=0.5 * (frames[999].t + frames[1000].t),
+                                   q=(float("nan"),) + frames[999].q[1:])
+        with pytest.raises(ValueError, match="raw_phase must be finite"):
+            loop.step(bad)
+        got += [loop.step(f) for f in frames[1000:]]
+        for a, b in zip(got, expected, strict=True):
+            a.step_time_us = b.step_time_us = 0.0
+            assert a == b
+
     @pytest.mark.parametrize("blending", ["smooth", "hard"])
     @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
     def test_nonfinite_timestamp_raises_before_torque(self, rig, blending,

@@ -164,6 +164,35 @@ class TestLookupTables:
                 assert out[j] == 0.0
 
 
+class TestChainTorque:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_generic_chain_matches_oracle(self, n):
+        # random rods with free COM fractions and inertias, one point mass
+        # on the root link and two more on the tip link; scalar and column
+        # evaluations both against B(q) @ qdd + G(q)
+        rng = np.random.default_rng(20 + n)
+        point_masses = [(0, rng.uniform(0.0, 0.6), rng.uniform(0.1, 2.0)),
+                        (n - 1, rng.uniform(0.0, 0.9), rng.uniform(0.1, 2.0)),
+                        (n - 1, rng.uniform(0.0, 0.9), rng.uniform(0.1, 2.0))]
+        chain = PlanarChain(lengths=rng.uniform(0.2, 0.8, n),
+                            masses=rng.uniform(0.5, 6.0, n),
+                            com_fractions=rng.uniform(0.0, 1.0, n),
+                            inertias=rng.uniform(0.0, 0.3, n),
+                            point_masses=point_masses, gravity=9.81)
+        perm = range(n)
+        q = rng.uniform(-1.0, 1.0, (n, 25))
+        qdd = rng.uniform(-20.0, 20.0, (n, 25))
+        columns = chain.torque(q, qdd, perm, sin=np.sin, cos=np.cos)
+        for j in range(25):
+            expected = (chain.inertia(q[:, j]) @ qdd[:, j]
+                        + chain.gravity_torque(q[:, j]))
+            scalar = chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm)
+            # |tau| reaches 4e3 Nm on the longer chains, hence the rtol
+            for tau in (scalar, [x[j] for x in columns]):
+                np.testing.assert_allclose(tau, expected, rtol=1e-12,
+                                           atol=1e-12)
+
+
 class TestStanceTorque:
     def test_static_pose_zero_tables_reduces_to_gravity(self):
         model = StanceModel("left")
