@@ -10,6 +10,7 @@ All estimators are deterministic for a fixed input and configuration.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,16 +51,23 @@ SCL_CUTOFF_HZ = 0.05
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _butter_sos(cutoff, btype: str, fs: float) -> np.ndarray:
+    """Order-2 Butterworth sections, designed once per key and read-only;
+    ``sosfiltfilt`` needs a writable array, so callers pass it a copy."""
+    # scipy submodules load on first use: importing them costs over a second
+    import scipy.signal
+    sos = scipy.signal.butter(2, cutoff, btype=btype, fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 @dataclass
 class BeatDetection:
     """R-peak times in seconds plus flat-line gap segments."""
 
     times: np.ndarray
     gaps: list
-
-    @property
-    def clean(self) -> bool:
-        return not self.gaps
 
 
 def detect_beats(ecg, fs: float) -> BeatDetection:
@@ -76,21 +84,16 @@ def detect_beats(ecg, fs: float) -> BeatDetection:
     # flat-line detection on one-second blocks
     block = int(fs)
     nblock = x.size // block
-    gaps = []
-    flat_mask = np.zeros(x.size, dtype=bool)
-    for b in range(nblock):
-        seg = x[b * block:(b + 1) * block]
-        if np.ptp(seg) < 1e-9:
-            flat_mask[b * block:(b + 1) * block] = True
-            gaps.append((b * block / fs, (b + 1) * block / fs))
+    flat = np.ptp(x[:nblock * block].reshape(nblock, block), axis=1) < 1e-9
+    flat_mask = np.pad(np.repeat(flat, block), (0, x.size % block))
+    gaps = [(b * block / fs, (b + 1) * block / fs)
+            for b in np.flatnonzero(flat).tolist()]
 
     if np.all(flat_mask):
         return BeatDetection(times=np.empty(0), gaps=gaps)
 
-    # scipy submodules load on first use: importing them costs over a second
     import scipy.signal
-    sos = scipy.signal.butter(2, [5.0, 18.0], btype="bandpass", fs=fs,
-                              output="sos")
+    sos = _butter_sos((5.0, 18.0), "bandpass", fs).copy()
     band = scipy.signal.sosfiltfilt(sos, x)
     env = band * band
     win = max(1, int(0.15 * fs))
@@ -102,19 +105,14 @@ def detect_beats(ecg, fs: float) -> BeatDetection:
         return BeatDetection(times=np.empty(0), gaps=gaps)
     peaks, _ = scipy.signal.find_peaks(
         env, height=height, distance=max(1, int(BEAT_REFRACTORY_S * fs)))
-    # refine to the local extremum of the band-passed signal
+    # refine to the first maximum of |band| within +-half samples; clipped
+    # indices repeat an end sample next to itself, so the first maximum of
+    # each window is the one found in the window cut to the signal
     half = int(0.05 * fs)
-    times = []
-    for p in peaks:
-        lo = max(0, p - half)
-        hi = min(x.size, p + half + 1)
-        refined = lo + int(np.argmax(np.abs(band[lo:hi])))
-        times.append(refined / fs)
-    times = np.asarray(sorted(set(times)))
-    if times.size > 1:
-        keep = np.concatenate([[True],
-                               np.diff(times) > BEAT_REFRACTORY_S * 0.5])
-        times = times[keep]
+    idx = np.clip(peaks[:, None] + np.arange(-half, half + 1), 0, x.size - 1)
+    refined = idx[np.arange(peaks.size), np.argmax(np.abs(band[idx]), axis=1)]
+    times = np.unique(refined / fs)
+    times = times[np.diff(times, prepend=-np.inf) > BEAT_REFRACTORY_S * 0.5]
     return BeatDetection(times=times, gaps=gaps)
 
 
@@ -257,9 +255,8 @@ def gsr_decompose(gsr, fs: float) -> GsrDecomposition:
     if duration < 60.0 - 1e-9:
         raise InsufficientDataError("need at least a 60 s window")
     import scipy.signal
-    sos = scipy.signal.butter(2, SCL_CUTOFF_HZ, btype="lowpass", fs=fs,
-                              output="sos")
-    scl = scipy.signal.sosfiltfilt(sos, x)
+    scl = scipy.signal.sosfiltfilt(
+        _butter_sos(SCL_CUTOFF_HZ, "lowpass", fs).copy(), x)
     phasic = x - scl
     peaks, props = scipy.signal.find_peaks(
         phasic, height=SCR_MIN_AMPLITUDE_US,

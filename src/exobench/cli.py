@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .blend import ControlLoop
 from .dynamics import StanceModel, load_calibration
-from .errors import ExobenchError, IncompleteTrainingError, SchemaError
+from .errors import (ExobenchError, IncompleteTrainingError,
+                     InsufficientDataError, SchemaError)
 from .fuzzy import load_fuzzy_model
 from .questionnaire import EQDefinition
 from .report import analyze_session_set, canonical_json, render_factor_table
@@ -67,8 +68,10 @@ def cmd_sim(args) -> int:
 
 def cmd_train(args) -> int:
     _apply_config(args, ("ridge",))
-    stream = SensorStream.load_csv(args.data)
-    training = training_session_builder(stream)
+    try:
+        training = training_session_builder(SensorStream.load_csv(args.data))
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{args.data}: {exc}") from exc
     regressor = train(training, ridge=args.ridge)
     regressor.save(args.out)
     print(f"trained on {len(training)} samples; "

@@ -314,7 +314,10 @@ class LookupTable1D:
         if x >= xs[-1]:
             return ys[-1]
         i = bisect.bisect_right(xs, x) - 1
-        t = (x - xs[i]) / (xs[i + 1] - xs[i])
+        try:
+            t = (x - xs[i]) / (xs[i + 1] - xs[i])
+        except IndexError:   # only NaN passes both clamps; bisect puts it last
+            return x
         return ys[i] + t * (ys[i + 1] - ys[i])
 
     def evaluate_array(self, x) -> np.ndarray:

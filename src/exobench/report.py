@@ -29,7 +29,7 @@ from .biosignal import (PHASE_SIT, PHASE_WALK, FeatureWindow, PhysioSession,
                         windowed_features)
 from .blend import ControlLoop
 from .dynamics import ACTUATED_MASK, StanceModel, load_calibration
-from .errors import SchemaError
+from .errors import InsufficientDataError, SchemaError
 from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
@@ -116,7 +116,10 @@ def _psycho_section(windows, model):
 def _controller_section(subject: SubjectSession, calibration_path):
     params, tables = load_calibration(calibration_path)
     training = SensorStream.load_csv(subject.training_csv)
-    regressor = train(training_session_builder(training))
+    try:
+        regressor = train(training_session_builder(training))
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{subject.training_csv}: {exc}") from exc
     stream = SensorStream.load_csv(subject.gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AirborneError, IncompleteTrainingError, SingularityError
+from .errors import (AirborneError, IncompleteTrainingError,
+                     InsufficientDataError, SingularityError)
 from .streams import SensorStream
 
 MODEL_SCHEMA_VERSION = 1
@@ -164,47 +165,40 @@ def train(data: TrainingSet, ridge: float | None = None) -> GaitRegressor:
     return GaitRegressor(weights=Y, rmse=rmse, metadata=meta)
 
 
-def _stage_kind(tag: str) -> str:
-    return STAGE_TREADMILL if str(tag).startswith(STAGE_TREADMILL) else str(tag)
-
-
 def training_session_builder(stream: SensorStream) -> TrainingSet:
     """Assemble a TrainingSet from a staged protocol recording.
 
     Swing stages get the constant label of the grounded foot (+1 for
     right-leg swings, -1 for left-leg swings), keeping only samples whose
     sole loads actually show that single support.  Treadmill samples are
-    labelled by load share; airborne samples are discarded.
+    labelled by load share; airborne samples are discarded.  Raises
+    InsufficientDataError when no more than 6 samples are left.
     """
     if stream.stage is None:
         raise IncompleteTrainingError("any (stream carries no stage tags)")
-    kinds = {_stage_kind(tag) for tag in stream.stage}
+    tags = stream.stage.astype(str)
+    kinds = {STAGE_TREADMILL if tag.startswith(STAGE_TREADMILL) else tag
+             for tag in np.unique(tags).tolist()}
     for required in (STAGE_LEFT_SWING, STAGE_RIGHT_SWING, STAGE_TREADMILL):
         if required not in kinds:
             raise IncompleteTrainingError(required)
 
-    rows, labels, tags = [], [], []
-    for i in range(len(stream)):
-        tag = str(stream.stage[i])
-        kind = _stage_kind(tag)
-        left = stream.left_load[i]
-        right = stream.right_load[i]
-        try:
-            share = label_from_soles(left, right)
-        except AirborneError:
-            continue
-        if kind == STAGE_LEFT_SWING:
-            if share > -_SWING_SHARE_THRESHOLD:
-                continue
-            label = -1.0
-        elif kind == STAGE_RIGHT_SWING:
-            if share < _SWING_SHARE_THRESHOLD:
-                continue
-            label = 1.0
-        else:
-            label = share
-        rows.append(stream.q[i])
-        labels.append(label)
-        tags.append(tag)
-    return TrainingSet(q=np.asarray(rows), labels=np.asarray(labels),
-                       tags=np.asarray(tags, dtype=object))
+    # label_from_soles over the columns, with the same comparisons
+    left, right = stream.left_load, stream.right_load
+    if np.any(left < 0) or np.any(right < 0):
+        raise ValueError("sole loads must be non-negative")
+    total = left + right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = (left - right) / total
+    is_left = tags == STAGE_LEFT_SWING
+    is_right = tags == STAGE_RIGHT_SWING
+    keep = ((total != 0) & ~(is_left & (share > -_SWING_SHARE_THRESHOLD))
+            & ~(is_right & (share < _SWING_SHARE_THRESHOLD)))
+    usable = int(np.count_nonzero(keep))
+    if usable <= 6:
+        raise InsufficientDataError(
+            f"only {usable} usable training samples, need more than 6 "
+            f"(airborne and off-signature swing samples are discarded)")
+    labels = np.where(is_left, -1.0, np.where(is_right, 1.0, share))
+    return TrainingSet(q=stream.q[keep], labels=labels[keep],
+                       tags=tags[keep].astype(object))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.signal
 
-from exobench.biosignal import (FeatureWindow, PhysioSession, detect_beats,
-                                gsr_decompose, hr_rmssd, lf_power,
-                                respiration_rate, windowed_features)
+from exobench.biosignal import (FeatureWindow, PhysioSession, _butter_sos,
+                                detect_beats, gsr_decompose, hr_rmssd,
+                                lf_power, respiration_rate, windowed_features)
 from exobench.errors import (DataQualityError, InsufficientDataError,
                              SchemaError)
 
@@ -27,7 +28,7 @@ class TestDetectBeats:
         truth = np.arange(0.5, 59.6, 1.0)  # one beat per second
         ecg = synthetic_ecg(truth, fs, 60.0)
         det = detect_beats(ecg, fs)
-        assert det.clean
+        assert not det.gaps
         iv = np.diff(det.times) * 1000.0
         hr, _ = hr_rmssd(iv)
         assert abs(hr - 60.0) < 1.0
@@ -38,7 +39,6 @@ class TestDetectBeats:
         det = detect_beats(ecg, fs)
         assert det.times.size == 0
         assert len(det.gaps) > 0
-        assert not det.clean
 
     def test_noisy_detection_within_20ms(self):
         fs = 250.0
@@ -58,6 +58,124 @@ class TestDetectBeats:
     def test_rejects_low_rate(self):
         with pytest.raises(ValueError):
             detect_beats(np.zeros(1000), fs=100.0)
+
+
+def detect_beats_loop(ecg, fs):
+    """``detect_beats`` written with a Python loop per one-second block and
+    per peak: the reference for its array operations."""
+    x = np.asarray(ecg, dtype=float)
+    block = int(fs)
+    gaps = []
+    flat_mask = np.zeros(x.size, dtype=bool)
+    for b in range(x.size // block):
+        if np.ptp(x[b * block:(b + 1) * block]) < 1e-9:
+            flat_mask[b * block:(b + 1) * block] = True
+            gaps.append((b * block / fs, (b + 1) * block / fs))
+    if np.all(flat_mask):
+        return np.empty(0), gaps
+    sos = scipy.signal.butter(2, [5.0, 18.0], btype="bandpass", fs=fs,
+                              output="sos")
+    band = scipy.signal.sosfiltfilt(sos, x)
+    win = max(1, int(0.15 * fs))
+    env = np.convolve(band * band, np.ones(win) / win, mode="same")
+    env[flat_mask] = 0.0
+    height = 0.2 * np.percentile(env[~flat_mask], 98)
+    if height <= 0:
+        return np.empty(0), gaps
+    peaks, _ = scipy.signal.find_peaks(env, height=height,
+                                       distance=max(1, int(0.25 * fs)))
+    half = int(0.05 * fs)
+    times = []
+    for p in peaks:
+        lo = max(0, p - half)
+        hi = min(x.size, p + half + 1)
+        times.append((lo + int(np.argmax(np.abs(band[lo:hi])))) / fs)
+    times = np.asarray(sorted(set(times)))
+    if times.size > 1:
+        keep = np.concatenate([[True], np.diff(times) > 0.125])
+        times = times[keep]
+    return times, gaps
+
+
+def edge_beats_ecg(fs, duration):
+    """Noisy ECG with R-spikes 0.02 s from both ends."""
+    truth = np.concatenate([[0.02], np.arange(0.5, duration - 0.3, 0.7),
+                            [duration - 0.02]])
+    return synthetic_ecg(truth, fs, duration, noise_sigma=0.02, seed=5)
+
+
+class TestDetectBeatsMatchesLoop:
+    # the extra 0.37 s makes the length no multiple of fs
+    @pytest.mark.parametrize("fs", [250.0, 360.0])
+    @pytest.mark.parametrize("extra_s", [0.0, 0.37])
+    @pytest.mark.parametrize("flat", ["none", "first", "last", "all_but_one",
+                                      "all"])
+    def test_bit_for_bit(self, fs, extra_s, flat):
+        ecg = edge_beats_ecg(fs, 12.0 + extra_s)
+        block = int(fs)
+        nblock = ecg.size // block
+        blocks = {"none": [], "first": [0, 1], "last": [nblock - 1],
+                  "all_but_one": [b for b in range(nblock) if b != 4],
+                  "all": range(nblock)}[flat]
+        for b in blocks:
+            ecg[b * block:(b + 1) * block] = 0.25
+        if flat == "all":
+            ecg[nblock * block:] = 0.25
+        times, gaps = detect_beats_loop(ecg, fs)
+        det = detect_beats(ecg, fs)
+        assert det.times.tobytes() == times.tobytes()
+        assert det.gaps == gaps
+        assert len(gaps) == len(blocks)
+
+    @pytest.mark.parametrize("fs", [250.0, 360.0])
+    @pytest.mark.parametrize("ends_peak", [False, True])
+    def test_refinement_window_clipped_at_both_ends(self, fs, ends_peak,
+                                                    monkeypatch):
+        # the smoothed envelope never peaks within 0.05 s of an end, so
+        # envelope peaks are added there to reach the clipped windows; with
+        # ends_peak, |band| is largest, and tied, on the two end samples
+        ecg = edge_beats_ecg(fs, 12.37)
+        half = int(0.05 * fs)
+        n = ecg.size
+        real_find_peaks = scipy.signal.find_peaks
+        real_sosfiltfilt = scipy.signal.sosfiltfilt
+
+        def find_peaks(env, **kwargs):
+            peaks, props = real_find_peaks(env, **kwargs)
+            edges = [0, 1, half - 1, half, n - half - 1, n - half, n - 1]
+            return np.union1d(peaks, edges), props
+
+        def sosfiltfilt(sos, x):
+            band = real_sosfiltfilt(sos, x)
+            if ends_peak and x.size == n:
+                top = 3.0 * np.max(np.abs(band))
+                band[[0, 1, -2, -1]] = [top, -top, -top, top]
+            return band
+
+        monkeypatch.setattr(scipy.signal, "find_peaks", find_peaks)
+        monkeypatch.setattr(scipy.signal, "sosfiltfilt", sosfiltfilt)
+        times, gaps = detect_beats_loop(ecg, fs)
+        det = detect_beats(ecg, fs)
+        assert det.times.tobytes() == times.tobytes()
+        assert det.gaps == gaps
+        assert times[0] < 0.05 and times[-1] > (n - half) / fs
+        if ends_peak:   # the first of the tied end samples
+            assert times[0] == 0.0
+
+
+def test_filter_design_is_cached_read_only_and_matches_butter():
+    sos = _butter_sos((5.0, 18.0), "bandpass", 250.0)
+    assert not sos.flags.writeable
+    assert _butter_sos((5.0, 18.0), "bandpass", 250.0) is sos
+    with pytest.raises(ValueError):
+        sos[0, 0] = 1.0
+    fresh = scipy.signal.butter(2, [5.0, 18.0], btype="bandpass", fs=250.0,
+                                output="sos")
+    assert sos.tobytes() == fresh.tobytes()
+    low = _butter_sos(0.05, "lowpass", 15.0)
+    assert not low.flags.writeable
+    assert low.tobytes() == scipy.signal.butter(
+        2, 0.05, btype="lowpass", fs=15.0, output="sos").tobytes()
 
 
 class TestHrRmssd:

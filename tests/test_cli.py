@@ -29,6 +29,16 @@ def _python(*args):
                           text=True, env=env)
 
 
+def _make_airborne(path):
+    """Zero both sole loads on every row of a stream CSV, keeping its tags."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows[1:]:
+        row[7] = row[8] = "0.0"
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
 @pytest.fixture(scope="module")
 def calibration(tmp_path_factory):
     path = tmp_path_factory.mktemp("calib") / "calibration.json"
@@ -65,6 +75,18 @@ class TestSimAndTrain:
         assert main(["train", str(data), "--out",
                      str(tmp_path / "m.json")]) == 2
         assert "right_swing" in capsys.readouterr().err
+
+    def test_all_airborne_training_exits_one_naming_file(self, tmp_path):
+        data = tmp_path / "training.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "3"])
+        _make_airborne(data)
+        proc = _python("-m", "exobench.cli", "train", str(data), "--out",
+                       str(tmp_path / "m.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {data}: only 0 usable training samples, need more than "
+            f"6 (airborne and off-signature swing samples are discarded)\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_corrupt_csv_exits_one_with_line(self, tmp_path, capsys):
         data = tmp_path / "training.csv"
@@ -296,6 +318,19 @@ class TestAnalyze:
         assert proc.stderr.startswith(
             f"error: {path}: no settled command pairs to measure")
         assert f"first {WARMUP_S} s" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_all_airborne_training_exits_one_naming_it(
+            self, session_set, tmp_path):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s02" / "training.csv"
+        _make_airborne(path)
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            f"error: {path}: only 0 usable training samples")
         assert "Traceback" not in proc.stderr
 
     def test_controller_reports_torque_magnitude(self, tmp_path):

@@ -138,11 +138,15 @@ class TestLookupTables:
         bp = np.linspace(-4.0, 4.0, 81)
         tab = LookupTable1D(bp, np.tanh(bp / 0.2))
         rng = np.random.default_rng(3)
-        # breakpoints, signed zeros, both ends, beyond them, and random
+        # breakpoints, signed zeros, both ends, beyond them, NaN of either
+        # sign, infinities, and random
         x = np.concatenate([bp, [0.0, -0.0, -4.0, 4.0, -9.0, 9.0],
+                            [np.nan, -np.nan, np.inf, -np.inf],
                             np.nextafter(bp, np.inf), rng.uniform(-5, 5, 2000)])
         expected = np.array([tab(v) for v in x.tolist()])
-        assert tab.evaluate_array(x).tobytes() == expected.tobytes()
+        with np.errstate(invalid="ignore"):   # inf * 0 in the clamped lanes
+            assert tab.evaluate_array(x).tobytes() == expected.tobytes()
+        assert math.isnan(tab(math.nan))
 
     def test_missing_actuated_table_is_configuration_error(self):
         flat = LookupTable1D([-1.0, 1.0], [0.0, 0.0])

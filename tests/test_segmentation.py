@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exobench.errors import (AirborneError, IncompleteTrainingError,
-                             SingularityError)
+                             InsufficientDataError, SingularityError)
 from exobench.segmentation import (GaitRegressor, TrainingSet,
                                    label_from_soles, train,
                                    training_session_builder)
@@ -188,6 +188,89 @@ class TestTrainingSessionBuilder:
         ])
         ts = training_session_builder(stream)
         assert np.sum(ts.tags == "left_swing") == 20
+
+
+def build_loop(stream):
+    """``training_session_builder`` written as a loop over samples calling
+    ``label_from_soles``: the reference for its array operations."""
+    rows, labels, tags = [], [], []
+    for i in range(len(stream)):
+        tag = str(stream.stage[i])
+        try:
+            share = label_from_soles(stream.left_load[i], stream.right_load[i])
+        except AirborneError:
+            continue
+        if tag == "left_swing":
+            if share > -0.9:
+                continue
+            label = -1.0
+        elif tag == "right_swing":
+            if share < 0.9:
+                continue
+            label = 1.0
+        else:
+            label = share
+        rows.append(stream.q[i])
+        labels.append(label)
+        tags.append(tag)
+    return np.asarray(rows), np.asarray(labels), tags
+
+
+class TestBuilderMatchesLoop:
+    def test_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        edge = np.array([0.9, -0.9])
+        shares = np.concatenate([edge, np.nextafter(edge, 0.0),
+                                 np.nextafter(edge, 2 * edge),
+                                 [1.0, -1.0, 0.0], rng.uniform(-1, 1, 40)])
+        left = 250.0 * (1.0 + shares)   # L + R = 500 N, share near `shares`
+        right = 500.0 - left
+        n = left.size
+        tags = ["left_swing", "right_swing", "treadmill_1.0", "treadmill",
+                "cool_down"]
+        q, ll, rl, tg = [], [], [], []
+        for tag in tags:
+            q.append(rng.normal(size=(n + 3, 6)))
+            ll += [*left, 0.0, 0.0, 300.0]     # two airborne rows
+            rl += [*right, 0.0, 0.0, 0.0]
+            tg += [tag] * (n + 3)
+        stream = SensorStream(t=np.arange(len(tg)) * 0.01, q=np.vstack(q),
+                              left_load=np.asarray(ll),
+                              right_load=np.asarray(rl),
+                              stage=np.asarray(tg, dtype=object))
+        rows, labels, ref_tags = build_loop(stream)
+        ts = training_session_builder(stream)
+        assert ts.q.tobytes() == rows.tobytes()
+        assert ts.labels.tobytes() == labels.tobytes()
+        assert ts.tags.tolist() == ref_tags
+        assert all(type(tag) is str for tag in ts.tags)
+        # both sides of +-0.9 reach the swing stages
+        kept = ts.labels[ts.tags == "left_swing"].size
+        assert 0 < kept < n
+        assert len(ts) < len(stream) - 2 * len(tags)
+
+    def test_negative_load_same_message(self):
+        stream = staged_stream([
+            ("left_swing", 20, 0.0, 400.0),
+            ("right_swing", 20, 400.0, 0.0),
+            ("treadmill_1.0", 30, 200.0, 200.0),
+            ("treadmill_1.5", 1, 210.0, -1.0),
+        ])
+        message = "^sole loads must be non-negative$"
+        with pytest.raises(ValueError, match=message):
+            build_loop(stream)
+        with pytest.raises(ValueError, match=message):
+            training_session_builder(stream)
+
+    def test_too_few_usable_samples_named(self):
+        stream = staged_stream([
+            ("left_swing", 3, 0.0, 400.0),
+            ("right_swing", 3, 400.0, 0.0),
+            ("treadmill_1.0", 30, 0.0, 0.0),   # airborne
+        ])
+        with pytest.raises(InsufficientDataError,
+                           match="only 6 usable training samples"):
+            training_session_builder(stream)
 
 
 class TestPersistence:
