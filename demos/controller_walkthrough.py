@@ -5,9 +5,9 @@ controller over synthetic gait and look at what the blending buys.
 import numpy as np
 
 from exobench import (CompensationTables, ControlLoop, GaitPattern,
-                      StanceModel, generate_cycle, generate_training_protocol,
-                      label_from_soles, replay, train,
-                      training_session_builder)
+                      GaitRegressor, StanceModel, generate_cycle,
+                      generate_training_protocol, label_from_soles, replay,
+                      train, training_session_builder)
 
 # 1. the ~2 minute training recording: swings, then a treadmill sweep
 protocol = generate_training_protocol(seed=7)
@@ -43,9 +43,10 @@ print(f"step time: p50 {timing.p50_us:.1f} us, p95 {timing.p95_us:.1f} us, "
 print(f"torque jumps: median {smooth.median_jump:.3f} Nm, "
       f"max {smooth.max_jump:.3f} Nm, ratio {smooth.jump_ratio:.2f}")
 
-# 4. the counterfactual: hard switching at phase zero instead of blending
-hard = replay(corpus, ControlLoop(left, right, regressor, tables,
-                                  blending="hard"))
+# 4. the counterfactual: hard switching at phase zero instead of blending.
+# Weights scaled by 1e6 drive the gains to 0 or 1 within one frame.
+switch = GaitRegressor(weights=regressor.weights * 1e6, rmse=regressor.rmse)
+hard = replay(corpus, ControlLoop(left, right, switch, tables))
 hs = hard.smoothness()
 print(f"\nhard switching instead of blending: max jump {hs.max_jump:.1f} Nm, "
       f"ratio {hs.jump_ratio:.1f}")

@@ -12,8 +12,7 @@ The package has two halves that meet in the CLI:
 """
 
 from .biosignal import (FeatureWindow, PhysioSession, detect_beats,
-                        gsr_decompose, hr_rmssd, lf_power, load_features_csv,
-                        respiration_rate, save_features_csv,
+                        gsr_decompose, hr_rmssd, lf_power, respiration_rate,
                         windowed_features)
 from .blend import AssistCommand, BlendGains, ControlLoop, blend_gains, gains
 from .dynamics import (ACTUATED_JOINTS, ACTUATED_MASK, JOINTS,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
-from .streams import bad_line_error, not_utf8_error
+from .streams import bad_line_error, canonical_json, not_utf8_error
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -29,6 +29,11 @@ PHASES = (PHASE_SIT, PHASE_SIT_EXO, PHASE_WALK)
 
 SIT_DURATION_S = 240.0
 WALK_DURATION_S = 960.0
+
+# channel sample rates of the protocol's recordings, Hz
+ECG_FS = 250.0
+RESP_FS = 25.0
+GSR_FS = 15.0
 
 LF_BAND = (0.04, 0.15)
 TOTAL_BAND = (0.04, 0.4)
@@ -289,13 +294,13 @@ class PhysioSession:
 
     markers: dict
     ecg: np.ndarray | None = None
-    ecg_fs: float = 250.0
+    ecg_fs: float = ECG_FS
     beat_intervals_ms: np.ndarray | None = None
     respiration: np.ndarray | None = None
-    respiration_fs: float = 25.0
+    respiration_fs: float = RESP_FS
     breath_times: np.ndarray | None = None
     gsr: np.ndarray | None = None
-    gsr_fs: float = 15.0
+    gsr_fs: float = GSR_FS
     _beats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -375,8 +380,7 @@ class PhysioSession:
             "markers": {p: list(self.markers[p]) for p in PHASES},
         }
         with open(directory / "manifest.json", "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(canonical_json(manifest))
 
     @classmethod
     def load(cls, directory) -> "PhysioSession":
@@ -410,10 +414,10 @@ class PhysioSession:
         resp, resp_fs = read("respiration")
         marks, _ = read("breath_times")
         gsr, gsr_fs = read("gsr")
-        return cls(markers=markers, ecg=ecg, ecg_fs=ecg_fs or 250.0,
+        return cls(markers=markers, ecg=ecg, ecg_fs=ecg_fs or ECG_FS,
                    beat_intervals_ms=beats, respiration=resp,
-                   respiration_fs=resp_fs or 25.0, breath_times=marks,
-                   gsr=gsr, gsr_fs=gsr_fs or 15.0)
+                   respiration_fs=resp_fs or RESP_FS, breath_times=marks,
+                   gsr=gsr, gsr_fs=gsr_fs or GSR_FS)
 
 
 def _bad_channel_line(path, name) -> ValueError:
@@ -456,38 +460,6 @@ class FeatureWindow:
         for name in self.FEATURES:
             d[name] = self.feature(name)
         return d
-
-
-def save_features_csv(windows, path):
-    """Write FeatureWindow rows to CSV (empty cell = unavailable)."""
-    names = FeatureWindow.FEATURES
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("phase,start,stop," + ",".join(names) + "\n")
-        for fw in windows:
-            cells = [fw.phase, repr(fw.start), repr(fw.stop)]
-            for name in names:
-                v = fw.feature(name)
-                cells.append("" if v is None else repr(v))
-            f.write(",".join(cells) + "\n")
-
-
-def load_features_csv(path) -> list:
-    """Read rows written by save_features_csv."""
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        expected = ["phase", "start", "stop"] + list(FeatureWindow.FEATURES)
-        if header != expected:
-            raise SchemaError(f"{path}: unexpected header")
-        for line in f:
-            cells = line.rstrip("\n").split(",")
-            fw = FeatureWindow(phase=cells[0], start=float(cells[1]),
-                               stop=float(cells[2]))
-            for name, cell in zip(FeatureWindow.FEATURES, cells[3:]):
-                if cell:
-                    setattr(fw, name, float(cell))
-            out.append(fw)
-    return out
 
 
 def _window_intervals(beats: np.ndarray, start: float, stop: float):

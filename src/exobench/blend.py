@@ -92,24 +92,17 @@ class ControlLoop:
     blended assistance command.  Gains come from ``gains``, so a
     non-finite phase raises ValueError before the estimator or any torque
     sees the frame.  ``rate`` (Hz) sets the period replay counts overruns
-    against.  ``blending='hard'`` switches stance models at phase zero
-    instead of mixing them: it feeds ``gains`` the finite phase saturated
-    to +-1, while the command still logs the regressed phase.  Hard
-    blending exists to demonstrate what the blend buys and must not be
-    used for assistance.
+    against.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
                  regressor: GaitRegressor, tables: CompensationTables,
-                 rate: float = 5000.0, blending: str = "smooth"):
-        if blending not in ("smooth", "hard"):
-            raise ValueError("blending must be 'smooth' or 'hard'")
+                 rate: float = 5000.0):
         self.left = left
         self.right = right
         self.regressor = regressor
         self.tables = tables
         self.rate = rate
-        self.blending = blending
         self.estimator = AccelerationEstimator()
         self._last_t = None
 
@@ -133,10 +126,7 @@ class ControlLoop:
                 f"frame at t={t} after t={last}")
         q = frame.q
         raw = self.regressor.phase(q)
-        if self.blending == "smooth" or not isfinite(raw):
-            gl, gr = gains(raw)   # rejects a non-finite phase
-        else:
-            gl, gr = gains(1.0 if raw >= 0.0 else -1.0)
+        gl, gr = gains(raw)   # rejects a non-finite phase
         qd, qdd = self.estimator.push(t, q)
         degraded = qd is None
         if degraded:

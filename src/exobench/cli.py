@@ -48,7 +48,10 @@ def cmd_sim(args) -> int:
     out = Path(args.out)
     if args.kind == "session-set":
         subjects = 5 if args.subjects is None else args.subjects
-        manifest = synth_session_set(out, subjects=subjects, seed=seed)
+        given = {name: value for name, value in (("control_rate", args.rate),
+                                                 ("gait_seconds", args.seconds))
+                 if value is not None}
+        manifest = synth_session_set(out, subjects=subjects, seed=seed, **given)
         print(f"session set with {len(manifest['subjects'])} subjects "
               f"written to {out}")
         return 0

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError
+from .streams import canonical_json
 
 JOINTS = ("RH", "RK", "RA", "LH", "LK", "LA")
 ACTUATED_JOINTS = ("RH", "RK", "LH", "LK")
@@ -59,6 +60,13 @@ TRACKER_RATE = 80.0  # 1/s, pole rate of the qd/qdd tracker
 # inertial term switches on with a step (1.29 Nm) about the size of the
 # largest steady jump (1.25 Nm); after 2/TRACKER_RATE the step is 4.5 Nm.
 WARMUP_S = 8 / TRACKER_RATE
+
+# friction and ripple of the synthetic device (see default_synthetic)
+FRICTION_VISCOUS = 0.6     # Nm per rad/s
+FRICTION_COULOMB = 0.8     # Nm
+FRICTION_SMOOTH_VEL = 0.2  # rad/s, tanh width of the Coulomb step
+RIPPLE_AMPLITUDE = 0.25    # Nm
+RIPPLE_CYCLES = 9.0        # per rad
 
 
 @dataclass(frozen=True)
@@ -322,13 +330,16 @@ class LookupTable1D:
 
     def evaluate_array(self, x) -> np.ndarray:
         """``__call__`` applied to every entry of a float array, with the
-        same interval search, interpolation formula and end clamps."""
+        same interval search, interpolation formula and end clamps.  The
+        interpolation runs on ``x`` clipped to the table, so an infinite
+        entry never meets a flat end segment as ``inf * 0``."""
         xs = self.breakpoints
         ys = self.values
-        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        xc = np.clip(x, xs[0], xs[-1])
+        i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
         x0 = xs[i]
         y0 = ys[i]
-        t = (x - x0) / (xs[i + 1] - x0)
+        t = (xc - x0) / (xs[i + 1] - x0)
         y = y0 + t * (ys[i + 1] - y0)
         return np.where(x <= xs[0], ys[0], np.where(x >= xs[-1], ys[-1], y))
 
@@ -388,14 +399,14 @@ class CompensationTables:
                    ripple={j: flat for j in ACTUATED_JOINTS})
 
     @classmethod
-    def default_synthetic(cls, viscous=0.6, coulomb=0.8, smooth_vel=0.2,
-                          ripple_amp=0.25, ripple_cycles=9.0) -> "CompensationTables":
+    def default_synthetic(cls) -> "CompensationTables":
         """Viscous + smoothed-Coulomb friction and sinusoidal ripple,
         sampled onto tables.  Stands in for a device calibration file."""
         qd_grid = np.linspace(-4.0, 4.0, 81)
-        fric = viscous * qd_grid + coulomb * np.tanh(qd_grid / smooth_vel)
+        fric = (FRICTION_VISCOUS * qd_grid
+                + FRICTION_COULOMB * np.tanh(qd_grid / FRICTION_SMOOTH_VEL))
         q_grid = np.linspace(-1.6, 1.6, 81)
-        rip = ripple_amp * np.sin(ripple_cycles * q_grid)
+        rip = RIPPLE_AMPLITUDE * np.sin(RIPPLE_CYCLES * q_grid)
         ftab = LookupTable1D(qd_grid, fric)
         rtab = LookupTable1D(q_grid, rip)
         return cls(friction={j: ftab for j in ACTUATED_JOINTS},
@@ -572,8 +583,7 @@ def save_calibration(path, params: ExoParams, tables: CompensationTables):
         "ripple_tables": {j: tables.ripple[j].to_dict() for j in ACTUATED_JOINTS},
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(canonical_json(doc))
 
 
 def load_calibration(path):

@@ -28,6 +28,9 @@ INPUT_NAMES = ("hr", "rmssd", "rr", "scr", "scl", "lf")
 OUTPUT_NAMES = ("stress", "energy", "attention", "fatigue")
 LEVEL_NAMES = ("low", "medium", "high")
 
+# scores cover the last five walking minutes (one-minute windows)
+SCORED_WALK_WINDOWS = 5
+
 # FeatureWindow field feeding each fuzzy input
 FEATURE_FOR_INPUT = {
     "hr": "hr",
@@ -296,13 +299,13 @@ class PIScores:
                 "degraded": list(self.degraded)}
 
 
-def normalize(walk: list[FeatureWindow], sit: list[FeatureWindow],
-              last_n: int = 5) -> list[NormalizedInputs]:
-    """Ratio-normalise the last ``last_n`` walking windows against the
-    sit-phase mean of each feature."""
-    if len(walk) < last_n:
-        raise InsufficientDataError(
-            f"need at least {last_n} walking windows, got {len(walk)}")
+def normalize(walk: list[FeatureWindow],
+              sit: list[FeatureWindow]) -> list[NormalizedInputs]:
+    """Ratio-normalise the last ``SCORED_WALK_WINDOWS`` walking windows
+    against the sit-phase mean of each feature."""
+    if len(walk) < SCORED_WALK_WINDOWS:
+        raise InsufficientDataError(f"need at least {SCORED_WALK_WINDOWS} "
+                                    f"walking windows, got {len(walk)}")
     if not sit:
         raise InsufficientDataError("need at least one sit window")
     baseline = {}
@@ -310,7 +313,7 @@ def normalize(walk: list[FeatureWindow], sit: list[FeatureWindow],
         vals = [fw.feature(feat) for fw in sit if fw.feature(feat) is not None]
         baseline[name] = float(np.mean(vals)) if vals else None
     rows = []
-    for fw in walk[-last_n:]:
+    for fw in walk[-SCORED_WALK_WINDOWS:]:
         ratios = {}
         for name, feat in FEATURE_FOR_INPUT.items():
             v = fw.feature(feat)

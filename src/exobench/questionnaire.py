@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (IncompleteComparisonError, IncompleteResponseError,
                      SchemaError)
-from .streams import not_utf8_error
+from .streams import canonical_json, not_utf8_error
 
 EQ_SCHEMA_VERSION = 1
 
@@ -31,6 +31,8 @@ SUBFACTOR_COUNT = 16
 FACTOR_COUNT = 4
 CONTROL_PAIR_COUNT = 16
 LIKERT_MIN, LIKERT_MAX = 1, 7
+# a control pair's credit falls to zero over this many points past the first
+CONSISTENCY_DECAY_SPAN = 5.0
 
 TIE = "tie"
 
@@ -151,8 +153,7 @@ class EQDefinition:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(canonical_json(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "EQDefinition":
@@ -280,13 +281,13 @@ def factor_score(sub_scores: dict, weights: dict) -> float:
     return float(2.0 * total / (n * (n - 1)))
 
 
-def consistency(response: QuestionnaireResponse, definition: EQDefinition,
-                decay_span: float = 5.0) -> float:
+def consistency(response: QuestionnaireResponse,
+                definition: EQDefinition) -> float:
     """Consistency percentage from the control pairs.
 
     A pair scored within one point (after reversal adjustment) earns full
-    credit; larger discrepancies lose credit linearly over ``decay_span``
-    additional points.
+    credit; larger discrepancies lose credit linearly over
+    ``CONSISTENCY_DECAY_SPAN`` additional points.
     """
     missing = [i for p in definition.control_pairs
                for i in (p.original, p.control) if i not in response.scores]
@@ -299,7 +300,8 @@ def consistency(response: QuestionnaireResponse, definition: EQDefinition,
         if abs(d) <= 1:
             credits.append(1.0)
         else:
-            credits.append(min(1.0, max(0.0, 1.0 - (abs(d) - 1.0) / decay_span)))
+            lost = (abs(d) - 1.0) / CONSISTENCY_DECAY_SPAN
+            credits.append(min(1.0, max(0.0, 1.0 - lost)))
     return 100.0 * float(np.mean(credits))
 
 

@@ -35,7 +35,7 @@ from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
 from .segmentation import train, training_session_builder
 from .simulator import replay, replay_batch
-from .streams import SensorStream
+from .streams import SensorStream, canonical_json  # re-exported for the CLI
 from .synthdata import SET_SCHEMA_VERSION
 
 REPORT_SCHEMA_VERSION = 1
@@ -54,11 +54,6 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def canonical_json(doc: dict) -> str:
-    """Stable byte-for-byte serialisation used for all reports."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass

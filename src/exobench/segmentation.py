@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (AirborneError, IncompleteTrainingError,
                      InsufficientDataError, SingularityError)
-from .streams import SensorStream
+from .streams import SensorStream, canonical_json
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -110,8 +110,7 @@ class GaitRegressor:
             "metadata": self.metadata,
         }
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(canonical_json(doc))
 
     @classmethod
     def load(cls, path) -> "GaitRegressor":

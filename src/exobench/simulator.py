@@ -28,6 +28,8 @@ from .errors import OutOfOrderFrameError
 from .streams import SensorStream
 
 TREADMILL_SPEEDS_KMH = (1.0, 1.5, 2.0, 2.5, 3.0)
+SWINGS_PER_SIDE = 3          # leg-swing cycles per side in training
+TREADMILL_DURATION_S = 112.8  # split evenly over the treadmill speeds
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,11 @@ def generate_cycle(pattern: GaitPattern, rate: float, cycles: int,
     return _assemble(pattern, t, q, share, rng, stage)
 
 
-def _swing_stage(pattern: GaitPattern, side: str, swings: int, rate: float,
-                 rng, t_start: float) -> SensorStream:
+def _swing_stage(pattern: GaitPattern, side: str, rate: float, rng,
+                 t_start: float) -> SensorStream:
     """Leg-swing exercise: the grounded leg holds a mid-stance pose while
     the other sweeps its swing half-cycle back and forth."""
-    duration = swings * pattern.cycle_duration
+    duration = SWINGS_PER_SIDE * pattern.cycle_duration
     n = round(duration * rate)
     t = t_start + np.arange(n) / rate
     u = (t - t_start) / pattern.cycle_duration
@@ -201,26 +203,19 @@ def _swing_stage(pattern: GaitPattern, side: str, swings: int, rate: float,
 
 
 def generate_training_protocol(pattern: GaitPattern | None = None,
-                               seed: int = 0, rate: float = 100.0,
-                               swings: int = 3,
-                               speeds=TREADMILL_SPEEDS_KMH,
-                               treadmill_duration: float = 112.8) -> SensorStream:
+                               seed: int = 0, rate: float = 100.0) -> SensorStream:
     """The full training recording: left swings, right swings, then a
-    treadmill sweep over the speed steps.
-
-    Defaults give three swings per side plus five equal treadmill segments
-    and come to roughly two minutes at 100 Hz.
-    """
+    treadmill sweep over the speed steps, roughly two minutes in all."""
     pattern = pattern or GaitPattern()
     rng = np.random.default_rng(seed)
     parts = []
     t_cursor = 0.0
     for side in ("left", "right"):
-        part = _swing_stage(pattern, side, swings, rate, rng, t_cursor)
+        part = _swing_stage(pattern, side, rate, rng, t_cursor)
         parts.append(part)
         t_cursor = part.t[-1] + 1.0 / rate
-    seg_duration = treadmill_duration / len(speeds)
-    for speed in speeds:
+    seg_duration = TREADMILL_DURATION_S / len(TREADMILL_SPEEDS_KMH)
+    for speed in TREADMILL_SPEEDS_KMH:
         pat_v = pattern.at_speed(speed)
         cycles = max(1, round(seg_duration / pat_v.cycle_duration))
         part = generate_cycle(pat_v, rate, cycles, seed=rng.integers(2**32),
@@ -373,9 +368,9 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     gains, torques, degraded flags and dropped-frame count bit for bit,
     without step times.
 
-    Honours the loop's blending and raises ValueError where
-    ``ControlLoop.step`` would (a non-finite timestamp, or a non-finite
-    phase on a kept frame).  It reads the loop's settings, never its state.
+    Raises ValueError where ``ControlLoop.step`` would (a non-finite
+    timestamp, or a non-finite phase on a kept frame).  It reads the loop's
+    parts, never its state.
     """
     t_all = stream.t
     finite = np.isfinite(t_all)
@@ -388,10 +383,7 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     t = t_all[keep]
     q = stream.q[keep]
     raw = loop.regressor.phase_array(q)
-    if loop.blending == "smooth" or not np.all(np.isfinite(raw)):
-        gl, gr = blend_gains(raw)   # rejects a non-finite phase
-    else:
-        gl, gr = blend_gains(np.where(raw >= 0.0, 1.0, -1.0))
+    gl, gr = blend_gains(raw)   # rejects a non-finite phase
     qd, qdd, ready = loop.estimator.estimate_array(t, q)
     tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
                                loop.tables)

@@ -27,6 +27,7 @@ numbers count CSV records from 1 for the header.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,9 +47,6 @@ class SensorFrame(NamedTuple):
 
     t: float
     q: tuple
-    left_load: float
-    right_load: float
-    stage: str = ""
 
 
 @dataclass
@@ -79,14 +77,8 @@ class SensorStream:
 
     def frames(self) -> Iterator[SensorFrame]:
         """Yield per-sample frames with native-float payloads."""
-        stage = self.stage
-        t = self.t.tolist()
-        q_rows = self.q.tolist()
-        left = self.left_load.tolist()
-        right = self.right_load.tolist()
-        for i in range(len(t)):
-            yield SensorFrame(t[i], tuple(q_rows[i]), left[i], right[i],
-                              "" if stage is None else str(stage[i]))
+        for t, q in zip(self.t.tolist(), self.q.tolist()):
+            yield SensorFrame(t, tuple(q))
 
     def head(self, n: int) -> "SensorStream":
         """The first ``n`` samples (all of them if the stream is shorter)."""
@@ -159,6 +151,12 @@ def _bad_csv_line(path) -> ValueError:
     return (not_utf8_error(path, ((n, ",".join(row)) for n, row in records))
             or bad_line_error(path, (r for r in records[1:] if r[1]),
                               CSV_HEADER[:9], len(CSV_HEADER)))
+
+
+def canonical_json(doc: dict) -> str:
+    """Stable byte-for-byte serialisation of every JSON file exobench
+    writes: sorted keys, two-space indent, one trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def parse_cell(cell: str) -> float:

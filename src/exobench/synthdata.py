@@ -10,52 +10,54 @@ for the controller.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .biosignal import (PHASE_SIT, PHASE_SIT_EXO, PHASE_WALK, PhysioSession,
-                        SIT_DURATION_S, WALK_DURATION_S)
+from .biosignal import (ECG_FS, GSR_FS, PHASE_SIT, PHASE_SIT_EXO, PHASE_WALK,
+                        RESP_FS, SIT_DURATION_S, WALK_DURATION_S,
+                        PhysioSession)
 from .dynamics import CompensationTables, ExoParams, save_calibration
 from .fuzzy import default_fuzzy_model
 from .questionnaire import (EQDefinition, QuestionnaireResponse, TIE,
                             default_definition, reverse_map,
                             save_preferences_csv, save_responses_csv)
 from .simulator import GaitPattern, generate_cycle, generate_training_protocol
+from .streams import canonical_json
 
 SET_SCHEMA_VERSION = 1
 
 SIT_EXO_DURATION_S = 180.0
 
+SCR_RISE_S = 0.6     # skin-conductance response rise time constant
+SCR_DECAY_S = 2.8    # and its recovery time constant
+LEVEL_BLEND_S = 45.0  # width of the tanh crossfade between phase levels
 
-def _scr_bumps(t, onsets, amplitudes, rise=0.6, decay=2.8):
+
+def _scr_bumps(t, onsets, amplitudes):
     x = np.zeros_like(t)
     for onset, amp in zip(onsets, amplitudes):
         dt = np.maximum(t - onset, 0.0)
-        x += amp * np.where(t > onset,
-                            (1 - np.exp(-dt / rise)) * np.exp(-dt / decay), 0.0)
+        x += amp * np.where(t > onset, (1 - np.exp(-dt / SCR_RISE_S))
+                            * np.exp(-dt / SCR_DECAY_S), 0.0)
     return x
 
 
-def _smooth_level(t, boundaries, levels, blend_s=45.0):
+def _smooth_level(t, boundaries, levels):
     """Piecewise level with tanh crossfades at the phase boundaries."""
     out = np.full_like(t, levels[0], dtype=float)
     for b, (lo, hi) in zip(boundaries, zip(levels, levels[1:])):
-        out += (hi - lo) * 0.5 * (1.0 + np.tanh((t - b) / (blend_s / 2.0)))
+        out += (hi - lo) * 0.5 * (1.0 + np.tanh((t - b) / (LEVEL_BLEND_S / 2.0)))
     return out
 
 
-def synth_physio_session(seed: int = 0, sit_s: float = SIT_DURATION_S,
-                         sit_exo_s: float = SIT_EXO_DURATION_S,
-                         walk_s: float = WALK_DURATION_S,
-                         ecg_fs: float = 250.0, resp_fs: float = 25.0,
-                         gsr_fs: float = 15.0) -> PhysioSession:
-    """One subject's recording with the protocol's phase structure."""
+def synth_physio_session(seed: int = 0) -> PhysioSession:
+    """One subject's recording with the protocol's phase structure and
+    channel rates."""
     rng = np.random.default_rng(seed)
-    t_sit_exo = sit_s
-    t_walk = sit_s + sit_exo_s
-    total = t_walk + walk_s
+    t_sit_exo = SIT_DURATION_S
+    t_walk = t_sit_exo + SIT_EXO_DURATION_S
+    total = t_walk + WALK_DURATION_S
 
     hr_sit = 76.0 + rng.uniform(0.0, 5.0)
     hr_walk = 112.0 + rng.uniform(0.0, 9.0)
@@ -82,28 +84,28 @@ def synth_physio_session(seed: int = 0, sit_s: float = SIT_DURATION_S,
         beats.append(t + interval_ms / 1000.0)
     beats = np.asarray(beats[:-1])
 
-    n_ecg = int(total * ecg_fs)
-    t_ecg = np.arange(n_ecg) / ecg_fs
+    n_ecg = int(total * ECG_FS)
+    t_ecg = np.arange(n_ecg) / ECG_FS
     ecg = rng.normal(scale=0.02, size=n_ecg)
     ecg += 0.05 * np.sin(2 * np.pi * 0.33 * t_ecg)  # baseline wander
-    half = int(0.06 * ecg_fs)
+    half = int(0.06 * ECG_FS)
     width = 0.012
     for bt in beats:
-        c = int(bt * ecg_fs)
+        c = int(bt * ECG_FS)
         lo, hi = max(0, c - half), min(n_ecg, c + half + 1)
         ecg[lo:hi] += np.exp(-0.5 * ((t_ecg[lo:hi] - bt) / width) ** 2)
 
     rr_sit = 18.0 + rng.uniform(0.0, 2.0)
     rr_walk = 29.0 + rng.uniform(0.0, 3.0)
-    n_resp = int(total * resp_fs)
-    t_resp = np.arange(n_resp) / resp_fs
+    n_resp = int(total * RESP_FS)
+    t_resp = np.arange(n_resp) / RESP_FS
     rr_profile = _smooth_level(t_resp, [t_sit_exo, t_walk],
                                [rr_sit, rr_sit + 1.0, rr_walk])
-    phase = 2 * np.pi * np.cumsum(rr_profile / 60.0) / resp_fs
+    phase = 2 * np.pi * np.cumsum(rr_profile / 60.0) / RESP_FS
     resp = np.sin(phase) + rng.normal(scale=0.05, size=n_resp)
 
-    n_gsr = int(total * gsr_fs)
-    t_gsr = np.arange(n_gsr) / gsr_fs
+    n_gsr = int(total * GSR_FS)
+    t_gsr = np.arange(n_gsr) / GSR_FS
     scl_sit = 4.6 + rng.uniform(0.0, 0.5)
     scl = _smooth_level(t_gsr, [t_sit_exo, t_walk],
                         [scl_sit, scl_sit - 0.1, scl_sit + 0.6])
@@ -120,12 +122,10 @@ def synth_physio_session(seed: int = 0, sit_s: float = SIT_DURATION_S,
     gsr += rng.normal(scale=0.002, size=n_gsr)
     gsr = np.maximum(gsr, 0.05)
 
-    markers = {PHASE_SIT: (0.0, sit_s),
+    markers = {PHASE_SIT: (0.0, t_sit_exo),
                PHASE_SIT_EXO: (t_sit_exo, t_walk),
                PHASE_WALK: (t_walk, total)}
-    return PhysioSession(markers=markers, ecg=ecg, ecg_fs=ecg_fs,
-                         respiration=resp, respiration_fs=resp_fs,
-                         gsr=gsr, gsr_fs=gsr_fs)
+    return PhysioSession(markers=markers, ecg=ecg, respiration=resp, gsr=gsr)
 
 
 def synth_questionnaire_response(definition: EQDefinition, seed: int = 0,
@@ -181,8 +181,7 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
     definition.save(root / "eq_definition.json")
     model = default_fuzzy_model()
     with open(root / "fuzzy_model.json", "w", encoding="utf-8") as f:
-        json.dump(model.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(canonical_json(model.to_dict()))
     save_calibration(root / "calibration.json", ExoParams(),
                      CompensationTables.default_synthetic())
 
@@ -220,6 +219,5 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
         },
     }
     with open(root / "set_manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(canonical_json(manifest))
     return manifest

@@ -18,7 +18,7 @@ from exobench.fuzzy import (INPUT_NAMES, OUTPUT_NAMES, NormalizedInputs,
                             default_fuzzy_model, infer)
 from exobench.questionnaire import (EQDefinition, default_definition,
                                     factor_score, reverse_map)
-from exobench.segmentation import (label_from_soles, train,
+from exobench.segmentation import (GaitRegressor, label_from_soles, train,
                                    training_session_builder)
 from exobench.simulator import GaitPattern, generate_cycle, \
     generate_training_protocol, replay
@@ -159,8 +159,11 @@ def test_continuity(trained_rig, capsys):
         report = smooth.smoothness()
         assert report.jump_ratio <= 10.0, (
             f"blended max/median jump {report.jump_ratio:.2f}")
-        hard = replay(corpus, ControlLoop(left, right, regressor, tables,
-                                          blending="hard"))
+        # weights scaled by 1e6 saturate the gains to 0 or 1 within a
+        # frame: a hard switch between the stance models at phase zero
+        switch = GaitRegressor(weights=regressor.weights * 1e6,
+                               rmse=regressor.rmse)
+        hard = replay(corpus, ControlLoop(left, right, switch, tables))
         hard_report = hard.smoothness()
         assert hard_report.jump_ratio > 10.0, (
             "hard switching should violate the smoothness bound "

@@ -397,21 +397,6 @@ class TestWindowedFeatures:
         assert r1 == r2
 
 
-class TestFeatureCsv:
-    def test_round_trip_preserves_values_and_gaps(self, tmp_path):
-        from exobench.biosignal import load_features_csv, save_features_csv
-        session = small_session()
-        windows = windowed_features(session)
-        windows[0].rr = None  # simulate an invalid cell
-        path = tmp_path / "features.csv"
-        save_features_csv(windows, path)
-        loaded = load_features_csv(path)
-        assert len(loaded) == len(windows)
-        assert loaded[0].rr is None
-        for a, b in zip(windows, loaded):
-            assert a.to_dict() == b.to_dict()
-
-
 class TestPhysioSession:
     def test_marker_validation(self):
         with pytest.raises(SchemaError):

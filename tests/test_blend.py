@@ -106,9 +106,9 @@ class TestAssist:
 
 
 class TestControlLoop:
-    def make_loop(self, rig, blending="smooth"):
+    def make_loop(self, rig):
         left, right, reg, tables = rig
-        return ControlLoop(left, right, reg, tables, blending=blending)
+        return ControlLoop(left, right, reg, tables)
 
     def test_steps_produce_monotone_timestamps(self, rig):
         loop = self.make_loop(rig)
@@ -121,14 +121,14 @@ class TestControlLoop:
 
     def test_out_of_order_frame_dropped(self, rig):
         loop = self.make_loop(rig)
-        f0 = SensorFrame(0.0, (0.0,) * 6, 100.0, 100.0)
-        f1 = SensorFrame(0.001, (0.0,) * 6, 100.0, 100.0)
+        f0 = SensorFrame(0.0, (0.0,) * 6)
+        f1 = SensorFrame(0.001, (0.0,) * 6)
         loop.step(f0)
         loop.step(f1)
         with pytest.raises(OutOfOrderFrameError):
-            loop.step(SensorFrame(0.0005, (0.0,) * 6, 100.0, 100.0))
+            loop.step(SensorFrame(0.0005, (0.0,) * 6))
         # later frames continue normally
-        cmd = loop.step(SensorFrame(0.002, (0.0,) * 6, 100.0, 100.0))
+        cmd = loop.step(SensorFrame(0.002, (0.0,) * 6))
         assert cmd.t == 0.002
 
     def test_determinism_same_stream_identical_commands(self, rig):
@@ -145,7 +145,7 @@ class TestControlLoop:
         dt = 1 / 5000
         taus = []
         for k in range(700):
-            cmd = loop.step(SensorFrame(k * dt, q, 300.0, 100.0))
+            cmd = loop.step(SensorFrame(k * dt, q))
             taus.append(cmd.tau)
         # past the estimator's warm-up, identical frames map to identical
         # commands
@@ -155,7 +155,7 @@ class TestControlLoop:
         loop = self.make_loop(rig)
         dt = 1 / 5000
         q = (0.1,) * 6
-        cmds = [loop.step(SensorFrame(k * dt, q, 200.0, 200.0))
+        cmds = [loop.step(SensorFrame(k * dt, q))
                 for k in range(600)]
         # degraded exactly during the estimator's time-based warm-up
         assert [c.degraded for c in cmds] == [c.t < WARMUP_S for c in cmds]
@@ -164,25 +164,12 @@ class TestControlLoop:
         # default policy keeps gravity support active during warm-up
         assert any(v != 0.0 for v in cmds[0].tau)
 
-    def test_hard_switch_mode_switches_models(self, rig):
-        left, right, reg, tables = rig
-        loop = ControlLoop(left, right, reg, tables, blending="hard")
-        pattern = GaitPattern(angle_noise=0.0, load_noise=0.0)
-        stream = generate_cycle(pattern, rate=1000, cycles=2, seed=5)
-        result = replay(stream, loop)
-        assert set(np.unique(result.gamma_l)) <= {0.0, 1.0}
-        np.testing.assert_array_equal(
-            result.gamma_l, np.where(result.raw_phase >= 0.0, 1.0, 0.0))
-        # the log keeps the regressed phase, not the saturated one
-        assert np.any(np.abs(result.raw_phase) < 1.0)
-
-    @pytest.mark.parametrize("blending", ["smooth", "hard"])
-    def test_nan_angle_raises_before_torque(self, rig, blending, monkeypatch):
-        loop = self.make_loop(rig, blending)
+    def test_nan_angle_raises_before_torque(self, rig, monkeypatch):
+        loop = self.make_loop(rig)
         dt = 1 / 5000
         q = (0.1,) * 6
         for k in range(3):
-            loop.step(SensorFrame(k * dt, q, 200.0, 200.0))
+            loop.step(SensorFrame(k * dt, q))
 
         def no_torque(*args):
             raise AssertionError("torque evaluated for a NaN frame")
@@ -190,7 +177,7 @@ class TestControlLoop:
         monkeypatch.setattr(exobench.blend, "blended_torque", no_torque)
         bad = (0.1, float("nan"), 0.1, 0.1, 0.1, 0.1)
         with pytest.raises(ValueError, match="raw_phase must be finite"):
-            loop.step(SensorFrame(3 * dt, bad, 200.0, 200.0))
+            loop.step(SensorFrame(3 * dt, bad))
 
     def test_rejected_nan_frame_changes_no_state(self, rig):
         pattern = GaitPattern()
@@ -210,28 +197,21 @@ class TestControlLoop:
             a.step_time_us = b.step_time_us = 0.0
             assert a == b
 
-    @pytest.mark.parametrize("blending", ["smooth", "hard"])
     @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
-    def test_nonfinite_timestamp_raises_before_torque(self, rig, blending,
-                                                      bad_t, monkeypatch):
-        loop = self.make_loop(rig, blending)
+    def test_nonfinite_timestamp_raises_before_torque(self, rig, bad_t,
+                                                      monkeypatch):
+        loop = self.make_loop(rig)
         dt = 1 / 5000
         q = (0.1,) * 6
         for k in range(3):
-            loop.step(SensorFrame(k * dt, q, 200.0, 200.0))
+            loop.step(SensorFrame(k * dt, q))
 
         def no_torque(*args):
             raise AssertionError("torque evaluated for a bad timestamp")
 
         monkeypatch.setattr(exobench.blend, "blended_torque", no_torque)
         with pytest.raises(ValueError, match="timestamp must be finite"):
-            loop.step(SensorFrame(bad_t, q, 200.0, 200.0))
-
-    def test_hard_mode_rejects_infinite_phase(self, rig):
-        loop = self.make_loop(rig, "hard")
-        bad = (0.1, float("inf"), 0.1, 0.1, 0.1, 0.1)
-        with pytest.raises(ValueError, match="raw_phase must be finite"):
-            loop.step(SensorFrame(0.0, bad, 200.0, 200.0))
+            loop.step(SensorFrame(bad_t, q))
 
     def test_actuated_mask(self):
         assert ACTUATED_MASK == (True, True, False, True, True, False)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exobench
@@ -15,6 +16,7 @@ from exobench.dynamics import (WARMUP_S, CompensationTables, ExoParams,
                                save_calibration)
 from exobench.fuzzy import default_fuzzy_model
 from exobench.questionnaire import default_definition
+from exobench.streams import SensorStream
 from exobench.synthdata import (synth_physio_session,
                                 synth_questionnaire_response,
                                 synth_session_set)
@@ -104,6 +106,23 @@ class TestSimAndTrain:
                      "1", "--seconds", "2.4", "--rate", "500"]) == 0
         n_lines = len(out.read_text().splitlines())
         assert n_lines == 2 * 600 + 1  # two 1.2 s cycles at 500 Hz + header
+
+    def test_session_set_honours_rate_and_seconds(self, tmp_path):
+        flags = tmp_path / "flags"
+        assert main(["sim", "--out", str(flags), "--subjects", "1", "--seed",
+                     "1", "--rate", "500", "--seconds", "1.2"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rate": 500, "seconds": 1.2}))
+        keys = tmp_path / "keys"
+        assert main(["sim", "--out", str(keys), "--subjects", "1", "--seed",
+                     "1", "--config", str(config)]) == 0
+        rel = "subjects/s01/gait_stream.csv"
+        assert (keys / rel).read_bytes() == (flags / rel).read_bytes()
+        stream = SensorStream.load_csv(flags / rel)
+        # one cycle (1.14-1.26 s at the drawn 95-105 steps/min) at 500 Hz,
+        # not the default 10 s at 5 kHz
+        assert 570 <= len(stream) <= 630
+        np.testing.assert_allclose(np.diff(stream.t), 1 / 500, rtol=1e-9)
 
 
 class TestReplay:

@@ -3,7 +3,7 @@ import pytest
 
 from exobench.blend import ControlLoop
 from exobench.dynamics import CompensationTables, StanceModel
-from exobench.segmentation import (label_from_soles, train,
+from exobench.segmentation import (GaitRegressor, label_from_soles, train,
                                    training_session_builder)
 from exobench.simulator import (GaitPattern, TREADMILL_SPEEDS_KMH,
                                 generate_cycle, generate_training_protocol,
@@ -207,18 +207,27 @@ def batch_streams():
             "jittered": _variant(short, t=short.t + jitter)}
 
 
+def _regressor(reg, kind):
+    """The trained regressor, or its weights scaled by 1e6: that one
+    saturates the gains to 0 or 1 within a frame, a hard stance switch."""
+    if kind == "trained":
+        return reg
+    return GaitRegressor(weights=reg.weights * 1e6, rmse=reg.rmse)
+
+
 class TestReplayBatch:
     """``replay_batch`` must give streaming ``replay``'s commands bit for
-    bit: the analyze report's command digest depends on it."""
+    bit, for smooth gains and for a discontinuous switch: the analyze
+    report's command digest depends on it."""
 
-    @pytest.mark.parametrize("blending", ["smooth", "hard"])
+    @pytest.mark.parametrize("regressor", ["trained", "scaled"])
     @pytest.mark.parametrize("stream_name",
                              ["corpus", "out_of_order", "jittered"])
     def test_bit_identical_to_streaming(self, loop_parts, batch_streams,
-                                        stream_name, blending):
+                                        stream_name, regressor):
         left, right, reg, tables = loop_parts
         stream = batch_streams[stream_name]
-        loop = ControlLoop(left, right, reg, tables, blending=blending)
+        loop = ControlLoop(left, right, _regressor(reg, regressor), tables)
         batch = replay_batch(stream, loop)
         ref = replay(stream, loop)   # no reset: the batch leaves no state
         for name in ("t", "raw_phase", "gamma_l", "tau"):
@@ -246,10 +255,11 @@ class TestReplayBatch:
         with pytest.raises(ValueError, match="no step times"):
             batch.timing()
 
-    @pytest.mark.parametrize("blending", ["smooth", "hard"])
+    @pytest.mark.parametrize("regressor", ["trained", "scaled"])
     def test_raises_where_streaming_raises(self, loop_parts, batch_streams,
-                                           blending):
+                                           regressor):
         left, right, reg, tables = loop_parts
+        reg = _regressor(reg, regressor)
         short = batch_streams["jittered"].head(20)
         t = short.t.copy()
         t[5] = np.nan
@@ -259,7 +269,7 @@ class TestReplayBatch:
                  (_variant(short, q=q), "raw_phase must be finite"))
         for stream, match in cases:
             for run in (replay, replay_batch):
-                loop = ControlLoop(left, right, reg, tables, blending=blending)
+                loop = ControlLoop(left, right, reg, tables)
                 with pytest.raises(ValueError, match=match):
                     run(stream, loop)
         # a bad value on a dropped frame is never evaluated by either path
@@ -268,6 +278,6 @@ class TestReplayBatch:
         q = short.q.copy()
         q[6] = np.nan
         dropped = _variant(short, t=t, q=q)
-        loop = ControlLoop(left, right, reg, tables, blending=blending)
+        loop = ControlLoop(left, right, reg, tables)
         assert (replay_batch(dropped, loop).tau.tobytes()
                 == replay(dropped, loop).tau.tobytes())
