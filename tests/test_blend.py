@@ -22,6 +22,12 @@ def rig():
     return left, right, reg, tables
 
 
+def _switch(reg):
+    """``reg`` with its weights scaled by 1e6: the gains saturate to 0 or 1
+    within a frame, a hard switch between the stance models."""
+    return GaitRegressor(weights=reg.weights * 1e6, rmse=reg.rmse)
+
+
 class TestGains:
     def test_endpoints(self):
         assert gains(1.0) == BlendGains(1.0, 0.0)
@@ -106,8 +112,10 @@ class TestAssist:
 
 
 class TestControlLoop:
-    def make_loop(self, rig):
+    def make_loop(self, rig, regressor="trained"):
         left, right, reg, tables = rig
+        if regressor == "scaled":
+            reg = _switch(reg)
         return ControlLoop(left, right, reg, tables)
 
     def test_steps_produce_monotone_timestamps(self, rig):
@@ -164,8 +172,30 @@ class TestControlLoop:
         # default policy keeps gravity support active during warm-up
         assert any(v != 0.0 for v in cmds[0].tau)
 
-    def test_nan_angle_raises_before_torque(self, rig, monkeypatch):
-        loop = self.make_loop(rig)
+    def test_saturated_regressor_switches_models(self, rig):
+        left, right, reg, tables = rig
+        pattern = GaitPattern(angle_noise=0.0, load_noise=0.0)
+        stream = generate_cycle(pattern, rate=1000, cycles=2, seed=5)
+        smooth = replay(stream, ControlLoop(left, right, reg, tables))
+        result = replay(stream, ControlLoop(left, right, _switch(reg), tables))
+        assert set(np.unique(result.gamma_l)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(
+            result.gamma_l, np.where(result.raw_phase > 0.0, 1.0, 0.0))
+        # the switch falls where the trained phase changes sign
+        np.testing.assert_array_equal(result.raw_phase > 0.0,
+                                      smooth.raw_phase > 0.0)
+        assert np.any((smooth.gamma_l > 0.0) & (smooth.gamma_l < 1.0))
+
+    def test_saturated_regressor_rejects_infinite_phase(self, rig):
+        loop = self.make_loop(rig, "scaled")
+        bad = (0.1, float("inf"), 0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match="raw_phase must be finite"):
+            loop.step(SensorFrame(0.0, bad))
+
+    @pytest.mark.parametrize("regressor", ["trained", "scaled"])
+    def test_nan_angle_raises_before_torque(self, rig, regressor,
+                                            monkeypatch):
+        loop = self.make_loop(rig, regressor)
         dt = 1 / 5000
         q = (0.1,) * 6
         for k in range(3):
@@ -197,10 +227,11 @@ class TestControlLoop:
             a.step_time_us = b.step_time_us = 0.0
             assert a == b
 
+    @pytest.mark.parametrize("regressor", ["trained", "scaled"])
     @pytest.mark.parametrize("bad_t", [float("nan"), float("inf")])
     def test_nonfinite_timestamp_raises_before_torque(self, rig, bad_t,
-                                                      monkeypatch):
-        loop = self.make_loop(rig)
+                                                      regressor, monkeypatch):
+        loop = self.make_loop(rig, regressor)
         dt = 1 / 5000
         q = (0.1,) * 6
         for k in range(3):

@@ -522,6 +522,19 @@ class TestSynthData:
         for fs in report.factor_scores.values():
             assert 1.0 <= fs <= 7.0
 
+    def test_every_json_file_is_canonical(self, session_set, tmp_path):
+        from exobench.segmentation import GaitRegressor
+        from exobench.streams import canonical_json
+        model = tmp_path / "model.json"
+        GaitRegressor(weights=np.linspace(-1.0, 1.0, 6), rmse=0.1).save(model)
+        paths = sorted(session_set.rglob("*.json")) + [model]
+        assert {p.name for p in paths} == {
+            "calibration.json", "eq_definition.json", "fuzzy_model.json",
+            "set_manifest.json", "manifest.json", "model.json"}
+        for path in paths:
+            text = path.read_text()
+            assert canonical_json(json.loads(text)) == text, path
+
     def test_session_set_reproducible(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
