@@ -11,14 +11,15 @@ All estimators are deterministic for a fixed input and configuration.
 from __future__ import annotations
 
 import functools
-import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
-from .streams import bad_line_error, canonical_json, not_utf8_error
+from .streams import bad_line_error, not_utf8_error, read_json, write_json
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -304,18 +305,8 @@ class PhysioSession:
     _beats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for phase in PHASES:
-            if phase not in self.markers:
-                raise SchemaError(f"missing phase marker: {phase}")
-            start, stop = self.markers[phase]
-            if stop <= start:
-                raise SchemaError(f"phase {phase} has non-positive duration")
-        order = [self.markers[p] for p in PHASES]
-        for (a0, a1), (b0, b1) in zip(order, order[1:]):
-            if b0 < a1:
-                raise SchemaError("phase markers overlap or are out of order")
-        if self.ecg is None and self.beat_intervals_ms is None:
-            raise SchemaError("need an ECG channel or precomputed intervals")
+        _check_layout(self.markers, self.ecg is not None
+                      or self.beat_intervals_ms is not None)
 
     def validate_protocol(self, lenient: bool = False):
         """Check SIT and WALK durations against the protocol (+-5%)."""
@@ -348,76 +339,100 @@ class PhysioSession:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         channels = {}
-        if self.ecg is not None:
-            np.savetxt(directory / "ecg.csv", self.ecg, fmt="%.8g",
-                       header="ecg_mv", comments="")
-            channels["ecg"] = {"file": "ecg.csv", "fs": self.ecg_fs,
-                               "kind": "waveform", "units": "mV"}
-        if self.beat_intervals_ms is not None:
-            np.savetxt(directory / "beat_intervals.csv", self.beat_intervals_ms,
-                       fmt="%.12g", header="interval_ms", comments="")
-            channels["beats"] = {"file": "beat_intervals.csv",
-                                 "kind": "intervals", "units": "ms"}
-        if self.respiration is not None:
-            np.savetxt(directory / "respiration.csv", self.respiration,
-                       fmt="%.8g", header="respiration_au", comments="")
-            channels["respiration"] = {"file": "respiration.csv",
-                                       "fs": self.respiration_fs,
-                                       "kind": "waveform", "units": "a.u."}
-        if self.breath_times is not None:
-            np.savetxt(directory / "breath_times.csv", self.breath_times,
-                       fmt="%.12g", header="breath_t_s", comments="")
-            channels["breath_times"] = {"file": "breath_times.csv",
-                                        "kind": "marks", "units": "s"}
-        if self.gsr is not None:
-            np.savetxt(directory / "gsr.csv", self.gsr, fmt="%.8g",
-                       header="gsr_us", comments="")
-            channels["gsr"] = {"file": "gsr.csv", "fs": self.gsr_fs,
-                               "kind": "waveform", "units": "uS"}
-        manifest = {
+        for attr, name, file, header, fmt, kind, units, rate in _CHANNELS:
+            data = getattr(self, attr)
+            if data is None:
+                continue
+            np.savetxt(directory / file, data, fmt=fmt, header=header,
+                       comments="")
+            channels[name] = {"file": file, "kind": kind, "units": units}
+            if rate:
+                channels[name]["fs"] = getattr(self, rate)
+        write_json(directory / "manifest.json", {
             "schema_version": SESSION_SCHEMA_VERSION,
             "channels": channels,
             "markers": {p: list(self.markers[p]) for p in PHASES},
-        }
-        with open(directory / "manifest.json", "w", encoding="utf-8") as f:
-            f.write(canonical_json(manifest))
+        })
 
     @classmethod
     def load(cls, directory) -> "PhysioSession":
         directory = Path(directory)
-        try:
-            with open(directory / "manifest.json", "r", encoding="utf-8") as f:
-                manifest = json.load(f)
-        except FileNotFoundError:
-            raise SchemaError(f"{directory}: no manifest.json") from None
-        if manifest.get("schema_version") != SESSION_SCHEMA_VERSION:
-            raise SchemaError("unsupported session schema_version "
-                              f"{manifest.get('schema_version')!r}")
-        channels = manifest.get("channels", {})
-        markers = {p: tuple(v) for p, v in manifest.get("markers", {}).items()}
-
-        def read(name):
-            spec = channels.get(name)
-            if spec is None:
-                return None, None
-            path = directory / spec["file"]
+        fields = read_json(directory / "manifest.json", SESSION_SCHEMA_VERSION,
+                           lambda doc: _session_fields(doc, directory))
+        for attr, name, *_ in _CHANNELS:
+            if attr not in fields:
+                continue
+            path = fields[attr]
             try:
                 data = np.loadtxt(path, skiprows=1, encoding="utf-8")
             except ValueError:
                 raise _bad_channel_line(path, name) from None
             if not np.isfinite(data).all():
                 raise _bad_channel_line(path, name)
-            return np.atleast_1d(data), spec.get("fs")
+            fields[attr] = np.atleast_1d(data)
+        return cls(**fields)
 
-        ecg, ecg_fs = read("ecg")
-        beats, _ = read("beats")
-        resp, resp_fs = read("respiration")
-        marks, _ = read("breath_times")
-        gsr, gsr_fs = read("gsr")
-        return cls(markers=markers, ecg=ecg, ecg_fs=ecg_fs or ECG_FS,
-                   beat_intervals_ms=beats, respiration=resp,
-                   respiration_fs=resp_fs or RESP_FS, breath_times=marks,
-                   gsr=gsr, gsr_fs=gsr_fs or GSR_FS)
+
+# one row per channel file: session attribute, manifest channel name, file
+# name, header, savetxt format, kind and units recorded in the manifest, and
+# the session attribute holding the sample rate (None for event series)
+_CHANNELS = (
+    ("ecg", "ecg", "ecg.csv", "ecg_mv", "%.8g", "waveform", "mV", "ecg_fs"),
+    ("beat_intervals_ms", "beats", "beat_intervals.csv", "interval_ms",
+     "%.12g", "intervals", "ms", None),
+    ("respiration", "respiration", "respiration.csv", "respiration_au",
+     "%.8g", "waveform", "a.u.", "respiration_fs"),
+    ("breath_times", "breath_times", "breath_times.csv", "breath_t_s",
+     "%.12g", "marks", "s", None),
+    ("gsr", "gsr", "gsr.csv", "gsr_us", "%.8g", "waveform", "uS", "gsr_fs"),
+)
+
+
+def _check_layout(markers: dict, has_beats: bool) -> None:
+    """Raise SchemaError unless each phase marker is a pair of numbers with
+    a positive span, in phase order without overlap, beside a heart channel."""
+    for phase in PHASES:
+        if phase not in markers:
+            raise SchemaError(f"missing phase marker: {phase}")
+        bounds = markers[phase]
+        if len(bounds) != 2 or not all(map(_finite, bounds)):
+            raise SchemaError(f"marker {phase} must be a pair of numbers, "
+                              f"got {bounds!r}")
+        start, stop = bounds
+        if stop <= start:
+            raise SchemaError(f"phase {phase} has non-positive duration")
+    order = [markers[p] for p in PHASES]
+    for (a0, a1), (b0, b1) in zip(order, order[1:]):
+        if b0 < a1:
+            raise SchemaError("phase markers overlap or are out of order")
+    if not has_beats:
+        raise SchemaError("need an ECG channel or precomputed intervals")
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _session_fields(doc: dict, directory: Path) -> dict:
+    """The session fields a physio manifest sets: the markers, the sample
+    rates it gives, and the path of each channel's file."""
+    channels = doc.get("channels", {})
+    fields = {"markers": {phase: tuple(bounds) for phase, bounds
+                          in doc.get("markers", {}).items()}}
+    for attr, name, *_, rate in _CHANNELS:
+        spec = channels.get(name)
+        if spec is None:
+            continue
+        fields[attr] = directory / spec["file"]
+        if rate and "fs" in spec:
+            if not (_finite(spec["fs"]) and spec["fs"] > 0):
+                raise SchemaError(f"channel {name}: fs must be a positive "
+                                  f"finite number, got {spec['fs']!r}")
+            fields[rate] = spec["fs"]
+    _check_layout(fields["markers"], "ecg" in fields
+                  or "beat_intervals_ms" in fields)
+    return fields
 
 
 def _bad_channel_line(path, name) -> ValueError:

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 bad input or I/O, 2 incomplete training stages.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,20 +25,29 @@ from .questionnaire import EQDefinition
 from .report import analyze_session_set, canonical_json, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
 from .simulator import GaitPattern, generate_cycle, generate_training_protocol, replay
-from .streams import CSV_HEADER, SensorStream, not_utf8_error
+from .streams import CSV_HEADER, SensorStream, not_utf8_error, read_json
 from .synthdata import synth_session_set
 
 
 def _apply_config(args, keys):
-    """Fill unset options from --config JSON (or $EXOBENCH_CONFIG)."""
+    """Fill unset options from --config JSON (or $EXOBENCH_CONFIG), each
+    value converted by its option's argparse ``type`` as a flag's text."""
     path = getattr(args, "config", None) or os.environ.get("EXOBENCH_CONFIG")
     if not path:
         return
-    with open(path, "r", encoding="utf-8") as f:
-        config = json.load(f)
+    config = read_json(path)
+    types = {action.dest: action.type for action in args.parser._actions}
     for key in keys:
-        if getattr(args, key, None) is None and key in config:
-            setattr(args, key, config[key])
+        if getattr(args, key) is not None or key not in config:
+            continue
+        value, convert = config[key], types[key]
+        if convert is not None:
+            try:
+                value = convert(str(value))
+            except ValueError:
+                raise SchemaError(f"{path}: {key}: invalid {convert.__name__}"
+                                  f" value {value!r}") from None
+        setattr(args, key, value)
 
 
 def cmd_sim(args) -> int:
@@ -62,6 +70,8 @@ def cmd_sim(args) -> int:
         stream = generate_training_protocol(pattern, seed=seed, rate=rate)
     else:
         seconds = 10.0 if args.seconds is None else args.seconds
+        if not seconds > 0:
+            raise ValueError(f"--seconds must be positive, got {seconds}")
         cycles = max(1, round(seconds / pattern.cycle_duration))
         stream = generate_cycle(pattern, rate=rate, cycles=cycles, seed=seed)
     stream.save_csv(out)
@@ -131,13 +141,12 @@ def cmd_analyze(args) -> int:
 def _validate_one(path: Path) -> str | None:
     """Returns the detected kind, or raises on failure."""
     if path.suffix == ".json":
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = read_json(path)
         if "items" in doc and "sub_factors" in doc:
-            EQDefinition.from_dict(doc)
+            EQDefinition.load(path)
             return "eq-definition"
         if "rules" in doc and "inputs" in doc:
-            load_fuzzy_model(doc)
+            load_fuzzy_model(path)
             return "fuzzy-model"
         if "link_parameters" in doc:
             load_calibration(path)
@@ -169,7 +178,7 @@ def cmd_validate(args) -> int:
         path = Path(name)
         try:
             kind = _validate_one(path)
-        except (ExobenchError, ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ExobenchError, ValueError, OSError) as exc:
             print(f"FAIL {path}: {exc}")
             failures += 1
             continue
@@ -193,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None, help="sample rate, Hz")
     p.add_argument("--seconds", type=float, default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(fn=cmd_sim)
+    p.set_defaults(fn=cmd_sim, parser=p)
 
     p = sub.add_parser("train", help="train the gait-phase regressor")
     p.add_argument("data", help="training protocol CSV")
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, parser=p)
 
     p = sub.add_parser("replay", help="run the control loop over a stream")
     p.add_argument("stream", help="sensor stream CSV")
@@ -216,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_const", const=True, default=None,
                    help="skip protocol duration checks")
     p.add_argument("--config", default=None)
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn=cmd_analyze, parser=p)
 
     p = sub.add_parser("validate", help="check definition/config files")
     p.add_argument("files", nargs="+")
@@ -232,7 +241,7 @@ def main(argv=None) -> int:
     except IncompleteTrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExobenchError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ExobenchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError
-from .streams import canonical_json
+from .errors import ConfigurationError
+from .streams import read_json, write_json
 
 JOINTS = ("RH", "RK", "RA", "LH", "LK", "LA")
 ACTUATED_JOINTS = ("RH", "RK", "LH", "LK")
@@ -344,12 +343,9 @@ class LookupTable1D:
         return np.where(x <= xs[0], ys[0], np.where(x >= xs[-1], ys[-1], y))
 
     def to_dict(self) -> dict:
+        """The keyword arguments that rebuild this table."""
         return {"breakpoints": self.breakpoints.tolist(),
                 "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LookupTable1D":
-        return cls(d["breakpoints"], d["values"])
 
 
 @dataclass
@@ -565,40 +561,21 @@ def _tracker_gains(dt: float):
 
 
 def save_calibration(path, params: ExoParams, tables: CompensationTables):
-    doc = {
+    write_json(path, {
         "schema_version": CALIBRATION_SCHEMA_VERSION,
-        "link_parameters": {
-            "back_length": params.back_length,
-            "thigh_length": params.thigh_length,
-            "shank_length": params.shank_length,
-            "foot_height": params.foot_height,
-            "thigh_mass": params.thigh_mass,
-            "shank_mass": params.shank_mass,
-            "foot_mass": params.foot_mass,
-            "back_mass": params.back_mass,
-            "com_fraction": params.com_fraction,
-            "gravity": params.gravity,
-        },
+        "link_parameters": asdict(params),
         "friction_tables": {j: tables.friction[j].to_dict() for j in ACTUATED_JOINTS},
         "ripple_tables": {j: tables.ripple[j].to_dict() for j in ACTUATED_JOINTS},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(canonical_json(doc))
+    })
 
 
 def load_calibration(path):
     """Read a calibration file; returns (ExoParams, CompensationTables)."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("schema_version") != CALIBRATION_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported calibration schema_version "
-                          f"{doc.get('schema_version')!r}")
-    try:
-        params = ExoParams(**doc["link_parameters"])
-        friction = {j: LookupTable1D.from_dict(d)
-                    for j, d in doc["friction_tables"].items()}
-        ripple = {j: LookupTable1D.from_dict(d)
-                  for j, d in doc["ripple_tables"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed calibration file: {exc}") from exc
+    return read_json(path, CALIBRATION_SCHEMA_VERSION, _calibration)
+
+
+def _calibration(doc: dict):
+    params = ExoParams(**doc["link_parameters"])
+    friction = {j: LookupTable1D(**d) for j, d in doc["friction_tables"].items()}
+    ripple = {j: LookupTable1D(**d) for j, d in doc["ripple_tables"].items()}
     return params, CompensationTables(friction=friction, ripple=ripple)

@@ -14,13 +14,13 @@ as fatigue) and can be replaced wholesale from JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biosignal import FeatureWindow
 from .errors import InsufficientDataError, SchemaError
+from .streams import read_json
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -114,11 +114,6 @@ class FuzzyRule:
     antecedent: tuple   # ((input, level), ...)
     consequent: tuple   # ((output, level), ...)
 
-    @classmethod
-    def make(cls, antecedent: dict, consequent: dict) -> "FuzzyRule":
-        return cls(tuple(sorted(antecedent.items())),
-                   tuple(sorted(consequent.items())))
-
 
 @dataclass
 class FuzzyModel:
@@ -174,37 +169,26 @@ class FuzzyModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FuzzyModel":
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise SchemaError(f"unsupported fuzzy model schema_version "
-                              f"{doc.get('schema_version')!r}")
-
         def build_var(name, spec):
-            try:
-                lo, hi = spec["range"]
-                mfs = {level: TriangularMF(*spec[level])
-                       for level in LEVEL_NAMES if level in spec}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{name}: malformed variable: {exc}") from None
+            lo, hi = spec["range"]
+            mfs = {level: TriangularMF(*spec[level])
+                   for level in LEVEL_NAMES if level in spec}
             return FuzzyVariable(name=name, lo=lo, hi=hi, mfs=mfs)
 
-        try:
-            inputs = {k: build_var(k, v) for k, v in doc["inputs"].items()}
-            outputs = {k: build_var(k, v) for k, v in doc["outputs"].items()}
-            rules = [FuzzyRule.make(r["if"], r["then"]) for r in doc["rules"]]
-        except KeyError as exc:
-            raise SchemaError(f"missing section: {exc}") from None
+        inputs = {k: build_var(k, v) for k, v in doc["inputs"].items()}
+        outputs = {k: build_var(k, v) for k, v in doc["outputs"].items()}
+        rules = [FuzzyRule(tuple(sorted(r["if"].items())),
+                           tuple(sorted(r["then"].items())))
+                 for r in doc["rules"]]
         return cls(inputs=inputs, outputs=outputs, rules=rules)
 
 
-def load_fuzzy_model(source) -> FuzzyModel:
-    """Build and validate a model from a dict, a JSON file path, or None
-    (the default model)."""
-    if source is None:
+def load_fuzzy_model(path) -> FuzzyModel:
+    """Build and validate the model in a JSON file, or the default model
+    for None."""
+    if path is None:
         return default_fuzzy_model()
-    if isinstance(source, dict):
-        return FuzzyModel.from_dict(source)
-    with open(source, "r", encoding="utf-8") as f:
-        return FuzzyModel.from_dict(json.load(f))
+    return read_json(path, MODEL_SCHEMA_VERSION, FuzzyModel.from_dict)
 
 
 def default_fuzzy_model() -> FuzzyModel:
@@ -246,7 +230,6 @@ def default_fuzzy_model() -> FuzzyModel:
         {"if": {"hr": "low"}, "then": {"fatigue": "low"}},
     ]
     return FuzzyModel.from_dict({
-        "schema_version": MODEL_SCHEMA_VERSION,
         "inputs": {name: dict(ratio_var) for name in INPUT_NAMES},
         "outputs": {name: dict(score_var) for name in OUTPUT_NAMES},
         "rules": rules,

@@ -14,14 +14,13 @@ synthetic default with the right cardinalities ships for testing.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (IncompleteComparisonError, IncompleteResponseError,
                      SchemaError)
-from .streams import canonical_json, not_utf8_error
+from .streams import not_utf8_error, read_json, write_json
 
 EQ_SCHEMA_VERSION = 1
 
@@ -134,31 +133,23 @@ class EQDefinition:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EQDefinition":
-        if doc.get("schema_version") != EQ_SCHEMA_VERSION:
-            raise SchemaError(f"unsupported EQ schema_version "
-                              f"{doc.get('schema_version')!r}")
-        try:
-            items = [EQItem(id=d["id"], sub_factor=d["sub_factor"],
-                            reversed=bool(d.get("reversed", False)))
-                     for d in doc["items"]]
-            pairs = [ControlPair(original=d["original"], control=d["control"])
-                     for d in doc["control_pairs"]]
-            return cls(items=items,
-                       sub_factor_to_factor=dict(doc["sub_factors"]),
-                       control_pairs=pairs,
-                       include_control_items=bool(
-                           doc.get("include_control_items", False)))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed EQ definition: {exc}") from None
+        items = [EQItem(id=d["id"], sub_factor=d["sub_factor"],
+                        reversed=bool(d.get("reversed", False)))
+                 for d in doc["items"]]
+        pairs = [ControlPair(original=d["original"], control=d["control"])
+                 for d in doc["control_pairs"]]
+        return cls(items=items,
+                   sub_factor_to_factor=dict(doc["sub_factors"]),
+                   control_pairs=pairs,
+                   include_control_items=bool(
+                       doc.get("include_control_items", False)))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(canonical_json(self.to_dict()))
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "EQDefinition":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return read_json(path, EQ_SCHEMA_VERSION, cls.from_dict)
 
 
 def default_definition() -> EQDefinition:

@@ -19,8 +19,6 @@ overrun counts cover.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +33,8 @@ from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
 from .segmentation import train, training_session_builder
 from .simulator import replay, replay_batch
-from .streams import SensorStream, canonical_json  # re-exported for the CLI
+from .streams import SensorStream, read_json
+from .streams import canonical_json  # re-exported for the CLI
 from .synthdata import SET_SCHEMA_VERSION
 
 REPORT_SCHEMA_VERSION = 1
@@ -54,26 +53,6 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-@dataclass
-class SubjectSession:
-    """One subject's bundle inside a session set."""
-
-    subject_id: str
-    directory: Path
-
-    @property
-    def physio_dir(self) -> Path:
-        return self.directory / "physio"
-
-    @property
-    def training_csv(self) -> Path:
-        return self.directory / "training.csv"
-
-    @property
-    def gait_csv(self) -> Path:
-        return self.directory / "gait_stream.csv"
 
 
 def _physio_section(session: PhysioSession, lenient: bool):
@@ -108,14 +87,15 @@ def _psycho_section(windows, model):
     }
 
 
-def _controller_section(subject: SubjectSession, calibration_path):
-    params, tables = load_calibration(calibration_path)
-    training = SensorStream.load_csv(subject.training_csv)
+def _controller_section(directory: Path, params, tables):
+    training_csv = directory / "training.csv"
+    gait_csv = directory / "gait_stream.csv"
+    training = SensorStream.load_csv(training_csv)
     try:
         regressor = train(training_session_builder(training))
     except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{subject.training_csv}: {exc}") from exc
-    stream = SensorStream.load_csv(subject.gait_csv)
+        raise InsufficientDataError(f"{training_csv}: {exc}") from exc
+    stream = SensorStream.load_csv(gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)
     result = replay_batch(stream, loop)   # reads no loop state
@@ -123,7 +103,7 @@ def _controller_section(subject: SubjectSession, calibration_path):
     try:
         smooth = result.smoothness()
     except ValueError as exc:
-        raise ValueError(f"{subject.gait_csv}: {exc}") from exc
+        raise ValueError(f"{gait_csv}: {exc}") from exc
     digest = hashlib.sha256()
     digest.update(result.t.tobytes())
     digest.update(result.raw_phase.tobytes())
@@ -142,13 +122,9 @@ def _controller_section(subject: SubjectSession, calibration_path):
     return section, probe.timing().to_dict()
 
 
-def _check_manifest(manifest) -> None:
-    """Raise SchemaError unless the set manifest is one this version reads."""
-    if not isinstance(manifest, dict):
-        raise SchemaError("set manifest must be a JSON object")
-    version = manifest.get("schema_version")
-    if version != SET_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported set schema_version {version!r}")
+def _check_manifest(manifest: dict) -> dict:
+    """The set manifest, or SchemaError if its subjects or files are not
+    what this version reads."""
     subjects = manifest.get("subjects")
     if (not isinstance(subjects, list) or not subjects
             or not all(isinstance(sid, str) for sid in subjects)):
@@ -164,6 +140,7 @@ def _check_manifest(manifest) -> None:
     for key in required:
         if key not in files:
             raise SchemaError(f"set manifest 'files' lacks {key!r}")
+    return manifest
 
 
 def analyze_session_set(root, lenient: bool = False):
@@ -175,19 +152,17 @@ def analyze_session_set(root, lenient: bool = False):
     byte-reproducible.  A malformed set manifest raises SchemaError.
     """
     root = Path(root)
-    manifest_path = root / "set_manifest.json"
     try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = read_json(root / "set_manifest.json", SET_SCHEMA_VERSION,
+                             _check_manifest)
     except FileNotFoundError:
         raise SchemaError(f"{root}: not a session set (no set_manifest.json)")
-    _check_manifest(manifest)
     subject_ids = manifest["subjects"]
     files = manifest["files"]
 
     fuzzy_model = load_fuzzy_model(
         root / files["fuzzy_model"] if "fuzzy_model" in files else None)
-    calibration_path = root / files["calibration"]
+    params, tables = load_calibration(root / files["calibration"])
     have_questionnaire = "responses" in files
     if have_questionnaire:
         definition = EQDefinition.load(root / files["eq_definition"])
@@ -207,14 +182,13 @@ def analyze_session_set(root, lenient: bool = False):
     total_invalid = 0
 
     for sid in subject_ids:
-        subject = SubjectSession(subject_id=sid,
-                                 directory=root / "subjects" / sid)
+        directory = root / "subjects" / sid
         for rel_file in ("physio/manifest.json", "training.csv",
                          "gait_stream.csv"):
-            path = subject.directory / rel_file
-            digests[f"subjects/{sid}/{rel_file}"] = file_digest(path)
+            digests[f"subjects/{sid}/{rel_file}"] = file_digest(
+                directory / rel_file)
 
-        session = PhysioSession.load(subject.physio_dir)
+        session = PhysioSession.load(directory / "physio")
         windows, phys = _physio_section(session, lenient)
         physiology[sid] = phys
         total_invalid += phys["missing_values"]
@@ -230,7 +204,7 @@ def analyze_session_set(root, lenient: bool = False):
             questionnaire[sid] = factor_report.to_dict()
             factor_reports.append(factor_report)
 
-        ctrl, ctrl_timing = _controller_section(subject, calibration_path)
+        ctrl, ctrl_timing = _controller_section(directory, params, tables)
         controller[sid] = ctrl
         timing[sid] = ctrl_timing
 

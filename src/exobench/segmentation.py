@@ -12,14 +12,13 @@ angles, so encoder offsets must be zero-referenced before training.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (AirborneError, IncompleteTrainingError,
                      InsufficientDataError, SingularityError)
-from .streams import SensorStream, canonical_json
+from .streams import SensorStream, read_json, write_json
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -103,24 +102,18 @@ class GaitRegressor:
         return self.phase(np.asarray(q_rows, dtype=float).T)
 
     def save(self, path):
-        doc = {
+        write_json(path, {
             "schema_version": MODEL_SCHEMA_VERSION,
             "weights": self.weights.tolist(),
             "rmse": self.rmse,
             "metadata": self.metadata,
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(canonical_json(doc))
+        })
 
     @classmethod
     def load(cls, path) -> "GaitRegressor":
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise ValueError(f"unsupported model schema_version "
-                             f"{doc.get('schema_version')!r}")
-        return cls(weights=np.asarray(doc["weights"]), rmse=float(doc["rmse"]),
-                   metadata=doc.get("metadata", {}))
+        return read_json(path, MODEL_SCHEMA_VERSION, lambda doc: cls(
+            weights=doc["weights"], rmse=float(doc["rmse"]),
+            metadata=doc.get("metadata", {})))
 
 
 def default_ridge(q: np.ndarray) -> float:

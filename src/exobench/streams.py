@@ -1,4 +1,4 @@
-"""Columnar sensor streams and their CSV form.
+"""Columnar sensor streams and their CSV form, and the JSON document form.
 
 A stream is the common currency between the gait simulator, the regressor
 training pipeline, and the control loop: timestamps, six joint angles, the
@@ -22,6 +22,11 @@ defaults) and is read in one ``np.loadtxt`` pass:
 
 Every rejection is a ``ValueError`` that names the file and the line; line
 numbers count CSV records from 1 for the header.
+
+The calibration, models, questionnaire definition, manifests, config and
+reports are JSON documents: ``write_json`` writes ``canonical_json`` text,
+and ``read_json`` reads one object, checks its ``schema_version`` and builds
+it, raising a ``SchemaError`` that names the file.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from .errors import ConfigurationError, SchemaError
 
 CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
               "left_load", "right_load", "stage_tag"]
@@ -157,6 +164,53 @@ def canonical_json(doc: dict) -> str:
     """Stable byte-for-byte serialisation of every JSON file exobench
     writes: sorted keys, two-space indent, one trailing newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as ``canonical_json`` text."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(canonical_json(doc))
+
+
+def read_json(path, version=None, build=dict):
+    """``build(doc)`` of the JSON object in ``path``, whose
+    ``schema_version`` must equal ``version`` unless that is None.
+
+    Invalid UTF-8 or JSON, a non-finite number, a non-object, another
+    version, and a bad value that ``build`` meets (``KeyError``,
+    ``TypeError``, ``ValueError``, ``AttributeError``, ``OverflowError`` or
+    ``ConfigurationError``) raise a ``SchemaError`` starting with the path.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"), parse_float=_finite_number,
+                         parse_constant=_finite_number)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}: line {line}: not valid UTF-8") from None
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, "
+                          f"got {type(doc).__name__}")
+    if version is not None and doc.get("schema_version") != version:
+        raise SchemaError(f"{path}: unsupported schema_version "
+                          f"{doc.get('schema_version')!r}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError,
+            ConfigurationError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):   # NaN, Infinity, or 1e400
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def parse_cell(cell: str) -> float:

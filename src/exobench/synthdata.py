@@ -23,7 +23,7 @@ from .questionnaire import (EQDefinition, QuestionnaireResponse, TIE,
                             default_definition, reverse_map,
                             save_preferences_csv, save_responses_csv)
 from .simulator import GaitPattern, generate_cycle, generate_training_protocol
-from .streams import canonical_json
+from .streams import write_json
 
 SET_SCHEMA_VERSION = 1
 
@@ -173,15 +173,17 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
     regressor training stream, and a gait stream for controller replay.
     Returns the manifest dict (also written to set_manifest.json).
     """
+    if subjects < 1:
+        raise ValueError(f"subjects must be at least 1, got {subjects}")
+    if not gait_seconds > 0:
+        raise ValueError(f"gait_seconds must be positive, got {gait_seconds}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
     definition = default_definition()
     definition.save(root / "eq_definition.json")
-    model = default_fuzzy_model()
-    with open(root / "fuzzy_model.json", "w", encoding="utf-8") as f:
-        f.write(canonical_json(model.to_dict()))
+    write_json(root / "fuzzy_model.json", default_fuzzy_model().to_dict())
     save_calibration(root / "calibration.json", ExoParams(),
                      CompensationTables.default_synthetic())
 
@@ -218,6 +220,5 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
             "preferences": "questionnaire_preferences.csv",
         },
     }
-    with open(root / "set_manifest.json", "w", encoding="utf-8") as f:
-        f.write(canonical_json(manifest))
+    write_json(root / "set_manifest.json", manifest)
     return manifest

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.signal
 
-from exobench.biosignal import (FeatureWindow, PhysioSession, _butter_sos,
+from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, FeatureWindow,
+                                PhysioSession, _butter_sos,
                                 detect_beats, gsr_decompose, hr_rmssd,
                                 lf_power, respiration_rate, windowed_features)
 from exobench.errors import (DataQualityError, InsufficientDataError,
@@ -429,6 +432,72 @@ class TestPhysioSession:
             for k in a:
                 if isinstance(a[k], float) and a[k] is not None:
                     assert a[k] == pytest.approx(b[k], rel=1e-5, abs=1e-9)
+
+    def _edit_manifest(self, directory, edit):
+        """Save a short session to ``directory``, apply ``edit`` to its
+        manifest and return the manifest's path."""
+        series = np.arange(1.0, 41.0)
+        PhysioSession(markers={"sit": (0.0, 1.0), "sit_exo": (1.0, 2.0),
+                               "walk": (2.0, 3.0)},
+                      ecg=series, respiration=series, gsr=series,
+                      ecg_fs=500.0, respiration_fs=50.0,
+                      gsr_fs=30.0).save(directory)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        return path
+
+    @pytest.mark.parametrize("channel", ["ecg", "respiration", "gsr"])
+    @pytest.mark.parametrize("fs", [0, -250, 0.0, "250", True, [250]])
+    def test_bad_rate_names_the_manifest(self, tmp_path, channel, fs):
+        path = self._edit_manifest(
+            tmp_path, lambda m: m["channels"][channel].update(fs=fs))
+        with pytest.raises(SchemaError) as info:
+            PhysioSession.load(tmp_path)
+        assert str(info.value) == (f"{path}: channel {channel}: fs must be "
+                                   f"a positive finite number, got {fs!r}")
+
+    def test_missing_rate_keeps_the_protocol_default(self, tmp_path):
+        def drop_rates(manifest):
+            for spec in manifest["channels"].values():
+                del spec["fs"]
+        self._edit_manifest(tmp_path, drop_rates)
+        loaded = PhysioSession.load(tmp_path)
+        assert (loaded.ecg_fs, loaded.respiration_fs, loaded.gsr_fs) == (
+            ECG_FS, RESP_FS, GSR_FS)
+        self._edit_manifest(tmp_path, lambda m: None)
+        loaded = PhysioSession.load(tmp_path)
+        assert (loaded.ecg_fs, loaded.respiration_fs, loaded.gsr_fs) == (
+            500.0, 50.0, 30.0)
+
+    @pytest.mark.parametrize("bounds", [
+        [0], [0.0, 1.0, 2.0], [0.0, "1"], "01", {"start": 0}, [False, 1.0]])
+    def test_bad_marker_names_the_manifest(self, tmp_path, bounds):
+        path = self._edit_manifest(
+            tmp_path, lambda m: m["markers"].update(sit=bounds))
+        with pytest.raises(SchemaError) as info:
+            PhysioSession.load(tmp_path)
+        assert str(info.value) == (f"{path}: marker sit must be a pair of "
+                                   f"numbers, got {tuple(bounds)!r}")
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda m: m["markers"].pop("walk"), "missing phase marker: walk"),
+        (lambda m: m["markers"].update(walk=[1.5, 3.0]),
+         "phase markers overlap or are out of order"),
+        (lambda m: m["channels"].pop("ecg"),
+         "need an ECG channel or precomputed intervals"),
+        (lambda m: m["channels"]["ecg"].pop("file"), "missing key 'file'"),
+        (lambda m: m.update(markers=[]), "'list' object has no attribute"),
+        (lambda m: m.update(schema_version=2),
+         "unsupported schema_version 2")],
+        ids=["no-walk", "overlap", "no-heart", "no-file", "markers-list",
+             "version"])
+    def test_bad_layout_names_the_manifest(self, tmp_path, edit, reason):
+        path = self._edit_manifest(tmp_path, edit)
+        with pytest.raises(SchemaError) as info:
+            PhysioSession.load(tmp_path)
+        assert str(info.value).startswith(f"{path}: {reason}")
 
     @pytest.mark.parametrize("channel, file", [
         ("ecg", "ecg.csv"), ("beats", "beat_intervals.csv"),

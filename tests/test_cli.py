@@ -16,6 +16,7 @@ from exobench.dynamics import (WARMUP_S, CompensationTables, ExoParams,
                                save_calibration)
 from exobench.fuzzy import default_fuzzy_model
 from exobench.questionnaire import default_definition
+from exobench.segmentation import GaitRegressor
 from exobench.streams import SensorStream
 from exobench.synthdata import (synth_physio_session,
                                 synth_questionnaire_response,
@@ -107,15 +108,39 @@ class TestSimAndTrain:
         n_lines = len(out.read_text().splitlines())
         assert n_lines == 2 * 600 + 1  # two 1.2 s cycles at 500 Hz + header
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--subjects", "0"], "subjects must be at least 1, got 0"),
+        (["--subjects", "-2"], "subjects must be at least 1, got -2"),
+        (["--seconds", "0"], "gait_seconds must be positive, got 0.0"),
+        (["--seconds", "-5"], "gait_seconds must be positive, got -5.0"),
+        (["--kind", "gait", "--seconds", "0"],
+         "--seconds must be positive, got 0.0"),
+        (["--kind", "gait", "--seconds", "-5"],
+         "--seconds must be positive, got -5.0")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unusable_size_exits_one_naming_it(self, tmp_path, capsys, flags,
+                                               reason, source):
+        out = tmp_path / "out"
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({flags[-2][2:]: flags[-1]}))
+            flags = flags[:-2] + ["--config", str(config)]
+        assert main(["sim", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
     def test_session_set_honours_rate_and_seconds(self, tmp_path):
         flags = tmp_path / "flags"
         assert main(["sim", "--out", str(flags), "--subjects", "1", "--seed",
                      "1", "--rate", "500", "--seconds", "1.2"]) == 0
+        # config values convert like the flags they fill: a number or
+        # its text
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"rate": 500, "seconds": 1.2}))
+        config.write_text(json.dumps({"rate": 500, "seconds": 1.2,
+                                      "subjects": "1", "seed": "1"}))
         keys = tmp_path / "keys"
-        assert main(["sim", "--out", str(keys), "--subjects", "1", "--seed",
-                     "1", "--config", str(config)]) == 0
+        assert main(["sim", "--out", str(keys), "--config", str(config)]) == 0
+        assert [p.name for p in (keys / "subjects").iterdir()] == ["s01"]
         rel = "subjects/s01/gait_stream.csv"
         assert (keys / rel).read_bytes() == (flags / rel).read_bytes()
         stream = SensorStream.load_csv(flags / rel)
@@ -413,6 +438,88 @@ class TestAnalyze:
         assert "reason" in doc["questionnaire"]
 
 
+def _edit(*keys, value=None):
+    """A mutation of a JSON document: drop the value at the end of the key
+    path ``keys``, or set it to ``value``."""
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        if value is None:
+            del doc[keys[-1]]
+        else:
+            doc[keys[-1]] = value
+    return mutate
+
+
+# every JSON document a command reads: the file, a required key path, and a
+# value of the wrong type; the first five are read by analyze
+_DOCUMENTS = {
+    "set-manifest": ("set_manifest.json", _edit("subjects"),
+                     _edit("files", value=["calibration.json"])),
+    "fuzzy-model": ("fuzzy_model.json", _edit("rules"),
+                    _edit("inputs", value=["hr"])),
+    "calibration": ("calibration.json", _edit("link_parameters"),
+                    _edit("friction_tables", value=[])),
+    "eq-definition": ("eq_definition.json", _edit("items"),
+                      _edit("sub_factors", value=["usability"])),
+    "physio-manifest": ("subjects/s01/physio/manifest.json",
+                        _edit("channels", "ecg", "file"),
+                        _edit("channels", "ecg", "fs", value="250")),
+    "gait-model": ("model.json", _edit("weights"), _edit("rmse", value="low")),
+    "config": ("config.json", None, _edit("seed", value="x")),
+}
+_MUTATIONS = ("truncated", "non-object", "dropped-key", "wrong-type",
+              "schema_version", "latin-1")
+# a config file has no required key and no schema_version
+_CASES = [(document, mutation) for document in _DOCUMENTS
+          for mutation in _MUTATIONS if document != "config"
+          or mutation not in ("dropped-key", "schema_version")]
+
+
+def _mutated(text: str, mutation: str, drop, retype) -> bytes:
+    doc = json.loads(text)
+    if mutation == "truncated":
+        return text.encode()[:len(text) // 2]
+    if mutation == "non-object":
+        return b"[]"
+    if mutation == "latin-1":   # a byte that is not UTF-8 in the first key
+        return text.encode().replace(b'"', b'"\xe9', 1)
+    if mutation == "schema_version":
+        doc["schema_version"] = 99
+    else:
+        (drop if mutation == "dropped-key" else retype)(doc)
+    return json.dumps(doc).encode()
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("document, mutation", _CASES)
+    def test_exits_one_naming_the_file(self, session_set, calibration,
+                                       tmp_path, capsys, document, mutation):
+        rel, drop, retype = _DOCUMENTS[document]
+        root = tmp_path / "set"
+        # the physio channel files are read after the manifest, never here
+        shutil.copytree(session_set, root, ignore=shutil.ignore_patterns(
+            "ecg.csv", "respiration.csv", "gsr.csv"))
+        path = root / rel
+        if document == "gait-model":
+            GaitRegressor(weights=np.linspace(-1.0, 1.0, 6), rmse=0.1).save(
+                path)
+            argv = ["replay", str(root / "stream.csv"), "--model", str(path),
+                    "--calibration", str(calibration)]
+        elif document == "config":
+            path.write_text(json.dumps({"seed": 3, "seconds": 1.2}))
+            argv = ["sim", "--kind", "gait", "--out", str(root / "gait.csv"),
+                    "--config", str(path)]
+        else:
+            argv = ["analyze", str(root), "--out", str(tmp_path / "r.json")]
+        path.write_bytes(_mutated(path.read_text(), mutation, drop, retype))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        # main returned instead of raising, so no Traceback reaches stderr
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+
 class TestValidate:
     def test_valid_files_pass(self, tmp_path, calibration, capsys):
         eq = tmp_path / "eq.json"
@@ -506,6 +613,19 @@ class TestConfigFallback:
         main(["sim", "--kind", "gait", "--out", str(out_c), "--seed", "10",
               "--seconds", "1.2", "--rate", "200"])
         assert out_c.read_text() != out_a.read_text()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("seed", "x", "int"), ("seed", 1.5, "int"), ("seed", True, "int"),
+        ("subjects", [2], "int"), ("rate", "fast", "float"),
+        ("seconds", None, "float")])
+    def test_bad_value_exits_one_naming_file_and_key(self, tmp_path, capsys,
+                                                     key, value, kind):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["sim", "--out", str(tmp_path / "set"), "--config",
+                     str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: {key}: invalid {kind} value {value!r}\n")
 
 
 class TestSynthData:
