@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
-from .streams import bad_line_error, not_utf8_error, read_json, write_json
+from .streams import (bad_line_error, not_utf8_error, read_json, write_json,
+                      write_rows)
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -343,8 +344,7 @@ class PhysioSession:
             data = getattr(self, attr)
             if data is None:
                 continue
-            np.savetxt(directory / file, data, fmt=fmt, header=header,
-                       comments="")
+            write_rows(directory / file, header + "\n", [data], fmt + "\n")
             channels[name] = {"file": file, "kind": kind, "units": units}
             if rate:
                 channels[name]["fs"] = getattr(self, rate)
@@ -374,7 +374,7 @@ class PhysioSession:
 
 
 # one row per channel file: session attribute, manifest channel name, file
-# name, header, savetxt format, kind and units recorded in the manifest, and
+# name, header, number format, kind and units recorded in the manifest, and
 # the session attribute holding the sample rate (None for event series)
 _CHANNELS = (
     ("ecg", "ecg", "ecg.csv", "ecg_mv", "%.8g", "waveform", "mV", "ecg_fs"),

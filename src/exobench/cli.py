@@ -53,6 +53,8 @@ def _apply_config(args, keys):
 def cmd_sim(args) -> int:
     _apply_config(args, ("seed", "subjects", "rate", "seconds"))
     seed = 0 if args.seed is None else args.seed
+    if args.rate is not None and not args.rate >= 100:
+        raise ValueError(f"--rate must be at least 100 Hz, got {args.rate}")
     out = Path(args.out)
     if args.kind == "session-set":
         subjects = 5 if args.subjects is None else args.subjects
@@ -65,7 +67,6 @@ def cmd_sim(args) -> int:
         return 0
     rate = 100.0 if args.rate is None else args.rate
     pattern = GaitPattern()
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "training":
         stream = generate_training_protocol(pattern, seed=seed, rate=rate)
     else:
@@ -74,6 +75,7 @@ def cmd_sim(args) -> int:
             raise ValueError(f"--seconds must be positive, got {seconds}")
         cycles = max(1, round(seconds / pattern.cycle_duration))
         stream = generate_cycle(pattern, rate=rate, cycles=cycles, seed=seed)
+    out.parent.mkdir(parents=True, exist_ok=True)
     stream.save_csv(out)
     print(f"{len(stream)} frames written to {out}")
     return 0

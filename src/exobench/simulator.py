@@ -25,7 +25,7 @@ import numpy as np
 from .blend import AssistCommand, ControlLoop, blend_gains
 from .dynamics import WARMUP_S, blended_torque_array
 from .errors import OutOfOrderFrameError
-from .streams import SensorStream
+from .streams import SensorStream, write_rows
 
 TREADMILL_SPEEDS_KMH = (1.0, 1.5, 2.0, 2.5, 3.0)
 SWINGS_PER_SIDE = 3          # leg-swing cycles per side in training
@@ -323,14 +323,10 @@ class ReplayResult:
         )
 
     def save_csv(self, path):
-        us = self._step_times()
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("t,raw_phase,gamma_l,tau_rh,tau_rk,tau_ra,tau_lh,tau_lk,"
-                    "tau_la,step_time_us\n")
-            for i in range(self.t.size):
-                row = (self.t[i], self.raw_phase[i], self.gamma_l[i],
-                       *self.tau[i], us[i])
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_rows(path, "t,raw_phase,gamma_l,tau_rh,tau_rk,tau_ra,tau_lh,"
+                   "tau_lk,tau_la,step_time_us\n",
+                   [self.t, self.raw_phase, self.gamma_l, *self.tau.T,
+                    self._step_times()], ",".join(["%r"] * 10) + "\n")
 
 
 def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:

@@ -7,8 +7,9 @@ two sole loads, and an optional per-sample stage tag.
 CSV columns: ``t, q_rh, q_rk, q_ra, q_lh, q_lk, q_la, left_load,
 right_load, stage_tag`` (header required, stage_tag may be empty).
 
-The accepted dialect is what ``save_csv`` writes (``csv.writer``
-defaults) and is read in one ``np.loadtxt`` pass:
+The accepted dialect is what ``save_csv`` writes (``csv.writer`` defaults)
+through ``write_rows``, the chunked writer of every numeric CSV exobench
+makes, and is read in one ``np.loadtxt`` pass:
 
 * every record has exactly ten comma-separated fields; a field may be
   quoted with ``"``, a doubled ``""`` inside quotes is one quote, and a
@@ -32,10 +33,14 @@ it, raising a ``SchemaError`` that names the file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -47,6 +52,7 @@ CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
 # one parsed record: nine numbers and the tag as a Python str
 _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
                 + [(CSV_HEADER[9], object)])
+ROWS_PER_CHUNK = 4096   # rows per write_rows write: bounds the cells held
 
 
 class SensorFrame(NamedTuple):
@@ -107,17 +113,10 @@ class SensorStream:
         )
 
     def save_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(CSV_HEADER)
-            stage = self.stage
-            for i in range(len(self)):
-                row = [repr(float(self.t[i]))]
-                row += [repr(float(v)) for v in self.q[i]]
-                row += [repr(float(self.left_load[i])),
-                        repr(float(self.right_load[i]))]
-                row.append("" if stage is None else str(stage[i]))
-                writer.writerow(row)
+        write_rows(path, ",".join(CSV_HEADER) + "\r\n",
+                   [self.t, *self.q.T, self.left_load, self.right_load],
+                   "%r," * 9 + ("\r\n" if self.stage is None else "%s\r\n"),
+                   tags=self.stage, newline="")
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
@@ -149,6 +148,29 @@ class SensorStream:
                    stage=rows["stage_tag"].copy())
 
 
+def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
+    """Write ``header``, then each row of the equal-length 1-D ``columns``
+    as ``row_fmt`` of Python floats, one ``%`` and one write per
+    ``ROWS_PER_CHUNK`` rows; ``str`` of each of the ``tags`` fills its row's
+    last ``%s``, quoted as ``csv.writer`` quotes a field."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    quoted = {}
+    with open(path, "w", newline=newline, encoding="utf-8") as f:
+        f.write(header)
+        for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
+            stop = start + ROWS_PER_CHUNK
+            cells = [c[start:stop].tolist() for c in columns]
+            if tags is not None:
+                texts = [str(tag) for tag in tags[start:stop]]
+                for text in set(texts).difference(quoted):
+                    buf = io.StringIO()   # text after a field, then "\r\n"
+                    csv.writer(buf).writerow(["", text])
+                    quoted[text] = buf.getvalue()[1:-2]
+                cells.append([quoted[text] for text in texts])
+            f.write(row_fmt * len(cells[0])
+                    % tuple(chain.from_iterable(zip(*cells))))
+
+
 def _bad_csv_line(path) -> ValueError:
     """The error naming the record of a stream CSV that failed to load; line
     numbers count CSV records, blank ones included, from 1 for the header."""
@@ -176,15 +198,17 @@ def read_json(path, version=None, build=dict):
     """``build(doc)`` of the JSON object in ``path``, whose
     ``schema_version`` must equal ``version`` unless that is None.
 
-    Invalid UTF-8 or JSON, a non-finite number, a non-object, another
-    version, and a bad value that ``build`` meets (``KeyError``,
-    ``TypeError``, ``ValueError``, ``AttributeError``, ``OverflowError`` or
-    ``ConfigurationError``) raise a ``SchemaError`` starting with the path.
+    Invalid UTF-8 or JSON, a number no finite float holds (NaN, 10**400),
+    a non-object, another version, and a bad value that ``build`` meets
+    (``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError``,
+    ``OverflowError`` or ``ConfigurationError``) raise a ``SchemaError``
+    starting with the path.
     """
     with open(path, "rb") as f:
         raw = f.read()
     try:
         doc = json.loads(raw.decode("utf-8"), parse_float=_finite_number,
+                         parse_int=lambda text: _finite_number(text, int),
                          parse_constant=_finite_number)
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
@@ -206,10 +230,10 @@ def read_json(path, version=None, build=dict):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _finite_number(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):   # NaN, Infinity, or 1e400
-        raise ValueError(f"non-finite number {text}")
+def _finite_number(text: str, parse=float):
+    value = parse(text)
+    if not abs(value) <= sys.float_info.max:   # NaN, Infinity, 1e400, 10**400
+        raise ValueError(f"not a finite float: {reprlib.repr(text)}")
     return value
 
 

@@ -177,6 +177,9 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
         raise ValueError(f"subjects must be at least 1, got {subjects}")
     if not gait_seconds > 0:
         raise ValueError(f"gait_seconds must be positive, got {gait_seconds}")
+    if not control_rate >= 100:
+        raise ValueError(f"control_rate must be at least 100 Hz, "
+                         f"got {control_rate}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

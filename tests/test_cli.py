@@ -116,18 +116,29 @@ class TestSimAndTrain:
         (["--kind", "gait", "--seconds", "0"],
          "--seconds must be positive, got 0.0"),
         (["--kind", "gait", "--seconds", "-5"],
-         "--seconds must be positive, got -5.0")])
+         "--seconds must be positive, got -5.0"),
+        (["--subjects", "2", "--rate", "50"],
+         "--rate must be at least 100 Hz, got 50.0"),
+        (["--kind", "gait", "--rate", "nan"],
+         "--rate must be at least 100 Hz, got nan")])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unusable_size_exits_one_naming_it(self, tmp_path, capsys, flags,
                                                reason, source):
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"
         if source == "config":
             config = tmp_path / "config.json"
             config.write_text(json.dumps({flags[-2][2:]: flags[-1]}))
             flags = flags[:-2] + ["--config", str(config)]
         assert main(["sim", "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
-        assert not out.exists()
+        assert not out.parent.exists()   # nothing written, not even a folder
+
+    def test_session_set_checks_the_rate_before_writing(self, tmp_path):
+        root = tmp_path / "set"
+        with pytest.raises(ValueError, match="control_rate must be at least "
+                                             "100 Hz, got 50.0"):
+            synth_session_set(root, subjects=2, seed=1, control_rate=50.0)
+        assert not root.exists()
 
     def test_session_set_honours_rate_and_seconds(self, tmp_path):
         flags = tmp_path / "flags"
@@ -518,6 +529,25 @@ class TestMalformedJson:
         # main returned instead of raising, so no Traceback reaches stderr
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+
+
+    def test_integer_beyond_the_float_range_exits_one(self, calibration,
+                                                      tmp_path, capsys):
+        doc = json.loads(calibration.read_text())
+        doc["link_parameters"]["thigh_length"] = 10**400
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(doc))
+        model = tmp_path / "model.json"
+        GaitRegressor(weights=np.linspace(-1.0, 1.0, 6), rmse=0.1).save(model)
+        stream = tmp_path / "stream.csv"
+        assert main(["sim", "--kind", "gait", "--out", str(stream), "--seed",
+                     "6", "--seconds", "1.2", "--rate", "200"]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(stream), "--model", str(model),
+                     "--calibration", str(path)]) == 1
+        digits = "'100000000000...0000000000000'"   # reprlib's abbreviation
+        assert (capsys.readouterr().err
+                == f"error: {path}: not a finite float: {digits}\n")
 
 
 class TestValidate:

@@ -1,5 +1,7 @@
-"""SensorStream CSV reading: the accepted dialect, its errors, round trips."""
+"""SensorStream CSV reading: the accepted dialect, its errors, round trips;
+and the chunked row writer pinned to the per-row writers it replaced."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exobench.streams import CSV_HEADER, SensorStream
+from exobench.biosignal import PhysioSession
+from exobench.simulator import ReplayResult
+from exobench.streams import CSV_HEADER, ROWS_PER_CHUNK, SensorStream
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -215,3 +219,123 @@ def test_cells_float_accepts_but_the_dialect_rejects(tmp_path, cell):
         SensorStream.load_csv(path)
     assert str(info.value) == (f"{path}: line 3: could not convert string "
                                f"to float: {cell!r}")
+
+
+# -- the chunked row writer against the per-row writers it replaced ---------
+
+def _csv_writer_oracle(path, stream):
+    """The per-row ``csv.writer`` loop ``SensorStream.save_csv`` ran before
+    rows were written a chunk at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(CSV_HEADER)
+        for i in range(len(stream)):
+            row = [repr(float(stream.t[i]))]
+            row += [repr(float(v)) for v in stream.q[i]]
+            row += [repr(float(stream.left_load[i])),
+                    repr(float(stream.right_load[i]))]
+            row.append("" if stream.stage is None else str(stream.stage[i]))
+            writer.writerow(row)
+
+
+def _savetxt_oracle(directory, session):
+    """The ``np.savetxt`` call ``PhysioSession.save`` made per channel."""
+    for attr, file, header, fmt in _PHYSIO_FILES:
+        data = getattr(session, attr)
+        if data is not None:
+            np.savetxt(directory / file, data, fmt=fmt, header=header,
+                       comments="")
+
+
+def _command_log_oracle(path, result):
+    """The per-row ``repr`` loop ``ReplayResult.save_csv`` ran."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("t,raw_phase,gamma_l,tau_rh,tau_rk,tau_ra,tau_lh,tau_lk,"
+                "tau_la,step_time_us\n")
+        for i in range(result.t.size):
+            row = (result.t[i], result.raw_phase[i], result.gamma_l[i],
+                   *result.tau[i], result.step_us[i])
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+_PHYSIO_FILES = (("ecg", "ecg.csv", "ecg_mv", "%.8g"),
+                 ("beat_intervals_ms", "beat_intervals.csv", "interval_ms",
+                  "%.12g"),
+                 ("respiration", "respiration.csv", "respiration_au", "%.8g"),
+                 ("breath_times", "breath_times.csv", "breath_t_s", "%.12g"),
+                 ("gsr", "gsr.csv", "gsr_us", "%.8g"))
+# lengths around the chunk boundary, and the empty and one-row files
+_LENGTHS = st.sampled_from([0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK,
+                            ROWS_PER_CHUNK + 1])
+# tags csv.writer has to quote, and ones it must not
+_WRITER_TAG = st.text(st.characters(blacklist_categories=("Cs",))
+                      | st.sampled_from(',"\r\n '), max_size=6)
+
+
+def _column_maker(seed, specials):
+    """Columns of ``n`` floats over many magnitudes, seeded, with the
+    ``specials`` (NaN, inf, -0.0, subnormals, ...) spread over them."""
+    rng = np.random.default_rng(seed)
+
+    def column(n):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        if n:
+            values[rng.integers(0, n, len(specials))] = specials
+        return values
+    return column
+
+
+def _same_bytes(a, b):
+    assert a.read_bytes() == b.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4),
+       st.none() | st.lists(_WRITER_TAG, min_size=1, max_size=5))
+@example(2, 0, [], ["", " ", "a,b", 'say "hi"', "x\r\ny"])
+def test_stream_writer_matches_the_csv_writer_loop(tmp_path_factory, n, seed,
+                                                   specials, tags):
+    column = _column_maker(seed, specials)
+    stage = None
+    if tags is not None:
+        stage = np.array(tags, dtype=object)[
+            np.random.default_rng(seed).integers(0, len(tags), n)]
+    stream = SensorStream(t=column(n), q=np.column_stack(
+        [column(n) for _ in range(6)]), left_load=column(n),
+        right_load=column(n), stage=stage)
+    directory = tmp_path_factory.mktemp("stream_writer")
+    stream.save_csv(directory / "new.csv")
+    _csv_writer_oracle(directory / "old.csv", stream)
+    _same_bytes(directory / "new.csv", directory / "old.csv")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4))
+def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials):
+    column = _column_maker(seed, specials)
+    markers = {"sit": [0.0, 1.0], "sit_exo": [1.0, 2.0], "walk": [2.0, 3.0]}
+    session = PhysioSession(
+        markers=markers, ecg=column(n), beat_intervals_ms=column(n),
+        respiration=column(n), breath_times=column(n), gsr=column(n))
+    directory = tmp_path_factory.mktemp("physio_writer")
+    session.save(directory / "new")
+    (directory / "old").mkdir()
+    _savetxt_oracle(directory / "old", session)
+    for _, file, _, _ in _PHYSIO_FILES:
+        _same_bytes(directory / "new" / file, directory / "old" / file)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4))
+def test_command_log_writer_matches_the_repr_loop(tmp_path_factory, n, seed,
+                                                  specials):
+    column = _column_maker(seed, specials)
+    result = ReplayResult(
+        t=column(n), raw_phase=column(n), gamma_l=column(n),
+        tau=np.column_stack([column(n) for _ in range(6)]),
+        degraded=np.zeros(n, bool), dropped_frames=0, step_us=column(n),
+        period_us=200.0)
+    directory = tmp_path_factory.mktemp("command_log_writer")
+    result.save_csv(directory / "new.csv")
+    _command_log_oracle(directory / "old.csv", result)
+    _same_bytes(directory / "new.csv", directory / "old.csv")
