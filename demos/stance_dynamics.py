@@ -6,8 +6,8 @@ gravity vector, and shows the friction/ripple table lookups.
 
 import numpy as np
 
-from exobench import (CompensationTables, ExoParams, JointState, StanceModel,
-                      gravity_vector, inertia_matrix, stance_torque)
+from exobench import (CompensationTables, ExoParams, StanceModel,
+                      blended_torque, gravity_vector, inertia_matrix)
 
 params = ExoParams()
 print("link parameters:")
@@ -37,12 +37,11 @@ print("eigenvalues:", np.round(eigs, 4), "-> positive definite")
 
 # a full six-joint snapshot, with tables
 tables = CompensationTables.default_synthetic()
-state = JointState(
-    q=np.array([0.2, 0.5, -0.05, -0.1, 0.3, 0.05]),
-    qd=np.array([1.0, -2.0, 0.3, -1.0, 2.0, -0.3]),
-    qdd=np.array([4.0, -8.0, 1.0, -4.0, 8.0, -1.0]),
-)
-tau = stance_torque(left, state, tables)
+q = np.array([0.2, 0.5, -0.05, -0.1, 0.3, 0.05])
+qd = np.array([1.0, -2.0, 0.3, -1.0, 2.0, -0.3])
+qdd = np.array([4.0, -8.0, 1.0, -4.0, 8.0, -1.0])
+# gains (1, 0): all of the command comes from the left-stance chain
+tau = blended_torque(q, qd, qdd, 1.0, 0.0, left, left, tables)
 print("\nfull stance torque for a mid-swing snapshot (Nm):")
 for name, value in zip(("RH", "RK", "RA", "LH", "LK", "LA"), tau):
     note = "" if name not in ("RA", "LA") else "   (passive ankle)"

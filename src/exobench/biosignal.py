@@ -321,9 +321,6 @@ class PhysioSession:
                     f"{phase} duration {stop - start:.1f} s outside "
                     f"{nominal:.0f} s +-{PROTOCOL_TOLERANCE * 100:.0f}%")
 
-    def phase_bounds(self, phase: str) -> tuple[float, float]:
-        return tuple(self.markers[phase])
-
     def beat_times(self) -> np.ndarray:
         """Beat timestamps (s), detected once and cached."""
         if self._beats is None:
@@ -467,20 +464,9 @@ class FeatureWindow:
     FEATURES = ("hr", "rmssd", "rr", "scl", "scr_rate", "scr_amplitude",
                 "lf_ms2", "lf_fraction")
 
-    def feature(self, name: str):
-        return getattr(self, name)
-
-    def to_dict(self) -> dict:
-        d = {"phase": self.phase, "start": self.start, "stop": self.stop}
-        for name in self.FEATURES:
-            d[name] = self.feature(name)
-        return d
-
 
 def _window_intervals(beats: np.ndarray, start: float, stop: float):
     inside = beats[(beats >= start) & (beats <= stop)]
-    if inside.size < 3:
-        return None
     return np.diff(inside) * 1000.0
 
 
@@ -496,7 +482,7 @@ def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
     beats = session.beat_times()
     out = []
     for phase in PHASES:
-        t0, t1 = session.phase_bounds(phase)
+        t0, t1 = session.markers[phase]
         n_win = int(np.floor((t1 - t0 + 1e-9 - WINDOW_S) / WINDOW_S)) + 1
         for i in range(max(0, n_win)):
             start = t0 + i * WINDOW_S
@@ -504,22 +490,19 @@ def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
             if stop > t1 + 1e-9:
                 break
             fw = FeatureWindow(phase=phase, start=start, stop=stop)
-            iv = _window_intervals(beats, start, stop)
-            if iv is not None:
-                try:
-                    fw.hr, fw.rmssd = hr_rmssd(iv)
-                except InsufficientDataError:
-                    pass
+            try:
+                fw.hr, fw.rmssd = hr_rmssd(_window_intervals(beats, start, stop))
+            except InsufficientDataError:
+                pass
             # LF: context window clamped into the phase
             ctx_start = max(t0, stop - LF_CONTEXT_S)
             ctx_stop = ctx_start + LF_CONTEXT_S
             if ctx_stop <= t1 + 1e-9:
                 ctx_iv = _window_intervals(beats, ctx_start, ctx_stop)
-                if ctx_iv is not None:
-                    try:
-                        fw.lf_ms2, fw.lf_fraction = lf_power(ctx_iv)
-                    except InsufficientDataError:
-                        pass
+                try:
+                    fw.lf_ms2, fw.lf_fraction = lf_power(ctx_iv)
+                except InsufficientDataError:
+                    pass
             if session.respiration is not None:
                 fs = session.respiration_fs
                 seg = session.respiration[int(start * fs):int(stop * fs)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .blend import ControlLoop
@@ -22,16 +23,18 @@ from .errors import (ExobenchError, IncompleteTrainingError,
                      InsufficientDataError, SchemaError)
 from .fuzzy import load_fuzzy_model
 from .questionnaire import EQDefinition
-from .report import analyze_session_set, canonical_json, render_factor_table
+from .report import analyze_session_set, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
 from .simulator import GaitPattern, generate_cycle, generate_training_protocol, replay
-from .streams import CSV_HEADER, SensorStream, not_utf8_error, read_json
+from .streams import (CSV_HEADER, SensorStream, canonical_json, not_utf8_error,
+                      read_json, write_json)
 from .synthdata import synth_session_set
 
 
 def _apply_config(args, keys):
     """Fill unset options from --config JSON (or $EXOBENCH_CONFIG), each
-    value converted by its option's argparse ``type`` as a flag's text."""
+    value converted by its option's argparse ``type`` as a flag's text; an
+    option without a ``type`` is a switch and takes only a JSON boolean."""
     path = getattr(args, "config", None) or os.environ.get("EXOBENCH_CONFIG")
     if not path:
         return
@@ -40,13 +43,15 @@ def _apply_config(args, keys):
     for key in keys:
         if getattr(args, key) is not None or key not in config:
             continue
-        value, convert = config[key], types[key]
-        if convert is not None:
-            try:
+        value, convert = config[key], types[key] or bool
+        try:
+            if convert is not bool:
                 value = convert(str(value))
-            except ValueError:
-                raise SchemaError(f"{path}: {key}: invalid {convert.__name__}"
-                                  f" value {value!r}") from None
+            elif not isinstance(value, bool):
+                raise ValueError
+        except ValueError:
+            raise SchemaError(f"{path}: {key}: invalid {convert.__name__}"
+                              f" value {value!r}") from None
         setattr(args, key, value)
 
 
@@ -114,10 +119,10 @@ def cmd_replay(args) -> int:
           f"{result.period_us:.0f} us period; "
           f"max/median torque jump={smooth.jump_ratio:.2f}")
     if args.report:
-        doc = {"timing": timing.to_dict(), "smoothness": smooth.to_dict(),
-               "commands": int(result.commands),
-               "dropped_frames": int(result.dropped_frames)}
-        Path(args.report).write_text(canonical_json(doc), encoding="utf-8")
+        write_json(args.report, {
+            "timing": asdict(timing), "smoothness": asdict(smooth),
+            "commands": int(result.commands),
+            "dropped_frames": int(result.dropped_frames)})
     return 0
 
 
@@ -163,7 +168,7 @@ def _validate_one(path: Path) -> str | None:
         if error := not_utf8_error(path, lines):
             raise error
         header = lines[0][1].strip().split(",")
-        if header == CSV_HEADER:
+        if [h.strip() for h in header] == CSV_HEADER:   # as load_csv reads it
             SensorStream.load_csv(path)
             return "sensor-stream"
         if header == ["subject_id", "item_id", "score"]:

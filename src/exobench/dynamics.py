@@ -19,8 +19,8 @@ link parameters:
   ch. 5).  Its source is type-generic: native floats with ``math``
   sin/cos for the 5 kHz step, or ``(6, m)`` column stacks with
   ``np.sin``/``np.cos`` for m frames at once, bit-identically;
-  ``blended_torque``, ``blended_torque_array`` and ``stance_torque`` all
-  route through it.
+  ``blended_torque`` and ``blended_torque_array`` route through it, and
+  gains (1, 0) give the single-stance compensation of one side.
 * ``inertia_matrix`` / ``gravity_vector`` build the dense Lagrangian
   operators B(q) and G(q) from each body's reach coefficients with
   vectorised numpy: the oracle of the tests and the benchmark.
@@ -102,28 +102,6 @@ class ExoParams:
             raise ValueError("com_fraction must lie in [0, 1]")
         if self.gravity <= 0:
             raise ValueError("gravity must be positive")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Angle/velocity/acceleration snapshot of all six sagittal joints.
-
-    Ordering is ``(RH, RK, RA, LH, LK, LA)``.
-    """
-
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("q", "qd", "qdd"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (6,):
-                raise ValueError(f"{name} must have shape (6,)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
 
 
 class PlanarChain:
@@ -431,6 +409,7 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
 
     A side whose gain is exactly zero is skipped entirely, so saturated
     gains reproduce the corresponding single-stance torque bit for bit.
+    Passive ankle entries are informational: see ``ACTUATED_MASK``.
     """
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
@@ -467,18 +446,6 @@ def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
         for k, x in zip(perm, parts):
             tau[rows, k] += g * x
     return tau + tables.evaluate_array(q, qd)
-
-
-def stance_torque(model: StanceModel, state: JointState,
-                  tables: CompensationTables) -> np.ndarray:
-    """Full single-stance compensation torque in the 6-joint space.
-
-    Inertia and gravity act in the 5-joint stance space and are scattered
-    back (swing-side ankle entry zero); friction and ripple are added per
-    joint.  Passive ankle entries are informational: see ``ACTUATED_MASK``.
-    """
-    return blended_torque(state.q, state.qd, state.qdd, 1.0, 0.0,
-                          model, model, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,6 @@ class FuzzyVariable:
             raise SchemaError(f"{self.name} coverage gap: some of "
                               f"[{self.lo}, {self.hi}] has zero membership")
 
-    def membership(self, level: str, x) -> float:
-        return self.mfs[level](x)
-
 
 @dataclass(frozen=True)
 class FuzzyRule:
@@ -257,9 +254,6 @@ class NormalizedInputs:
                 cleaned[name] = float(v)
         self.values = cleaned
 
-    def value(self, name: str):
-        return self.values[name]
-
     @property
     def invalid(self) -> tuple:
         return tuple(n for n in INPUT_NAMES if self.values[n] is None)
@@ -276,11 +270,6 @@ class PIScores:
     fatigue: float
     degraded: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {"stress": self.stress, "energy": self.energy,
-                "attention": self.attention, "fatigue": self.fatigue,
-                "degraded": list(self.degraded)}
-
 
 def normalize(walk: list[FeatureWindow],
               sit: list[FeatureWindow]) -> list[NormalizedInputs]:
@@ -293,13 +282,13 @@ def normalize(walk: list[FeatureWindow],
         raise InsufficientDataError("need at least one sit window")
     baseline = {}
     for name, feat in FEATURE_FOR_INPUT.items():
-        vals = [fw.feature(feat) for fw in sit if fw.feature(feat) is not None]
+        vals = [v for fw in sit if (v := getattr(fw, feat)) is not None]
         baseline[name] = float(np.mean(vals)) if vals else None
     rows = []
     for fw in walk[-SCORED_WALK_WINDOWS:]:
         ratios = {}
         for name, feat in FEATURE_FOR_INPUT.items():
-            v = fw.feature(feat)
+            v = getattr(fw, feat)
             b = baseline[name]
             ratios[name] = (v / b) if (v is not None and b and b > 0) else None
         rows.append(NormalizedInputs(values=ratios))
@@ -316,11 +305,11 @@ def infer(model: FuzzyModel, inputs: NormalizedInputs) -> PIScores:
     for rule in model.rules:
         strength = 1.0
         for inp, level in rule.antecedent:
-            x = inputs.value(inp)
+            x = inputs.values[inp]
             if x is None:
                 strength = 0.0
                 break
-            mu = model.inputs[inp].membership(level, x)
+            mu = model.inputs[inp].mfs[level](x)
             if mu < strength:
                 strength = mu
             if strength == 0.0:

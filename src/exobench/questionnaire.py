@@ -14,6 +14,7 @@ synthetic default with the right cardinalities ships for testing.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,7 +226,7 @@ def factor_weights(preferences, sub_factors) -> dict:
     normalisation expects.
     """
     subs = sorted(sub_factors)
-    expected = {frozenset(p) for p in _all_pairs(subs)}
+    expected = {frozenset(p) for p in itertools.combinations(subs, 2)}
     weights = {s: 0.0 for s in subs}
     seen = set()
     for a, b, winner in preferences:
@@ -249,12 +250,6 @@ def factor_weights(preferences, sub_factors) -> dict:
         names = ", ".join(sorted("/".join(sorted(p)) for p in missing))
         raise IncompleteComparisonError(f"missing comparisons: {names}")
     return weights
-
-
-def _all_pairs(subs):
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            yield subs[i], subs[j]
 
 
 def factor_score(sub_scores: dict, weights: dict) -> float:
@@ -304,14 +299,6 @@ class FactorReport:
     subfactor_scores: dict
     factor_scores: dict
     consistency_pct: float
-
-    def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "subfactor_scores": dict(sorted(self.subfactor_scores.items())),
-            "factor_scores": dict(sorted(self.factor_scores.items())),
-            "consistency_pct": self.consistency_pct,
-        }
 
 
 def score_session(response: QuestionnaireResponse,

@@ -19,6 +19,7 @@ overrun counts cover.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .questionnaire import (EQDefinition, aggregate_reports,
 from .segmentation import train, training_session_builder
 from .simulator import replay, replay_batch
 from .streams import SensorStream, read_json
-from .streams import canonical_json  # re-exported for the CLI
 from .synthdata import SET_SCHEMA_VERSION
 
 REPORT_SCHEMA_VERSION = 1
@@ -59,9 +59,9 @@ def _physio_section(session: PhysioSession, lenient: bool):
     session.validate_protocol(lenient=lenient)
     windows = windowed_features(session)
     missing = sum(1 for fw in windows for name in FeatureWindow.FEATURES
-                  if fw.feature(name) is None)
+                  if getattr(fw, name) is None)
     return windows, {
-        "windows": [fw.to_dict() for fw in windows],
+        "windows": [asdict(fw) for fw in windows],
         "missing_values": missing,
     }
 
@@ -80,7 +80,7 @@ def _psycho_section(windows, model):
     return {
         "inputs": [{k: row.values[k] for k in sorted(row.values)}
                    for row in rows],
-        "scores": [s.as_dict() for s in scores],
+        "scores": [asdict(s) for s in scores],
         "mean_scores": mean_scores,
         "invalid_inputs": invalid,
         "degraded_outputs": degraded,
@@ -114,12 +114,12 @@ def _controller_section(directory: Path, params, tables):
         "training_rmse": regressor.rmse,
         "commands": int(result.commands),
         "dropped_frames": int(result.dropped_frames),
-        "smoothness": smooth.to_dict(),
+        "smoothness": asdict(smooth),
         "command_digest": digest.hexdigest(),
         "max_abs_tau": float(np.max(np.abs(tau))),
         "rms_tau": float(np.sqrt(np.mean(tau * tau))),
     }
-    return section, probe.timing().to_dict()
+    return section, asdict(probe.timing())
 
 
 def _check_manifest(manifest: dict) -> dict:
@@ -201,7 +201,7 @@ def analyze_session_set(root, lenient: bool = False):
             if sid not in responses:
                 raise SchemaError(f"no questionnaire response for subject {sid}")
             factor_report = score_session(responses[sid], definition)
-            questionnaire[sid] = factor_report.to_dict()
+            questionnaire[sid] = asdict(factor_report)
             factor_reports.append(factor_report)
 
         ctrl, ctrl_timing = _controller_section(directory, params, tables)

@@ -240,11 +240,6 @@ class TimingReport:
     max_us: float
     overruns: int
 
-    def to_dict(self) -> dict:
-        return {"steps": self.steps, "p50_us": self.p50_us,
-                "p95_us": self.p95_us, "p99_us": self.p99_us,
-                "max_us": self.max_us, "overruns": self.overruns}
-
 
 @dataclass
 class SmoothnessReport:
@@ -260,10 +255,6 @@ class SmoothnessReport:
     max_jump: float
     jump_ratio: float      # max / median
     lipschitz: float       # max jump / sample period, Nm/s
-
-    def to_dict(self) -> dict:
-        return {"median_jump": self.median_jump, "max_jump": self.max_jump,
-                "jump_ratio": self.jump_ratio, "lipschitz": self.lipschitz}
 
 
 @dataclass

@@ -10,6 +10,7 @@ for the controller.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +151,12 @@ def synth_questionnaire_response(definition: EQDefinition, seed: int = 0,
         subs = definition.sub_factors_of(factor)
         order = list(rng.permutation(subs))
         pairs = []
-        for i in range(len(subs)):
-            for j in range(i + 1, len(subs)):
-                a, b = subs[i], subs[j]
-                if rng.random() < 0.1:
-                    pairs.append((a, b, TIE))
-                else:
-                    winner = a if order.index(a) < order.index(b) else b
-                    pairs.append((a, b, winner))
+        for a, b in itertools.combinations(subs, 2):
+            if rng.random() < 0.1:
+                pairs.append((a, b, TIE))
+            else:
+                winner = a if order.index(a) < order.index(b) else b
+                pairs.append((a, b, winner))
         preferences[factor] = pairs
     return QuestionnaireResponse(subject_id=subject_id, scores=scores,
                                  preferences=preferences)

@@ -11,9 +11,9 @@ import pytest
 
 from exobench.blend import ControlLoop, blend_gains
 from exobench.cli import main as cli_main
-from exobench.dynamics import (CompensationTables, ExoParams, JointState,
-                               PlanarChain, StanceModel, gravity_vector,
-                               inertia_matrix, stance_torque)
+from exobench.dynamics import (CompensationTables, ExoParams, PlanarChain,
+                               StanceModel, blended_torque, gravity_vector,
+                               inertia_matrix)
 from exobench.fuzzy import (INPUT_NAMES, OUTPUT_NAMES, NormalizedInputs,
                             default_fuzzy_model, infer)
 from exobench.questionnaire import (EQDefinition, default_definition,
@@ -80,14 +80,15 @@ def test_blend_algebra(trained_rig, capsys):
             cmd = loop.step(frame)
             if cmd.degraded:
                 continue
-            state = JointState(np.asarray(frame.q), np.asarray(cmd.qd),
-                               np.asarray(cmd.qdd), t=frame.t)
+            state = (np.asarray(frame.q), np.asarray(cmd.qd),
+                     np.asarray(cmd.qdd))
             if cmd.gamma_l == 1.0:
-                expected = stance_torque(left, state, tables)
+                expected = blended_torque(*state, 1.0, 0.0, left, left, tables)
                 assert np.array_equal(cmd.tau_array(), expected)
                 result_checked["left"] += 1
             elif cmd.gamma_r == 1.0:
-                expected = stance_torque(right, state, tables)
+                expected = blended_torque(*state, 1.0, 0.0, right, right,
+                                          tables)
                 assert np.array_equal(cmd.tau_array(), expected)
                 result_checked["right"] += 1
         assert result_checked["left"] > 100 and result_checked["right"] > 100

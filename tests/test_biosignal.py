@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -391,12 +392,19 @@ class TestWindowedFeatures:
         rows = windowed_features(session)
         for fw in rows:
             for name in FeatureWindow.FEATURES:
-                assert fw.feature(name) is not None, (fw.phase, fw.start, name)
+                assert getattr(fw, name) is not None, (fw.phase, fw.start, name)
+
+    def test_features_are_the_feature_fields(self):
+        # the report counts missing values over FEATURES and writes every
+        # field, so the two must name the same features in the same order
+        keys = list(asdict(FeatureWindow(phase="sit", start=0.0, stop=60.0)))
+        assert keys[:3] == ["phase", "start", "stop"]
+        assert tuple(keys[3:]) == FeatureWindow.FEATURES
 
     def test_deterministic(self):
         session = small_session()
-        r1 = [fw.to_dict() for fw in windowed_features(session)]
-        r2 = [fw.to_dict() for fw in windowed_features(session)]
+        r1 = [asdict(fw) for fw in windowed_features(session)]
+        r2 = [asdict(fw) for fw in windowed_features(session)]
         assert r1 == r2
 
 
@@ -426,8 +434,8 @@ class TestPhysioSession:
         assert loaded.markers["walk"] == session.markers["walk"]
         # waveforms round-trip through %.8g text, so features agree to
         # well under the tolerances any downstream consumer uses
-        r1 = [fw.to_dict() for fw in windowed_features(session)]
-        r2 = [fw.to_dict() for fw in windowed_features(loaded)]
+        r1 = [asdict(fw) for fw in windowed_features(session)]
+        r2 = [asdict(fw) for fw in windowed_features(loaded)]
         for a, b in zip(r1, r2):
             for k in a:
                 if isinstance(a[k], float) and a[k] is not None:

@@ -4,8 +4,7 @@ import pytest
 import exobench.blend
 from exobench.blend import BlendGains, ControlLoop, blend_gains, gains
 from exobench.dynamics import (ACTUATED_MASK, WARMUP_S, CompensationTables,
-                               JointState, StanceModel, blended_torque,
-                               stance_torque)
+                               StanceModel, blended_torque)
 from exobench.errors import OutOfOrderFrameError
 from exobench.segmentation import GaitRegressor
 from exobench.simulator import GaitPattern, generate_cycle, replay
@@ -54,12 +53,12 @@ class TestGains:
             blend_gains(np.array([0.0, np.inf]))
 
 
-def _assist(state, left, right, regressor, tables):
+def _assist(q, qd, qdd, left, right, regressor, tables):
     """Gains and torque for a fully known joint state, assembled as
     ``ControlLoop.step`` assembles them."""
-    g = gains(regressor.phase(state.q))
-    return g, blended_torque(state.q, state.qd, state.qdd, g.gamma_l,
-                             g.gamma_r, left, right, tables)
+    g = gains(regressor.phase(q))
+    return g, blended_torque(q, qd, qdd, g.gamma_l, g.gamma_r, left, right,
+                             tables)
 
 
 class TestAssist:
@@ -72,9 +71,9 @@ class TestAssist:
             raw = reg.phase(tuple(q))
             if raw < 1.0:
                 continue
-            state = JointState(q, rng.uniform(-2, 2, 6), rng.uniform(-5, 5, 6))
-            g, tau = _assist(state, left, right, reg, tables)
-            expected = stance_torque(left, state, tables)
+            qd, qdd = rng.uniform(-2, 2, 6), rng.uniform(-5, 5, 6)
+            g, tau = _assist(q, qd, qdd, left, right, reg, tables)
+            expected = blended_torque(q, qd, qdd, 1.0, 0.0, left, left, tables)
             assert np.array_equal(tau, expected)
             assert g.gamma_l == 1.0 and g.gamma_r == 0.0
 
@@ -83,10 +82,10 @@ class TestAssist:
         zero_tables = CompensationTables.zeroed()
         zero_reg = GaitRegressor(weights=np.zeros(6), rmse=0.0)  # raw phase 0
         q = np.array([0.2, -0.1, 0.05, 0.3, -0.25, 0.1])
-        state = JointState(q, np.zeros(6), np.zeros(6))
-        _, tau = _assist(state, left, right, zero_reg, zero_tables)
-        half = 0.5 * (stance_torque(left, state, zero_tables)
-                      + stance_torque(right, state, zero_tables))
+        zero = np.zeros(6)
+        _, tau = _assist(q, zero, zero, left, right, zero_reg, zero_tables)
+        half = 0.5 * sum(blended_torque(q, zero, zero, 1.0, 0.0, model, model,
+                                        zero_tables) for model in (left, right))
         np.testing.assert_allclose(tau, half, atol=1e-12)
 
     def test_affine_in_phase_along_fixed_state(self, rig):
@@ -99,9 +98,9 @@ class TestAssist:
         q = rng.uniform(-0.5, 0.5, 6)
         qd = rng.uniform(-2, 2, 6)
         qdd = rng.uniform(-5, 5, 6)
-        state = JointState(q, qd, qdd)
-        tau_left = stance_torque(left, state, tables)
-        tau_right = stance_torque(right, state, tables)
+        tau_left, tau_right = (
+            blended_torque(q, qd, qdd, 1.0, 0.0, model, model, tables)
+            for model in (left, right))
         fr = friction_ripple(tables, q, qd)
         for raw in np.linspace(-1, 1, 21):
             gl = 0.5 * (raw + 1)

@@ -319,7 +319,7 @@ class TestAnalyze:
         assert doc["summary"]["total_invalid_flags"] == 0
         assert (tmp_path / "report.timing.json").exists()
         # canonical round trip: parse and re-serialise byte-identically
-        from exobench.report import canonical_json
+        from exobench.streams import canonical_json
         assert canonical_json(json.loads(out.read_text())) == out.read_text()
 
     def test_not_a_session_set(self, tmp_path, capsys):
@@ -590,6 +590,22 @@ class TestValidate:
         assert (capsys.readouterr().out
                 == f"FAIL {stream}: {stream}: line {line}: not valid UTF-8\n")
 
+    def test_stream_header_with_spaces_passes(self, tmp_path, capsys):
+        # load_csv strips each header field, so validate accepts what the
+        # loaders accept; the questionnaire headers stay exact
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "200"])
+        header, rest = stream.read_text().split("\n", 1)
+        stream.write_text(", ".join(header.split(",")) + "\n" + rest)
+        responses = tmp_path / "responses.csv"
+        responses.write_text("subject_id, item_id, score\ns01,1,4\n")
+        capsys.readouterr()
+        assert main(["validate", str(stream)]) == 0
+        assert capsys.readouterr().out == f"ok   {stream} (sensor-stream)\n"
+        assert main(["validate", str(responses)]) == 1
+        assert "unrecognised CSV header" in capsys.readouterr().out
+
     def test_responses_not_utf8_names_the_line(self, tmp_path, capsys):
         responses = tmp_path / "responses.csv"
         responses.write_bytes(b"subject_id,item_id,score\ns01,1,4\ns01,2,3\xe9\n")
@@ -656,6 +672,25 @@ class TestConfigFallback:
                      str(config)]) == 1
         assert capsys.readouterr().err == (
             f"error: {config}: {key}: invalid {kind} value {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, None])
+    def test_lenient_takes_only_a_json_boolean(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lenient": value}))
+        assert main(["analyze", str(tmp_path / "set"), "--out",
+                     str(tmp_path / "report.json"), "--config",
+                     str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: lenient: invalid bool value {value!r}\n")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_lenient_from_config(self, session_set, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lenient": value}))
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(session_set), "--out", str(out),
+                     "--config", str(config)]) == 0
+        assert json.loads(out.read_text())["meta"]["lenient"] is value
 
 
 class TestSynthData:

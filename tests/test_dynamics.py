@@ -12,17 +12,16 @@ from exobench.dynamics import (
     AccelerationEstimator,
     CompensationTables,
     ExoParams,
-    JointState,
     LookupTable1D,
     PlanarChain,
     StanceModel,
+    blended_torque,
     blended_torque_array,
     friction_ripple,
     gravity_vector,
     inertia_matrix,
     load_calibration,
     save_calibration,
-    stance_torque,
 )
 from exobench.errors import ConfigurationError
 from exobench.simulator import GaitPattern, generate_cycle
@@ -205,8 +204,8 @@ class TestStanceTorque:
         model = StanceModel("left")
         tables = CompensationTables.zeroed()
         q = np.array([0.2, -0.1, 0.05, 0.3, -0.25, 0.1])
-        state = JointState(q, np.zeros(6), np.zeros(6))
-        tau = stance_torque(model, state, tables)
+        tau = blended_torque(q, np.zeros(6), np.zeros(6), 1.0, 0.0,
+                             model, model, tables)
         perm = list(model.perm)
         expected = np.zeros(6)
         expected[perm] = gravity_vector(model, q[perm])
@@ -218,7 +217,7 @@ class TestStanceTorque:
         model = StanceModel("right")
         tables = CompensationTables.zeroed()
         zero = np.zeros(6)
-        tau = stance_torque(model, JointState(zero, zero, zero), tables)
+        tau = blended_torque(zero, zero, zero, 1.0, 0.0, model, model, tables)
         np.testing.assert_allclose(tau, np.zeros(6), atol=1e-12)
 
     def test_compositional_oracle(self):
@@ -231,8 +230,7 @@ class TestStanceTorque:
             q = rng.uniform(-1.0, 1.0, 6)
             qd = rng.uniform(-3.0, 3.0, 6)
             qdd = rng.uniform(-20.0, 20.0, 6)
-            state = JointState(q, qd, qdd)
-            tau = stance_torque(model, state, tables)
+            tau = blended_torque(q, qd, qdd, 1.0, 0.0, model, model, tables)
             perm = list(model.perm)
             q5 = q[perm]
             expected = friction_ripple(tables, q, qd)
@@ -247,9 +245,9 @@ class TestStanceTorque:
         qd = rng.uniform(-2.0, 2.0, 6)
         qdd = rng.uniform(-10.0, 10.0, 6)
         alpha = 3.7
-        tau0 = stance_torque(model, JointState(q, qd, np.zeros(6)), tables)
-        tau1 = stance_torque(model, JointState(q, qd, qdd), tables)
-        tau_a = stance_torque(model, JointState(q, qd, alpha * qdd), tables)
+        tau0, tau1, tau_a = (
+            blended_torque(q, qd, a, 1.0, 0.0, model, model, tables)
+            for a in (np.zeros(6), qdd, alpha * qdd))
         np.testing.assert_allclose(tau_a - tau0, alpha * (tau1 - tau0),
                                     rtol=1e-9, atol=1e-9)
 
@@ -263,9 +261,9 @@ class TestStanceTorque:
             q = rng.uniform(-1.0, 1.0, 6)
             qd = rng.uniform(-2.0, 2.0, 6)
             qdd = rng.uniform(-10.0, 10.0, 6)
-            tau_l = stance_torque(left, JointState(q, qd, qdd), tables)
-            state_sw = JointState(q[swap], qd[swap], qdd[swap])
-            tau_r = stance_torque(right, state_sw, tables)
+            tau_l = blended_torque(q, qd, qdd, 1.0, 0.0, left, left, tables)
+            tau_r = blended_torque(q[swap], qd[swap], qdd[swap], 1.0, 0.0,
+                                   right, right, tables)
             np.testing.assert_allclose(tau_l, tau_r[swap], atol=1e-12)
 
 

@@ -185,7 +185,7 @@ class TestNormalize:
         rows = normalize(walk, sit)
         assert len(rows) == 5
         for row in rows:
-            assert row.value("hr") == pytest.approx(1.475)
+            assert row.values["hr"] == pytest.approx(1.475)
 
     def test_identical_features_give_unit_ratios(self):
         sit = [make_window("sit", 0.0)]
@@ -193,22 +193,22 @@ class TestNormalize:
         rows = normalize(walk, sit)
         for row in rows:
             for name in INPUT_NAMES:
-                assert row.value(name) == pytest.approx(1.0)
+                assert row.values[name] == pytest.approx(1.0)
 
     def test_last_five_rule(self):
         sit = [make_window("sit", 0.0)]
         walk = [make_window("walk", i * 60.0, hr=80.0 + i) for i in range(16)]
         rows = normalize(walk, sit)
         assert len(rows) == 5
-        assert rows[0].value("hr") == pytest.approx(91.0 / 80.0)
-        assert rows[-1].value("hr") == pytest.approx(95.0 / 80.0)
+        assert rows[0].values["hr"] == pytest.approx(91.0 / 80.0)
+        assert rows[-1].values["hr"] == pytest.approx(95.0 / 80.0)
 
     def test_zero_baseline_marks_invalid(self):
         sit = [make_window("sit", 0.0, scr_rate=0.0)]
         walk = [make_window("walk", i * 60.0) for i in range(5)]
         rows = normalize(walk, sit)
         for row in rows:
-            assert row.value("scr") is None
+            assert row.values["scr"] is None
             assert "scr" in row.invalid
 
     def test_too_few_walk_windows(self):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -295,7 +297,7 @@ class TestCsvRoundTrip:
             assert again.scores == resp.scores
             r1 = score_session(resp, definition)
             r2 = score_session(again, definition)
-            assert r1.to_dict() == r2.to_dict()
+            assert asdict(r1) == asdict(r2)
 
     def test_bad_score_reports_line(self, tmp_path):
         scores_path = tmp_path / "responses.csv"

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,7 @@ class TestReplay:
         fast = replay(stream, ControlLoop(left, right, reg, tables, rate=1e9))
         timing = fast.timing()
         assert timing.overruns == timing.steps == fast.commands
-        assert fast.timing().to_dict()["overruns"] == timing.steps
+        assert asdict(fast.timing())["overruns"] == timing.steps
         # a 1 mHz loop has a 1000 s period, which no step overruns
         slow = replay(stream, ControlLoop(left, right, reg, tables, rate=1e-3))
         assert slow.timing().overruns == 0
