@@ -6,6 +6,11 @@ into the protocol phases SIT, SIT-EXO and WALK.  Features are summarised
 over non-overlapping one-minute windows inside each phase.
 
 All estimators are deterministic for a fixed input and configuration.
+The signal processing (Butterworth design, zero-phase filtering, peak
+picking, detrending, Welch spectra, cubic resampling) is numpy code in this
+module that reproduces the scipy.signal routines the estimators were written
+against: bit for bit where the arithmetic allows it, within rounding
+elsewhere.  The tests pin each routine to scipy, which only they import.
 """
 
 from __future__ import annotations
@@ -54,19 +59,246 @@ SCL_CUTOFF_HZ = 0.05
 
 
 # ---------------------------------------------------------------------------
-# beat detection
+# signal primitives: numpy versions of the scipy.signal routines the features
+# use, each pinned against scipy by the tests
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=32)
 def _butter_sos(cutoff, btype: str, fs: float) -> np.ndarray:
-    """Order-2 Butterworth sections, designed once per key and read-only;
-    ``sosfiltfilt`` needs a writable array, so callers pass it a copy."""
-    # scipy submodules load on first use: importing them costs over a second
-    import scipy.signal
-    sos = scipy.signal.butter(2, cutoff, btype=btype, fs=fs, output="sos")
+    """Order-2 Butterworth sections, low-pass (one cutoff) or band-pass (a
+    pair), designed once per key and read-only.
+
+    The steps and their order of operations are those of
+    ``scipy.signal.butter(2, cutoff, btype, fs=fs, output="sos")``: analogue
+    prototype, frequency transform, bilinear transform, then one section per
+    conjugate pole pair, the pair nearest the unit circle last and paired
+    with its nearest zeros, the gain in the first.  So the coefficients
+    have the same bits as scipy's.
+    """
+    wn = np.asarray(cutoff, dtype=float) / (fs / 2)
+    if not np.all((wn > 0) & (wn < 1)):
+        raise ValueError(f"filter cutoff {cutoff} Hz is not inside "
+                         f"(0, {fs / 2}) Hz")
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)
+    proto = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    if btype == "lowpass":
+        wo = float(warped)
+        poles, zeros, gain = wo * proto, np.zeros(0), wo ** 2
+    else:
+        bw = float(warped[1] - warped[0])
+        wo = float(np.sqrt(warped[0] * warped[1]))
+        p = proto * bw / 2
+        root = np.sqrt(p ** 2 - wo ** 2)
+        poles = np.concatenate((p + root, p - root))
+        zeros, gain = np.zeros(2, dtype=complex), bw ** 2
+    gain *= np.real(np.prod(4.0 - zeros) / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    poles = poles[np.lexsort((abs(poles.imag), poles.real))]
+    poles = (poles[poles.imag > 0] + poles[poles.imag < 0].conj()) / 2
+    if np.argmin(np.abs(1 - np.abs(poles))) == 0:
+        poles = poles[::-1]
+    # zeros: the low-pass has both at z = -1; the band-pass has two at z = 1
+    # and two at z = -1, and its last section takes the pair nearer its poles
+    near = 1.0 if abs(1.0 - poles[-1]) < abs(-1.0 - poles[-1]) else -1.0
+    ends = [-1.0] if btype == "lowpass" else [-near, near]
+    sos = np.array([[1.0, -2.0 * end, 1.0, *np.convolve(
+        np.convolve(np.ones(1, dtype=complex), [1.0, -pole]),
+        [1.0, -pole.conj()]).real] for pole, end in zip(poles, ends)])
+    sos[0, :3] *= gain
     sos.flags.writeable = False
     return sos
+
+
+def _sosfilt(sos, x, zi) -> np.ndarray:
+    """Direct-form II transposed sections over ``x`` from the states ``zi``,
+    term for term as ``scipy.signal.sosfilt`` computes them."""
+    y = x.tolist()
+    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), zi.tolist()):
+        for n, xn in enumerate(y):
+            yn = b0 * xn + z0
+            z0 = b1 * xn - a1 * yn + z1
+            z1 = b2 * xn - a2 * yn
+            y[n] = yn
+    return np.array(y)
+
+
+def _sosfiltfilt(sos, x) -> np.ndarray:
+    """Forward-backward filtering as ``scipy.signal.sosfiltfilt`` does it, with
+    the same bits: an odd extension of three times the taps at each end, and
+    each pass started from the step-response state scaled to its first
+    sample.  A Python loop per sample, so for short signals only."""
+    x = np.asarray(x, dtype=float)
+    ntaps = 2 * len(sos) + 1 - min(np.count_nonzero(sos[:, 2] == 0),
+                                   np.count_nonzero(sos[:, 5] == 0))
+    edge = 3 * ntaps
+    if x.size <= edge:
+        raise ValueError(f"the length of the input vector x must be greater "
+                         f"than padlen, which is {edge}")
+    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x,
+                          2 * x[-1:] - x[-2:-edge - 2:-1]))
+    # initial states (lfilter_zi per section), for sections with a0 == 1
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for s, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        zi[s] = scale * np.linalg.solve([[1.0 + a1, -1.0], [a2, 1.0]],
+                                        [b1 - a1 * b0, b2 - a2 * b0])
+        scale *= np.sum(sos[s, :3]) / np.sum(sos[s, 3:])
+    y = _sosfilt(sos, ext, zi * ext[0])
+    y = _sosfilt(sos, y[::-1], zi * y[-1])[::-1]
+    return y[edge:-edge]
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=4)
+def _power_response(cutoff, btype: str, fs: float, n: int) -> np.ndarray:
+    """Squared magnitude response of the ``_butter_sos`` sections at the
+    frequencies of a length-``n`` real FFT, computed once per key and
+    read-only."""
+    z = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    gain = np.ones(z.size)
+    for b0, b1, b2, a0, a1, a2 in _butter_sos(cutoff, btype, fs).tolist():
+        gain *= np.abs((b0 + z * (b1 + z * b2))
+                       / (a0 + z * (a1 + z * a2))) ** 2
+    gain.flags.writeable = False
+    return gain
+
+
+def _fft_filtfilt(x, cutoff, btype: str, fs: float) -> np.ndarray:
+    """``_sosfiltfilt`` with the ``_butter_sos`` sections at FFT cost, equal
+    to it within rounding.
+
+    Away from the ends, forward-backward filtering multiplies the spectrum
+    by the squared magnitude response.  Within ``settle`` samples of either
+    end, before the slowest pole's transient has fallen below rounding,
+    sosfiltfilt's odd extension and start states show, so those samples come
+    from ``_sosfiltfilt`` over the ``2 * settle`` samples at that end.
+    Signals up to ``8 * settle`` samples, where those ends are half the
+    work, go through ``_sosfiltfilt`` whole.
+    """
+    sos = _butter_sos(cutoff, btype, fs)
+    # each section holds one conjugate pole pair, of radius sqrt(a2)
+    settle = math.ceil(2 * math.log(np.finfo(float).eps)
+                       / math.log(np.max(sos[:, 5])))
+    if x.size <= 8 * settle:
+        return _sosfiltfilt(sos, x)
+    n = _fft_length(x.size)
+    y = np.fft.irfft(np.fft.rfft(x, n) * _power_response(cutoff, btype, fs, n),
+                     n)[:x.size]
+    y[:settle] = _sosfiltfilt(sos, x[:2 * settle])[:settle]
+    y[-settle:] = _sosfiltfilt(sos, x[-2 * settle:])[-settle:]
+    return y
+
+
+def _find_peaks(x, height: float, distance: int):
+    """Indices and values of the local maxima of ``x`` at least ``height``
+    high, thinned to at least ``distance`` samples apart, by the rules of
+    ``scipy.signal.find_peaks``: a flat peak sits at the middle of its
+    plateau, rounded down, and of peaks too close together the highest is
+    kept, ranked by ``np.argsort`` of their values as scipy ranks them."""
+    x = np.asarray(x, dtype=float)
+    d = np.diff(x)
+    # a rise into sample i and none out of it: a peak, or a plateau's start
+    peaks = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0)) + 1
+    flat = peaks[d[peaks] == 0]
+    if flat.size:
+        # a plateau is a peak if the first change after it is a fall
+        changes = np.flatnonzero(d)
+        at = np.searchsorted(changes, flat)
+        end = changes[np.minimum(at, changes.size - 1)]
+        top = (at < changes.size) & (d[end] < 0)
+        peaks = np.sort(np.concatenate((peaks[d[peaks] < 0],
+                                        (flat[top] + end[top]) // 2)))
+    peaks = peaks[x[peaks] >= height]
+    if peaks.size > 1 and np.min(np.diff(peaks)) < distance:
+        pos = peaks.tolist()
+        keep = [True] * len(pos)
+        for j in np.argsort(x[peaks])[::-1].tolist():
+            if not keep[j]:
+                continue
+            k = j - 1
+            while k >= 0 and pos[j] - pos[k] < distance:
+                keep[k] = False
+                k -= 1
+            k = j + 1
+            while k < len(pos) and pos[k] - pos[j] < distance:
+                keep[k] = False
+                k += 1
+        peaks = peaks[keep]
+    return peaks, x[peaks]
+
+
+def _detrend(x) -> np.ndarray:
+    """``x`` minus its least-squares straight line."""
+    t = np.arange(x.size) - (x.size - 1) / 2
+    xc = x - np.mean(x)
+    return xc - t * (np.dot(t, xc) / np.dot(t, t))
+
+
+def _welch(x, fs: float, nperseg: int):
+    """Frequencies and one-sided Welch power spectral density of ``x``:
+    periodic Hann windows over segments overlapping by half, each segment's
+    mean removed, which are ``scipy.signal.welch``'s defaults."""
+    step = nperseg - nperseg // 2
+    starts = np.arange((x.size - nperseg // 2) // step) * step
+    seg = x[starts[:, None] + np.arange(nperseg)]
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    spec = np.abs(np.fft.rfft((seg - seg.mean(axis=1, keepdims=True))
+                              * window, axis=1)) ** 2
+    spec[:, 1:None if nperseg % 2 else -1] *= 2
+    psd = spec.mean(axis=0) / (fs * np.sum(window * window))
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+
+
+def _cubic_spline(x, y, xnew) -> np.ndarray:
+    """The not-a-knot cubic spline through (``x``, ``y``), at ``xnew`` inside
+    [x[0], x[-1]]: the interpolant of scipy's ``interp1d(kind="cubic")``.
+    ``x`` strictly increases and has at least four points.  The knot slopes
+    solve scipy ``CubicSpline``'s tridiagonal system by the Thomas
+    algorithm."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.concatenate((dx[1:], [d1])).tolist()   # row i: s[i - 1]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([d0], dx[:-1])).tolist()  # row i: s[i + 1]
+    rhs = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1])
+         / d1])).tolist()
+    n = len(diag)
+    for i in range(1, n):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    i = np.clip(np.searchsorted(x, xnew, side="right") - 1, 0, x.size - 2)
+    t = xnew - x[i]
+    c2 = (3 * slope - 2 * s[:-1] - s[1:]) / dx
+    c3 = (s[:-1] + s[1:] - 2 * slope) / dx ** 2
+    return y[i] + t * (s[i] + t * (c2[i] + t * c3[i]))
+
+
+# ---------------------------------------------------------------------------
+# beat detection
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -99,9 +331,7 @@ def detect_beats(ecg, fs: float) -> BeatDetection:
     if np.all(flat_mask):
         return BeatDetection(times=np.empty(0), gaps=gaps)
 
-    import scipy.signal
-    sos = _butter_sos((5.0, 18.0), "bandpass", fs).copy()
-    band = scipy.signal.sosfiltfilt(sos, x)
+    band = _fft_filtfilt(x, (5.0, 18.0), "bandpass", fs)
     env = band * band
     win = max(1, int(0.15 * fs))
     env = np.convolve(env, np.ones(win) / win, mode="same")
@@ -110,8 +340,7 @@ def detect_beats(ecg, fs: float) -> BeatDetection:
     height = 0.2 * np.percentile(env[~flat_mask], 98)
     if height <= 0:
         return BeatDetection(times=np.empty(0), gaps=gaps)
-    peaks, _ = scipy.signal.find_peaks(
-        env, height=height, distance=max(1, int(BEAT_REFRACTORY_S * fs)))
+    peaks, _ = _find_peaks(env, height, max(1, int(BEAT_REFRACTORY_S * fs)))
     # refine to the first maximum of |band| within +-half samples; clipped
     # indices repeat an end sample next to itself, so the first maximum of
     # each window is the one found in the window cut to the signal
@@ -152,20 +381,16 @@ def lf_power(intervals_ms) -> tuple[float, float]:
     iv = np.asarray(intervals_ms, dtype=float)
     if iv.size < 4:
         raise InsufficientDataError("too few intervals")
+    if np.any(iv <= 0):
+        raise ValueError("intervals must be positive")
     duration = float(np.sum(iv)) / 1000.0
     if duration < 0.95 * LF_CONTEXT_S:
         raise InsufficientDataError(
             f"window of {duration:.1f} s is shorter than {LF_CONTEXT_S:.0f} s")
     beat_t = np.cumsum(iv) / 1000.0
     grid = np.arange(beat_t[0], beat_t[-1], 1.0 / TACHOGRAM_HZ)
-    import scipy.interpolate
-    import scipy.signal
-    tacho = scipy.interpolate.interp1d(beat_t, iv, kind="cubic",
-                                       assume_sorted=True)(grid)
-    tacho = scipy.signal.detrend(tacho, type="linear")
-    nperseg = min(tacho.size, 256)
-    freqs, psd = scipy.signal.welch(tacho, fs=TACHOGRAM_HZ, nperseg=nperseg,
-                                    noverlap=nperseg // 2)
+    tacho = _detrend(_cubic_spline(beat_t, iv, grid))
+    freqs, psd = _welch(tacho, TACHOGRAM_HZ, min(tacho.size, 256))
     lf = _band_power(freqs, psd, LF_BAND)
     total = _band_power(freqs, psd, TOTAL_BAND)
     fraction = lf / total if total > 0 else 0.0
@@ -203,11 +428,7 @@ def respiration_rate(waveform=None, fs: float | None = None,
     x = np.asarray(waveform, dtype=float)
     if x.size / fs < 30.0 - 1e-9:
         raise InsufficientDataError("need at least a 30 s window")
-    import scipy.signal
-    x = scipy.signal.detrend(x, type="linear")
-    nperseg = min(x.size, 512)
-    freqs, psd = scipy.signal.welch(x, fs=fs, nperseg=nperseg,
-                                    noverlap=nperseg // 2)
+    freqs, psd = _welch(_detrend(x), fs, min(x.size, 512))
     mask = (freqs >= RESP_BAND[0]) & (freqs <= RESP_BAND[1])
     if np.count_nonzero(mask) < 3:
         return float("nan"), False
@@ -261,14 +482,10 @@ def gsr_decompose(gsr, fs: float) -> GsrDecomposition:
     duration = x.size / fs
     if duration < 60.0 - 1e-9:
         raise InsufficientDataError("need at least a 60 s window")
-    import scipy.signal
-    scl = scipy.signal.sosfiltfilt(
-        _butter_sos(SCL_CUTOFF_HZ, "lowpass", fs).copy(), x)
+    scl = _sosfiltfilt(_butter_sos(SCL_CUTOFF_HZ, "lowpass", fs), x)
     phasic = x - scl
-    peaks, props = scipy.signal.find_peaks(
-        phasic, height=SCR_MIN_AMPLITUDE_US,
-        distance=max(1, int(SCR_MIN_SEPARATION_S * fs)))
-    amps = props["peak_heights"] if peaks.size else np.empty(0)
+    peaks, amps = _find_peaks(phasic, SCR_MIN_AMPLITUDE_US,
+                              max(1, int(SCR_MIN_SEPARATION_S * fs)))
     return GsrDecomposition(
         scl=scl,
         phasic=phasic,

@@ -22,7 +22,8 @@ from .dynamics import StanceModel, load_calibration
 from .errors import (ExobenchError, IncompleteTrainingError,
                      InsufficientDataError, SchemaError)
 from .fuzzy import load_fuzzy_model
-from .questionnaire import EQDefinition
+from .questionnaire import (EQDefinition, load_preferences_csv,
+                            load_scores_csv)
 from .report import analyze_session_set, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
 from .simulator import GaitPattern, generate_cycle, generate_training_protocol, replay
@@ -171,9 +172,12 @@ def _validate_one(path: Path) -> str | None:
         if [h.strip() for h in header] == CSV_HEADER:   # as load_csv reads it
             SensorStream.load_csv(path)
             return "sensor-stream"
+        # every row, read by the loader analyze uses
         if header == ["subject_id", "item_id", "score"]:
+            load_scores_csv(path)
             return "responses"
         if header == ["subject_id", "factor", "sub_a", "sub_b", "winner"]:
+            load_preferences_csv(path)
             return "preferences"
         raise SchemaError(f"unrecognised CSV header: {','.join(header)}")
     raise SchemaError("unsupported file type")

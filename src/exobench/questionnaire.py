@@ -382,26 +382,41 @@ def _csv_rows(path, header):
     return reader
 
 
-def load_responses_csv(scores_path, preferences_path) -> dict:
-    """Read both CSV files; returns {subject_id: QuestionnaireResponse}."""
+def load_scores_csv(path) -> dict:
+    """Read the item-score CSV; returns {subject_id: QuestionnaireResponse}
+    with the scores set and no preferences."""
     responses = {}
-    rows = _csv_rows(scores_path, ["subject_id", "item_id", "score"])
+    rows = _csv_rows(path, ["subject_id", "item_id", "score"])
     for lineno, row in enumerate(rows, start=2):
         try:
             score = int(row["score"])
         except (TypeError, ValueError):
-            raise SchemaError(f"{scores_path}: line {lineno}: bad score "
+            raise SchemaError(f"{path}: line {lineno}: bad score "
                               f"{row.get('score')!r}") from None
         resp = responses.setdefault(
             row["subject_id"],
             QuestionnaireResponse(subject_id=row["subject_id"], scores={}))
         resp.scores[row["item_id"]] = score
-    for row in _csv_rows(preferences_path, ["subject_id", "factor", "sub_a",
-                                            "sub_b", "winner"]):
-        resp = responses.get(row["subject_id"])
-        if resp is None:
-            raise SchemaError(f"preferences for unknown subject "
-                              f"{row['subject_id']!r}")
-        resp.preferences.setdefault(row["factor"], []).append(
-            (row["sub_a"], row["sub_b"], row["winner"]))
+    return responses
+
+
+def load_preferences_csv(path) -> dict:
+    """Read the pairwise-preference CSV; returns {subject_id: {factor:
+    [(sub_a, sub_b, winner), ...]}} in file order."""
+    preferences = {}
+    for row in _csv_rows(path, ["subject_id", "factor", "sub_a", "sub_b",
+                                "winner"]):
+        preferences.setdefault(row["subject_id"], {}).setdefault(
+            row["factor"], []).append((row["sub_a"], row["sub_b"],
+                                       row["winner"]))
+    return preferences
+
+
+def load_responses_csv(scores_path, preferences_path) -> dict:
+    """Read both CSV files; returns {subject_id: QuestionnaireResponse}."""
+    responses = load_scores_csv(scores_path)
+    for subject, preferences in load_preferences_csv(preferences_path).items():
+        if subject not in responses:
+            raise SchemaError(f"preferences for unknown subject {subject!r}")
+        responses[subject].preferences = preferences
     return responses

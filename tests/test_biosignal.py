@@ -3,10 +3,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.signal
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, FeatureWindow,
-                                PhysioSession, _butter_sos,
+from exobench import biosignal
+from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, TACHOGRAM_HZ,
+                                FeatureWindow, PhysioSession, _butter_sos,
+                                _cubic_spline, _detrend, _fft_filtfilt,
+                                _find_peaks, _sosfiltfilt, _welch,
                                 detect_beats, gsr_decompose, hr_rmssd,
                                 lf_power, respiration_rate, windowed_features)
 from exobench.errors import (DataQualityError, InsufficientDataError,
@@ -141,23 +147,32 @@ class TestDetectBeatsMatchesLoop:
         ecg = edge_beats_ecg(fs, 12.37)
         half = int(0.05 * fs)
         n = ecg.size
-        real_find_peaks = scipy.signal.find_peaks
-        real_sosfiltfilt = scipy.signal.sosfiltfilt
 
-        def find_peaks(env, **kwargs):
-            peaks, props = real_find_peaks(env, **kwargs)
-            edges = [0, 1, half - 1, half, n - half - 1, n - half, n - 1]
-            return np.union1d(peaks, edges), props
+        def with_edge_peaks(find_peaks):
+            def patched(env, *args, **kwargs):
+                peaks, rest = find_peaks(env, *args, **kwargs)
+                edges = [0, 1, half - 1, half, n - half - 1, n - half, n - 1]
+                return np.union1d(peaks, edges), rest
+            return patched
 
-        def sosfiltfilt(sos, x):
-            band = real_sosfiltfilt(sos, x)
-            if ends_peak and x.size == n:
-                top = 3.0 * np.max(np.abs(band))
-                band[[0, 1, -2, -1]] = [top, -top, -top, top]
-            return band
+        def with_peaked_ends(filtfilt):
+            def patched(*args):
+                band = filtfilt(*args)
+                if ends_peak and band.size == n:
+                    top = 3.0 * np.max(np.abs(band))
+                    band[[0, 1, -2, -1]] = [top, -top, -top, top]
+                return band
+            return patched
 
-        monkeypatch.setattr(scipy.signal, "find_peaks", find_peaks)
-        monkeypatch.setattr(scipy.signal, "sosfiltfilt", sosfiltfilt)
+        # detect_beats calls the module's helpers, the loop calls scipy's
+        monkeypatch.setattr(biosignal, "_find_peaks",
+                            with_edge_peaks(biosignal._find_peaks))
+        monkeypatch.setattr(biosignal, "_fft_filtfilt",
+                            with_peaked_ends(biosignal._fft_filtfilt))
+        monkeypatch.setattr(scipy.signal, "find_peaks",
+                            with_edge_peaks(scipy.signal.find_peaks))
+        monkeypatch.setattr(scipy.signal, "sosfiltfilt",
+                            with_peaked_ends(scipy.signal.sosfiltfilt))
         times, gaps = detect_beats_loop(ecg, fs)
         det = detect_beats(ecg, fs)
         assert det.times.tobytes() == times.tobytes()
@@ -165,6 +180,24 @@ class TestDetectBeatsMatchesLoop:
         assert times[0] < 0.05 and times[-1] > (n - half) / fs
         if ends_peak:   # the first of the tied end samples
             assert times[0] == 0.0
+
+    # past 8 * settle samples (about 19 s at 250 Hz, 38 s at 360 Hz) the
+    # band-pass runs by FFT, with the exact recursion at the two ends only
+    @pytest.mark.parametrize("fs", [250.0, 360.0])
+    @pytest.mark.parametrize("flat", ["none", "first", "last"])
+    def test_bit_for_bit_on_the_fft_path(self, fs, flat):
+        ecg = edge_beats_ecg(fs, 60.37)
+        block = int(fs)
+        blocks = {"none": [], "first": [0, 1],
+                  "last": [ecg.size // block - 1]}[flat]
+        for b in blocks:
+            ecg[b * block:(b + 1) * block] = 0.25
+        times, gaps = detect_beats_loop(ecg, fs)
+        det = detect_beats(ecg, fs)
+        assert det.times.tobytes() == times.tobytes()
+        assert det.gaps == gaps
+        if flat == "none":   # beats 0.02 s from each end
+            assert times[0] < 0.05 and times[-1] > 60.3
 
 
 def test_filter_design_is_cached_read_only_and_matches_butter():
@@ -180,6 +213,94 @@ def test_filter_design_is_cached_read_only_and_matches_butter():
     assert not low.flags.writeable
     assert low.tobytes() == scipy.signal.butter(
         2, 0.05, btype="lowpass", fs=15.0, output="sos").tobytes()
+
+
+_SEED = st.integers(0, 2**32 - 1)
+
+
+class TestNumpySignalPathMatchesScipy:
+    """Each numpy replacement in ``biosignal`` against the scipy routine it
+    replaces, which stays a test dependency for this."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), max_size=80), st.integers(-3, 3),
+           st.integers(1, 8))
+    def test_find_peaks_exact_on_plateaus_and_ties(self, values, height,
+                                                   distance):
+        x = np.array(values, dtype=float)
+        peaks, heights = _find_peaks(x, height, distance)
+        ref, props = scipy.signal.find_peaks(x, height=height,
+                                             distance=distance)
+        assert peaks.tolist() == ref.tolist()
+        assert heights.tobytes() == props["peak_heights"].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.001, 0.45), st.floats(1.05, 20.0),
+           st.sampled_from([1.0, 15.0, 25.0, 250.0, 360.0, 1000.0]))
+    def test_butter_design_bit_identical(self, low, ratio, fs):
+        low *= fs
+        assert _butter_sos.__wrapped__(low, "lowpass", fs).tobytes() == \
+            scipy.signal.butter(2, low, btype="lowpass", fs=fs,
+                                output="sos").tobytes()
+        high = low * ratio
+        assume(high < 0.49 * fs)
+        assert _butter_sos.__wrapped__((low, high), "bandpass", fs).tobytes() \
+            == scipy.signal.butter(2, [low, high], btype="bandpass", fs=fs,
+                                   output="sos").tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEED, st.integers(16, 2000), st.sampled_from([
+        (0.05, "lowpass", GSR_FS), (1.0, "lowpass", 25.0),
+        ((5.0, 18.0), "bandpass", ECG_FS)]))
+    def test_sosfiltfilt_bit_for_bit(self, seed, size, design):
+        rng = np.random.default_rng(seed)
+        x = 5.0 + np.cumsum(rng.normal(scale=0.05, size=size))
+        sos = _butter_sos(*design)
+        assert _sosfiltfilt(sos, x).tobytes() == \
+            scipy.signal.sosfiltfilt(sos.copy(), x).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(_SEED, st.integers(4_000, 40_000),
+           st.sampled_from([250.0, 360.0, 500.0]))
+    def test_fft_filtfilt_within_rounding(self, seed, size, fs):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.normal(scale=0.05, size=size)) + rng.normal(
+            size=size)
+        ref = scipy.signal.sosfiltfilt(
+            _butter_sos((5.0, 18.0), "bandpass", fs).copy(), x)
+        ours = _fft_filtfilt(x, (5.0, 18.0), "bandpass", fs)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEED, st.integers(2, 3000), st.floats(-1e3, 1e3))
+    def test_detrend_within_1e12(self, seed, size, offset):
+        rng = np.random.default_rng(seed)
+        x = offset + 0.01 * np.arange(size) + rng.normal(size=size)
+        ref = scipy.signal.detrend(x, type="linear")
+        assert np.max(np.abs(_detrend(x) - ref)) <= 1e-12 * np.max(np.abs(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEED, st.integers(8, 3000), st.integers(8, 512),
+           st.sampled_from([TACHOGRAM_HZ, RESP_FS]))
+    def test_welch_within_1e12(self, seed, size, nperseg, fs):
+        x = np.random.default_rng(seed).normal(size=size)
+        nperseg = min(size, nperseg)
+        freqs, psd = _welch(x, fs, nperseg)
+        ref_freqs, ref = scipy.signal.welch(x, fs=fs, nperseg=nperseg,
+                                            noverlap=nperseg // 2)
+        assert freqs.tobytes() == ref_freqs.tobytes()
+        assert np.max(np.abs(psd - ref)) <= 1e-12 * np.max(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEED, st.integers(4, 400))
+    def test_cubic_spline_within_1e12(self, seed, size):
+        iv = np.random.default_rng(seed).uniform(300.0, 1500.0, size)
+        beat_t = np.cumsum(iv) / 1000.0
+        grid = np.arange(beat_t[0], beat_t[-1], 1.0 / TACHOGRAM_HZ)
+        ref = scipy.interpolate.interp1d(beat_t, iv, kind="cubic",
+                                         assume_sorted=True)(grid)
+        ours = _cubic_spline(beat_t, iv, grid)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(iv)
 
 
 class TestHrRmssd:
@@ -243,6 +364,12 @@ class TestLfPower:
     def test_short_window_rejected(self):
         with pytest.raises(InsufficientDataError):
             lf_power(np.full(50, 800.0))  # 40 s
+
+    def test_nonpositive_interval_rejected(self):
+        iv = np.full(200, 800.0)
+        iv[50] = 0.0
+        with pytest.raises(ValueError):
+            lf_power(iv)
 
     def test_amplitude_quadratic(self):
         lf1, _ = lf_power(modulated_intervals(0.1, 12.0, 300.0))

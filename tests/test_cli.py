@@ -613,6 +613,27 @@ class TestValidate:
         assert (capsys.readouterr().out == f"FAIL {responses}: {responses}: "
                                            "line 3: not valid UTF-8\n")
 
+    def test_questionnaire_rows_are_read_as_analyze_reads_them(self, tmp_path,
+                                                              capsys):
+        responses = tmp_path / "responses.csv"
+        responses.write_text("subject_id,item_id,score\ns01,1,banana\n")
+        prefs = tmp_path / "prefs.csv"
+        prefs.write_text("subject_id,factor,sub_a,sub_b,winner\n"
+                         "s01,nofactor,a,b,zzz\n")
+        assert main(["validate", str(responses), str(prefs)]) == 1
+        # factor and winner names are checked against the EQ definition,
+        # which scoring reads and a lone preferences file does not name
+        assert capsys.readouterr().out == (
+            f"FAIL {responses}: {responses}: line 2: bad score 'banana'\n"
+            f"ok   {prefs} (preferences)\n")
+
+    def test_generated_questionnaire_files_pass(self, session_set, capsys):
+        files = [session_set / "questionnaire_responses.csv",
+                 session_set / "questionnaire_preferences.csv"]
+        assert main(["validate", *map(str, files)]) == 0
+        assert capsys.readouterr().out == (
+            f"ok   {files[0]} (responses)\nok   {files[1]} (preferences)\n")
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -640,6 +661,17 @@ class TestImport:
         proc = _python("-c", code)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "[]"
+
+    def test_analyze_loads_no_scipy_module(self, session_set, tmp_path):
+        out = tmp_path / "report.json"
+        code = ("import sys; from exobench.cli import main; "
+                f"rc = main(['analyze', {str(session_set)!r}, '--out', "
+                f"{str(out)!r}]); print(rc, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert json.loads(out.read_text())["physiology"]["subjects"]
 
 
 class TestConfigFallback:
