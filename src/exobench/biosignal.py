@@ -320,12 +320,15 @@ def detect_beats(ecg, fs: float) -> BeatDetection:
     if x.ndim != 1 or x.size < int(fs):
         raise InsufficientDataError("need at least one second of ECG")
 
-    # flat-line detection on one-second blocks
+    # flat-line detection on one-second blocks; the last block runs to the
+    # end of the signal, so a partial last second is checked with it
     block = int(fs)
     nblock = x.size // block
     flat = np.ptp(x[:nblock * block].reshape(nblock, block), axis=1) < 1e-9
-    flat_mask = np.pad(np.repeat(flat, block), (0, x.size % block))
-    gaps = [(b * block / fs, (b + 1) * block / fs)
+    flat[-1] = np.ptp(x[(nblock - 1) * block:]) < 1e-9
+    flat_mask = np.pad(np.repeat(flat, block), (0, x.size % block), "edge")
+    edges = list(range(0, nblock * block, block)) + [x.size]
+    gaps = [(edges[b] / fs, edges[b + 1] / fs)
             for b in np.flatnonzero(flat).tolist()]
 
     if np.all(flat_mask):

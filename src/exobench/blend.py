@@ -24,7 +24,7 @@ from .dynamics import (
     AccelerationEstimator,
     CompensationTables,
     StanceModel,
-    blended_torque,
+    _blended_tau,
 )
 from .errors import OutOfOrderFrameError
 from .segmentation import GaitRegressor
@@ -131,11 +131,10 @@ class ControlLoop:
         degraded = qd is None
         if degraded:
             qd = qdd = _ZERO6
-        tau6 = tuple(blended_torque(q, qd, qdd, gl, gr, self.left,
-                                    self.right, self.tables).tolist())
+        tau6 = _blended_tau(q, qd, qdd, gl, gr, self.left, self.right,
+                            self.tables)
         self._last_t = t
-        cmd = AssistCommand(t=t, tau=tau6, raw_phase=raw, gamma_l=gl,
-                            gamma_r=gr, degraded=degraded, qd=tuple(qd),
-                            qdd=tuple(qdd))
+        cmd = AssistCommand(t, tau6, raw, gl, gr, degraded, tuple(qd),
+                            tuple(qdd))
         cmd.step_time_us = (perf_counter() - t0) * 1e6
         return cmd

@@ -219,16 +219,18 @@ class PlanarChain:
             alpha = alpha + qdd[k]
             s, c = sin(phi), cos(phi)
             fwd.append((l, mass, first, second, s, c, alpha, ax, ay))
-            ax = ax + l * alpha * c
-            ay = ay - l * alpha * s
+            la = l * alpha
+            ax = ax + la * c
+            ay = ay - la * s
         fx = fy = moment = 0.0
         tau = []
         for l, mass, first, second, s, c, alpha, ax, ay in reversed(fwd):
             moment = (moment + l * (c * fx - s * fy)
                       + first * (c * ax - s * ay) + second * alpha)
             tau.append(moment)
-            fx = fx + mass * ax + first * alpha * c
-            fy = fy + mass * ay - first * alpha * s
+            fa = first * alpha
+            fx = fx + mass * ax + fa * c
+            fy = fy + mass * ay - fa * s
         tau.reverse()
         return tau
 
@@ -273,7 +275,15 @@ def gravity_vector(model: StanceModel, q5) -> np.ndarray:
 
 
 class LookupTable1D:
-    """Piecewise-linear table with endpoint clamping."""
+    """Piecewise-linear table with endpoint clamping.
+
+    A scalar query starts its interval search at ``_hint``, the interval
+    the previous scalar query landed in, and takes it only when the query
+    lies strictly inside it; otherwise it clamps and bisects as if there
+    were no hint.  The hint is where a search starts and never decides a
+    result, so a table shared by several joints stays correct and only
+    searches more often.
+    """
 
     def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, dtype=float)
@@ -290,20 +300,26 @@ class LookupTable1D:
         self.values = val
         self._bp = bp.tolist()
         self._val = val.tolist()
+        # interval widths and rises, the differences the interpolation uses
+        self._dx = np.diff(bp).tolist()
+        self._dy = np.diff(val).tolist()
+        self._hint = 0
 
     def __call__(self, x: float) -> float:
         xs = self._bp
-        ys = self._val
-        if x <= xs[0]:
-            return ys[0]
-        if x >= xs[-1]:
-            return ys[-1]
-        i = bisect.bisect_right(xs, x) - 1
-        try:
-            t = (x - xs[i]) / (xs[i + 1] - xs[i])
-        except IndexError:   # only NaN passes both clamps; bisect puts it last
-            return x
-        return ys[i] + t * (ys[i + 1] - ys[i])
+        i = self._hint
+        if not xs[i] < x < xs[i + 1]:
+            ys = self._val
+            if x <= xs[0]:
+                return ys[0]
+            if x >= xs[-1]:
+                return ys[-1]
+            i = bisect.bisect_right(xs, x) - 1
+            # only NaN passes both clamps; bisect puts it past the last span
+            if i == len(self._dx):
+                return x
+            self._hint = i
+        return self._val[i] + (x - xs[i]) / self._dx[i] * self._dy[i]
 
     def evaluate_array(self, x) -> np.ndarray:
         """``__call__`` applied to every entry of a float array, with the
@@ -331,7 +347,10 @@ class CompensationTables:
     """Per-joint friction (velocity) and ripple (position) tables.
 
     Tables are required for every actuated joint; the passive ankles
-    contribute zero.
+    contribute zero.  Each table remembers the interval of its last scalar
+    query as the start of the next search (see ``LookupTable1D``), so a
+    table object shared by several joints gives the same torques and only
+    searches more often; ``default_synthetic`` builds one per joint.
     """
 
     friction: dict = field(default_factory=dict)
@@ -367,12 +386,6 @@ class CompensationTables:
         return out
 
     @classmethod
-    def zeroed(cls) -> "CompensationTables":
-        flat = LookupTable1D([-10.0, 10.0], [0.0, 0.0])
-        return cls(friction={j: flat for j in ACTUATED_JOINTS},
-                   ripple={j: flat for j in ACTUATED_JOINTS})
-
-    @classmethod
     def default_synthetic(cls) -> "CompensationTables":
         """Viscous + smoothed-Coulomb friction and sinusoidal ripple,
         sampled onto tables.  Stands in for a device calibration file."""
@@ -381,10 +394,10 @@ class CompensationTables:
                 + FRICTION_COULOMB * np.tanh(qd_grid / FRICTION_SMOOTH_VEL))
         q_grid = np.linspace(-1.6, 1.6, 81)
         rip = RIPPLE_AMPLITUDE * np.sin(RIPPLE_CYCLES * q_grid)
-        ftab = LookupTable1D(qd_grid, fric)
-        rtab = LookupTable1D(q_grid, rip)
-        return cls(friction={j: ftab for j in ACTUATED_JOINTS},
-                   ripple={j: rtab for j in ACTUATED_JOINTS})
+        return cls(friction={j: LookupTable1D(qd_grid, fric)
+                             for j in ACTUATED_JOINTS},
+                   ripple={j: LookupTable1D(q_grid, rip)
+                           for j in ACTUATED_JOINTS})
 
 
 def friction_ripple(tables: CompensationTables, q, qd) -> np.ndarray:
@@ -411,6 +424,12 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
     gains reproduce the corresponding single-stance torque bit for bit.
     Passive ankle entries are informational: see ``ACTUATED_MASK``.
     """
+    return np.asarray(_blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right,
+                                   tables))
+
+
+def _blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right, tables):
+    """``blended_torque`` as the 6-tuple ``AssistCommand.tau`` stores."""
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
         perm = left.perm
@@ -420,8 +439,7 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
         perm = right.perm
         for k, x in zip(perm, right.chain.torque(q, qdd, perm)):
             tau6[k] += gamma_r * x
-    return np.asarray([a + b for a, b in
-                       zip(tau6, tables.evaluate_scalar(q, qd))])
+    return tuple([a + b for a, b in zip(tau6, tables.evaluate_scalar(q, qd))])
 
 
 def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,

@@ -75,12 +75,15 @@ def detect_beats_loop(ecg, fs):
     per peak: the reference for its array operations."""
     x = np.asarray(ecg, dtype=float)
     block = int(fs)
+    nblock = x.size // block
     gaps = []
     flat_mask = np.zeros(x.size, dtype=bool)
-    for b in range(x.size // block):
-        if np.ptp(x[b * block:(b + 1) * block]) < 1e-9:
-            flat_mask[b * block:(b + 1) * block] = True
-            gaps.append((b * block / fs, (b + 1) * block / fs))
+    for b in range(nblock):
+        # the last block runs to the end of the signal
+        end = x.size if b == nblock - 1 else (b + 1) * block
+        if np.ptp(x[b * block:end]) < 1e-9:
+            flat_mask[b * block:end] = True
+            gaps.append((b * block / fs, end / fs))
     if np.all(flat_mask):
         return np.empty(0), gaps
     sos = scipy.signal.butter(2, [5.0, 18.0], btype="bandpass", fs=fs,
@@ -127,10 +130,8 @@ class TestDetectBeatsMatchesLoop:
         blocks = {"none": [], "first": [0, 1], "last": [nblock - 1],
                   "all_but_one": [b for b in range(nblock) if b != 4],
                   "all": range(nblock)}[flat]
-        for b in blocks:
-            ecg[b * block:(b + 1) * block] = 0.25
-        if flat == "all":
-            ecg[nblock * block:] = 0.25
+        for b in blocks:   # the last block takes the partial second too
+            ecg[b * block:(b + 1) * block if b < nblock - 1 else None] = 0.25
         times, gaps = detect_beats_loop(ecg, fs)
         det = detect_beats(ecg, fs)
         assert det.times.tobytes() == times.tobytes()
@@ -190,14 +191,28 @@ class TestDetectBeatsMatchesLoop:
         block = int(fs)
         blocks = {"none": [], "first": [0, 1],
                   "last": [ecg.size // block - 1]}[flat]
+        nblock = ecg.size // block
         for b in blocks:
-            ecg[b * block:(b + 1) * block] = 0.25
+            ecg[b * block:(b + 1) * block if b < nblock - 1 else None] = 0.25
         times, gaps = detect_beats_loop(ecg, fs)
         det = detect_beats(ecg, fs)
         assert det.times.tobytes() == times.tobytes()
         assert det.gaps == gaps
         if flat == "none":   # beats 0.02 s from each end
             assert times[0] < 0.05 and times[-1] > 60.3
+
+    # a constant ECG whose length is no whole number of seconds: the
+    # partial last second is checked with the last block, so no rounding
+    # noise of the band-pass is left unmasked to pass as beats; 60.37 s is
+    # past 8 * settle samples, on the FFT path
+    @pytest.mark.parametrize("fs", [250.0, 360.0])
+    @pytest.mark.parametrize("duration", [12.37, 60.37])
+    def test_constant_ecg_with_a_partial_last_second(self, fs, duration):
+        ecg = np.full(int(duration * fs), 0.25)
+        det = detect_beats(ecg, fs)
+        assert det.times.size == 0
+        assert len(det.gaps) == ecg.size // int(fs)
+        assert det.gaps[-1][1] == ecg.size / fs
 
 
 def test_filter_design_is_cached_read_only_and_matches_butter():

@@ -3,8 +3,9 @@ import pytest
 
 import exobench.blend
 from exobench.blend import BlendGains, ControlLoop, blend_gains, gains
-from exobench.dynamics import (ACTUATED_MASK, WARMUP_S, CompensationTables,
-                               StanceModel, blended_torque)
+from exobench.dynamics import (ACTUATED_JOINTS, ACTUATED_MASK, WARMUP_S,
+                               CompensationTables, StanceModel,
+                               blended_torque)
 from exobench.errors import OutOfOrderFrameError
 from exobench.segmentation import GaitRegressor
 from exobench.simulator import GaitPattern, generate_cycle, replay
@@ -77,9 +78,8 @@ class TestAssist:
             assert np.array_equal(tau, expected)
             assert g.gamma_l == 1.0 and g.gamma_r == 0.0
 
-    def test_midphase_static_pose_averages_gravity(self, rig):
+    def test_midphase_static_pose_averages_gravity(self, rig, zero_tables):
         left, right, reg, tables = rig
-        zero_tables = CompensationTables.zeroed()
         zero_reg = GaitRegressor(weights=np.zeros(6), rmse=0.0)  # raw phase 0
         q = np.array([0.2, -0.1, 0.05, 0.3, -0.25, 0.1])
         zero = np.zeros(6)
@@ -203,7 +203,7 @@ class TestControlLoop:
         def no_torque(*args):
             raise AssertionError("torque evaluated for a NaN frame")
 
-        monkeypatch.setattr(exobench.blend, "blended_torque", no_torque)
+        monkeypatch.setattr(exobench.blend, "_blended_tau", no_torque)
         bad = (0.1, float("nan"), 0.1, 0.1, 0.1, 0.1)
         with pytest.raises(ValueError, match="raw_phase must be finite"):
             loop.step(SensorFrame(3 * dt, bad))
@@ -239,9 +239,28 @@ class TestControlLoop:
         def no_torque(*args):
             raise AssertionError("torque evaluated for a bad timestamp")
 
-        monkeypatch.setattr(exobench.blend, "blended_torque", no_torque)
+        monkeypatch.setattr(exobench.blend, "_blended_tau", no_torque)
         with pytest.raises(ValueError, match="timestamp must be finite"):
             loop.step(SensorFrame(bad_t, q))
+
+    def test_shared_tables_command_what_per_joint_tables_do(self, rig):
+        # one friction and one ripple table for all four joints: each joint
+        # moves the shared table's search hint in turn, which costs
+        # searches but must not change a bit of any command
+        left, right, reg, _ = rig
+        own = CompensationTables.default_synthetic()
+        shared = CompensationTables(
+            friction=dict.fromkeys(ACTUATED_JOINTS, own.friction["RH"]),
+            ripple=dict.fromkeys(ACTUATED_JOINTS, own.ripple["RH"]))
+        frames = list(generate_cycle(GaitPattern(), rate=5000, cycles=1,
+                                     seed=6).frames())
+        commands = []
+        for tables in (own, shared):
+            loop = ControlLoop(left, right, reg, tables)
+            commands.append(np.array([
+                (*cmd.tau, *cmd.qd, *cmd.qdd)
+                for cmd in map(loop.step, frames)]))
+        assert commands[0].tobytes() == commands[1].tobytes()
 
     def test_actuated_mask(self):
         assert ACTUATED_MASK == (True, True, False, True, True, False)

@@ -1,9 +1,13 @@
+import bisect
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exobench.dynamics import (
     ACTUATED_JOINTS,
@@ -113,7 +117,108 @@ class TestGravityVector:
             assert np.max(np.abs(G - fd)) / scale < 1e-6
 
 
+def lookup_reference(tab, x):
+    """A stateless ``LookupTable1D.__call__``: the end clamps, a bisection
+    over all breakpoints and the interpolation of every query from
+    scratch; the reference for the search that starts at the last
+    interval."""
+    xs = tab.breakpoints.tolist()
+    ys = tab.values.tolist()
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect.bisect_right(xs, x) - 1
+    if i == len(xs) - 1:   # NaN
+        return x
+    t = (x - xs[i]) / (xs[i + 1] - xs[i])
+    return ys[i] + t * (ys[i + 1] - ys[i])
+
+
+@st.composite
+def lookup_tables(draw):
+    """Random tables; values drawn often from a few repeats give flat
+    segments, and both signed zeros."""
+    xs = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=2,
+                              max_size=12, unique=True)))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.5]),
+                      st.floats(-10.0, 10.0))
+    ys = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    return LookupTable1D(xs, ys)
+
+
+@st.composite
+def lookup_queries(draw, tab):
+    """A query sequence mixing a random walk, jumps, and exact
+    breakpoints, their neighbours, the ends, values beyond them, signed
+    zeros, NaN and infinities."""
+    xs = tab.breakpoints.tolist()
+    lo, hi = xs[0], xs[-1]
+    span = hi - lo
+    specials = [lo - span, hi + span, 0.0, -0.0, math.nan, math.inf,
+                -math.inf]
+    for b in xs:
+        specials += [b, math.nextafter(b, -math.inf),
+                     math.nextafter(b, math.inf)]
+    moves = st.one_of(
+        st.tuples(st.just("walk"), st.floats(-0.02, 0.02)),
+        st.tuples(st.just("jump"), st.floats(lo - 0.5 * span, hi + 0.5 * span)),
+        st.tuples(st.just("special"), st.sampled_from(specials)))
+    walk = draw(st.floats(lo, hi))
+    out = []
+    for kind, value in draw(st.lists(moves, min_size=1, max_size=60)):
+        if kind == "special":
+            out.append(value)
+            continue
+        walk = walk + value * span if kind == "walk" else value
+        out.append(walk)
+    return out
+
+
+def float_bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
 class TestLookupTables:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hinted_search_matches_stateless_reference(self, data):
+        tab = data.draw(lookup_tables())
+        first = data.draw(lookup_queries(tab))
+        second = data.draw(lookup_queries(tab))
+        # one stream, then two interleaved ones, as a table shared by
+        # several joints is queried, all on the same table object
+        mixed = [x for pair in zip(first, second) for x in pair]
+        for stream in (first, mixed):
+            got = [tab(x) for x in stream]
+            expected = [lookup_reference(tab, x) for x in stream]
+            assert float_bits(got) == float_bits(expected)
+
+    def test_breakpoint_after_a_query_inside_its_interval(self):
+        # each interval's midpoint sets the hint, then both of its ends are
+        # queried: on these values the formula run from the wrong side of
+        # a breakpoint rounds (10 + (1e-20 - 10) is 0) or, at the first
+        # breakpoint, loses the sign of -0.0
+        xs = [-2.0, -1.0, 0.0, 0.5, 3.0, 7.0]
+        tab = LookupTable1D(xs, [-0.0, 0.0, 10.0, 1e-20, -0.0, 0.0])
+        for lo, hi in zip(xs, xs[1:]):
+            for x in (0.5 * (lo + hi), lo, 0.5 * (lo + hi), hi):
+                assert float_bits([tab(x)]) == float_bits(
+                    [lookup_reference(tab, x)])
+
+    def test_walk_inside_one_interval_searches_once(self, monkeypatch):
+        tab = LookupTable1D([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0])
+        queries = [1.1, 1.5, 1.9, 1.2, 2.5, 2.0, 5.0, 2.25]
+        expected = [lookup_reference(tab, x) for x in queries]
+        searches = []
+        bisect_right = bisect.bisect_right
+        monkeypatch.setattr(bisect, "bisect_right", lambda xs, x: (
+            searches.append(x) or bisect_right(xs, x)))
+        assert [tab(x) for x in queries] == expected
+        # a new interval and an exact breakpoint search; a clamp and a
+        # query back inside the last interval do not
+        assert searches == [1.1, 2.5, 2.0]
+
     def test_zero_at_zero_breakpoint(self):
         tab = LookupTable1D([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0])
         assert tab(0.0) == 0.0
@@ -200,12 +305,11 @@ class TestChainTorque:
 
 
 class TestStanceTorque:
-    def test_static_pose_zero_tables_reduces_to_gravity(self):
+    def test_static_pose_zero_tables_reduces_to_gravity(self, zero_tables):
         model = StanceModel("left")
-        tables = CompensationTables.zeroed()
         q = np.array([0.2, -0.1, 0.05, 0.3, -0.25, 0.1])
         tau = blended_torque(q, np.zeros(6), np.zeros(6), 1.0, 0.0,
-                             model, model, tables)
+                             model, model, zero_tables)
         perm = list(model.perm)
         expected = np.zeros(6)
         expected[perm] = gravity_vector(model, q[perm])
@@ -213,11 +317,11 @@ class TestStanceTorque:
         # the swing-side ankle entry stays zero
         assert tau[2] == 0.0  # RA is the swing ankle for left stance
 
-    def test_vertical_static_pose_is_zero(self):
+    def test_vertical_static_pose_is_zero(self, zero_tables):
         model = StanceModel("right")
-        tables = CompensationTables.zeroed()
         zero = np.zeros(6)
-        tau = blended_torque(zero, zero, zero, 1.0, 0.0, model, model, tables)
+        tau = blended_torque(zero, zero, zero, 1.0, 0.0, model, model,
+                             zero_tables)
         np.testing.assert_allclose(tau, np.zeros(6), atol=1e-12)
 
     def test_compositional_oracle(self):
@@ -335,7 +439,7 @@ class TestAccelerationEstimator:
             AccelerationEstimator().estimate_array(np.array([0.0, 0.0]),
                                                    np.zeros((2, 6)))
 
-    def test_noisy_stream_torque_error(self):
+    def test_noisy_stream_torque_error(self, zero_tables):
         # the inertial term from noisy angles must beat leaving it out
         # (about 119 Nm RMS here) against the noise-free torque
         pattern = GaitPattern()
@@ -345,8 +449,7 @@ class TestAccelerationEstimator:
                                rate=5000, cycles=10, seed=4)
         t = noisy.t
         gl = 0.5 * (1.0 + np.sin(2 * np.pi * t / pattern.cycle_duration))
-        models = (StanceModel("left"), StanceModel("right"),
-                  CompensationTables.zeroed())
+        models = (StanceModel("left"), StanceModel("right"), zero_tables)
         qd, qdd, _ = AccelerationEstimator().estimate_array(t, noisy.q)
         tau = blended_torque_array(noisy.q, qd, qdd, gl, 1.0 - gl, *models)
         qd_ref = np.gradient(clean.q, t, axis=0)
