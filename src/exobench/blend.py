@@ -13,6 +13,7 @@ step gets cheaper.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import isfinite
 from time import perf_counter
@@ -39,6 +40,10 @@ class BlendGains(NamedTuple):
     gamma_r: float
 
 
+# BlendGains from a (gamma_l, gamma_r) pair, skipping NamedTuple's __new__
+_new_gains = functools.partial(tuple.__new__, BlendGains)
+
+
 def gains(raw_phase: float) -> BlendGains:
     """Gains from the raw (unclamped) phase: gamma_l = clamp((p+1)/2)."""
     if not isfinite(raw_phase):
@@ -48,7 +53,7 @@ def gains(raw_phase: float) -> BlendGains:
         gl = 0.0
     elif gl > 1.0:
         gl = 1.0
-    return BlendGains(gl, 1.0 - gl)
+    return _new_gains((gl, 1.0 - gl))
 
 
 def blend_gains(raw_phase) -> tuple[np.ndarray, np.ndarray]:
@@ -64,6 +69,7 @@ def blend_gains(raw_phase) -> tuple[np.ndarray, np.ndarray]:
 class AssistCommand:
     """One control-step output.
 
+    Every field is a native Python float, tuple of floats or bool.
     ``tau`` covers all six joints; entries for the passive ankles are
     informational only (see ``dynamics.ACTUATED_MASK``).  ``degraded``
     marks commands of the estimator's 0.1 s warm-up: zero qd and qdd, so

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 bad input or I/O, 2 incomplete training stages.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -61,6 +62,9 @@ def cmd_sim(args) -> int:
     seed = 0 if args.seed is None else args.seed
     if args.rate is not None and not args.rate >= 100:
         raise ValueError(f"--rate must be at least 100 Hz, got {args.rate}")
+    for option, value in (("--rate", args.rate), ("--seconds", args.seconds)):
+        if value == math.inf:
+            raise ValueError(f"{option} must be finite, got {value}")
     out = Path(args.out)
     if args.kind == "session-set":
         subjects = 5 if args.subjects is None else args.subjects

@@ -89,7 +89,8 @@ class GaitRegressor:
             raise ValueError("weights must be finite")
         if self.rmse < 0:
             raise ValueError("rmse must be non-negative")
-        self._w = tuple(self.weights)
+        # Python floats, so the control step does no numpy-scalar arithmetic
+        self._w = tuple(self.weights.tolist())
 
     def phase(self, q) -> float:
         """Raw (unclamped) phase Y . q; blend gains apply the clamp."""

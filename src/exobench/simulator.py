@@ -159,14 +159,19 @@ def _assemble(pat: GaitPattern, t, q, share, rng, stage) -> SensorStream:
                         stage=np.full(n, stage, dtype=object))
 
 
+def _check_rate(rate: float) -> None:
+    if not 100 <= rate < math.inf:   # NaN included
+        raise ValueError(f"sample rate must be at least 100 Hz and finite, "
+                         f"got {rate}")
+
+
 def generate_cycle(pattern: GaitPattern, rate: float, cycles: int,
                    seed: int = 0, stage: str = "gait",
                    t_start: float = 0.0) -> SensorStream:
     """Periodic gait frames at the given sample rate, ``cycles`` cycles long."""
-    if rate < 100:
-        raise ValueError("sample rate must be at least 100 Hz")
-    if cycles <= 0:
-        raise ValueError("cycles must be positive")
+    _check_rate(rate)
+    if not 0 < cycles < math.inf:
+        raise ValueError(f"cycles must be positive and finite, got {cycles}")
     rng = np.random.default_rng(seed)
     n = round(cycles * pattern.cycle_duration * rate)
     t = t_start + np.arange(n) / rate
@@ -206,6 +211,7 @@ def generate_training_protocol(pattern: GaitPattern | None = None,
                                seed: int = 0, rate: float = 100.0) -> SensorStream:
     """The full training recording: left swings, right swings, then a
     treadmill sweep over the speed steps, roughly two minutes in all."""
+    _check_rate(rate)
     pattern = pattern or GaitPattern()
     rng = np.random.default_rng(seed)
     parts = []

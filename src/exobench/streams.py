@@ -33,6 +33,7 @@ it, raising a ``SchemaError`` that names the file.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -62,6 +63,10 @@ class SensorFrame(NamedTuple):
     q: tuple
 
 
+# a SensorFrame from a (t, q) pair, skipping NamedTuple's __new__
+_new_frame = functools.partial(tuple.__new__, SensorFrame)
+
+
 @dataclass
 class SensorStream:
     t: np.ndarray
@@ -89,9 +94,10 @@ class SensorStream:
         return self.t.size
 
     def frames(self) -> Iterator[SensorFrame]:
-        """Yield per-sample frames with native-float payloads."""
-        for t, q in zip(self.t.tolist(), self.q.tolist()):
-            yield SensorFrame(t, tuple(q))
+        """An iterator of one ``SensorFrame`` per sample, its ``t`` a
+        Python float and its ``q`` a 6-tuple of Python floats."""
+        # zip of the columns builds each q without a per-row list
+        return map(_new_frame, zip(self.t.tolist(), zip(*self.q.T.tolist())))
 
     def head(self, n: int) -> "SensorStream":
         """The first ``n`` samples (all of them if the stream is shorter)."""

@@ -11,6 +11,7 @@ for the controller.
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,10 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
     if not control_rate >= 100:
         raise ValueError(f"control_rate must be at least 100 Hz, "
                          f"got {control_rate}")
+    for name, value in (("gait_seconds", gait_seconds),
+                        ("control_rate", control_rate)):
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

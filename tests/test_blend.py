@@ -7,8 +7,10 @@ from exobench.dynamics import (ACTUATED_JOINTS, ACTUATED_MASK, WARMUP_S,
                                CompensationTables, StanceModel,
                                blended_torque)
 from exobench.errors import OutOfOrderFrameError
-from exobench.segmentation import GaitRegressor
-from exobench.simulator import GaitPattern, generate_cycle, replay
+from exobench.segmentation import (GaitRegressor, train,
+                                   training_session_builder)
+from exobench.simulator import (GaitPattern, generate_cycle,
+                                generate_training_protocol, replay)
 from exobench.streams import SensorFrame
 
 
@@ -264,3 +266,44 @@ class TestControlLoop:
 
     def test_actuated_mask(self):
         assert ACTUATED_MASK == (True, True, False, True, True, False)
+
+
+class TestNativeFloats:
+    """The step does Python-float arithmetic only: a numpy scalar anywhere
+    in a command would cost every product after it a numpy dispatch."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        protocol = generate_training_protocol(GaitPattern(), seed=2)
+        return train(training_session_builder(protocol))
+
+    @pytest.fixture(params=["trained", "loaded"])
+    def regressor(self, request, trained, tmp_path):
+        if request.param == "trained":
+            return trained
+        trained.save(tmp_path / "model.json")
+        return GaitRegressor.load(tmp_path / "model.json")
+
+    def test_phase_is_a_float(self, regressor):
+        q = (0.2, 0.3, -0.1, 0.15, 0.4, 0.05)
+        assert type(regressor.phase(q)) is float
+
+    def test_settled_command_holds_floats_only(self, rig, regressor):
+        left, right, _, tables = rig
+        loop = ControlLoop(left, right, regressor, tables)
+        stream = generate_cycle(GaitPattern(), rate=5000, cycles=1, seed=3)
+        blended = 0
+        for cmd in map(loop.step, stream.frames()):
+            if cmd.degraded:
+                continue
+            values = (cmd.raw_phase, cmd.gamma_l, cmd.gamma_r,
+                      *cmd.tau, *cmd.qd, *cmd.qdd)
+            assert len(values) == 21
+            assert {type(v) for v in values} == {float}
+            blended += 0.0 < cmd.gamma_l < 1.0
+        assert blended > 0   # the gain law's arithmetic ran, not a clamp
+
+    def test_gains_is_blend_gains(self):
+        g = gains(0.3)
+        assert type(g) is BlendGains
+        assert g == BlendGains(0.65, 1.0 - 0.65)

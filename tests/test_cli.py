@@ -120,7 +120,18 @@ class TestSimAndTrain:
         (["--subjects", "2", "--rate", "50"],
          "--rate must be at least 100 Hz, got 50.0"),
         (["--kind", "gait", "--rate", "nan"],
-         "--rate must be at least 100 Hz, got nan")])
+         "--rate must be at least 100 Hz, got nan"),
+        # an infinite size is rejected before round() would overflow on it,
+        # and before a session set starts writing
+        (["--kind", "gait", "--seconds", "inf"],
+         "--seconds must be finite, got inf"),
+        (["--kind", "gait", "--rate", "inf"], "--rate must be finite, got inf"),
+        (["--kind", "training", "--rate", "inf"],
+         "--rate must be finite, got inf"),
+        (["--subjects", "1", "--seconds", "inf"],
+         "--seconds must be finite, got inf"),
+        (["--subjects", "1", "--rate", "inf"],
+         "--rate must be finite, got inf")])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unusable_size_exits_one_naming_it(self, tmp_path, capsys, flags,
                                                reason, source):
@@ -133,11 +144,17 @@ class TestSimAndTrain:
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert not out.parent.exists()   # nothing written, not even a folder
 
-    def test_session_set_checks_the_rate_before_writing(self, tmp_path):
+    @pytest.mark.parametrize("size, reason", [
+        ({"control_rate": 50.0}, "control_rate must be at least 100 Hz, "
+                                 "got 50.0"),
+        ({"control_rate": math.inf}, "control_rate must be finite, got inf"),
+        ({"gait_seconds": math.inf}, "gait_seconds must be finite, got inf")],
+        ids=["low-rate", "inf-rate", "inf-seconds"])
+    def test_session_set_checks_its_sizes_before_writing(self, tmp_path,
+                                                         size, reason):
         root = tmp_path / "set"
-        with pytest.raises(ValueError, match="control_rate must be at least "
-                                             "100 Hz, got 50.0"):
-            synth_session_set(root, subjects=2, seed=1, control_rate=50.0)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            synth_session_set(root, subjects=2, seed=1, **size)
         assert not root.exists()
 
     def test_session_set_honours_rate_and_seconds(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -56,9 +57,17 @@ class TestGenerateCycle:
         both = (stream.left_load > 0) & (stream.right_load > 0)
         assert not np.any(both)
 
-    def test_rejects_low_rate(self):
-        with pytest.raises(ValueError):
-            generate_cycle(GaitPattern(), rate=50, cycles=1)
+    @pytest.mark.parametrize("rate", [50, math.nan, math.inf])
+    def test_rejects_low_or_nonfinite_rate(self, rate):
+        with pytest.raises(ValueError, match="sample rate must be at least "
+                                             "100 Hz and finite"):
+            generate_cycle(GaitPattern(), rate=rate, cycles=1)
+
+    @pytest.mark.parametrize("cycles", [0, -1, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_cycles(self, cycles):
+        with pytest.raises(ValueError, match="cycles must be positive and "
+                                             "finite"):
+            generate_cycle(GaitPattern(), rate=100, cycles=cycles)
 
     def test_knee_stays_flexion_only(self):
         stream = generate_cycle(GaitPattern(angle_noise=0.0), rate=500,
@@ -92,6 +101,12 @@ class TestPhaseConsistency:
 
 
 class TestTrainingProtocol:
+    @pytest.mark.parametrize("rate", [50, math.nan, math.inf])
+    def test_rejects_low_or_nonfinite_rate(self, rate):
+        with pytest.raises(ValueError, match="sample rate must be at least "
+                                             "100 Hz and finite"):
+            generate_training_protocol(rate=rate)
+
     def test_contains_all_stages_and_speeds(self):
         stream = generate_training_protocol(seed=0)
         tags = set(str(t) for t in stream.stage)

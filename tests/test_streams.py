@@ -1,5 +1,6 @@
 """SensorStream CSV reading: the accepted dialect, its errors, round trips;
-and the chunked row writer pinned to the per-row writers it replaced."""
+the chunked row writer pinned to the per-row writers it replaced; and the
+frames the control loop iterates."""
 
 import csv
 import warnings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from exobench.biosignal import PhysioSession
 from exobench.simulator import ReplayResult
-from exobench.streams import CSV_HEADER, ROWS_PER_CHUNK, SensorStream
+from exobench.streams import (CSV_HEADER, ROWS_PER_CHUNK, SensorFrame,
+                              SensorStream)
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -339,3 +341,21 @@ def test_command_log_writer_matches_the_repr_loop(tmp_path_factory, n, seed,
     result.save_csv(directory / "new.csv")
     _command_log_oracle(directory / "old.csv", result)
     _same_bytes(directory / "new.csv", directory / "old.csv")
+
+
+@pytest.mark.parametrize("n", [1, 2, 257])
+def test_frames_are_float_sensor_frames(n):
+    rng = np.random.default_rng(n)
+    stream = SensorStream(t=np.cumsum(rng.uniform(1e-4, 1e-3, n)),
+                          q=rng.normal(size=(n, 6)), left_load=np.ones(n),
+                          right_load=np.zeros(n))
+    frames = stream.frames()
+    assert iter(frames) is frames   # an iterator, not a list
+    frames = list(frames)
+    assert len(frames) == len(stream) == n
+    for i, frame in enumerate(frames):
+        assert type(frame) is SensorFrame
+        assert type(frame.t) is float and frame.t == stream.t[i]
+        assert type(frame.q) is tuple and len(frame.q) == 6
+        assert all(type(x) is float for x in frame.q)
+        assert frame.q == tuple(stream.q[i])
