@@ -14,9 +14,7 @@ step gets cheaper.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import isfinite
-from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +27,7 @@ from .dynamics import (
 )
 from .errors import OutOfOrderFrameError
 from .segmentation import GaitRegressor
+from .streams import ANGLE_LIMIT, angle_error
 
 _ZERO6 = (0.0,) * 6
 
@@ -65,15 +64,15 @@ def blend_gains(raw_phase) -> tuple[np.ndarray, np.ndarray]:
     return gl, 1.0 - gl
 
 
-@dataclass(slots=True)
-class AssistCommand:
-    """One control-step output.
+class AssistCommand(NamedTuple):
+    """One control-step output, a plain value compared field by field.
 
     Every field is a native Python float, tuple of floats or bool.
     ``tau`` covers all six joints; entries for the passive ankles are
     informational only (see ``dynamics.ACTUATED_MASK``).  ``degraded``
     marks commands of the estimator's 0.1 s warm-up: zero qd and qdd, so
-    no inertial term.
+    no inertial term.  A command carries no wall-clock time; ``replay``
+    times each ``ControlLoop.step`` call from outside.
     """
 
     t: float
@@ -84,10 +83,10 @@ class AssistCommand:
     degraded: bool
     qd: tuple
     qdd: tuple
-    step_time_us: float = 0.0
 
-    def tau_array(self) -> np.ndarray:
-        return np.asarray(self.tau)
+
+# an AssistCommand from its eight fields, skipping NamedTuple's __new__
+_new_command = functools.partial(tuple.__new__, AssistCommand)
 
 
 class ControlLoop:
@@ -97,8 +96,9 @@ class ControlLoop:
     velocity/acceleration from the incoming angle stream, and emits the
     blended assistance command.  Gains come from ``gains``, so a
     non-finite phase raises ValueError before the estimator or any torque
-    sees the frame.  ``rate`` (Hz) sets the period replay counts overruns
-    against.
+    sees the frame.  The estimator owns the loop's state: its ``last_t``
+    is the time of the last frame taken.  The loop reads no clock;
+    ``rate`` (Hz) sets the period replay counts overruns against.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
@@ -110,37 +110,37 @@ class ControlLoop:
         self.tables = tables
         self.rate = rate
         self.estimator = AccelerationEstimator()
-        self._last_t = None
 
     def reset(self):
         self.estimator.reset()
-        self._last_t = None
 
     def step(self, frame) -> AssistCommand:
-        """Process one sensor frame; raises OutOfOrderFrameError on a
-        timestamp regression (the frame must be dropped) and ValueError on
-        a non-finite timestamp or phase.  A rejected frame changes no
-        state: it raises before the estimator sees it, so the next frame
-        is processed as if it had never arrived."""
-        t0 = perf_counter()
+        """The command for one sensor frame; raises OutOfOrderFrameError
+        on a timestamp regression (the frame must be dropped) and
+        ValueError on a non-finite timestamp or phase or an angle outside
+        [-2pi, 2pi] rad.  A rejected frame changes no state: it raises
+        before the estimator sees it, so the next frame is processed as if
+        it had never arrived."""
         t = frame.t
         if not isfinite(t):
             raise ValueError(f"frame timestamp must be finite, got {t}")
-        last = self._last_t
+        last = self.estimator.last_t
         if last is not None and t <= last:
             raise OutOfOrderFrameError(
                 f"frame at t={t} after t={last}")
         q = frame.q
         raw = self.regressor.phase(q)
         gl, gr = gains(raw)   # rejects a non-finite phase
+        # unrolled: min(q) and max(q) take about three times as long
+        if not (abs(q[0]) <= ANGLE_LIMIT and abs(q[1]) <= ANGLE_LIMIT
+                and abs(q[2]) <= ANGLE_LIMIT and abs(q[3]) <= ANGLE_LIMIT
+                and abs(q[4]) <= ANGLE_LIMIT and abs(q[5]) <= ANGLE_LIMIT):
+            raise angle_error(q)
         qd, qdd = self.estimator.push(t, q)
         degraded = qd is None
         if degraded:
             qd = qdd = _ZERO6
         tau6 = _blended_tau(q, qd, qdd, gl, gr, self.left, self.right,
                             self.tables)
-        self._last_t = t
-        cmd = AssistCommand(t, tau6, raw, gl, gr, degraded, tuple(qd),
-                            tuple(qdd))
-        cmd.step_time_us = (perf_counter() - t0) * 1e6
-        return cmd
+        return _new_command((t, tau6, raw, gl, gr, degraded, tuple(qd),
+                             tuple(qdd)))

@@ -27,7 +27,8 @@ from .questionnaire import (EQDefinition, load_preferences_csv,
                             load_scores_csv)
 from .report import analyze_session_set, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
-from .simulator import GaitPattern, generate_cycle, generate_training_protocol, replay
+from .simulator import (GaitPattern, check_frames, generate_cycle,
+                        generate_training_protocol, replay)
 from .streams import (CSV_HEADER, SensorStream, canonical_json, not_utf8_error,
                       read_json, write_json)
 from .synthdata import synth_session_set
@@ -83,6 +84,7 @@ def cmd_sim(args) -> int:
         seconds = 10.0 if args.seconds is None else args.seconds
         if not seconds > 0:
             raise ValueError(f"--seconds must be positive, got {seconds}")
+        check_frames(rate, seconds)
         cycles = max(1, round(seconds / pattern.cycle_duration))
         stream = generate_cycle(pattern, rate=rate, cycles=cycles, seed=seed)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -478,23 +478,24 @@ class AccelerationEstimator:
     ``e = z - xp`` corrects all three with the gains of ``_tracker_gains``.
     The first sample seeds x with v = a = 0; no estimate is given until
     ``WARMUP_S`` after it, while that start-up transient decays.
+    ``last_t`` is the time of the last sample taken, None before the first.
     """
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self._x = None
+        self._x = self.last_t = None
 
     def push(self, t: float, q):
         """Ingest one sample; returns (qd, qdd) lists, or (None, None) until
         ``WARMUP_S`` has passed since the first sample."""
         if self._x is None:
-            self._t0 = self._t = t
+            self._t0 = self.last_t = t
             self._x = list(q)
             self._v = self._a = [0.0] * len(self._x)
             return None, None
-        dt = t - self._t
+        dt = t - self.last_t
         if not dt > 0:   # NaN included
             raise ValueError("timestamps must be strictly increasing")
         ka, kv, kacc, h = _tracker_gains(dt)
@@ -505,7 +506,7 @@ class AccelerationEstimator:
             xs.append(xp + ka * e)
             vs.append(v + dt * a + kv * e)
             accs.append(a + kacc * e)
-        self._t = t
+        self.last_t = t
         self._x, self._v, self._a = xs, vs, accs
         if t - self._t0 < WARMUP_S:
             return None, None

@@ -19,17 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
-from .blend import AssistCommand, ControlLoop, blend_gains
+from .blend import ControlLoop, blend_gains
 from .dynamics import WARMUP_S, blended_torque_array
 from .errors import OutOfOrderFrameError
-from .streams import SensorStream, write_rows
+from .streams import ANGLE_LIMIT, SensorStream, angle_error, write_rows
 
 TREADMILL_SPEEDS_KMH = (1.0, 1.5, 2.0, 2.5, 3.0)
 SWINGS_PER_SIDE = 3          # leg-swing cycles per side in training
 TREADMILL_DURATION_S = 112.8  # split evenly over the treadmill speeds
+MAX_FRAMES = 5_000_000       # the largest rate x seconds sim generates
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,15 @@ def _check_rate(rate: float) -> None:
                          f"got {rate}")
 
 
+def check_frames(rate: float, seconds: float) -> None:
+    """Raise ValueError if ``seconds`` at ``rate`` Hz exceeds ``MAX_FRAMES``
+    frames: 1,000 s at 5 kHz, about 1 GB while the stream is generated."""
+    frames = rate * seconds
+    if not frames <= MAX_FRAMES:
+        raise ValueError(f"{seconds:g} s at {rate:g} Hz is {frames:g} frames; "
+                         f"a generated stream holds at most {MAX_FRAMES}")
+
+
 def generate_cycle(pattern: GaitPattern, rate: float, cycles: int,
                    seed: int = 0, stage: str = "gait",
                    t_start: float = 0.0) -> SensorStream:
@@ -213,6 +224,8 @@ def generate_training_protocol(pattern: GaitPattern | None = None,
     treadmill sweep over the speed steps, roughly two minutes in all."""
     _check_rate(rate)
     pattern = pattern or GaitPattern()
+    check_frames(rate, 2 * SWINGS_PER_SIDE * pattern.cycle_duration
+                 + TREADMILL_DURATION_S)
     rng = np.random.default_rng(seed)
     parts = []
     t_cursor = 0.0
@@ -328,7 +341,9 @@ class ReplayResult:
 
 def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     """Feed every frame through the control loop and collect the command
-    stream plus timing; out-of-order frames are dropped and counted."""
+    stream plus timing; out-of-order frames are dropped and counted.  A
+    step's time is the wall clock read just before and just after its
+    ``ControlLoop.step`` call."""
     n = len(stream)
     t = np.empty(n)
     raw = np.empty(n)
@@ -338,18 +353,17 @@ def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     deg = np.empty(n, dtype=bool)
     k = 0
     dropped = 0
+    step = loop.step
     for frame in stream.frames():
         try:
-            cmd: AssistCommand = loop.step(frame)
+            t0 = perf_counter()
+            cmd = step(frame)
+            t1 = perf_counter()
         except OutOfOrderFrameError:
             dropped += 1
             continue
-        t[k] = cmd.t
-        raw[k] = cmd.raw_phase
-        gl[k] = cmd.gamma_l
-        tau[k] = cmd.tau
-        us[k] = cmd.step_time_us
-        deg[k] = cmd.degraded
+        t[k], tau[k], raw[k], gl[k], _, deg[k], _, _ = cmd
+        us[k] = (t1 - t0) * 1e6
         k += 1
     return ReplayResult(t=t[:k], raw_phase=raw[:k], gamma_l=gl[:k],
                         tau=tau[:k], degraded=deg[:k], dropped_frames=dropped,
@@ -361,9 +375,9 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     gains, torques, degraded flags and dropped-frame count bit for bit,
     without step times.
 
-    Raises ValueError where ``ControlLoop.step`` would (a non-finite
-    timestamp, or a non-finite phase on a kept frame).  It reads the loop's
-    parts, never its state.
+    Raises ValueError where ``ControlLoop.step`` would: a non-finite
+    timestamp, or on a kept frame a non-finite phase or an angle outside
+    [-2pi, 2pi] rad.  It reads the loop's parts, never its state.
     """
     t_all = stream.t
     finite = np.isfinite(t_all)
@@ -377,6 +391,9 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     q = stream.q[keep]
     raw = loop.regressor.phase_array(q)
     gl, gr = blend_gains(raw)   # rejects a non-finite phase
+    out = (np.abs(q) > ANGLE_LIMIT).any(axis=1)
+    if out.any():
+        raise angle_error(q[out.argmax()].tolist())
     qd, qdd, ready = loop.estimator.estimate_array(t, q)
     tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
                                loop.tables)

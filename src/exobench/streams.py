@@ -19,7 +19,9 @@ makes, and is read in one ``np.loadtxt`` pass:
   a line of only whitespace is a record with one field and is rejected;
 * the nine numbers are read like ``float()`` of the stripped cell, except
   that ``_`` digit separators and non-ASCII digits are rejected;
-* ``nan`` and ``inf`` cells, and bytes that are not UTF-8, are rejected.
+* ``nan`` and ``inf`` cells, and bytes that are not UTF-8, are rejected;
+* a joint angle lies in [-2pi, 2pi] rad (``ANGLE_LIMIT``) and a sole load
+  is at least 0; a value outside its range is rejected.
 
 Every rejection is a ``ValueError`` that names the file and the line; line
 numbers count CSV records from 1 for the header.
@@ -41,7 +43,7 @@ import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -54,6 +56,7 @@ CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
 _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
                 + [(CSV_HEADER[9], object)])
 ROWS_PER_CHUNK = 4096   # rows per write_rows write: bounds the cells held
+ANGLE_LIMIT = 2 * math.pi   # rad: the largest |q| of a stream angle
 
 
 class SensorFrame(NamedTuple):
@@ -150,6 +153,11 @@ class SensorStream:
         right = rows["right_load"].copy()
         if not all(np.isfinite(a).all() for a in (t, q, left, right)):
             raise _bad_csv_line(path)
+        bad = (np.abs(q) > ANGLE_LIMIT).any(axis=1) | (left < 0) | (right < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise _out_of_range_line(path, i, q[i].tolist(),
+                                     (left[i], right[i]))
         return cls(t=t, q=q, left_load=left, right_load=right,
                    stage=rows["stage_tag"].copy())
 
@@ -186,6 +194,30 @@ def _bad_csv_line(path) -> ValueError:
     return (not_utf8_error(path, ((n, ",".join(row)) for n, row in records))
             or bad_line_error(path, (r for r in records[1:] if r[1]),
                               CSV_HEADER[:9], len(CSV_HEADER)))
+
+
+def _out_of_range_line(path, index, q, loads) -> ValueError:
+    """The error naming data row ``index`` of a stream CSV, whose angles
+    ``q`` or sole ``loads`` leave their range; line numbers count as
+    ``_bad_csv_line`` counts them."""
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        lines = (n for n, row in enumerate(csv.reader(f), start=1) if row)
+        lineno = next(islice(lines, index + 1, None))   # past the header
+    if max(map(abs, q)) > ANGLE_LIMIT:
+        reason = angle_error(q)
+    else:
+        reason = next(f"negative {name} value {value}" for name, value
+                      in zip(CSV_HEADER[7:9], loads) if value < 0)
+    return ValueError(f"{path}: line {lineno}: {reason}")
+
+
+def angle_error(q) -> ValueError:
+    """The error for six joint angles ``q``, at least one of them outside
+    [-``ANGLE_LIMIT``, ``ANGLE_LIMIT``]; it names the first such."""
+    name, value = next((name, value) for name, value
+                       in zip(CSV_HEADER[1:7], q)
+                       if not abs(value) <= ANGLE_LIMIT)
+    return ValueError(f"{name} value {value} outside [-2pi, 2pi] rad")
 
 
 def canonical_json(doc: dict) -> str:

@@ -24,7 +24,8 @@ from .fuzzy import default_fuzzy_model
 from .questionnaire import (EQDefinition, QuestionnaireResponse, TIE,
                             default_definition, reverse_map,
                             save_preferences_csv, save_responses_csv)
-from .simulator import GaitPattern, generate_cycle, generate_training_protocol
+from .simulator import (GaitPattern, check_frames, generate_cycle,
+                        generate_training_protocol)
 from .streams import write_json
 
 SET_SCHEMA_VERSION = 1
@@ -184,6 +185,7 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
                         ("control_rate", control_rate)):
         if value == math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
+    check_frames(control_rate, gait_seconds)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

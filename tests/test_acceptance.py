@@ -84,12 +84,12 @@ def test_blend_algebra(trained_rig, capsys):
                      np.asarray(cmd.qdd))
             if cmd.gamma_l == 1.0:
                 expected = blended_torque(*state, 1.0, 0.0, left, left, tables)
-                assert np.array_equal(cmd.tau_array(), expected)
+                assert np.array_equal(np.asarray(cmd.tau), expected)
                 result_checked["left"] += 1
             elif cmd.gamma_r == 1.0:
                 expected = blended_torque(*state, 1.0, 0.0, right, right,
                                           tables)
-                assert np.array_equal(cmd.tau_array(), expected)
+                assert np.array_equal(np.asarray(cmd.tau), expected)
                 result_checked["right"] += 1
         assert result_checked["left"] > 100 and result_checked["right"] > 100
 

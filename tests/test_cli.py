@@ -131,7 +131,18 @@ class TestSimAndTrain:
         (["--subjects", "1", "--seconds", "inf"],
          "--seconds must be finite, got inf"),
         (["--subjects", "1", "--rate", "inf"],
-         "--rate must be finite, got inf")])
+         "--rate must be finite, got inf"),
+        # a finite size past the frame bound, before any array is allocated
+        # or any file of a session set written
+        (["--kind", "gait", "--seconds", "1e12"],
+         "1e+12 s at 100 Hz is 1e+14 frames; a generated stream holds at "
+         "most 5000000"),
+        (["--subjects", "1", "--seconds", "1e12"],
+         "1e+12 s at 5000 Hz is 5e+15 frames; a generated stream holds at "
+         "most 5000000"),
+        (["--kind", "training", "--rate", "1e12"],
+         "120 s at 1e+12 Hz is 1.2e+14 frames; a generated stream holds at "
+         "most 5000000")])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unusable_size_exits_one_naming_it(self, tmp_path, capsys, flags,
                                                reason, source):
@@ -653,22 +664,26 @@ class TestValidate:
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_validate_fails_a_stream_with_a_nonfinite_cell(self, tmp_path,
-                                                           capsys, cell):
+    @pytest.mark.parametrize("column, cell, reason", [
+        (7, "nan", "non-finite left_load value nan"),
+        (7, "inf", "non-finite left_load value inf"),
+        (7, "-inf", "non-finite left_load value -inf"),
+        (7, "-5.0", "negative left_load value -5.0"),
+        (4, "1e308", "q_lh value 1e+308 outside [-2pi, 2pi] rad")])
+    def test_validate_fails_a_stream_with_a_bad_cell(self, tmp_path, capsys,
+                                                     column, cell, reason):
         stream = tmp_path / "stream.csv"
         main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
               "--seconds", "1.2", "--rate", "200"])
         lines = stream.read_text().splitlines()
         cells = lines[40].split(",")
-        cells[7] = cell
+        cells[column] = cell
         lines[40] = ",".join(cells)
         stream.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["validate", str(stream)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith(f"FAIL {stream}")
-        assert "line 41: non-finite left_load" in out
+        assert capsys.readouterr().out == (
+            f"FAIL {stream}: {stream}: line 41: {reason}\n")
 
 
 class TestImport:

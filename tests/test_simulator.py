@@ -282,8 +282,11 @@ class TestReplayBatch:
         t[5] = np.nan
         q = short.q.copy()
         q[5, 1] = np.inf
+        wide = short.q.copy()
+        wide[5, 3] = 7.0   # past 2pi, with a finite phase
         cases = ((_variant(short, t=t), "timestamp must be finite"),
-                 (_variant(short, q=q), "raw_phase must be finite"))
+                 (_variant(short, q=q), "raw_phase must be finite"),
+                 (_variant(short, q=wide), r"^q_lh value 7\.0 outside"))
         for stream, match in cases:
             for run in (replay, replay_batch):
                 loop = ControlLoop(left, right, reg, tables)

@@ -3,6 +3,7 @@ the chunked row writer pinned to the per-row writers it replaced; and the
 frames the control loop iterates."""
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ def _ok(*rows):
 
 
 R1, R2 = _row(1, "a"), _row(2, "b")
+TWO_PI = 2 * math.pi
 
 # (file text, expected outcome); errors are the text after "{path}: "
 CASES = {
@@ -85,6 +87,27 @@ CASES = {
                       + _row(2, t="abc") + "\r\n",
                       ("err", "line 3: could not convert string to float: "
                               "'abc'")),
+    # an angle outside [-2pi, 2pi] rad and a negative sole load, named with
+    # the line their record starts on
+    "angle_out_of_range": (f"{HEADER}\r\n{R1}\r\n2.5,2.1,2.2,2.3,1e308,2.5,2.6,"
+                           "2.7,2.8,b\r\n",
+                           ("err", "line 3: q_lh value 1e+308 outside "
+                                   "[-2pi, 2pi] rad")),
+    "negative_angle_out_of_range": (f"{HEADER}\r\n1.5,1.1,1.2,1.3,1.4,1.5,"
+                                    "-6.3,1.7,-1.8,a\r\n",
+                                    ("err", "line 2: q_la value -6.3 outside "
+                                            "[-2pi, 2pi] rad")),
+    "negative_load": (f"{HEADER}\r\n{R1}\r\n2.5,2.1,2.2,2.3,2.4,2.5,2.6,"
+                      "-5.0,2.8,b\r\n",
+                      ("err", "line 3: negative left_load value -5.0")),
+    "negative_load_after_quoted_line_break": (
+        f"{HEADER}\r\n\r\n" + _row(1, '"x\r\ny"') + "\r\n\r\n"
+        "2.5,2.1,2.2,2.3,2.4,2.5,2.6,2.7,-0.5,b\r\n",
+        ("err", "line 5: negative right_load value -0.5")),
+    "angle_and_load_at_their_limits": (
+        f"{HEADER}\r\n1.5,{TWO_PI!r},-{TWO_PI!r},0,-0.0,1,1,0,-0.0,a\r\n",
+        ("ok", [([1.5, TWO_PI, -TWO_PI, 0.0, -0.0, 1.0, 1.0, 0.0, -0.0],
+                 "a")])),
     "header_only": (f"{HEADER}\r\n", ("err", "no samples")),
     "header_and_blank_lines": (f"{HEADER}\r\n\r\n\r\n", ("err", "no samples")),
     "empty_file": ("", ("err", f"expected header {HEADER}")),
@@ -142,11 +165,13 @@ def test_load_csv_outcome(tmp_path, name):
 _TAG = st.text(st.characters(blacklist_categories=("Cs",))
                | st.sampled_from(',"# \r\n'), max_size=8)
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+_ANGLE = st.floats(-TWO_PI, TWO_PI)
+_LOAD = st.floats(0.0, allow_infinity=False)   # -0.0 included
+_VALUES = st.tuples(_NUMBER, *[_ANGLE] * 6, _LOAD, _LOAD)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.lists(_NUMBER, min_size=9, max_size=9), _TAG),
-                min_size=1, max_size=12))
+@given(st.lists(st.tuples(_VALUES, _TAG), min_size=1, max_size=12))
 def test_save_load_round_trip_is_bit_identical(tmp_path_factory, rows):
     values = np.array([v for v, _ in rows])
     stream = SensorStream(t=values[:, 0], q=values[:, 1:7],
@@ -172,14 +197,23 @@ SPELLINGS = ["1E5", ".5", "5.", " 1.5 ", "\t-2.25", "+7", "-0", "0e0",
 
 
 def test_non_repr_spellings_read_as_float_reads_them(tmp_path):
+    # each spelling in every column whose range holds its value, "0" in
+    # the others: t, six angles, two loads
+    limits = ([(-math.inf, math.inf)] + [(-TWO_PI, TWO_PI)] * 6
+              + [(0.0, math.inf)] * 2)
+    cells = [[cell if lo <= float(cell) <= hi else "0" for lo, hi in limits]
+             for cell in SPELLINGS]
     path = tmp_path / "spellings.csv"
-    lines = [HEADER] + [",".join([cell] * 9 + [f"s{k}"])
-                        for k, cell in enumerate(SPELLINGS)]
+    lines = [HEADER] + [",".join(row + [f"s{k}"])
+                        for k, row in enumerate(cells)]
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     stream = SensorStream.load_csv(path)
-    expected = np.array([float(cell) for cell in SPELLINGS])
-    for got in (stream.t, *stream.q.T, stream.left_load, stream.right_load):
-        assert got.tobytes() == expected.tobytes()
+    expected = np.array([[float(cell) for cell in row] for row in cells])
+    got = np.column_stack([stream.t, stream.q, stream.left_load,
+                           stream.right_load])
+    assert got.tobytes() == expected.tobytes()
+    spelled = (np.array(cells) != "0").sum(axis=0).tolist()
+    assert spelled == [len(SPELLINGS)] + [13] * 6 + [17] * 2
 
 
 # digits, signs, separators, ASCII and Unicode whitespace (\x1c is
