@@ -52,3 +52,7 @@ class IncompleteComparisonError(ExobenchError):
 
 class OutOfOrderFrameError(ExobenchError):
     """Sensor frame timestamp went backwards; the frame is dropped."""
+
+
+class ReplayMismatchError(ExobenchError):
+    """Batch replay and streaming replay disagree on the same frames."""

@@ -13,7 +13,8 @@ The controller section computes each subject's whole command stream with
 ``replay_batch``, which is bit-identical to streaming ``replay`` but much
 faster.  Step times come from a separate streaming ``replay`` of the first
 ``PROBE_STEPS`` frames, which is what the sidecar's percentiles and
-overrun counts cover.
+overrun counts cover; every run checks that probe's commands against the
+batch's, byte for byte.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .biosignal import (PHASE_SIT, PHASE_WALK, FeatureWindow, PhysioSession,
                         windowed_features)
 from .blend import ControlLoop
 from .dynamics import ACTUATED_MASK, StanceModel, load_calibration
-from .errors import InsufficientDataError, SchemaError
+from .errors import (InsufficientDataError, ReplayMismatchError,
+                     SchemaError)
 from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
@@ -100,6 +102,16 @@ def _controller_section(directory: Path, params, tables):
                        regressor, tables)
     result = replay_batch(stream, loop)   # reads no loop state
     probe = replay(stream.head(PROBE_STEPS), loop)
+    n = probe.commands   # the batch must open with the probe's commands
+    rows = [np.column_stack([r.t[:n], r.raw_phase[:n], r.gamma_l[:n],
+                             r.tau[:n], r.degraded[:n]]).view(np.uint64)
+            for r in (probe, result)]
+    differs = (rows[0] != rows[1]).any(axis=1)
+    if differs.any():
+        k = differs.argmax()
+        raise ReplayMismatchError(
+            f"{gait_csv}: batch replay differs from the streaming probe at "
+            f"command {k} (t = {probe.t[k]} s)")
     try:
         smooth = result.smoothness()
     except ValueError as exc:

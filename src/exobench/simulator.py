@@ -4,7 +4,9 @@ Joint trajectories are sinusoid templates with the two legs half a cycle
 apart; the knee carries second- and third-harmonic content so a linear
 phase regressor has the features it needs.  Sole loads follow a flat-top
 profile whose transitions span the double-support fraction of the cycle,
-so the load-share label moves smoothly between -1 and +1.
+so the load-share label moves smoothly between -1 and +1.  The template
+is the module constants ``HIP_AMPLITUDE`` through ``TOTAL_LOAD``, and
+``check_size`` is the one rule for the size of a generated stream.
 
 Everything is reproducible from an explicit seed.
 
@@ -26,37 +28,39 @@ import numpy as np
 from .blend import ControlLoop, blend_gains
 from .dynamics import WARMUP_S, blended_torque_array
 from .errors import OutOfOrderFrameError
-from .streams import ANGLE_LIMIT, SensorStream, angle_error, write_rows
+from .streams import ANGLE_LIMIT, SensorFrame, SensorStream, write_rows
 
 TREADMILL_SPEEDS_KMH = (1.0, 1.5, 2.0, 2.5, 3.0)
 SWINGS_PER_SIDE = 3          # leg-swing cycles per side in training
 TREADMILL_DURATION_S = 112.8  # split evenly over the treadmill speeds
 MAX_FRAMES = 5_000_000       # the largest rate x seconds sim generates
 
+# the waveform template: radians, and radians of phase
+HIP_AMPLITUDE = 0.32
+KNEE_AMPLITUDE = 0.42
+ANKLE_AMPLITUDE = 0.14
+HIP_PHASE = -0.4 * math.pi
+ANKLE_PHASE = 0.25 * math.pi
+KNEE_STANCE_FRACTION = 0.25   # 2nd harmonic, relative to KNEE_AMPLITUDE
+KNEE_STANCE_PHASE = 0.6
+KNEE_THIRD_FRACTION = 0.18    # 3rd harmonic, relative to KNEE_AMPLITUDE
+HIP_OFFSET = 0.05
+KNEE_OFFSET = 0.62
+TOTAL_LOAD = 750.0            # body + device weight on the soles, N
+
 
 @dataclass(frozen=True)
 class GaitPattern:
-    """Parameters of the synthetic gait templates.
-
-    ``cadence`` is in steps/min (one cycle = two steps).  Amplitudes are
-    radians; the knee waveform is flexion-only.  ``double_support_fraction``
-    is the fraction of the cycle spent with both feet loaded.
+    """What varies between synthetic walkers; the waveform template is the
+    module constants ``HIP_AMPLITUDE`` through ``TOTAL_LOAD``.
+    ``cadence`` is in steps/min (one cycle = two steps), and
+    ``double_support_fraction`` the fraction of the cycle with both feet
+    loaded.
     """
 
     cadence: float = 100.0
-    hip_amplitude: float = 0.32
-    knee_amplitude: float = 0.42
-    ankle_amplitude: float = 0.14
-    hip_phase: float = -0.4 * math.pi
-    ankle_phase: float = 0.25 * math.pi
-    knee_stance_fraction: float = 0.25   # 2nd harmonic, relative to knee_amplitude
-    knee_stance_phase: float = 0.6
-    knee_third_fraction: float = 0.18    # 3rd harmonic, relative to knee_amplitude
-    hip_offset: float = 0.05
-    knee_offset: float = 0.62
     double_support_fraction: float = 0.36
     treadmill_speed: float = 2.0
-    total_load: float = 750.0            # body + device weight on the soles, N
     angle_noise: float = 0.004           # rad, 1 sigma
     load_noise: float = 4.0              # N, 1 sigma
 
@@ -65,16 +69,8 @@ class GaitPattern:
             raise ValueError("cadence must be positive")
         if not 0.0 <= self.double_support_fraction <= 0.4:
             raise ValueError("double_support_fraction must lie in [0, 0.4]")
-        if abs(self.hip_offset) + self.hip_amplitude > 0.7:
-            raise ValueError("hip excursion exceeds the 0.7 rad bound")
-        k_osc = self.knee_amplitude * (1.0 + self.knee_stance_fraction
-                                       + self.knee_third_fraction)
-        if self.knee_offset - k_osc < 0 or self.knee_offset + k_osc > 1.3:
-            raise ValueError("knee waveform leaves the [0, 1.3] rad flexion range")
         if self.treadmill_speed <= 0:
             raise ValueError("treadmill_speed must be positive")
-        if self.total_load <= 0:
-            raise ValueError("total_load must be positive")
         if self.angle_noise < 0 or self.load_noise < 0:
             raise ValueError("noise levels must be non-negative")
 
@@ -94,24 +90,24 @@ class GaitPattern:
 # -- waveform templates ------------------------------------------------------
 
 
-def _hip(pat: GaitPattern, psi):
-    return pat.hip_amplitude * np.sin(2 * np.pi * psi + pat.hip_phase) + pat.hip_offset
+def _hip(psi):
+    return HIP_AMPLITUDE * np.sin(2 * np.pi * psi + HIP_PHASE) + HIP_OFFSET
 
 
-def _knee(pat: GaitPattern, psi):
-    a1 = pat.knee_amplitude
-    return (pat.knee_offset
+def _knee(psi):
+    a1 = KNEE_AMPLITUDE
+    return (KNEE_OFFSET
             + a1 * np.sin(2 * np.pi * psi)
-            + pat.knee_stance_fraction * a1 * np.sin(4 * np.pi * psi
-                                                     + pat.knee_stance_phase)
-            + pat.knee_third_fraction * a1 * np.sin(6 * np.pi * psi))
+            + KNEE_STANCE_FRACTION * a1 * np.sin(4 * np.pi * psi
+                                                 + KNEE_STANCE_PHASE)
+            + KNEE_THIRD_FRACTION * a1 * np.sin(6 * np.pi * psi))
 
 
-def _ankle(pat: GaitPattern, psi):
-    return pat.ankle_amplitude * np.sin(2 * np.pi * psi + pat.ankle_phase)
+def _ankle(psi):
+    return ANKLE_AMPLITUDE * np.sin(2 * np.pi * psi + ANKLE_PHASE)
 
 
-def joint_angles(pat: GaitPattern, psi) -> np.ndarray:
+def joint_angles(psi) -> np.ndarray:
     """Six joint angles (RH, RK, RA, LH, LK, LA) at cycle phase psi.
 
     The right leg runs at phase ``psi``, the left leg half a cycle ahead;
@@ -120,8 +116,8 @@ def joint_angles(pat: GaitPattern, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=float) % 1.0
     psi_l = (psi + 0.5) % 1.0
     return np.column_stack([
-        _hip(pat, psi), _knee(pat, psi), _ankle(pat, psi),
-        _hip(pat, psi_l), _knee(pat, psi_l), _ankle(pat, psi_l),
+        _hip(psi), _knee(psi), _ankle(psi),
+        _hip(psi_l), _knee(psi_l), _ankle(psi_l),
     ])
 
 
@@ -147,8 +143,8 @@ def load_share(psi, double_support_fraction: float):
 
 def _assemble(pat: GaitPattern, t, q, share, rng, stage) -> SensorStream:
     n = t.size
-    left = pat.total_load * (1.0 + share) / 2.0
-    right = pat.total_load * (1.0 - share) / 2.0
+    left = TOTAL_LOAD * (1.0 + share) / 2.0
+    right = TOTAL_LOAD * (1.0 - share) / 2.0
     if pat.angle_noise > 0:
         q = q + rng.normal(scale=pat.angle_noise, size=q.shape)
     if pat.load_noise > 0:
@@ -167,9 +163,14 @@ def _check_rate(rate: float) -> None:
                          f"got {rate}")
 
 
-def check_frames(rate: float, seconds: float) -> None:
-    """Raise ValueError if ``seconds`` at ``rate`` Hz exceeds ``MAX_FRAMES``
-    frames: 1,000 s at 5 kHz, about 1 GB while the stream is generated."""
+def check_size(rate: float, seconds: float) -> None:
+    """Raise ValueError unless sim may generate ``seconds`` at ``rate`` Hz:
+    a finite rate >= 100 Hz, a finite duration > 0, and at most
+    ``MAX_FRAMES`` frames (1,000 s at 5 kHz, about 1 GB while generated)."""
+    _check_rate(rate)
+    if not 0 < seconds < math.inf:   # NaN included
+        raise ValueError(f"duration must be positive and finite, "
+                         f"got {seconds} s")
     frames = rate * seconds
     if not frames <= MAX_FRAMES:
         raise ValueError(f"{seconds:g} s at {rate:g} Hz is {frames:g} frames; "
@@ -187,7 +188,7 @@ def generate_cycle(pattern: GaitPattern, rate: float, cycles: int,
     n = round(cycles * pattern.cycle_duration * rate)
     t = t_start + np.arange(n) / rate
     psi = ((t - t_start) / pattern.cycle_duration) % 1.0
-    q = joint_angles(pattern, psi)
+    q = joint_angles(psi)
     share = load_share(psi, pattern.double_support_fraction)
     return _assemble(pattern, t, q, share, rng, stage)
 
@@ -203,10 +204,9 @@ def _swing_stage(pattern: GaitPattern, side: str, rate: float, rng,
     # own-phase of the swinging leg oscillates over its swing window
     ph = 0.25 + 0.25 * np.sin(2 * np.pi * u)
     hold = 0.75  # grounded leg frozen mid single-support
-    swing_cols = np.column_stack([_hip(pattern, ph), _knee(pattern, ph),
-                                  _ankle(pattern, ph)])
-    hold_cols = np.tile([float(_hip(pattern, hold)), float(_knee(pattern, hold)),
-                         float(_ankle(pattern, hold))], (n, 1))
+    swing_cols = np.column_stack([_hip(ph), _knee(ph), _ankle(ph)])
+    hold_cols = np.tile([float(_hip(hold)), float(_knee(hold)),
+                         float(_ankle(hold))], (n, 1))
     if side == "left":
         q = np.hstack([hold_cols, swing_cols])   # right grounded
         share = -np.ones(n)
@@ -222,10 +222,9 @@ def generate_training_protocol(pattern: GaitPattern | None = None,
                                seed: int = 0, rate: float = 100.0) -> SensorStream:
     """The full training recording: left swings, right swings, then a
     treadmill sweep over the speed steps, roughly two minutes in all."""
-    _check_rate(rate)
     pattern = pattern or GaitPattern()
-    check_frames(rate, 2 * SWINGS_PER_SIDE * pattern.cycle_duration
-                 + TREADMILL_DURATION_S)
+    check_size(rate, 2 * SWINGS_PER_SIDE * pattern.cycle_duration
+               + TREADMILL_DURATION_S)
     rng = np.random.default_rng(seed)
     parts = []
     t_cursor = 0.0
@@ -375,25 +374,25 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     gains, torques, degraded flags and dropped-frame count bit for bit,
     without step times.
 
-    Raises ValueError where ``ControlLoop.step`` would: a non-finite
-    timestamp, or on a kept frame a non-finite phase or an angle outside
-    [-2pi, 2pi] rad.  It reads the loop's parts, never its state.
+    Raises where ``ControlLoop.step`` would, with its message: a fresh loop
+    steps the first frame with a non-finite timestamp, or the first kept
+    frame with a non-finite phase or an angle outside [-2pi, 2pi] rad.  It
+    reads the loop's parts, never its state.
     """
-    t_all = stream.t
-    finite = np.isfinite(t_all)
-    if not finite.all():
-        raise ValueError(
-            f"frame timestamp must be finite, got {t_all[~finite][0]}")
+    t_all, q_all = stream.t, stream.q
     # a frame is kept when it is later than every frame before it
     keep = np.ones(t_all.size, dtype=bool)
     keep[1:] = t_all[1:] > np.maximum.accumulate(t_all)[:-1]
-    t = t_all[keep]
-    q = stream.q[keep]
-    raw = loop.regressor.phase_array(q)
-    gl, gr = blend_gains(raw)   # rejects a non-finite phase
-    out = (np.abs(q) > ANGLE_LIMIT).any(axis=1)
-    if out.any():
-        raise angle_error(q[out.argmax()].tolist())
+    t, q = t_all[keep], q_all[keep]
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        raw = loop.regressor.phase_array(q)
+    bad = ~np.isfinite(t_all)
+    bad[keep] |= ~(np.isfinite(raw) & (np.abs(q) <= ANGLE_LIMIT).all(axis=1))
+    if bad.any():
+        i = bad.argmax()
+        ControlLoop(loop.left, loop.right, loop.regressor, loop.tables).step(
+            SensorFrame(float(t_all[i]), tuple(q_all[i].tolist())))
+    gl, gr = blend_gains(raw)
     qd, qdd, ready = loop.estimator.estimate_array(t, q)
     tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
                                loop.tables)

@@ -11,7 +11,6 @@ for the controller.
 from __future__ import annotations
 
 import itertools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .fuzzy import default_fuzzy_model
 from .questionnaire import (EQDefinition, QuestionnaireResponse, TIE,
                             default_definition, reverse_map,
                             save_preferences_csv, save_responses_csv)
-from .simulator import (GaitPattern, check_frames, generate_cycle,
+from .simulator import (GaitPattern, check_size, generate_cycle,
                         generate_training_protocol)
 from .streams import write_json
 
@@ -176,16 +175,7 @@ def synth_session_set(root, subjects: int = 5, seed: int = 0,
     """
     if subjects < 1:
         raise ValueError(f"subjects must be at least 1, got {subjects}")
-    if not gait_seconds > 0:
-        raise ValueError(f"gait_seconds must be positive, got {gait_seconds}")
-    if not control_rate >= 100:
-        raise ValueError(f"control_rate must be at least 100 Hz, "
-                         f"got {control_rate}")
-    for name, value in (("gait_seconds", gait_seconds),
-                        ("control_rate", control_rate)):
-        if value == math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
-    check_frames(control_rate, gait_seconds)
+    check_size(control_rate, gait_seconds)
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import exobench
+from exobench import simulator
 from exobench.cli import main
 from exobench.dynamics import (WARMUP_S, CompensationTables, ExoParams,
                                save_calibration)
@@ -111,27 +112,30 @@ class TestSimAndTrain:
     @pytest.mark.parametrize("flags, reason", [
         (["--subjects", "0"], "subjects must be at least 1, got 0"),
         (["--subjects", "-2"], "subjects must be at least 1, got -2"),
-        (["--seconds", "0"], "gait_seconds must be positive, got 0.0"),
-        (["--seconds", "-5"], "gait_seconds must be positive, got -5.0"),
+        (["--seconds", "0"],
+         "duration must be positive and finite, got 0.0 s"),
+        (["--seconds", "-5"],
+         "duration must be positive and finite, got -5.0 s"),
         (["--kind", "gait", "--seconds", "0"],
-         "--seconds must be positive, got 0.0"),
+         "duration must be positive and finite, got 0.0 s"),
         (["--kind", "gait", "--seconds", "-5"],
-         "--seconds must be positive, got -5.0"),
+         "duration must be positive and finite, got -5.0 s"),
         (["--subjects", "2", "--rate", "50"],
-         "--rate must be at least 100 Hz, got 50.0"),
+         "sample rate must be at least 100 Hz and finite, got 50.0"),
         (["--kind", "gait", "--rate", "nan"],
-         "--rate must be at least 100 Hz, got nan"),
+         "sample rate must be at least 100 Hz and finite, got nan"),
         # an infinite size is rejected before round() would overflow on it,
         # and before a session set starts writing
         (["--kind", "gait", "--seconds", "inf"],
-         "--seconds must be finite, got inf"),
-        (["--kind", "gait", "--rate", "inf"], "--rate must be finite, got inf"),
+         "duration must be positive and finite, got inf s"),
+        (["--kind", "gait", "--rate", "inf"],
+         "sample rate must be at least 100 Hz and finite, got inf"),
         (["--kind", "training", "--rate", "inf"],
-         "--rate must be finite, got inf"),
+         "sample rate must be at least 100 Hz and finite, got inf"),
         (["--subjects", "1", "--seconds", "inf"],
-         "--seconds must be finite, got inf"),
+         "duration must be positive and finite, got inf s"),
         (["--subjects", "1", "--rate", "inf"],
-         "--rate must be finite, got inf"),
+         "sample rate must be at least 100 Hz and finite, got inf"),
         # a finite size past the frame bound, before any array is allocated
         # or any file of a session set written
         (["--kind", "gait", "--seconds", "1e12"],
@@ -156,10 +160,12 @@ class TestSimAndTrain:
         assert not out.parent.exists()   # nothing written, not even a folder
 
     @pytest.mark.parametrize("size, reason", [
-        ({"control_rate": 50.0}, "control_rate must be at least 100 Hz, "
-                                 "got 50.0"),
-        ({"control_rate": math.inf}, "control_rate must be finite, got inf"),
-        ({"gait_seconds": math.inf}, "gait_seconds must be finite, got inf")],
+        ({"control_rate": 50.0}, "sample rate must be at least 100 Hz and "
+                                 "finite, got 50.0"),
+        ({"control_rate": math.inf}, "sample rate must be at least 100 Hz "
+                                     "and finite, got inf"),
+        ({"gait_seconds": math.inf}, "duration must be positive and finite, "
+                                     "got inf s")],
         ids=["low-rate", "inf-rate", "inf-seconds"])
     def test_session_set_checks_its_sizes_before_writing(self, tmp_path,
                                                          size, reason):
@@ -349,6 +355,23 @@ class TestAnalyze:
         # canonical round trip: parse and re-serialise byte-identically
         from exobench.streams import canonical_json
         assert canonical_json(json.loads(out.read_text())) == out.read_text()
+
+    def test_batch_unlike_the_probe_exits_one_naming_it(
+            self, session_set, tmp_path, capsys, monkeypatch):
+        batch_torque = simulator.blended_torque_array
+
+        def one_row_off(*args):
+            tau = batch_torque(*args)
+            tau[100, 2] += 1.0   # inside the streaming probe's window
+            return tau
+
+        monkeypatch.setattr(simulator, "blended_torque_array", one_row_off)
+        assert main(["analyze", str(session_set), "--out",
+                     str(tmp_path / "report.json")]) == 1
+        gait = session_set / "subjects" / "s01" / "gait_stream.csv"
+        assert capsys.readouterr().err == (
+            f"error: {gait}: batch replay differs from the streaming probe "
+            f"at command 100 (t = 0.1 s)\n")
 
     def test_not_a_session_set(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path), "--out",

@@ -1,16 +1,17 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from exobench import simulator
 from exobench.blend import ControlLoop
 from exobench.dynamics import CompensationTables, StanceModel
 from exobench.segmentation import (GaitRegressor, label_from_soles, train,
                                    training_session_builder)
 from exobench.simulator import (GaitPattern, TREADMILL_SPEEDS_KMH,
                                 generate_cycle, generate_training_protocol,
-                                replay, replay_batch)
+                                joint_angles, replay, replay_batch)
 from exobench.streams import SensorStream
 
 
@@ -24,16 +25,27 @@ class TestGaitPattern:
             GaitPattern(cadence=0.0)
         with pytest.raises(ValueError):
             GaitPattern(double_support_fraction=0.5)
-        with pytest.raises(ValueError):
-            GaitPattern(hip_amplitude=0.8)
-        with pytest.raises(ValueError):
-            GaitPattern(knee_offset=0.1)  # waveform would go negative
+
+    def test_template_stays_in_the_joint_bounds(self):
+        assert abs(simulator.HIP_OFFSET) + simulator.HIP_AMPLITUDE <= 0.7
+        k_osc = simulator.KNEE_AMPLITUDE * (
+            1.0 + simulator.KNEE_STANCE_FRACTION
+            + simulator.KNEE_THIRD_FRACTION)
+        assert 0.0 <= simulator.KNEE_OFFSET - k_osc
+        assert simulator.KNEE_OFFSET + k_osc <= 1.3
+        assert simulator.TOTAL_LOAD > 0
+        q = joint_angles(np.linspace(0.0, 1.0, 100_001))
+        assert np.abs(q[:, [0, 3]]).max() <= 0.7
+        assert 0.0 <= q[:, [1, 4]].min() and q[:, [1, 4]].max() <= 1.3
 
     def test_speed_scaling_changes_cadence_only(self):
-        pat = GaitPattern()
+        pat = GaitPattern(double_support_fraction=0.3, angle_noise=0.01,
+                          load_noise=2.0)
         fast = pat.at_speed(3.0)
         assert fast.cadence == pytest.approx(pat.cadence * 1.5)
-        assert fast.knee_amplitude == pat.knee_amplitude
+        assert fast.treadmill_speed == 3.0
+        assert replace(fast, cadence=pat.cadence,
+                       treadmill_speed=pat.treadmill_speed) == pat
 
 
 class TestGenerateCycle:
@@ -284,9 +296,21 @@ class TestReplayBatch:
         q[5, 1] = np.inf
         wide = short.q.copy()
         wide[5, 3] = 7.0   # past 2pi, with a finite phase
+        # a later bad frame of another kind: the first bad frame decides
+        wide_then_nan = wide.copy()
+        wide_then_nan[10, 1] = np.nan
+        late_t = short.t.copy()
+        late_t[10] = np.nan
+        huge = short.q.copy()
+        huge[5, 1] = 1e308   # the phase overflows to inf, with no warning
         cases = ((_variant(short, t=t), "timestamp must be finite"),
                  (_variant(short, q=q), "raw_phase must be finite"),
-                 (_variant(short, q=wide), r"^q_lh value 7\.0 outside"))
+                 (_variant(short, q=wide), r"^q_lh value 7\.0 outside"),
+                 (_variant(short, q=wide_then_nan),
+                  r"^q_lh value 7\.0 outside"),
+                 (_variant(short, t=late_t, q=wide),
+                  r"^q_lh value 7\.0 outside"),
+                 (_variant(short, q=huge), "raw_phase must be finite"))
         for stream, match in cases:
             for run in (replay, replay_batch):
                 loop = ControlLoop(left, right, reg, tables)
