@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
-from .streams import (bad_line_error, not_utf8_error, read_json, write_json,
-                      write_rows)
+from .streams import load_column, read_json, write_json, write_rows
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -424,7 +423,10 @@ def respiration_rate(waveform=None, fs: float | None = None,
         marks = np.asarray(breath_times, dtype=float)
         if marks.size < 3:
             raise InsufficientDataError("need at least three breath marks")
-        rate = 60.0 / float(np.mean(np.diff(marks)))
+        gaps = np.diff(marks)
+        if not np.all(gaps > 0):   # a zero mean gap would divide by zero
+            raise ValueError("breath marks must increase")
+        rate = 60.0 / float(np.mean(gaps))
         return rate, 4.0 < rate < 60.0
     if waveform is None or fs is None:
         raise ValueError("provide a waveform with fs, or breath_times")
@@ -557,7 +559,7 @@ class PhysioSession:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         channels = {}
-        for attr, name, file, header, fmt, kind, units, rate in _CHANNELS:
+        for attr, name, file, header, fmt, kind, units, _, rate in _CHANNELS:
             data = getattr(self, attr)
             if data is None:
                 continue
@@ -573,35 +575,39 @@ class PhysioSession:
 
     @classmethod
     def load(cls, directory) -> "PhysioSession":
+        """The session in ``directory``: its ``manifest.json`` and the
+        channel files it names, each read by ``streams.load_column`` in the
+        sensor-stream CSV dialect under the header and range of
+        ``_CHANNELS``.  Every bad file raises an error naming it."""
         directory = Path(directory)
         fields = read_json(directory / "manifest.json", SESSION_SCHEMA_VERSION,
                            lambda doc: _session_fields(doc, directory))
-        for attr, name, *_ in _CHANNELS:
-            if attr not in fields:
-                continue
-            path = fields[attr]
-            try:
-                data = np.loadtxt(path, skiprows=1, encoding="utf-8")
-            except ValueError:
-                raise _bad_channel_line(path, name) from None
-            if not np.isfinite(data).all():
-                raise _bad_channel_line(path, name)
-            fields[attr] = np.atleast_1d(data)
+        for attr, _, _, header, *_, limits, _ in _CHANNELS:
+            if attr in fields:
+                fields[attr] = load_column(fields[attr], header, limits)
         return cls(**fields)
 
 
+CHANNEL_LIMIT = 1e12   # the largest |value| of a channel sample, any unit
+_SPAN = -CHANNEL_LIMIT, CHANNEL_LIMIT
+
 # one row per channel file: session attribute, manifest channel name, file
-# name, header, number format, kind and units recorded in the manifest, and
-# the session attribute holding the sample rate (None for event series)
+# name, header, number format, kind and units recorded in the manifest, the
+# (low, high, range text) a value must lie in, and the session attribute
+# holding the sample rate (None for event series)
 _CHANNELS = (
-    ("ecg", "ecg", "ecg.csv", "ecg_mv", "%.8g", "waveform", "mV", "ecg_fs"),
+    ("ecg", "ecg", "ecg.csv", "ecg_mv", "%.8g", "waveform", "mV",
+     (*_SPAN, "[-1e12, 1e12] mV"), "ecg_fs"),
     ("beat_intervals_ms", "beats", "beat_intervals.csv", "interval_ms",
-     "%.12g", "intervals", "ms", None),
+     "%.12g", "intervals", "ms",
+     (math.nextafter(0.0, 1.0), CHANNEL_LIMIT, "(0, 1e12] ms"), None),
     ("respiration", "respiration", "respiration.csv", "respiration_au",
-     "%.8g", "waveform", "a.u.", "respiration_fs"),
+     "%.8g", "waveform", "a.u.", (*_SPAN, "[-1e12, 1e12] a.u."),
+     "respiration_fs"),
     ("breath_times", "breath_times", "breath_times.csv", "breath_t_s",
-     "%.12g", "marks", "s", None),
-    ("gsr", "gsr", "gsr.csv", "gsr_us", "%.8g", "waveform", "uS", "gsr_fs"),
+     "%.12g", "marks", "s", (*_SPAN, "[-1e12, 1e12] s"), None),
+    ("gsr", "gsr", "gsr.csv", "gsr_us", "%.8g", "waveform", "uS",
+     (0.0, CHANNEL_LIMIT, "[0, 1e12] uS"), "gsr_fs"),
 )
 
 
@@ -650,18 +656,6 @@ def _session_fields(doc: dict, directory: Path) -> dict:
     _check_layout(fields["markers"], "ecg" in fields
                   or "beat_intervals_ms" in fields)
     return fields
-
-
-def _bad_channel_line(path, name) -> ValueError:
-    """The error naming the line of a one-column channel file that failed to
-    load; lines are split as ``np.loadtxt`` splits them (whitespace, ``#``
-    comments) and numbered from 1 for the header."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        lines = list(enumerate(f, start=1))
-    records = ((lineno, fields) for lineno, line in lines[1:]
-               if (fields := line.split("#", 1)[0].split()))
-    return (not_utf8_error(path, lines)
-            or bad_line_error(path, records, [name], 1))
 
 
 @dataclass

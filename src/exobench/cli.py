@@ -19,16 +19,17 @@ from pathlib import Path
 
 from .blend import ControlLoop
 from .dynamics import StanceModel, load_calibration
-from .errors import (ExobenchError, IncompleteTrainingError,
-                     InsufficientDataError, SchemaError)
+from .errors import (ExobenchError, IncompleteTrainingError, SchemaError,
+                     naming)
 from .fuzzy import load_fuzzy_model
-from .questionnaire import (EQDefinition, load_preferences_csv,
+from .questionnaire import (PREFERENCES_HEADER, RESPONSES_HEADER,
+                            EQDefinition, load_preferences_csv,
                             load_scores_csv)
 from .report import analyze_session_set, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
 from .simulator import (GaitPattern, check_size, generate_cycle,
                         generate_training_protocol, replay)
-from .streams import (CSV_HEADER, SensorStream, canonical_json, not_utf8_error,
+from .streams import (CSV_HEADER, SensorStream, canonical_json, read_header,
                       read_json, write_json)
 from .synthdata import synth_session_set
 
@@ -87,10 +88,9 @@ def cmd_sim(args) -> int:
 
 def cmd_train(args) -> int:
     _apply_config(args, ("ridge",))
-    try:
-        training = training_session_builder(SensorStream.load_csv(args.data))
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{args.data}: {exc}") from exc
+    training = SensorStream.load_csv(args.data)
+    with naming(args.data):
+        training = training_session_builder(training)
     regressor = train(training, ridge=args.ridge)
     regressor.save(args.out)
     print(f"trained on {len(training)} samples; "
@@ -108,10 +108,8 @@ def cmd_replay(args) -> int:
     if args.out:
         result.save_csv(args.out)
     timing = result.timing()
-    try:
+    with naming(args.stream):
         smooth = result.smoothness()
-    except ValueError as exc:
-        raise ValueError(f"{args.stream}: {exc}") from exc
     print(f"{result.commands} commands ({result.dropped_frames} dropped); "
           f"step time us p50={timing.p50_us:.1f} p95={timing.p95_us:.1f} "
           f"p99={timing.p99_us:.1f}; {timing.overruns} over the "
@@ -162,19 +160,14 @@ def _validate_one(path: Path) -> str | None:
             return "gait-model"
         raise SchemaError("unrecognised JSON document")
     if path.suffix == ".csv":
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-            lines = list(enumerate(f, start=1)) or [(1, "")]
-        if error := not_utf8_error(path, lines):
-            raise error
-        header = lines[0][1].strip().split(",")
-        if [h.strip() for h in header] == CSV_HEADER:   # as load_csv reads it
+        header = read_header(path)   # the loader reads the rest
+        if [cell.strip() for cell in header] == CSV_HEADER:
             SensorStream.load_csv(path)
             return "sensor-stream"
-        # every row, read by the loader analyze uses
-        if header == ["subject_id", "item_id", "score"]:
+        if header == RESPONSES_HEADER:
             load_scores_csv(path)
             return "responses"
-        if header == ["subject_id", "factor", "sub_a", "sub_b", "winner"]:
+        if header == PREFERENCES_HEADER:
             load_preferences_csv(path)
             return "preferences"
         raise SchemaError(f"unrecognised CSV header: {','.join(header)}")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class ExobenchError(Exception):
     """Base class for all package-specific errors."""
@@ -56,3 +58,14 @@ class OutOfOrderFrameError(ExobenchError):
 
 class ReplayMismatchError(ExobenchError):
     """Batch replay and streaming replay disagree on the same frames."""
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Start the message of an ``ExobenchError`` or ``ValueError`` raised
+    inside with ``path``; the error keeps its type, and so its exit code."""
+    try:
+        yield
+    except (ExobenchError, ValueError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -36,6 +36,10 @@ CONSISTENCY_DECAY_SPAN = 5.0
 
 TIE = "tie"
 
+# the header lines of the two CSV forms
+RESPONSES_HEADER = ["subject_id", "item_id", "score"]
+PREFERENCES_HEADER = ["subject_id", "factor", "sub_a", "sub_b", "winner"]
+
 
 def reverse_map(raw: int, is_reversed: bool = True) -> int:
     """Reversal adjustment: 8 - raw for reversed items, identity otherwise."""
@@ -352,7 +356,7 @@ def aggregate_reports(reports) -> dict:
 def save_responses_csv(path, responses):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["subject_id", "item_id", "score"])
+        writer.writerow(RESPONSES_HEADER)
         for resp in responses:
             for item_id in sorted(resp.scores):
                 writer.writerow([resp.subject_id, item_id,
@@ -362,7 +366,7 @@ def save_responses_csv(path, responses):
 def save_preferences_csv(path, responses):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["subject_id", "factor", "sub_a", "sub_b", "winner"])
+        writer.writerow(PREFERENCES_HEADER)
         for resp in responses:
             for factor in sorted(resp.preferences):
                 for a, b, winner in resp.preferences[factor]:
@@ -386,7 +390,7 @@ def load_scores_csv(path) -> dict:
     """Read the item-score CSV; returns {subject_id: QuestionnaireResponse}
     with the scores set and no preferences."""
     responses = {}
-    rows = _csv_rows(path, ["subject_id", "item_id", "score"])
+    rows = _csv_rows(path, RESPONSES_HEADER)
     for lineno, row in enumerate(rows, start=2):
         try:
             score = int(row["score"])
@@ -404,8 +408,7 @@ def load_preferences_csv(path) -> dict:
     """Read the pairwise-preference CSV; returns {subject_id: {factor:
     [(sub_a, sub_b, winner), ...]}} in file order."""
     preferences = {}
-    for row in _csv_rows(path, ["subject_id", "factor", "sub_a", "sub_b",
-                                "winner"]):
+    for row in _csv_rows(path, PREFERENCES_HEADER):
         preferences.setdefault(row["subject_id"], {}).setdefault(
             row["factor"], []).append((row["sub_a"], row["sub_b"],
                                        row["winner"]))

@@ -29,8 +29,7 @@ from .biosignal import (PHASE_SIT, PHASE_WALK, FeatureWindow, PhysioSession,
                         windowed_features)
 from .blend import ControlLoop
 from .dynamics import ACTUATED_MASK, StanceModel, load_calibration
-from .errors import (InsufficientDataError, ReplayMismatchError,
-                     SchemaError)
+from .errors import ReplayMismatchError, SchemaError, naming
 from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
@@ -93,10 +92,8 @@ def _controller_section(directory: Path, params, tables):
     training_csv = directory / "training.csv"
     gait_csv = directory / "gait_stream.csv"
     training = SensorStream.load_csv(training_csv)
-    try:
+    with naming(training_csv):
         regressor = train(training_session_builder(training))
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{training_csv}: {exc}") from exc
     stream = SensorStream.load_csv(gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)
@@ -112,10 +109,8 @@ def _controller_section(directory: Path, params, tables):
         raise ReplayMismatchError(
             f"{gait_csv}: batch replay differs from the streaming probe at "
             f"command {k} (t = {probe.t[k]} s)")
-    try:
+    with naming(gait_csv):
         smooth = result.smoothness()
-    except ValueError as exc:
-        raise ValueError(f"{gait_csv}: {exc}") from exc
     digest = hashlib.sha256()
     digest.update(result.t.tobytes())
     digest.update(result.raw_phase.tobytes())
@@ -201,7 +196,8 @@ def analyze_session_set(root, lenient: bool = False):
                 directory / rel_file)
 
         session = PhysioSession.load(directory / "physio")
-        windows, phys = _physio_section(session, lenient)
+        with naming(directory / "physio"):
+            windows, phys = _physio_section(session, lenient)
         physiology[sid] = phys
         total_invalid += phys["missing_values"]
 

@@ -9,22 +9,33 @@ right_load, stage_tag`` (header required, stage_tag may be empty).
 
 The accepted dialect is what ``save_csv`` writes (``csv.writer`` defaults)
 through ``write_rows``, the chunked writer of every numeric CSV exobench
-makes, and is read in one ``np.loadtxt`` pass:
+makes.  It also covers the one-column physiological channel files that
+``load_column`` reads, each with its own header and range:
 
-* every record has exactly ten comma-separated fields; a field may be
-  quoted with ``"``, a doubled ``""`` inside quotes is one quote, and a
-  quoted field may hold commas, ``#`` and line breaks (there are no
-  comments);
+* the first line is the header, compared field by field after stripping
+  whitespace;
+* every record has exactly as many comma-separated fields as the header
+  (ten for a stream); a field may be quoted with ``"``, a doubled ``""``
+  inside quotes is one quote, and a quoted field may hold commas, ``#`` and
+  line breaks (there are no comments);
 * blank lines are skipped but still counted in the line numbers of errors;
-  a line of only whitespace is a record with one field and is rejected;
-* the nine numbers are read like ``float()`` of the stripped cell, except
-  that ``_`` digit separators and non-ASCII digits are rejected;
+  a line of only whitespace is a record with one field;
+* numbers are read like ``float()`` of the stripped cell, except that ``_``
+  digit separators and non-ASCII digits are rejected;
 * ``nan`` and ``inf`` cells, and bytes that are not UTF-8, are rejected;
 * a joint angle lies in [-2pi, 2pi] rad (``ANGLE_LIMIT``) and a sole load
-  is at least 0; a value outside its range is rejected.
+  is at least 0; a value outside its column's range is rejected;
+* a file with a header and no records is rejected as "no samples".
+
+Each file is read in one ``np.loadtxt`` pass after its header line.
+``load_csv`` reads a stream through a ``newline=""`` handle, which keeps a
+quoted ``"\r"`` in a tag; read from the path, it would come back as
+``"\n"``.  ``load_column`` reads a channel from the path, which parses a
+long column about twice as fast as any file object.
 
 Every rejection is a ``ValueError`` that names the file and the line; line
-numbers count CSV records from 1 for the header.
+numbers count CSV records from 1 for the header.  One function,
+``_bad_csv_line``, finds the line for every loader.
 
 The calibration, models, questionnaire definition, manifests, config and
 reports are JSON documents: ``write_json`` writes ``canonical_json`` text,
@@ -43,7 +54,7 @@ import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -57,6 +68,11 @@ _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
                 + [(CSV_HEADER[9], object)])
 ROWS_PER_CHUNK = 4096   # rows per write_rows write: bounds the cells held
 ANGLE_LIMIT = 2 * math.pi   # rad: the largest |q| of a stream angle
+_ANGLE_RANGE = (-ANGLE_LIMIT, ANGLE_LIMIT, "[-2pi, 2pi] rad")
+_FINITE = (-sys.float_info.max, sys.float_info.max, "finite")
+# (low, high, range text) of each number column; no range holds nan or inf
+_STREAM_RANGES = dict(zip(CSV_HEADER, [_FINITE] + [_ANGLE_RANGE] * 6
+                          + [(0.0, _FINITE[1], "[0, inf)")] * 2))
 
 
 class SensorFrame(NamedTuple):
@@ -129,37 +145,23 @@ class SensorStream:
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
+        # a newline="" handle, which keeps a quoted "\r" in a tag
         with open(path, "r", newline="", encoding="utf-8") as f:
-            try:
-                header = next(csv.reader(f), None)
-            except UnicodeDecodeError:  # anywhere in the first read chunk
-                raise _bad_csv_line(path) from None
-            if header is None or [h.strip() for h in header] != CSV_HEADER:
-                raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is reported below as "no samples"
-                    warnings.filterwarnings(
-                        "ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(f, dtype=_ROW, delimiter=",",
-                                      comments=None, quotechar='"', ndmin=1)
-            except ValueError:
-                raise _bad_csv_line(path) from None
-        if not rows.size:
-            raise ValueError(f"{path}: no samples")
-        t = rows["t"].copy()
+            rows = _parsed(path, CSV_HEADER, _STREAM_RANGES, lambda: (
+                np.loadtxt(f, dtype=_ROW, delimiter=",", comments=None,
+                           quotechar='"', skiprows=1, ndmin=1)))
         q = np.column_stack([rows[name] for name in CSV_HEADER[1:7]])
-        left = rows["left_load"].copy()
-        right = rows["right_load"].copy()
-        if not all(np.isfinite(a).all() for a in (t, q, left, right)):
-            raise _bad_csv_line(path)
-        bad = (np.abs(q) > ANGLE_LIMIT).any(axis=1) | (left < 0) | (right < 0)
-        if bad.any():
-            i = int(bad.argmax())
-            raise _out_of_range_line(path, i, q[i].tolist(),
-                                     (left[i], right[i]))
-        return cls(t=t, q=q, left_load=left, right_load=right,
-                   stage=rows["stage_tag"].copy())
+        return cls(rows["t"].copy(), q,
+                   *(rows[name].copy() for name in CSV_HEADER[7:]))
+
+
+def load_column(path, name: str, limits: tuple) -> np.ndarray:
+    """The numbers of the one-column CSV ``path`` headed ``name``, each in
+    the ``(low, high, range text)`` of ``limits``."""
+    # the path, which np.loadtxt reads twice as fast as a file object
+    return _parsed(path, [name], {name: limits}, lambda: np.loadtxt(
+        path, dtype=[(name, "f8")], delimiter=",", comments=None,
+        quotechar='"', skiprows=1, ndmin=1, encoding="utf-8"))[name]
 
 
 def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
@@ -185,30 +187,71 @@ def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
                     % tuple(chain.from_iterable(zip(*cells))))
 
 
-def _bad_csv_line(path) -> ValueError:
-    """The error naming the record of a stream CSV that failed to load; line
-    numbers count CSV records, blank ones included, from 1 for the header."""
+def read_header(path) -> list[str]:
+    """The fields of the first line of the CSV ``path``, read alone; a first
+    line that is not UTF-8 raises a ``ValueError`` naming line 1."""
     with open(path, "r", newline="", encoding="utf-8",
               errors="surrogateescape") as f:
-        records = list(enumerate(csv.reader(f), start=1))
-    return (not_utf8_error(path, ((n, ",".join(row)) for n, row in records))
-            or bad_line_error(path, (r for r in records[1:] if r[1]),
-                              CSV_HEADER[:9], len(CSV_HEADER)))
+        line = f.readline()
+    if error := not_utf8_error(path, [(1, line)]):
+        raise error
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error:   # a field longer than csv's limit
+        return [line]
 
 
-def _out_of_range_line(path, index, q, loads) -> ValueError:
-    """The error naming data row ``index`` of a stream CSV, whose angles
-    ``q`` or sole ``loads`` leave their range; line numbers count as
-    ``_bad_csv_line`` counts them."""
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        lines = (n for n, row in enumerate(csv.reader(f), start=1) if row)
-        lineno = next(islice(lines, index + 1, None))   # past the header
-    if max(map(abs, q)) > ANGLE_LIMIT:
-        reason = angle_error(q)
-    else:
-        reason = next(f"negative {name} value {value}" for name, value
-                      in zip(CSV_HEADER[7:9], loads) if value < 0)
-    return ValueError(f"{path}: line {lineno}: {reason}")
+def _parsed(path, header, ranges, parse) -> np.ndarray:
+    """The records ``parse()`` reads past the first line of the CSV ``path``,
+    which must be ``header``, each field stripped; a rejection, a number
+    outside its ``ranges[name]`` included, raises an error naming the file."""
+    if [cell.strip() for cell in read_header(path)] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    with warnings.catch_warnings():   # no records is "no samples" below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = parse()
+        except ValueError:   # UnicodeDecodeError included
+            raise _bad_csv_line(path, header, ranges) from None
+    if not rows.size:
+        raise ValueError(f"{path}: no samples")
+    if not all(((rows[name] >= low) & (rows[name] <= high)).all()
+               for name, (low, high, _) in ranges.items()):
+        raise _bad_csv_line(path, header, ranges)
+    return rows
+
+
+def _bad_csv_line(path, header, ranges) -> ValueError:
+    """The error naming the record of the CSV ``path`` that failed to load:
+    the first not UTF-8, else the first with a field count not ``header``'s
+    or a number that does not parse, else the first with a number outside
+    its range.  The number columns lead, in the order of ``ranges``."""
+    with open(path, "r", newline="", encoding="utf-8",
+              errors="surrogateescape") as f:
+        reader = csv.reader(f)
+        try:
+            records = list(enumerate(reader, start=1))
+        except csv.Error as exc:   # a field longer than csv's limit
+            return ValueError(f"{path}: line {reader.line_num}: {exc}")
+    if error := not_utf8_error(path, ((n, ",".join(r)) for n, r in records)):
+        return error
+    outside = None
+    for lineno, row in records[1:]:
+        if row and len(row) != len(header):   # a blank line has no fields
+            return ValueError(f"{path}: line {lineno}: expected "
+                              f"{len(header)} fields, got {len(row)}")
+        for (name, (low, high, text)), cell in zip(ranges.items(), row):
+            try:
+                value = parse_cell(cell)
+            except ValueError as exc:
+                return ValueError(f"{path}: line {lineno}: {exc}")
+            if outside is None and not low <= value <= high:
+                outside = f"line {lineno}: " + (
+                    f"non-finite {name} value {value}"
+                    if not math.isfinite(value) else
+                    f"negative {name} value {value}" if value < 0 <= low
+                    else f"{name} value {value} outside {text}")
+    return ValueError(f"{path}: {outside or 'unreadable, no bad line found'}")
 
 
 def angle_error(q) -> ValueError:
@@ -217,7 +260,7 @@ def angle_error(q) -> ValueError:
     name, value = next((name, value) for name, value
                        in zip(CSV_HEADER[1:7], q)
                        if not abs(value) <= ANGLE_LIMIT)
-    return ValueError(f"{name} value {value} outside [-2pi, 2pi] rad")
+    return ValueError(f"{name} value {value} outside {_ANGLE_RANGE[2]}")
 
 
 def canonical_json(doc: dict) -> str:
@@ -295,27 +338,3 @@ def not_utf8_error(path, lines) -> ValueError | None:
             text.encode("utf-8")
         except UnicodeEncodeError:
             return ValueError(f"{path}: line {lineno}: not valid UTF-8")
-
-
-def bad_line_error(path, records, names, width) -> ValueError:
-    """The error naming the line a bulk parse of ``path`` rejected.
-
-    ``records`` yields ``(line number, fields)`` for every non-blank record;
-    each must have ``width`` fields, the leading ``len(names)`` of them
-    finite numbers.  The first record with the wrong field count or a cell
-    that does not parse is named; failing that, the first non-finite cell.
-    """
-    nonfinite = None
-    for lineno, row in records:
-        if len(row) != width:
-            return ValueError(f"{path}: line {lineno}: expected {width} "
-                              f"fields, got {len(row)}")
-        for name, cell in zip(names, row):
-            try:
-                value = parse_cell(cell)
-            except ValueError as exc:
-                return ValueError(f"{path}: line {lineno}: {exc}")
-            if nonfinite is None and not math.isfinite(value):
-                nonfinite = ValueError(f"{path}: line {lineno}: non-finite "
-                                       f"{name} value {value}")
-    return nonfinite or ValueError(f"{path}: unreadable, no bad line found")

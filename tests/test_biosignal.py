@@ -427,6 +427,12 @@ class TestRespirationRate:
         with pytest.raises(InsufficientDataError):
             respiration_rate(np.zeros(100), 25.0)
 
+    @pytest.mark.parametrize("marks", [[10.0, 20.0, 10.0], [5.0, 5.0, 5.0]])
+    def test_marks_that_do_not_increase_rejected(self, marks):
+        # a zero mean interval divided by zero
+        with pytest.raises(ValueError, match="breath marks must increase"):
+            respiration_rate(breath_times=marks)
+
 
 def scr_bump(t, onset, amplitude=0.2, rise=0.5, decay=2.5):
     """Classic fast-rise/slow-decay phasic event shape."""
@@ -550,6 +556,15 @@ class TestWindowedFeatures:
         assert r1 == r2
 
 
+def _save_series(directory):
+    """Save a session whose five channel files each hold 1.0 to 40.0."""
+    series = np.arange(1.0, 41.0)
+    PhysioSession(markers={"sit": (0.0, 1.0), "sit_exo": (1.0, 2.0),
+                           "walk": (2.0, 3.0)},
+                  ecg=series, beat_intervals_ms=series, respiration=series,
+                  breath_times=series, gsr=series).save(directory)
+
+
 class TestPhysioSession:
     def test_marker_validation(self):
         with pytest.raises(SchemaError):
@@ -649,25 +664,21 @@ class TestPhysioSession:
             PhysioSession.load(tmp_path)
         assert str(info.value).startswith(f"{path}: {reason}")
 
-    @pytest.mark.parametrize("channel, file", [
-        ("ecg", "ecg.csv"), ("beats", "beat_intervals.csv"),
-        ("respiration", "respiration.csv"),
-        ("breath_times", "breath_times.csv"), ("gsr", "gsr.csv")])
+    @pytest.mark.parametrize("column, file", [
+        ("ecg_mv", "ecg.csv"), ("interval_ms", "beat_intervals.csv"),
+        ("respiration_au", "respiration.csv"),
+        ("breath_t_s", "breath_times.csv"), ("gsr_us", "gsr.csv")])
     @pytest.mark.parametrize("cell, reason", [
-        ("nan", "non-finite {channel} value nan"),
-        ("-inf", "non-finite {channel} value -inf"),
+        ("nan", "non-finite {column} value nan"),
+        ("-inf", "non-finite {column} value -inf"),
         ("abc", "could not convert string to float: 'abc'"),
         ("1_0", "could not convert string to float: '1_0'"),
-        ("1 2", "expected 1 fields, got 2"),
+        ("1 2", "could not convert string to float: '1 2'"),
+        ("1,2", "expected 1 fields, got 2"),
         ("1\udce9", "not valid UTF-8")])   # a latin-1 byte
-    def test_bad_cell_names_file_and_line(self, tmp_path, channel, file,
+    def test_bad_cell_names_file_and_line(self, tmp_path, column, file,
                                           cell, reason):
-        series = np.arange(1.0, 41.0)
-        PhysioSession(markers={"sit": (0.0, 1.0), "sit_exo": (1.0, 2.0),
-                               "walk": (2.0, 3.0)},
-                      ecg=series, beat_intervals_ms=series,
-                      respiration=series, breath_times=series,
-                      gsr=series).save(tmp_path)
+        _save_series(tmp_path)
         path = tmp_path / file
         lines = path.read_text().splitlines()
         lines[4] = ""  # blank lines are skipped but counted
@@ -677,4 +688,48 @@ class TestPhysioSession:
         with pytest.raises(ValueError) as info:
             PhysioSession.load(tmp_path)
         assert str(info.value) == (f"{path}: line 10: "
-                                   + reason.format(channel=channel))
+                                   + reason.format(column=column))
+
+    @pytest.mark.parametrize("file, cell, reason", [
+        ("ecg.csv", "1e300", "ecg_mv value 1e+300 outside [-1e12, 1e12] mV"),
+        ("ecg.csv", "-1.5e12",
+         "ecg_mv value -1500000000000.0 outside [-1e12, 1e12] mV"),
+        ("beat_intervals.csv", "0", "interval_ms value 0.0 outside "
+                                    "(0, 1e12] ms"),
+        ("beat_intervals.csv", "-800", "negative interval_ms value -800.0"),
+        ("respiration.csv", "2e12", "respiration_au value 2000000000000.0 "
+                                    "outside [-1e12, 1e12] a.u."),
+        ("breath_times.csv", "-1e300",
+         "breath_t_s value -1e+300 outside [-1e12, 1e12] s"),
+        ("gsr.csv", "-5.0", "negative gsr_us value -5.0"),
+        ("gsr.csv", "1e13", "gsr_us value 10000000000000.0 outside "
+                            "[0, 1e12] uS")])
+    def test_value_outside_its_range_names_file_and_line(self, tmp_path, file,
+                                                         cell, reason):
+        _save_series(tmp_path)
+        path = tmp_path / file
+        lines = path.read_text().splitlines()
+        lines[9] = cell
+        lines[20] = "nan"   # the first bad value in reading order is named
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            PhysioSession.load(tmp_path)
+        assert str(info.value) == f"{path}: line 10: {reason}"
+
+    @pytest.mark.parametrize("file, low", [
+        ("ecg.csv", "-1e12"), ("beat_intervals.csv", "5e-324"),
+        ("respiration.csv", "-1e12"), ("breath_times.csv", "-1e12"),
+        ("gsr.csv", "0")])
+    def test_values_at_their_range_limits_load(self, tmp_path, file, low):
+        _save_series(tmp_path)
+        path = tmp_path / file
+        lines = path.read_text().splitlines()
+        lines[1:3] = [low, "1e12"]
+        path.write_text("\n".join(lines) + "\n")
+        session = PhysioSession.load(tmp_path)
+        values = {"ecg.csv": session.ecg,
+                  "beat_intervals.csv": session.beat_intervals_ms,
+                  "respiration.csv": session.respiration,
+                  "breath_times.csv": session.breath_times,
+                  "gsr.csv": session.gsr}[file]
+        assert values[:3].tolist() == [float(low), 1e12, 3.0]

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exobench
 from exobench import simulator
@@ -378,11 +383,11 @@ class TestAnalyze:
                      str(tmp_path / "r.json")]) == 1
         assert "set_manifest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("channel, file", [
-        ("ecg", "ecg.csv"), ("respiration", "respiration.csv"),
-        ("gsr", "gsr.csv")])
+    @pytest.mark.parametrize("column, file", [
+        ("ecg_mv", "ecg.csv"), ("respiration_au", "respiration.csv"),
+        ("gsr_us", "gsr.csv")])
     def test_nan_physio_cell_exits_one_naming_the_line(
-            self, session_set, tmp_path, channel, file):
+            self, session_set, tmp_path, column, file):
         root = tmp_path / "set"
         shutil.copytree(session_set, root)
         path = root / "subjects" / "s01" / "physio" / file
@@ -392,9 +397,80 @@ class TestAnalyze:
         proc = _python("-m", "exobench.cli", "analyze", str(root),
                        "--out", str(tmp_path / "report.json"))
         assert proc.returncode == 1
-        assert (f"error: {path}: line 100: non-finite {channel} value nan"
+        assert (f"error: {path}: line 100: non-finite {column} value nan"
                 in proc.stderr)
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("file, edit, reason", [
+        # two numbers on every row: a TypeError traceback from the filter
+        ("gsr.csv", lambda lines: lines[:1] + [f"{x} {x}" for x in lines[1:]],
+         "line 2: could not convert string to float: '{two}'"),
+        # a header-only file: a loadtxt warning and an error naming no file
+        ("ecg.csv", lambda lines: lines[:1], "no samples"),
+        # a wrong header and a comment were read as data
+        ("gsr.csv", lambda lines: ["whatever"] + lines[1:],
+         "expected header gsr_us"),
+        ("gsr.csv", lambda lines: lines[:5] + [lines[5] + " # note"]
+         + lines[6:], "line 6: could not convert string to float: "
+                      "'{note} # note'"),
+        # a value outside its channel's range: an error naming no file, or
+        # an overflow warning and a report
+        ("gsr.csv", lambda lines: lines[:5] + ["-5.0"] + lines[6:],
+         "line 6: negative gsr_us value -5.0"),
+        ("ecg.csv", lambda lines: lines[:5] + ["1e300"] + lines[6:],
+         "line 6: ecg_mv value 1e+300 outside [-1e12, 1e12] mV"),
+        ("respiration.csv", lambda lines: lines[:5] + ["-1e300"] + lines[6:],
+         "line 6: respiration_au value -1e+300 outside [-1e12, 1e12] a.u.")],
+        ids=["two-numbers", "header-only", "wrong-header", "comment",
+             "negative-gsr", "huge-ecg", "huge-respiration"])
+    def test_channel_file_outside_the_dialect_exits_one_naming_it(
+            self, session_set, tmp_path, capsys, file, edit, reason):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s01" / "physio" / file
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(root), "--out",
+                         str(tmp_path / "report.json")]) == 1
+        reason = reason.format(two=f"{lines[1]} {lines[1]}", note=lines[5])
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("size", [100, 2000])
+    def test_short_ecg_exits_one_naming_the_physio_directory(
+            self, session_set, tmp_path, capsys, size):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        physio = root / "subjects" / "s01" / "physio"
+        path = physio / "ecg.csv"
+        path.write_bytes(path.read_bytes()[:size])
+        assert main(["analyze", str(root), "--out",
+                     str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {physio}: need at least one second of ECG\n")
+
+    def test_channels_at_their_range_limits_analyze_without_warnings(
+            self, session_set, tmp_path):
+        # +-1e12 in every unit: the bound refuses no real recording, and
+        # the features stay finite
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        physio = root / "subjects" / "s01" / "physio"
+        for file, low in (("ecg.csv", "-1e12"), ("respiration.csv", "-1e12"),
+                          ("gsr.csv", "0")):
+            path = physio / file
+            lines = path.read_text().splitlines()
+            for k, line in enumerate(lines[1:], start=1):
+                lines[k] = "1e12" if k % 7 == 0 else low if k % 7 == 3 else line
+            path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        proc = _python("-W", "error", "-m", "exobench.cli", "analyze",
+                       str(root), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        physiology = json.loads(out.read_text(),
+                                parse_constant=pytest.fail)["physiology"]
+        assert physiology["subjects"]["s01"]["windows"]
 
     @pytest.mark.parametrize("key", ["responses", "preferences"])
     def test_questionnaire_not_utf8_exits_one_naming_the_line(
@@ -438,6 +514,19 @@ class TestAnalyze:
         assert proc.stderr.startswith(
             f"error: {path}: only 0 usable training samples")
         assert "Traceback" not in proc.stderr
+
+    def test_missing_training_stage_exits_two_naming_it(
+            self, session_set, tmp_path, capsys):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s01" / "training.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines
+                                   if "right_swing" not in line) + "\n")
+        assert main(["analyze", str(root), "--out",
+                     str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: training stage missing: right_swing\n")
 
     def test_controller_reports_torque_magnitude(self, tmp_path):
         # 5 kHz angles at the default noise: the estimator must keep the
@@ -601,6 +690,80 @@ class TestMalformedJson:
                 == f"error: {path}: not a finite float: {digits}\n")
 
 
+# the numeric CSVs of a subject that analyze reads, and the mutations the
+# test below makes at a drawn byte: a number cell's text, a cut, a byte that
+# is not UTF-8, or a second number in a cell
+_NUMERIC_CSVS = ("gait_stream.csv", "training.csv", "physio/ecg.csv",
+                 "physio/respiration.csv", "physio/gsr.csv")
+_CELL_TEXT = {"nan": b"nan", "1e300": b"1e300", "-1e300": b"-1e300",
+              "negative": b"-0.5"}
+_NUMERIC_MUTATIONS = (*_CELL_TEXT, "truncate", "latin-1", "second-number",
+                      "second-field")
+
+
+def _mutate_at(data: bytes, mutation: str, place: int) -> bytes:
+    """``data`` with ``mutation`` made at byte ``place``; a cell mutation
+    changes the cell holding that byte, or the first cell after the
+    header."""
+    if mutation == "truncate":
+        return data[:place]
+    if mutation == "latin-1":
+        return data[:place] + b"\xe9" + data[place:]
+    place = max(place, data.index(b"\n") + 1)
+    start = data.rfind(b"\n", 0, place) + 1
+    start = data.rfind(b",", start, place) + 1 or start
+    stop = min(i for i in (data.find(b",", place), data.find(b"\r", place),
+                           data.find(b"\n", place), len(data)) if i >= 0)
+    cell = data[start:stop]
+    if mutation == "second-number":
+        cell += b" " + cell
+    elif mutation == "second-field":
+        cell += b"," + cell
+    else:
+        cell = _CELL_TEXT[mutation]
+    return data[:start] + cell + data[stop:]
+
+
+@pytest.fixture(scope="module")
+def small_set(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small") / "set"
+    assert main(["sim", "--subjects", "1", "--seed", "1", "--seconds", "2",
+                 "--out", str(root)]) == 0
+    return root
+
+
+@settings(max_examples=50, deadline=None)
+@given(file=st.sampled_from(_NUMERIC_CSVS),
+       mutation=st.sampled_from(_NUMERIC_MUTATIONS),
+       place=st.floats(0.0, 1.0, exclude_max=True))
+def test_mutated_numeric_csv_ends_in_a_named_error(small_set, file, mutation,
+                                                   place):
+    # any input analyze reads ends in a report or in one error line that
+    # names the file (or, for a physiology feature, its directory), with
+    # no traceback and no warning
+    path = small_set / "subjects" / "s01" / file
+    data = path.read_bytes()
+    err = io.StringIO()
+    try:
+        path.write_bytes(_mutate_at(data, mutation, int(place * len(data))))
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(["analyze", str(small_set), "--out",
+                         str(small_set.parent / "report.json")])
+    finally:
+        path.write_bytes(data)
+    assert code in (0, 1, 2)
+    if code:
+        named = {str(path), str(path.parent)} if "physio" in file else {
+            str(path)}
+        line = err.getvalue()
+        assert line.count("\n") == 1 and line.startswith("error: ")
+        assert line[len("error: "):].split(": ")[0] in named, line
+    else:
+        assert not err.getvalue()
+
+
 class TestValidate:
     def test_valid_files_pass(self, tmp_path, calibration, capsys):
         eq = tmp_path / "eq.json"
@@ -663,6 +826,15 @@ class TestValidate:
         assert main(["validate", str(responses)]) == 1
         assert (capsys.readouterr().out == f"FAIL {responses}: {responses}: "
                                            "line 3: not valid UTF-8\n")
+
+    def test_kind_is_told_from_the_first_line_alone(self, tmp_path, capsys):
+        # the loader a header picks reads the rest; an unknown header is
+        # reported before any later byte is read
+        other = tmp_path / "other.csv"
+        other.write_bytes(b"a,b\n1,2\xe9\n")
+        assert main(["validate", str(other)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {other}: unrecognised CSV header: a,b\n")
 
     def test_questionnaire_rows_are_read_as_analyze_reads_them(self, tmp_path,
                                                               capsys):

@@ -136,6 +136,10 @@ CASES = {
     # a latin-1 byte (written through surrogateescape) in a tag
     "not_utf8_tag": (f"{HEADER}\r\n{R1}\r\n" + _row(2, "caf\udce9") + "\r\n",
                      ("err", "line 3: not valid UTF-8")),
+    # a cell too long for the csv module, which numpy reads as inf
+    "overlong_cell": (f"{HEADER}\r\n{R1}\r\n" + _row(2, t="1" * 200_000)
+                      + "\r\n", ("err", "line 3: field larger than field "
+                                         "limit (131072)")),
     # float() accepts "1_0"; the CSV dialect does not
     "digit_separator": (f"{HEADER}\r\n{R1}\r\n" + _row(2, t="1_0") + "\r\n",
                         ("err", "line 3: could not convert string to float: "
