@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -128,7 +129,9 @@ def cmd_analyze(args) -> int:
     report, timing = analyze_session_set(args.session, lenient=bool(args.lenient))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     out.write_text(canonical_json(report), encoding="utf-8")
+    timing["stages_s"]["report_write"] = time.perf_counter() - start
     sidecar = out.with_name(out.stem + ".timing.json")
     sidecar.write_text(canonical_json(timing), encoding="utf-8")
     flags = report["summary"]["total_invalid_flags"]

@@ -27,7 +27,9 @@ link parameters:
 
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
-warm-up; ``estimate_array`` is ``push`` applied row by row.
+warm-up.  ``push`` takes one sample of every joint for the control step;
+``estimate_array`` runs the same recursion one joint column at a time over
+a whole stream, and a hypothesis test pins the twins bit for bit.
 """
 
 from __future__ import annotations
@@ -489,7 +491,9 @@ class AccelerationEstimator:
 
     def push(self, t: float, q):
         """Ingest one sample; returns (qd, qdd) lists, or (None, None) until
-        ``WARMUP_S`` has passed since the first sample."""
+        ``WARMUP_S`` has passed since the first sample.  ``estimate_array``
+        is its batch twin: keep the two recursions statement for statement
+        alike."""
         if self._x is None:
             self._t0 = self.last_t = t
             self._x = list(q)
@@ -515,18 +519,38 @@ class AccelerationEstimator:
     def estimate_array(self, t, q):
         """``(qd, qdd, ready)`` for every row of a stream: what a fresh
         estimator's ``push`` returns row by row, with ``ready`` False and
-        zero rows where it returns None.  This estimator is left alone."""
-        est = AccelerationEstimator()
+        zero rows where it returns None, and its ``ValueError`` on a step
+        that is not positive.  It runs ``push``'s recursion one joint
+        column at a time over the whole stream, with ``push``'s statements
+        in ``push``'s order, so every value is bit for bit the same (a
+        hypothesis test pins the twins).  This estimator is left alone."""
+        ts = np.asarray(t).tolist()
+        dts = [b - a for a, b in zip(ts, ts[1:])]
+        if not all(dt > 0 for dt in dts):   # NaN included
+            raise ValueError("timestamps must be strictly increasing")
+        gains = [_tracker_gains(dt) for dt in dts]
         qd = np.zeros(np.shape(q))
         qdd = np.zeros(np.shape(q))
-        ready = np.zeros(len(t), dtype=bool)
-        for i, (ti, qi) in enumerate(zip(np.asarray(t).tolist(),
-                                         np.asarray(q).tolist())):
-            v, a = est.push(ti, qi)
-            if v is not None:
-                qd[i] = v
-                qdd[i] = a
-                ready[i] = True
+        for j, col in enumerate(np.asarray(q).T.tolist()):
+            if not col:
+                break
+            x, v, a = col[0], 0.0, 0.0
+            vs, accs = [v], [a]
+            for dt, (ka, kv, kacc, h), z in zip(dts, gains, col[1:]):
+                xp = x + dt * (v + h * a)
+                e = z - xp
+                x = xp + ka * e
+                v = v + dt * a + kv * e
+                a = a + kacc * e
+                vs.append(v)
+                accs.append(a)
+            qd[:, j] = vs
+            qdd[:, j] = accs
+        times = np.array(ts, dtype=float)
+        ready = ~(times - times[:1] < WARMUP_S)
+        ready[:1] = False
+        qd[~ready] = 0.0
+        qdd[~ready] = 0.0
         return qd, qdd, ready
 
 

@@ -61,11 +61,12 @@ class ReplayMismatchError(ExobenchError):
 
 
 @contextlib.contextmanager
-def naming(path):
-    """Start the message of an ``ExobenchError`` or ``ValueError`` raised
-    inside with ``path``; the error keeps its type, and so its exit code."""
+def naming(path, kinds=(ExobenchError, ValueError)):
+    """Start the message of an error of ``kinds`` (by default any
+    ``ExobenchError`` or ``ValueError``) raised inside with ``path``; the
+    error keeps its type, and so its exit code."""
     try:
         yield
-    except (ExobenchError, ValueError) as exc:
+    except kinds as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -83,6 +83,10 @@ class EQDefinition:
         if len(factors) != FACTOR_COUNT:
             raise SchemaError(f"expected {FACTOR_COUNT} factors, "
                               f"got {len(factors)}")
+        for factor in factors:
+            if list(self.sub_factor_to_factor.values()).count(factor) < 2:
+                raise SchemaError(f"factor {factor} needs at least two "
+                                  f"sub-factors")
         if len(self.control_pairs) != CONTROL_PAIR_COUNT:
             raise SchemaError(f"expected {CONTROL_PAIR_COUNT} control pairs, "
                               f"got {len(self.control_pairs)}")
@@ -420,6 +424,7 @@ def load_responses_csv(scores_path, preferences_path) -> dict:
     responses = load_scores_csv(scores_path)
     for subject, preferences in load_preferences_csv(preferences_path).items():
         if subject not in responses:
-            raise SchemaError(f"preferences for unknown subject {subject!r}")
+            raise SchemaError(f"{preferences_path}: preferences for unknown "
+                              f"subject {subject!r}")
         responses[subject].preferences = preferences
     return responses

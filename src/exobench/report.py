@@ -19,7 +19,9 @@ batch's, byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,7 +31,8 @@ from .biosignal import (PHASE_SIT, PHASE_WALK, FeatureWindow, PhysioSession,
                         windowed_features)
 from .blend import ControlLoop
 from .dynamics import ACTUATED_MASK, StanceModel, load_calibration
-from .errors import ReplayMismatchError, SchemaError, naming
+from .errors import (IncompleteComparisonError, IncompleteResponseError,
+                     ReplayMismatchError, SchemaError, naming)
 from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
@@ -43,9 +46,23 @@ REPORT_SCHEMA_VERSION = 1
 # frames per subject that the streaming timing probe steps through
 PROBE_STEPS = 5_000
 
+# the stages of ``analyze`` whose wall seconds, summed over subjects, the
+# timing sidecar's ``stages_s`` holds; ``cmd_analyze`` adds the report write
+STAGES = ("input_digests", "gait_csv", "training_csv", "physio_load",
+          "physio_features", "fuzzy", "questionnaire", "train",
+          "batch_replay", "probe")
+
 TIMING_NOTE = (f"step times come from streaming ControlLoop.step over the "
                f"first {PROBE_STEPS:,} frames of each gait stream; overruns "
                f"count steps slower than the sample period")
+
+
+@contextlib.contextmanager
+def _timed(stages: dict, name: str):
+    """Add the wall time of the block to ``stages[name]``."""
+    start = time.perf_counter()
+    yield
+    stages[name] += time.perf_counter() - start
 
 
 def file_digest(path) -> str:
@@ -88,22 +105,26 @@ def _psycho_section(windows, model):
     }
 
 
-def _controller_section(directory: Path, params, tables):
+def _controller_section(directory: Path, params, tables, stages: dict):
     training_csv = directory / "training.csv"
     gait_csv = directory / "gait_stream.csv"
-    training = SensorStream.load_csv(training_csv)
-    with naming(training_csv):
+    with _timed(stages, "training_csv"):
+        training = SensorStream.load_csv(training_csv)
+    with _timed(stages, "train"), naming(training_csv):
         regressor = train(training_session_builder(training))
-    stream = SensorStream.load_csv(gait_csv)
+    with _timed(stages, "gait_csv"):
+        stream = SensorStream.load_csv(gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)
-    result = replay_batch(stream, loop)   # reads no loop state
-    probe = replay(stream.head(PROBE_STEPS), loop)
-    n = probe.commands   # the batch must open with the probe's commands
-    rows = [np.column_stack([r.t[:n], r.raw_phase[:n], r.gamma_l[:n],
-                             r.tau[:n], r.degraded[:n]]).view(np.uint64)
-            for r in (probe, result)]
-    differs = (rows[0] != rows[1]).any(axis=1)
+    with _timed(stages, "batch_replay"):
+        result = replay_batch(stream, loop)   # reads no loop state
+    with _timed(stages, "probe"):
+        probe = replay(stream.head(PROBE_STEPS), loop)
+        n = probe.commands   # the batch must open with the probe's commands
+        rows = [np.column_stack([r.t[:n], r.raw_phase[:n], r.gamma_l[:n],
+                                 r.tau[:n], r.degraded[:n]]).view(np.uint64)
+                for r in (probe, result)]
+        differs = (rows[0] != rows[1]).any(axis=1)
     if differs.any():
         k = differs.argmax()
         raise ReplayMismatchError(
@@ -155,8 +176,10 @@ def analyze_session_set(root, lenient: bool = False):
 
     Returns ``(report_dict, timing_dict)``; the timing dict holds the
     non-deterministic wall-clock step-time percentiles of each subject's
-    streaming probe and is meant for a sidecar file, keeping the report
-    byte-reproducible.  A malformed set manifest raises SchemaError.
+    streaming probe and, in ``stages_s``, the wall seconds of each of
+    ``STAGES`` summed over subjects.  It is meant for a sidecar file,
+    keeping the report byte-reproducible.  A malformed set manifest raises
+    SchemaError; a questionnaire error names its CSV.
     """
     root = Path(root)
     try:
@@ -170,15 +193,19 @@ def analyze_session_set(root, lenient: bool = False):
     fuzzy_model = load_fuzzy_model(
         root / files["fuzzy_model"] if "fuzzy_model" in files else None)
     params, tables = load_calibration(root / files["calibration"])
+    stages = dict.fromkeys(STAGES, 0.0)
     have_questionnaire = "responses" in files
     if have_questionnaire:
-        definition = EQDefinition.load(root / files["eq_definition"])
-        responses = load_responses_csv(root / files["responses"],
-                                       root / files["preferences"])
+        responses_csv = root / files["responses"]
+        preferences_csv = root / files["preferences"]
+        with _timed(stages, "questionnaire"):
+            definition = EQDefinition.load(root / files["eq_definition"])
+            responses = load_responses_csv(responses_csv, preferences_csv)
 
     digests = {}
-    for rel in sorted(files.values()):
-        digests[rel] = file_digest(root / rel)
+    with _timed(stages, "input_digests"):
+        for rel in sorted(files.values()):
+            digests[rel] = file_digest(root / rel)
 
     physiology = {}
     psychophysiology = {}
@@ -190,29 +217,42 @@ def analyze_session_set(root, lenient: bool = False):
 
     for sid in subject_ids:
         directory = root / "subjects" / sid
-        for rel_file in ("physio/manifest.json", "training.csv",
-                         "gait_stream.csv"):
-            digests[f"subjects/{sid}/{rel_file}"] = file_digest(
-                directory / rel_file)
+        with _timed(stages, "input_digests"):
+            for rel_file in ("physio/manifest.json", "training.csv",
+                             "gait_stream.csv"):
+                digests[f"subjects/{sid}/{rel_file}"] = file_digest(
+                    directory / rel_file)
 
-        session = PhysioSession.load(directory / "physio")
-        with naming(directory / "physio"):
+        with _timed(stages, "physio_load"):
+            session = PhysioSession.load(directory / "physio")
+        with _timed(stages, "physio_features"), naming(directory / "physio"):
             windows, phys = _physio_section(session, lenient)
         physiology[sid] = phys
         total_invalid += phys["missing_values"]
 
-        psych = _psycho_section(windows, fuzzy_model)
+        with _timed(stages, "fuzzy"):
+            psych = _psycho_section(windows, fuzzy_model)
         psychophysiology[sid] = psych
         total_invalid += psych["invalid_inputs"] + psych["degraded_outputs"]
 
         if have_questionnaire:
-            if sid not in responses:
-                raise SchemaError(f"no questionnaire response for subject {sid}")
-            factor_report = score_session(responses[sid], definition)
+            # each error names the CSV whose rows caused it: the responses
+            # for a missing subject or item or a Likert score out of range
+            # (the definition is checked when it loads), the preferences
+            # for a comparison
+            with _timed(stages, "questionnaire"), \
+                    naming(responses_csv,
+                           (IncompleteResponseError, SchemaError)), \
+                    naming(preferences_csv, IncompleteComparisonError):
+                if sid not in responses:
+                    raise SchemaError(
+                        f"no questionnaire response for subject {sid}")
+                factor_report = score_session(responses[sid], definition)
             questionnaire[sid] = asdict(factor_report)
             factor_reports.append(factor_report)
 
-        ctrl, ctrl_timing = _controller_section(directory, params, tables)
+        ctrl, ctrl_timing = _controller_section(directory, params, tables,
+                                                stages)
         controller[sid] = ctrl
         timing[sid] = ctrl_timing
 
@@ -244,7 +284,8 @@ def analyze_session_set(root, lenient: bool = False):
         },
         "summary": {"total_invalid_flags": int(total_invalid)},
     }
-    return report, {"note": TIMING_NOTE, "subjects": timing}
+    return report, {"note": TIMING_NOTE, "subjects": timing,
+                    "stages_s": stages}
 
 
 def render_factor_table(factor_stats: dict) -> str:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from exobench.dynamics import (WARMUP_S, CompensationTables, ExoParams,
                                save_calibration)
 from exobench.fuzzy import default_fuzzy_model
 from exobench.questionnaire import default_definition
+from exobench.report import STAGES
 from exobench.segmentation import GaitRegressor
 from exobench.streams import SensorStream
 from exobench.synthdata import (synth_physio_session,
@@ -357,9 +359,19 @@ class TestAnalyze:
             assert doc[section]["status"] == "ok"
         assert doc["summary"]["total_invalid_flags"] == 0
         assert (tmp_path / "report.timing.json").exists()
+        assert "stages_s" not in out.read_text()
         # canonical round trip: parse and re-serialise byte-identically
         from exobench.streams import canonical_json
         assert canonical_json(json.loads(out.read_text())) == out.read_text()
+
+    def test_sidecar_holds_stage_times(self, session_set, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(session_set), "--out", str(out)]) == 0
+        timing = json.loads((tmp_path / "report.timing.json").read_text())
+        assert set(timing["stages_s"]) == {*STAGES, "report_write"}
+        assert all(isinstance(s, float) and s >= 0
+                   for s in timing["stages_s"].values())
+        assert set(timing["subjects"]) == {"s01", "s02"}
 
     def test_batch_unlike_the_probe_exits_one_naming_it(
             self, session_set, tmp_path, capsys, monkeypatch):
@@ -486,6 +498,53 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {path}: line 6: not valid UTF-8\n"
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key, edit, reason", [
+        # the preferences cut mid-row, and inside the first row of a factor
+        ("preferences", lambda text: text[:text.index(
+            "s01,functionality,") + len("s01,functionality,functi")],
+         "unexpected pair (functi, None) for this factor"),
+        ("preferences", lambda text: text[:text.index(
+            "s01,functionality,") + len("s01,functi")],
+         "no pairwise preferences for factor functionality"),
+        ("preferences", lambda text: re.sub(
+            "^(s01,acceptability,acceptability_sf1,acceptability_sf2,).*$",
+            r"\g<1>-0.5", text, flags=re.M),
+         "winner '-0.5' is not in pair (acceptability_sf1, "
+         "acceptability_sf2)"),
+        ("preferences", lambda text: text.replace("\ns02,", "\ns09,"),
+         "preferences for unknown subject 's09'"),
+        ("responses", lambda text: text.replace("s01,item_107,", "s01,x,"),
+         "missing responses for items: item_107"),
+        ("responses", lambda text: re.sub("^(s01,item_001,).*$", r"\g<1>9",
+                                          text, flags=re.M),
+         "Likert score out of range [1, 7]: 9")],
+        ids=["cut-mid-row", "cut-in-factor", "bad-winner", "unknown-subject",
+             "missing-item", "likert-range"])
+    def test_questionnaire_error_names_its_csv(
+            self, session_set, tmp_path, capsys, key, edit, reason):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / _FILES[key]
+        path.write_text(edit(path.read_text()))
+        assert main(["analyze", str(root), "--out",
+                     str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    def test_subject_without_questionnaire_names_the_responses(
+            self, session_set, tmp_path, capsys):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        for key in ("responses", "preferences"):
+            path = root / _FILES[key]
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines
+                                    if not line.startswith("s02,")))
+        assert main(["analyze", str(root), "--out",
+                     str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {root / _FILES['responses']}: no questionnaire response "
+            f"for subject s02\n")
 
     def test_gait_stream_within_warmup_exits_one_naming_it(
             self, session_set, tmp_path):
@@ -690,11 +749,14 @@ class TestMalformedJson:
                 == f"error: {path}: not a finite float: {digits}\n")
 
 
-# the numeric CSVs of a subject that analyze reads, and the mutations the
-# test below makes at a drawn byte: a number cell's text, a cut, a byte that
-# is not UTF-8, or a second number in a cell
-_NUMERIC_CSVS = ("gait_stream.csv", "training.csv", "physio/ecg.csv",
-                 "physio/respiration.csv", "physio/gsr.csv")
+# the CSVs that analyze reads, as paths in a session set, and the mutations
+# the test below makes at a drawn byte: a cell's text, a cut, a byte that
+# is not UTF-8, or a second number or field in a cell
+_MUTATED_CSVS = ("subjects/s01/gait_stream.csv", "subjects/s01/training.csv",
+                 "subjects/s01/physio/ecg.csv",
+                 "subjects/s01/physio/respiration.csv",
+                 "subjects/s01/physio/gsr.csv", "questionnaire_responses.csv",
+                 "questionnaire_preferences.csv")
 _CELL_TEXT = {"nan": b"nan", "1e300": b"1e300", "-1e300": b"-1e300",
               "negative": b"-0.5"}
 _NUMERIC_MUTATIONS = (*_CELL_TEXT, "truncate", "latin-1", "second-number",
@@ -732,8 +794,8 @@ def small_set(tmp_path_factory):
     return root
 
 
-@settings(max_examples=50, deadline=None)
-@given(file=st.sampled_from(_NUMERIC_CSVS),
+@settings(max_examples=70, deadline=None)
+@given(file=st.sampled_from(_MUTATED_CSVS),
        mutation=st.sampled_from(_NUMERIC_MUTATIONS),
        place=st.floats(0.0, 1.0, exclude_max=True))
 def test_mutated_numeric_csv_ends_in_a_named_error(small_set, file, mutation,
@@ -741,7 +803,7 @@ def test_mutated_numeric_csv_ends_in_a_named_error(small_set, file, mutation,
     # any input analyze reads ends in a report or in one error line that
     # names the file (or, for a physiology feature, its directory), with
     # no traceback and no warning
-    path = small_set / "subjects" / "s01" / file
+    path = small_set / file
     data = path.read_bytes()
     err = io.StringIO()
     try:

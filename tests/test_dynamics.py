@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import json
 import math
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from exobench.dynamics import (
     ACTUATED_JOINTS,
@@ -382,6 +384,36 @@ def _pushed(samples, dt=2e-4):
     return out
 
 
+# a 1 us step, the 5 kHz step, or any step up to 0.05 s: a stream of a few
+# hundred rows meets more distinct steps than _tracker_gains caches, and
+# crosses the warm-up
+_STEPS = st.one_of(st.just(1e-6), st.just(2e-4), st.floats(1e-6, 0.05))
+
+
+@st.composite
+def _tracker_streams(draw, min_rows=0):
+    """``(t, q)``: strictly increasing timestamps at irregular steps, and a
+    column of angles in [-2pi, 2pi] for each joint."""
+    n = draw(st.integers(min_rows, 400))
+    steps = draw(st.lists(_STEPS, min_size=max(n - 1, 0),
+                          max_size=max(n - 1, 0)))
+    t = list(itertools.accumulate(steps, initial=draw(st.floats(-10, 10))))
+    angles = st.floats(-2 * math.pi, 2 * math.pi)
+    q = [draw(arrays(np.float64, n, elements=angles)) for _ in range(6)]
+    return np.array(t[:n]), np.column_stack(q).reshape(n, 6)
+
+
+def _pushed_rows(t, q):
+    """``(qd, qdd, ready)`` of a fresh estimator's ``push`` on each row,
+    with zero rows where it returns None."""
+    est = AccelerationEstimator()
+    rows = [est.push(ti, qi) for ti, qi in zip(t.tolist(), q.tolist())]
+    zeros = [0.0] * 6
+    return (np.array([v or zeros for v, _ in rows]).reshape(q.shape),
+            np.array([a or zeros for _, a in rows]).reshape(q.shape),
+            np.array([v is not None for v, _ in rows], dtype=bool))
+
+
 class TestAccelerationEstimator:
     def test_constant_input_gives_exact_zeros(self):
         for _, qd, qdd in _pushed([0.3] * 1000)[500:]:
@@ -427,6 +459,32 @@ class TestAccelerationEstimator:
         for k, (_, v, a) in enumerate(out):
             assert qd[k].tolist() == (v or [0.0] * 6)
             assert qdd[k].tolist() == (a or [0.0] * 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_tracker_streams())
+    def test_array_is_push_bit_for_bit(self, stream):
+        t, q = stream
+        assert (np.diff(t) > 0).all()
+        qd, qdd, ready = AccelerationEstimator().estimate_array(t, q)
+        qd_ref, qdd_ref, ready_ref = _pushed_rows(t, q)
+        assert qd.dtype == qdd.dtype == np.float64
+        assert np.array_equal(qd.view(np.uint64), qd_ref.view(np.uint64))
+        assert np.array_equal(qdd.view(np.uint64), qdd_ref.view(np.uint64))
+        assert np.array_equal(ready, ready_ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=_tracker_streams(min_rows=2), nan=st.booleans(),
+           place=st.floats(0.0, 1.0, exclude_max=True))
+    def test_array_rejects_what_push_rejects(self, stream, nan, place):
+        # one repeated or NaN timestamp
+        t, q = stream
+        k = int(place * len(t)) if nan else 1 + int(place * (len(t) - 1))
+        t[k] = math.nan if nan else t[k - 1]
+        message = "^timestamps must be strictly increasing$"
+        with pytest.raises(ValueError, match=message):
+            _pushed_rows(t, q)
+        with pytest.raises(ValueError, match=message):
+            AccelerationEstimator().estimate_array(t, q)
 
     def test_rejects_backward_time(self):
         est = AccelerationEstimator()

@@ -273,6 +273,16 @@ class TestDefinitionValidation:
         with pytest.raises(SchemaError, match="item_999"):
             EQDefinition.from_dict(doc)
 
+    def test_factor_needs_two_sub_factors(self):
+        # 13 + 1 + 1 + 1 sub-factors: a one-sub-factor factor has no
+        # comparison to weigh, so scoring a response would fail later
+        doc = default_definition().to_dict()
+        for sf in doc["sub_factors"]:
+            if not sf.endswith("_sf1"):
+                doc["sub_factors"][sf] = "usability"
+        with pytest.raises(SchemaError, match="needs at least two"):
+            EQDefinition.from_dict(doc)
+
     def test_definition_file_round_trip(self, tmp_path):
         definition = default_definition()
         path = tmp_path / "eq.json"
