@@ -184,7 +184,8 @@ def cmd_validate(args) -> int:
         try:
             kind = _validate_one(path)
         except (ExobenchError, ValueError, OSError) as exc:
-            print(f"FAIL {path}: {exc}")
+            named = str(exc).startswith(f"{path}: ")
+            print(f"FAIL {exc}" if named else f"FAIL {path}: {exc}")
             failures += 1
             continue
         print(f"ok   {path} ({kind})")

@@ -16,7 +16,8 @@ link parameters:
 * ``PlanarChain.torque`` is one recursive Newton-Euler pass at qd = 0
   over links lumped into mass, first and second moment (point masses
   included), O(n) per chain (Luh, Walker & Paul 1980; Featherstone 2008,
-  ch. 5).  Its source is type-generic: native floats with ``math``
+  ch. 5).  It adds each joint's torque, times a gain, into a six-wide
+  output.  Its source is type-generic: native floats with ``math``
   sin/cos for the 5 kHz step, or ``(6, m)`` column stacks with
   ``np.sin``/``np.cos`` for m frames at once, bit-identically;
   ``blended_torque`` and ``blended_torque_array`` route through it, and
@@ -196,22 +197,23 @@ class PlanarChain:
 
     # -- recursive Newton-Euler evaluator (control-loop hot path) ----------
 
-    def torque(self, q, qdd, perm, sin=math.sin, cos=math.cos):
-        """B(q) @ qdd + G(q) as a list of per-joint values, by one
+    def torque(self, q, qdd, perm, gain, out, sin=math.sin, cos=math.cos):
+        """Add ``gain`` times B(q) @ qdd + G(q) into ``out``, by one
         Newton-Euler pass at qd = 0 over the lumped links.
 
         Base to tip: each link's absolute angle phi, angular acceleration
         alpha and proximal-joint acceleration (ax, ay), from an upward base
         acceleration g that stands in for gravity.  Tip to base: the force
         (fx, fy) each subtree needs and its moment about its joint, which
-        is that joint's torque.
+        is that joint's torque, added into ``out`` as soon as it is known.
 
-        Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]``, so
-        6-joint sensor vectors go in without a copy.  Accepts any indexable
-        float sequences and performs no validation.  Accumulators are
-        rebound rather than updated in place, so ``q``/``qdd`` may also be
-        (6, m) arrays evaluated with ``sin=np.sin, cos=np.cos``; each column
-        then gets the scalar result bit for bit.
+        Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]`` and
+        adds into ``out[perm[i]]``, so 6-joint vectors need no copy.
+        Accepts any indexable float sequences and performs no validation.
+        Accumulators are rebound rather than updated in place, so ``q``
+        and ``qdd`` may also be (6, m) arrays, as may ``out`` with ``gain``
+        an m-vector, with ``sin=np.sin, cos=np.cos``; each column then gets
+        the scalar result bit for bit.
         """
         phi = alpha = ax = 0.0
         ay = self.gravity
@@ -220,21 +222,18 @@ class PlanarChain:
             phi = phi + q[k]
             alpha = alpha + qdd[k]
             s, c = sin(phi), cos(phi)
-            fwd.append((l, mass, first, second, s, c, alpha, ax, ay))
+            fwd.append((k, l, mass, first, second, s, c, alpha, ax, ay))
             la = l * alpha
             ax = ax + la * c
             ay = ay - la * s
         fx = fy = moment = 0.0
-        tau = []
-        for l, mass, first, second, s, c, alpha, ax, ay in reversed(fwd):
+        for k, l, mass, first, second, s, c, alpha, ax, ay in reversed(fwd):
             moment = (moment + l * (c * fx - s * fy)
                       + first * (c * ax - s * ay) + second * alpha)
-            tau.append(moment)
+            out[k] += gain * moment
             fa = first * alpha
             fx = fx + mass * ax + fa * c
             fy = fy + mass * ay - fa * s
-        tau.reverse()
-        return tau
 
 
 class StanceModel:
@@ -431,17 +430,17 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
 
 
 def _blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right, tables):
-    """``blended_torque`` as the 6-tuple ``AssistCommand.tau`` stores."""
+    """``blended_torque`` as the 6-tuple ``AssistCommand.tau`` stores.  The
+    sum starts at +0.0 and so never holds -0.0: leaving out the ankles'
+    ``+ 0.0`` changes no bit."""
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
-        perm = left.perm
-        for k, x in zip(perm, left.chain.torque(q, qdd, perm)):
-            tau6[k] += gamma_l * x
+        left.chain.torque(q, qdd, left.perm, gamma_l, tau6)
     if gamma_r > 0.0:
-        perm = right.perm
-        for k, x in zip(perm, right.chain.torque(q, qdd, perm)):
-            tau6[k] += gamma_r * x
-    return tuple([a + b for a, b in zip(tau6, tables.evaluate_scalar(q, qd))])
+        right.chain.torque(q, qdd, right.perm, gamma_r, tau6)
+    for i, ftab, rtab in tables._fr:
+        tau6[i] += ftab(qd[i]) + rtab(q[i])
+    return tuple(tau6)
 
 
 def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
@@ -449,22 +448,20 @@ def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
                          tables: CompensationTables) -> np.ndarray:
     """``blended_torque`` for every row of (n, 6) arrays, bit for bit.
 
-    Each side's chain runs ``PlanarChain.torque`` once, on (6, m) column
-    stacks of the m rows whose gain is positive, and the terms are summed
-    in the scalar path's order: gained stance torques into zeros, then the
-    full six-wide compensation (zero ankle columns included).
+    Each side's chain runs ``PlanarChain.torque`` once, adding into (6, m)
+    column stacks of the m rows whose gain is positive, and the terms are
+    summed in the scalar path's order: gained stance torques into zeros,
+    then the full six-wide compensation (zero ankle columns included).
     """
     tau = np.zeros(np.shape(q))
     for gain, model in ((gamma_l, left), (gamma_r, right)):
         rows = gain > 0.0
         if not rows.any():
             continue
-        perm = model.perm
-        parts = model.chain.torque(q[rows].T, qdd[rows].T, perm,
-                                   sin=np.sin, cos=np.cos)
-        g = gain[rows]
-        for k, x in zip(perm, parts):
-            tau[rows, k] += g * x
+        part = tau[rows].T
+        model.chain.torque(q[rows].T, qdd[rows].T, model.perm, gain[rows],
+                           part, sin=np.sin, cos=np.cos)
+        tau[rows] = part.T
     return tau + tables.evaluate_array(q, qd)
 
 

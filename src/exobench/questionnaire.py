@@ -378,33 +378,38 @@ def save_preferences_csv(path, responses):
 
 
 def _csv_rows(path, header):
-    """DictReader rows of a CSV with this header; non-UTF-8 names its line."""
+    """Yields ``(line number, fields)`` of each record of a CSV with this
+    header, blank lines skipped; a line that is not UTF-8, or a record with
+    more or fewer fields than the header, raises SchemaError naming it."""
     with open(path, "r", newline="", encoding="utf-8",
               errors="surrogateescape") as f:
         lines = f.readlines()
     if error := not_utf8_error(path, enumerate(lines, start=1)):
         raise error
-    reader = csv.DictReader(lines)
-    if reader.fieldnames != header:
-        raise SchemaError(f"{path}: unexpected header {reader.fieldnames}")
-    return reader
+    reader = csv.reader(lines)
+    fieldnames = next(reader, None)
+    if fieldnames != header:
+        raise SchemaError(f"{path}: unexpected header {fieldnames}")
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: line {reader.line_num}: expected "
+                              f"{len(header)} fields, got {len(row)}")
+        yield reader.line_num, row
 
 
 def load_scores_csv(path) -> dict:
     """Read the item-score CSV; returns {subject_id: QuestionnaireResponse}
     with the scores set and no preferences."""
     responses = {}
-    rows = _csv_rows(path, RESPONSES_HEADER)
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, (subject, item, score) in _csv_rows(path, RESPONSES_HEADER):
         try:
-            score = int(row["score"])
-        except (TypeError, ValueError):
+            value = int(score)
+        except ValueError:
             raise SchemaError(f"{path}: line {lineno}: bad score "
-                              f"{row.get('score')!r}") from None
+                              f"{score!r}") from None
         resp = responses.setdefault(
-            row["subject_id"],
-            QuestionnaireResponse(subject_id=row["subject_id"], scores={}))
-        resp.scores[row["item_id"]] = score
+            subject, QuestionnaireResponse(subject_id=subject, scores={}))
+        resp.scores[item] = value
     return responses
 
 
@@ -412,10 +417,9 @@ def load_preferences_csv(path) -> dict:
     """Read the pairwise-preference CSV; returns {subject_id: {factor:
     [(sub_a, sub_b, winner), ...]}} in file order."""
     preferences = {}
-    for row in _csv_rows(path, PREFERENCES_HEADER):
-        preferences.setdefault(row["subject_id"], {}).setdefault(
-            row["factor"], []).append((row["sub_a"], row["sub_b"],
-                                       row["winner"]))
+    for _, (subject, factor, *pair) in _csv_rows(path, PREFERENCES_HEADER):
+        preferences.setdefault(subject, {}).setdefault(factor, []).append(
+            tuple(pair))
     return preferences
 
 

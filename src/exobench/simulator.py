@@ -339,10 +339,10 @@ class ReplayResult:
 
 
 def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
-    """Feed every frame through the control loop and collect the command
-    stream plus timing; out-of-order frames are dropped and counted.  A
-    step's time is the wall clock read just before and just after its
-    ``ControlLoop.step`` call."""
+    """Feed every frame through the control loop, reset first, and collect
+    the command stream plus timing; out-of-order frames are dropped and
+    counted.  A step's time is the wall clock read just before and just
+    after its ``ControlLoop.step`` call."""
     n = len(stream)
     t = np.empty(n)
     raw = np.empty(n)
@@ -352,6 +352,7 @@ def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     deg = np.empty(n, dtype=bool)
     k = 0
     dropped = 0
+    loop.reset()
     step = loop.step
     for frame in stream.frames():
         try:

@@ -500,13 +500,17 @@ class TestAnalyze:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("key, edit, reason", [
-        # the preferences cut mid-row, and inside the first row of a factor
+        # the preferences cut mid-row, and just before the first row of a
+        # factor
         ("preferences", lambda text: text[:text.index(
             "s01,functionality,") + len("s01,functionality,functi")],
-         "unexpected pair (functi, None) for this factor"),
-        ("preferences", lambda text: text[:text.index(
-            "s01,functionality,") + len("s01,functi")],
+         "line 8: expected 5 fields, got 3"),
+        ("preferences", lambda text: text[:text.index("s01,functionality,")],
          "no pairwise preferences for factor functionality"),
+        ("preferences", lambda text: text.replace(
+            "s01,functionality,functionality_sf1,functionality_sf2,",
+            "s01,functionality,functionality_sf1,functi,"),
+         "unexpected pair (functionality_sf1, functi) for this factor"),
         ("preferences", lambda text: re.sub(
             "^(s01,acceptability,acceptability_sf1,acceptability_sf2,).*$",
             r"\g<1>-0.5", text, flags=re.M),
@@ -519,8 +523,8 @@ class TestAnalyze:
         ("responses", lambda text: re.sub("^(s01,item_001,).*$", r"\g<1>9",
                                           text, flags=re.M),
          "Likert score out of range [1, 7]: 9")],
-        ids=["cut-mid-row", "cut-in-factor", "bad-winner", "unknown-subject",
-             "missing-item", "likert-range"])
+        ids=["cut-mid-row", "cut-in-factor", "unexpected-pair", "bad-winner",
+             "unknown-subject", "missing-item", "likert-range"])
     def test_questionnaire_error_names_its_csv(
             self, session_set, tmp_path, capsys, key, edit, reason):
         root = tmp_path / "set"
@@ -530,6 +534,33 @@ class TestAnalyze:
         assert main(["analyze", str(root), "--out",
                      str(tmp_path / "report.json")]) == 1
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("key, row, edit, reason", [
+        ("responses", "s01,item_001,", lambda line: line + ",5",
+         "expected 3 fields, got 4"),
+        ("responses", "s01,item_001,", lambda line: line.rsplit(",", 1)[0],
+         "expected 3 fields, got 2"),
+        ("preferences", "s01,acceptability,", lambda line: line + ",junk",
+         "expected 5 fields, got 6"),
+        ("preferences", "s01,acceptability,",
+         lambda line: line.rsplit(",", 1)[0], "expected 5 fields, got 4")],
+        ids=["responses-extra", "responses-short", "preferences-extra",
+             "preferences-short"])
+    def test_questionnaire_row_with_wrong_field_count_names_its_line(
+            self, session_set, tmp_path, capsys, key, row, edit, reason):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / _FILES[key]
+        lines = path.read_text().splitlines()
+        n = next(i for i, line in enumerate(lines) if line.startswith(row))
+        lines[n] = edit(lines[n])
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: line {n + 1}: {reason}"
+        assert main(["analyze", str(root), "--out",
+                     str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"FAIL {message}\n"
 
     def test_subject_without_questionnaire_names_the_responses(
             self, session_set, tmp_path, capsys):
@@ -864,7 +895,7 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", str(stream)]) == 1
         assert (capsys.readouterr().out
-                == f"FAIL {stream}: {stream}: line {line}: not valid UTF-8\n")
+                == f"FAIL {stream}: line {line}: not valid UTF-8\n")
 
     def test_stream_header_with_spaces_passes(self, tmp_path, capsys):
         # load_csv strips each header field, so validate accepts what the
@@ -886,8 +917,8 @@ class TestValidate:
         responses = tmp_path / "responses.csv"
         responses.write_bytes(b"subject_id,item_id,score\ns01,1,4\ns01,2,3\xe9\n")
         assert main(["validate", str(responses)]) == 1
-        assert (capsys.readouterr().out == f"FAIL {responses}: {responses}: "
-                                           "line 3: not valid UTF-8\n")
+        assert (capsys.readouterr().out
+                == f"FAIL {responses}: line 3: not valid UTF-8\n")
 
     def test_kind_is_told_from_the_first_line_alone(self, tmp_path, capsys):
         # the loader a header picks reads the rest; an unknown header is
@@ -909,7 +940,7 @@ class TestValidate:
         # factor and winner names are checked against the EQ definition,
         # which scoring reads and a lone preferences file does not name
         assert capsys.readouterr().out == (
-            f"FAIL {responses}: {responses}: line 2: bad score 'banana'\n"
+            f"FAIL {responses}: line 2: bad score 'banana'\n"
             f"ok   {prefs} (preferences)\n")
 
     def test_generated_questionnaire_files_pass(self, session_set, capsys):
@@ -940,7 +971,7 @@ class TestNonFiniteInput:
         capsys.readouterr()
         assert main(["validate", str(stream)]) == 1
         assert capsys.readouterr().out == (
-            f"FAIL {stream}: {stream}: line 41: {reason}\n")
+            f"FAIL {stream}: line 41: {reason}\n")
 
 
 class TestImport:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from exobench.blend import ControlLoop
 from exobench.dynamics import (
     ACTUATED_JOINTS,
     ACTUATED_MASK,
@@ -30,7 +31,9 @@ from exobench.dynamics import (
     save_calibration,
 )
 from exobench.errors import ConfigurationError
+from exobench.segmentation import GaitRegressor
 from exobench.simulator import GaitPattern, generate_cycle
+from exobench.streams import SensorFrame
 
 
 def two_link_textbook_inertia(m1, l1, m2, l2, q2, c=0.5):
@@ -295,13 +298,16 @@ class TestChainTorque:
         perm = range(n)
         q = rng.uniform(-1.0, 1.0, (n, 25))
         qdd = rng.uniform(-20.0, 20.0, (n, 25))
-        columns = chain.torque(q, qdd, perm, sin=np.sin, cos=np.cos)
+        columns = np.zeros((n, 25))
+        chain.torque(q, qdd, perm, 1.0, columns, sin=np.sin, cos=np.cos)
         for j in range(25):
             expected = (chain.inertia(q[:, j]) @ qdd[:, j]
                         + chain.gravity_torque(q[:, j]))
-            scalar = chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm)
+            scalar = [0.0] * n
+            chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm, 1.0,
+                         scalar)
             # |tau| reaches 4e3 Nm on the longer chains, hence the rtol
-            for tau in (scalar, [x[j] for x in columns]):
+            for tau in (scalar, columns[:, j]):
                 np.testing.assert_allclose(tau, expected, rtol=1e-12,
                                            atol=1e-12)
 
@@ -412,6 +418,64 @@ def _pushed_rows(t, q):
     return (np.array([v or zeros for v, _ in rows]).reshape(q.shape),
             np.array([a or zeros for _, a in rows]).reshape(q.shape),
             np.array([v is not None for v, _ in rows], dtype=bool))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# a stance gain: off, full, or strictly between
+_GAINS = st.one_of(st.just(0.0), st.just(1.0),
+                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestAccumulatingTorque:
+    """``PlanarChain.torque`` adds ``gain`` times its torque into ``out``,
+    scalar or column-wise, and the control step and the batch replay sum
+    the two sides through it into the same bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(side=st.sampled_from(["left", "right"]), m=st.integers(1, 6),
+           data=st.data())
+    def test_adds_the_gained_torque_bit_for_bit(self, side, m, data):
+        model = StanceModel(side)
+        chain, perm = model.chain, model.perm
+        q, qdd, out0 = (
+            data.draw(arrays(np.float64, (6, m), elements=st.floats(-x, x)))
+            for x in (2 * math.pi, 1e3, 1e3))
+        gain = np.array(data.draw(st.lists(_GAINS, min_size=m, max_size=m)))
+        columns = out0.copy()
+        chain.torque(q, qdd, perm, gain, columns, sin=np.sin, cos=np.cos)
+        for j in range(m):
+            alone = [0.0] * 6
+            chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm, 1.0,
+                         alone)
+            out = out0[:, j].tolist()
+            chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm,
+                         float(gain[j]), out)
+            expected = out0[:, j] + gain[j] * np.array(alone)
+            assert np.array_equal(_bits(out), _bits(expected))
+            assert np.array_equal(_bits(columns[:, j]), _bits(out))
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=_tracker_streams(min_rows=1),
+           weights=arrays(np.float64, 6, elements=st.floats(-5.0, 5.0)))
+    def test_control_step_matches_the_array_row(self, stream, weights):
+        # regressor weights up to 5 put the phase past +-1 as well as
+        # inside it, so both gains take 0, 1 and values between
+        t, q = stream
+        left, right = StanceModel("left"), StanceModel("right")
+        tables = CompensationTables.default_synthetic()
+        loop = ControlLoop(left, right, GaitRegressor(weights=weights,
+                                                      rmse=0.1), tables)
+        cmds = [loop.step(SensorFrame(ti, tuple(qi)))
+                for ti, qi in zip(t.tolist(), q.tolist())]
+        gl = np.array([c.gamma_l for c in cmds])
+        gr = np.array([c.gamma_r for c in cmds])
+        qd = np.array([c.qd for c in cmds])
+        qdd = np.array([c.qdd for c in cmds])
+        batch = blended_torque_array(q, qd, qdd, gl, gr, left, right, tables)
+        assert np.array_equal(_bits([c.tau for c in cmds]), _bits(batch))
 
 
 class TestAccelerationEstimator:

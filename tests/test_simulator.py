@@ -267,6 +267,22 @@ class TestReplayBatch:
         if stream_name == "out_of_order":
             assert ref.dropped_frames == 6
 
+    def test_replay_resets_the_loop(self, loop_parts, batch_streams):
+        # a second replay on a loop that has run gives the first one's
+        # commands, as replay_batch does whatever the loop's state
+        left, right, reg, tables = loop_parts
+        stream = batch_streams["jittered"].head(2000)
+        loop = ControlLoop(left, right, reg, tables)
+        first, second = replay(stream, loop), replay(stream, loop)
+        batch = replay_batch(stream, loop)
+        assert second.commands == 2000 and second.dropped_frames == 0
+        for run in (first, second):
+            for name in ("t", "raw_phase", "gamma_l", "tau"):
+                bits = [getattr(r, name).view(np.uint64) for r in (run, batch)]
+                assert np.array_equal(*bits), name
+            assert np.array_equal(run.degraded, batch.degraded)
+        assert second.timing().steps == 2000
+
     def test_short_streams(self, loop_parts, batch_streams):
         left, right, reg, tables = loop_parts
         for n in range(5):
