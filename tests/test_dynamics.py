@@ -447,7 +447,9 @@ class TestAccumulatingTorque:
         columns = out0.copy()
         chain.torque(q, qdd, perm, gain, columns, sin=np.sin, cos=np.cos)
         for j in range(m):
-            alone = [0.0] * 6
+            # -0.0 is the exact additive identity, so ``alone`` holds each
+            # moment's own bits; starting at +0.0 would turn -0.0 into +0.0
+            alone = [-0.0] * 6
             chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm, 1.0,
                          alone)
             out = out0[:, j].tolist()
