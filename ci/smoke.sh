@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The installed console script end to end: sim, analyze, validate, train
-# and replay, writing into the directory given as the one argument.
+# The installed console script end to end: sim, analyze (twice, and the
+# two reports must be byte-identical), validate, train and replay, writing
+# into the directory given as the one argument.
 #
 #   ci/smoke.sh "$(mktemp -d)"
 set -euo pipefail
@@ -12,7 +13,10 @@ fi
 tmp=$1
 
 exobench sim --kind session-set --subjects 1 --seed 1 --seconds 2 --out "$tmp/set"
+# the report is byte-reproducible: a second run writes the same bytes
 exobench analyze "$tmp/set" --out "$tmp/report.json"
+exobench analyze "$tmp/set" --out "$tmp/report2.json"
+cmp "$tmp/report.json" "$tmp/report2.json"
 exobench validate "$tmp/set/calibration.json" "$tmp/set/eq_definition.json" \
   "$tmp/set/fuzzy_model.json" "$tmp"/set/subjects/s01/*.csv \
   "$tmp"/set/questionnaire_*.csv

@@ -29,8 +29,8 @@ link parameters:
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
 warm-up.  ``push`` takes one sample of every joint for the control step;
-``estimate_array`` runs the same recursion one joint column at a time over
-a whole stream, and a hypothesis test pins the twins bit for bit.
+``estimate_array`` continues it one joint column at a time over a block of
+rows, and a hypothesis test pins the twins bit for bit.
 """
 
 from __future__ import annotations
@@ -514,26 +514,32 @@ class AccelerationEstimator:
         return vs, accs
 
     def estimate_array(self, t, q):
-        """``(qd, qdd, ready)`` for every row of a stream: what a fresh
-        estimator's ``push`` returns row by row, with ``ready`` False and
-        zero rows where it returns None, and its ``ValueError`` on a step
-        that is not positive.  It runs ``push``'s recursion one joint
-        column at a time over the whole stream, with ``push``'s statements
-        in ``push``'s order, so every value is bit for bit the same (a
-        hypothesis test pins the twins).  This estimator is left alone."""
+        """``(qd, qdd, ready)`` for the rows of ``(t, q)``: exactly ``push``
+        applied to each row in turn, from this estimator's state (the first
+        row seeds a fresh one) to where the last ``push`` leaves it, with
+        ``ready`` False and zero rows where ``push`` returns None.  A step
+        that is not positive raises ``push``'s ``ValueError`` before any
+        state changes.  It runs ``push``'s statements in order one joint
+        column at a time, so every value is bit for bit the same."""
         ts = np.asarray(t).tolist()
-        dts = [b - a for a, b in zip(ts, ts[1:])]
+        cols = np.asarray(q).T.tolist()
+        qd = np.zeros(np.shape(q))
+        qdd = np.zeros(np.shape(q))
+        if not ts:
+            return qd, qdd, np.zeros(0, dtype=bool)
+        if self._x is None:   # the first row seeds x with v = a = 0
+            t0, last, start = ts[0], ts[0], 1
+            state = [(col[0], 0.0, 0.0) for col in cols]
+        else:
+            t0, last, start = self._t0, self.last_t, 0
+            state = list(zip(self._x, self._v, self._a))
+        dts = [b - a for a, b in zip([last] + ts[start:], ts[start:])]
         if not all(dt > 0 for dt in dts):   # NaN included
             raise ValueError("timestamps must be strictly increasing")
         gains = [_tracker_gains(dt) for dt in dts]
-        qd = np.zeros(np.shape(q))
-        qdd = np.zeros(np.shape(q))
-        for j, col in enumerate(np.asarray(q).T.tolist()):
-            if not col:
-                break
-            x, v, a = col[0], 0.0, 0.0
-            vs, accs = [v], [a]
-            for dt, (ka, kv, kacc, h), z in zip(dts, gains, col[1:]):
+        for j, (col, (x, v, a)) in enumerate(zip(cols, state)):
+            vs, accs = [], []
+            for dt, (ka, kv, kacc, h), z in zip(dts, gains, col[start:]):
                 xp = x + dt * (v + h * a)
                 e = z - xp
                 x = xp + ka * e
@@ -541,11 +547,13 @@ class AccelerationEstimator:
                 a = a + kacc * e
                 vs.append(v)
                 accs.append(a)
-            qd[:, j] = vs
-            qdd[:, j] = accs
-        times = np.array(ts, dtype=float)
-        ready = ~(times - times[:1] < WARMUP_S)
-        ready[:1] = False
+            qd[start:, j] = vs
+            qdd[start:, j] = accs
+            state[j] = x, v, a
+        self._t0, self.last_t = t0, ts[-1]
+        self._x, self._v, self._a = map(list, zip(*state))
+        ready = ~(np.array(ts, dtype=float) - t0 < WARMUP_S)
+        ready[:start] = False
         qd[~ready] = 0.0
         qdd[~ready] = 0.0
         return qd, qdd, ready

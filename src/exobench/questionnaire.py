@@ -379,22 +379,26 @@ def save_preferences_csv(path, responses):
 
 def _csv_rows(path, header):
     """Yields ``(line number, fields)`` of each record of a CSV with this
-    header, blank lines skipped; a line that is not UTF-8, or a record with
-    more or fewer fields than the header, raises SchemaError naming it."""
+    header, blank lines skipped; a line that is not UTF-8, a record csv
+    cannot read, or one with more or fewer fields than the header raises
+    SchemaError naming it."""
     with open(path, "r", newline="", encoding="utf-8",
               errors="surrogateescape") as f:
         lines = f.readlines()
     if error := not_utf8_error(path, enumerate(lines, start=1)):
         raise error
     reader = csv.reader(lines)
-    fieldnames = next(reader, None)
-    if fieldnames != header:
-        raise SchemaError(f"{path}: unexpected header {fieldnames}")
-    for row in filter(None, reader):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: line {reader.line_num}: expected "
-                              f"{len(header)} fields, got {len(row)}")
-        yield reader.line_num, row
+    try:
+        fieldnames = next(reader, None)
+        if fieldnames != header:
+            raise SchemaError(f"{path}: unexpected header {fieldnames}")
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: line {reader.line_num}: expected "
+                                  f"{len(header)} fields, got {len(row)}")
+            yield reader.line_num, row
+    except csv.Error as exc:   # a field longer than csv's limit
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def load_scores_csv(path) -> dict:

@@ -13,8 +13,8 @@ Everything is reproducible from an explicit seed.
 Replay comes in two forms with the same commands bit for bit.  ``replay``
 streams every frame through ``ControlLoop.step``; it is the reference and
 the only source of per-step wall times.  ``replay_batch`` computes the
-same causal outputs over whole arrays and records no step times; offline
-analysis uses it and times a short streaming probe instead.
+same causal outputs over blocks of frames and records no step times;
+offline analysis uses it and times a short streaming probe instead.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from time import perf_counter
 import numpy as np
 
 from .blend import ControlLoop, blend_gains
-from .dynamics import WARMUP_S, blended_torque_array
+from .dynamics import WARMUP_S, AccelerationEstimator, blended_torque_array
 from .errors import OutOfOrderFrameError
-from .streams import ANGLE_LIMIT, SensorFrame, SensorStream, write_rows
+from .streams import (ANGLE_LIMIT, ROWS_PER_CHUNK, SensorFrame,
+                      SensorStream, write_rows)
 
 TREADMILL_SPEEDS_KMH = (1.0, 1.5, 2.0, 2.5, 3.0)
 SWINGS_PER_SIDE = 3          # leg-swing cycles per side in training
@@ -371,9 +372,11 @@ def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
 
 
 def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
-    """``replay`` evaluated over whole arrays: the same ``t``, raw phase,
-    gains, torques, degraded flags and dropped-frame count bit for bit,
-    without step times.
+    """``replay`` evaluated over arrays: the same ``t``, raw phase, gains,
+    torques, degraded flags and dropped-frame count bit for bit, without
+    step times.  The estimator and the torque run over blocks of
+    ``ROWS_PER_CHUNK`` kept frames into preallocated outputs, one fresh
+    ``AccelerationEstimator`` continuing across the blocks.
 
     Raises where ``ControlLoop.step`` would, with its message: a fresh loop
     steps the first frame with a non-finite timestamp, or the first kept
@@ -394,9 +397,14 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
         ControlLoop(loop.left, loop.right, loop.regressor, loop.tables).step(
             SensorFrame(float(t_all[i]), tuple(q_all[i].tolist())))
     gl, gr = blend_gains(raw)
-    qd, qdd, ready = loop.estimator.estimate_array(t, q)
-    tau = blended_torque_array(q, qd, qdd, gl, gr, loop.left, loop.right,
-                               loop.tables)
+    estimator = AccelerationEstimator()
+    tau = np.empty(q.shape)
+    ready = np.empty(t.size, dtype=bool)
+    for start in range(0, t.size, ROWS_PER_CHUNK):
+        rows = slice(start, start + ROWS_PER_CHUNK)
+        qd, qdd, ready[rows] = estimator.estimate_array(t[rows], q[rows])
+        tau[rows] = blended_torque_array(q[rows], qd, qdd, gl[rows], gr[rows],
+                                         loop.left, loop.right, loop.tables)
     return ReplayResult(t=t, raw_phase=raw, gamma_l=gl, tau=tau,
                         degraded=~ready,
                         dropped_frames=int(t_all.size - t.size))

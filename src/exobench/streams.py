@@ -66,7 +66,8 @@ CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
 # one parsed record: nine numbers and the tag as a Python str
 _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
                 + [(CSV_HEADER[9], object)])
-ROWS_PER_CHUNK = 4096   # rows per write_rows write: bounds the cells held
+# rows per write_rows write and per replay_batch block: bounds what each holds
+ROWS_PER_CHUNK = 4096
 ANGLE_LIMIT = 2 * math.pi   # rad: the largest |q| of a stream angle
 _ANGLE_RANGE = (-ANGLE_LIMIT, ANGLE_LIMIT, "[-2pi, 2pi] rad")
 _FINITE = (-sys.float_info.max, sys.float_info.max, "finite")

@@ -562,6 +562,25 @@ class TestAnalyze:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().out == f"FAIL {message}\n"
 
+    @pytest.mark.parametrize("key", ["responses", "preferences"])
+    def test_questionnaire_field_past_the_csv_limit_names_its_line(
+            self, session_set, tmp_path, capsys, key):
+        # csv refuses a field longer than 131,072 characters
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / _FILES[key]
+        lines = path.read_text().splitlines()
+        lines[3] = '"' + "x" * 200_000 + '"' + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        message = (f"{path}: line 4: field larger than field limit "
+                   f"(131072)")
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"FAIL {message}\n"
+
     def test_subject_without_questionnaire_names_the_responses(
             self, session_set, tmp_path, capsys):
         root = tmp_path / "set"

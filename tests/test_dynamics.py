@@ -538,6 +538,46 @@ class TestAccelerationEstimator:
         assert np.array_equal(qdd.view(np.uint64), qdd_ref.view(np.uint64))
         assert np.array_equal(ready, ready_ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(stream=_tracker_streams(), data=st.data())
+    def test_array_continues_across_calls(self, stream, data):
+        # successive calls on one estimator, over the pieces of a stream
+        # cut at random rows, give one call's output and push's
+        t, q = stream
+        n = len(t)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        est = AccelerationEstimator()
+        pieces = [est.estimate_array(t[a:b], q[a:b])
+                  for a, b in zip([0] + cuts, cuts + [n])]
+        joined = [np.concatenate(parts) for parts in zip(*pieces)]
+        for ref in (AccelerationEstimator().estimate_array(t, q),
+                    _pushed_rows(t, q)):
+            for got, want in zip(joined[:2], ref[:2]):
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+            assert np.array_equal(joined[2], ref[2])
+        # a rejected block changes no state: the next call, and a push
+        # after it, return what they return after pushes alone
+        pushes = AccelerationEstimator()
+        for ti, qi in zip(t.tolist(), q.tolist()):
+            pushes.push(ti, qi)
+        step, late = data.draw(_STEPS), data.draw(_STEPS)
+        t1 = (float(t[-1]) if n else 0.0) + step
+        q1, q2 = (data.draw(arrays(np.float64, 6, elements=st.floats(-1, 1)))
+                  for _ in range(2))
+        bad = data.draw(st.sampled_from([t1, math.nan, t1 - step]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            est.estimate_array(np.array([t1, bad]), np.stack([q1, q1]))
+        qd, qdd, ready = est.estimate_array(np.array([t1]), q1[None, :])
+        v, a = pushes.push(t1, q1.tolist())
+        assert ready.tolist() == [v is not None]
+        assert np.array_equal(_bits(qd[0]), _bits(v or [0.0] * 6))
+        assert np.array_equal(_bits(qdd[0]), _bits(a or [0.0] * 6))
+        after, ref = (e.push(t1 + late, q2.tolist()) for e in (est, pushes))
+        assert [x is None for x in after] == [x is None for x in ref]
+        if ref[0] is not None:
+            assert np.array_equal(_bits(after), _bits(ref))
+
     @settings(max_examples=40, deadline=None)
     @given(stream=_tracker_streams(min_rows=2), nan=st.booleans(),
            place=st.floats(0.0, 1.0, exclude_max=True))

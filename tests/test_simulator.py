@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from exobench.segmentation import (GaitRegressor, label_from_soles, train,
 from exobench.simulator import (GaitPattern, TREADMILL_SPEEDS_KMH,
                                 generate_cycle, generate_training_protocol,
                                 joint_angles, replay, replay_batch)
-from exobench.streams import SensorStream
+from exobench.streams import ROWS_PER_CHUNK, SensorStream
 
 
 class TestGaitPattern:
@@ -231,9 +232,18 @@ def batch_streams():
     # late, duplicate and rewound timestamps, including right at the start
     t[[1, 50, 51, 300, 301, 900]] = t[[0, 48, 10, 299, 299, 100]]
     jitter = np.random.default_rng(8).uniform(0.0, 1.5e-4, len(short))
+    jittered = _variant(short, t=short.t + jitter)
+    # a rewound, then two duplicate timestamps on the rows either side of
+    # the first block edge of replay_batch
+    edge = short.t.copy()
+    rows = [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1]
+    edge[rows] = edge[[4000, ROWS_PER_CHUNK - 2, ROWS_PER_CHUNK - 2]]
     return {"corpus": corpus,
             "out_of_order": _variant(short, t=t),
-            "jittered": _variant(short, t=short.t + jitter)}
+            "jittered": jittered,
+            "block_edge_drops": _variant(short, t=edge),
+            "one_block": jittered.head(ROWS_PER_CHUNK),
+            "one_block_and_a_row": jittered.head(ROWS_PER_CHUNK + 1)}
 
 
 def _regressor(reg, kind):
@@ -251,7 +261,9 @@ class TestReplayBatch:
 
     @pytest.mark.parametrize("regressor", ["trained", "scaled"])
     @pytest.mark.parametrize("stream_name",
-                             ["corpus", "out_of_order", "jittered"])
+                             ["corpus", "out_of_order", "jittered",
+                              "block_edge_drops", "one_block",
+                              "one_block_and_a_row"])
     def test_bit_identical_to_streaming(self, loop_parts, batch_streams,
                                         stream_name, regressor):
         left, right, reg, tables = loop_parts
@@ -266,6 +278,8 @@ class TestReplayBatch:
         assert batch.dropped_frames == ref.dropped_frames
         if stream_name == "out_of_order":
             assert ref.dropped_frames == 6
+        if stream_name == "block_edge_drops":
+            assert ref.dropped_frames == 3
 
     def test_replay_resets_the_loop(self, loop_parts, batch_streams):
         # a second replay on a loop that has run gives the first one's
@@ -292,6 +306,27 @@ class TestReplayBatch:
             ref = replay(stream, ControlLoop(left, right, reg, tables))
             assert batch.tau.tobytes() == ref.tau.tobytes()
             assert np.array_equal(batch.degraded, ref.degraded)
+
+    def test_memory_beyond_the_outputs_is_bounded(self, loop_parts):
+        # whole-stream work keeps about 60 B a frame beside the outputs
+        # and one block's temporaries add about 2.3 MB: about 170 B a
+        # frame here, against about 490 B when one pass took the stream
+        left, right, reg, tables = loop_parts
+        stream = generate_cycle(GaitPattern(cadence=120.0), rate=5000,
+                                cycles=4, seed=5)
+        assert len(stream) == 20_000
+        loop = ControlLoop(left, right, reg, tables)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = replay_batch(stream, loop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (result.t, result.raw_phase,
+                                         result.gamma_l, result.tau,
+                                         result.degraded))
+        assert peak - before - outputs < 300 * len(stream)
 
     def test_has_no_step_times(self, loop_parts, batch_streams):
         left, right, reg, tables = loop_parts
