@@ -19,7 +19,7 @@ exobench analyze "$tmp/set" --out "$tmp/report2.json"
 cmp "$tmp/report.json" "$tmp/report2.json"
 exobench validate "$tmp/set/calibration.json" "$tmp/set/eq_definition.json" \
   "$tmp/set/fuzzy_model.json" "$tmp"/set/subjects/s01/*.csv \
-  "$tmp"/set/questionnaire_*.csv
+  "$tmp"/set/questionnaire_*.csv "$tmp"/set/subjects/s01/physio/*.csv
 exobench sim --kind training --seed 1 --out "$tmp/training.csv"
 exobench train "$tmp/training.csv" --out "$tmp/model.json"
 exobench sim --kind gait --seed 1 --rate 5000 --seconds 2 --out "$tmp/gait.csv"

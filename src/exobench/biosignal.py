@@ -559,7 +559,7 @@ class PhysioSession:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         channels = {}
-        for attr, name, file, header, fmt, kind, units, _, rate in _CHANNELS:
+        for attr, name, file, header, fmt, kind, units, _, rate in CHANNELS:
             data = getattr(self, attr)
             if data is None:
                 continue
@@ -578,11 +578,11 @@ class PhysioSession:
         """The session in ``directory``: its ``manifest.json`` and the
         channel files it names, each read by ``streams.load_column`` in the
         sensor-stream CSV dialect under the header and range of
-        ``_CHANNELS``.  Every bad file raises an error naming it."""
+        ``CHANNELS``.  Every bad file raises an error naming it."""
         directory = Path(directory)
         fields = read_json(directory / "manifest.json", SESSION_SCHEMA_VERSION,
                            lambda doc: _session_fields(doc, directory))
-        for attr, _, _, header, *_, limits, _ in _CHANNELS:
+        for attr, _, _, header, *_, limits, _ in CHANNELS:
             if attr in fields:
                 fields[attr] = load_column(fields[attr], header, limits)
         return cls(**fields)
@@ -595,7 +595,7 @@ _SPAN = -CHANNEL_LIMIT, CHANNEL_LIMIT
 # name, header, number format, kind and units recorded in the manifest, the
 # (low, high, range text) a value must lie in, and the session attribute
 # holding the sample rate (None for event series)
-_CHANNELS = (
+CHANNELS = (
     ("ecg", "ecg", "ecg.csv", "ecg_mv", "%.8g", "waveform", "mV",
      (*_SPAN, "[-1e12, 1e12] mV"), "ecg_fs"),
     ("beat_intervals_ms", "beats", "beat_intervals.csv", "interval_ms",
@@ -643,7 +643,7 @@ def _session_fields(doc: dict, directory: Path) -> dict:
     channels = doc.get("channels", {})
     fields = {"markers": {phase: tuple(bounds) for phase, bounds
                           in doc.get("markers", {}).items()}}
-    for attr, name, *_, rate in _CHANNELS:
+    for attr, name, *_, rate in CHANNELS:
         spec = channels.get(name)
         if spec is None:
             continue

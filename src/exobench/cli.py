@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 bad input or I/O, 2 incomplete training stages.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
+from .biosignal import CHANNELS
 from .blend import ControlLoop
 from .dynamics import StanceModel, load_calibration
 from .errors import (ExobenchError, IncompleteTrainingError, SchemaError,
@@ -30,8 +32,8 @@ from .report import analyze_session_set, render_factor_table
 from .segmentation import GaitRegressor, train, training_session_builder
 from .simulator import (GaitPattern, check_size, generate_cycle,
                         generate_training_protocol, replay)
-from .streams import (CSV_HEADER, SensorStream, canonical_json, read_header,
-                      read_json, write_json)
+from .streams import (CSV_HEADER, SensorStream, canonical_json, load_column,
+                      read_header, read_json, write_json)
 from .synthdata import synth_session_set
 
 
@@ -164,16 +166,19 @@ def _validate_one(path: Path) -> str | None:
         raise SchemaError("unrecognised JSON document")
     if path.suffix == ".csv":
         header = read_header(path)   # the loader reads the rest
-        if [cell.strip() for cell in header] == CSV_HEADER:
-            SensorStream.load_csv(path)
-            return "sensor-stream"
-        if header == RESPONSES_HEADER:
-            load_scores_csv(path)
-            return "responses"
-        if header == PREFERENCES_HEADER:
-            load_preferences_csv(path)
-            return "preferences"
-        raise SchemaError(f"unrecognised CSV header: {','.join(header)}")
+        loaders = {
+            tuple(CSV_HEADER): ("sensor-stream", SensorStream.load_csv),
+            tuple(RESPONSES_HEADER): ("responses", load_scores_csv),
+            tuple(PREFERENCES_HEADER): ("preferences", load_preferences_csv),
+            **{(column,): (f"{name}-channel", functools.partial(
+                load_column, name=column, limits=limits))
+               for _, name, _, column, *_, limits, _ in CHANNELS}}
+        kind, load = loaders.get(tuple(cell.strip() for cell in header),
+                                 (None, None))
+        if load is None:
+            raise SchemaError(f"unrecognised CSV header: {','.join(header)}")
+        load(path)
+        return kind
     raise SchemaError("unsupported file type")
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (IncompleteComparisonError, IncompleteResponseError,
                      SchemaError)
-from .streams import not_utf8_error, read_json, write_json
+from .streams import csv_records, read_json, write_json
 
 EQ_SCHEMA_VERSION = 1
 
@@ -143,15 +144,14 @@ class EQDefinition:
     @classmethod
     def from_dict(cls, doc: dict) -> "EQDefinition":
         items = [EQItem(id=d["id"], sub_factor=d["sub_factor"],
-                        reversed=bool(d.get("reversed", False)))
+                        reversed=_flag(d, "reversed", f"item {d['id']}: "))
                  for d in doc["items"]]
         pairs = [ControlPair(original=d["original"], control=d["control"])
                  for d in doc["control_pairs"]]
         return cls(items=items,
                    sub_factor_to_factor=dict(doc["sub_factors"]),
                    control_pairs=pairs,
-                   include_control_items=bool(
-                       doc.get("include_control_items", False)))
+                   include_control_items=_flag(doc, "include_control_items"))
 
     def save(self, path):
         write_json(path, self.to_dict())
@@ -159,6 +159,15 @@ class EQDefinition:
     @classmethod
     def load(cls, path) -> "EQDefinition":
         return read_json(path, EQ_SCHEMA_VERSION, cls.from_dict)
+
+
+def _flag(doc: dict, key: str, where: str = "") -> bool:
+    """``doc[key]``, a JSON boolean, or False when the key is absent."""
+    value = doc.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}{key} must be true or false, "
+                          f"got {value!r}")
+    return value
 
 
 def default_definition() -> EQDefinition:
@@ -377,43 +386,20 @@ def save_preferences_csv(path, responses):
                     writer.writerow([resp.subject_id, factor, a, b, winner])
 
 
-def _csv_rows(path, header):
-    """Yields ``(line number, fields)`` of each record of a CSV with this
-    header, blank lines skipped; a line that is not UTF-8, a record csv
-    cannot read, or one with more or fewer fields than the header raises
-    SchemaError naming it."""
-    with open(path, "r", newline="", encoding="utf-8",
-              errors="surrogateescape") as f:
-        lines = f.readlines()
-    if error := not_utf8_error(path, enumerate(lines, start=1)):
-        raise error
-    reader = csv.reader(lines)
-    try:
-        fieldnames = next(reader, None)
-        if fieldnames != header:
-            raise SchemaError(f"{path}: unexpected header {fieldnames}")
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}: line {reader.line_num}: expected "
-                                  f"{len(header)} fields, got {len(row)}")
-            yield reader.line_num, row
-    except csv.Error as exc:   # a field longer than csv's limit
-        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
 def load_scores_csv(path) -> dict:
     """Read the item-score CSV; returns {subject_id: QuestionnaireResponse}
-    with the scores set and no preferences."""
+    with the scores set and no preferences.  A score is ASCII digits after
+    an optional sign, and each subject scores an item once."""
     responses = {}
-    for lineno, (subject, item, score) in _csv_rows(path, RESPONSES_HEADER):
-        try:
-            value = int(score)
-        except ValueError:
-            raise SchemaError(f"{path}: line {lineno}: bad score "
-                              f"{score!r}") from None
+    for lineno, (subject, item, score) in csv_records(path, RESPONSES_HEADER):
+        if not re.fullmatch(r"[+-]?[0-9]+", score.strip()):
+            raise SchemaError(f"{path}: line {lineno}: bad score {score!r}")
         resp = responses.setdefault(
             subject, QuestionnaireResponse(subject_id=subject, scores={}))
-        resp.scores[item] = value
+        if item in resp.scores:
+            raise SchemaError(f"{path}: line {lineno}: second score for "
+                              f"subject {subject!r}, item {item!r}")
+        resp.scores[item] = int(score)
     return responses
 
 
@@ -421,7 +407,7 @@ def load_preferences_csv(path) -> dict:
     """Read the pairwise-preference CSV; returns {subject_id: {factor:
     [(sub_a, sub_b, winner), ...]}} in file order."""
     preferences = {}
-    for _, (subject, factor, *pair) in _csv_rows(path, PREFERENCES_HEADER):
+    for _, (subject, factor, *pair) in csv_records(path, PREFERENCES_HEADER):
         preferences.setdefault(subject, {}).setdefault(factor, []).append(
             tuple(pair))
     return preferences

@@ -10,7 +10,10 @@ right_load, stage_tag`` (header required, stage_tag may be empty).
 The accepted dialect is what ``save_csv`` writes (``csv.writer`` defaults)
 through ``write_rows``, the chunked writer of every numeric CSV exobench
 makes.  It also covers the one-column physiological channel files that
-``load_column`` reads, each with its own header and range:
+``load_column`` reads, each with its own header and range, and the
+questionnaire's ``questionnaire_responses.csv`` and
+``questionnaire_preferences.csv``, whose cells are text (a score is ASCII
+digits after an optional sign):
 
 * the first line is the header, compared field by field after stripping
   whitespace;
@@ -34,8 +37,10 @@ quoted ``"\r"`` in a tag; read from the path, it would come back as
 long column about twice as fast as any file object.
 
 Every rejection is a ``ValueError`` that names the file and the line; line
-numbers count CSV records from 1 for the header.  One function,
-``_bad_csv_line``, finds the line for every loader.
+numbers count CSV records from 1 for the header.  One record walk,
+``csv_records``, finds the bad line for every loader: ``_bad_csv_line``
+runs it after a failed ``np.loadtxt`` pass and adds the number and range
+checks, and the questionnaire loaders read their records from it.
 
 The calibration, models, questionnaire definition, manifests, config and
 reports are JSON documents: ``write_json`` writes ``canonical_json`` text,
@@ -222,36 +227,52 @@ def _parsed(path, header, ranges, parse) -> np.ndarray:
     return rows
 
 
-def _bad_csv_line(path, header, ranges) -> ValueError:
-    """The error naming the record of the CSV ``path`` that failed to load:
-    the first not UTF-8, else the first with a field count not ``header``'s
-    or a number that does not parse, else the first with a number outside
-    its range.  The number columns lead, in the order of ``ranges``."""
+def csv_records(path, header) -> Iterator[tuple[int, list[str]]]:
+    """Yields ``(line number, fields)`` of each non-blank record past the
+    header of the CSV ``path``.  A ``ValueError`` naming the file and line
+    is raised first for a record csv cannot read, else one not UTF-8, else a
+    header not ``header`` once stripped, else on reaching a record whose
+    field count is not ``header``'s."""
     with open(path, "r", newline="", encoding="utf-8",
               errors="surrogateescape") as f:
-        reader = csv.reader(f)
+        records = []
         try:
-            records = list(enumerate(reader, start=1))
+            for row in csv.reader(f):
+                records.append(row)
         except csv.Error as exc:   # a field longer than csv's limit
-            return ValueError(f"{path}: line {reader.line_num}: {exc}")
-    if error := not_utf8_error(path, ((n, ",".join(r)) for n, r in records)):
-        return error
+            raise ValueError(f"{path}: line {len(records) + 1}: {exc}") \
+                from None
+    if error := not_utf8_error(path, ((n, ",".join(row)) for n, row
+                                      in enumerate(records, start=1))):
+        raise error
+    if not records or [cell.strip() for cell in records[0]] != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}")
+    for lineno, row in enumerate(records[1:], start=2):
+        if row:   # a blank line has no fields
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
+def _bad_csv_line(path, header, ranges) -> ValueError:
+    """The error naming the record of the CSV ``path`` that failed to load:
+    the first that ``csv_records`` rejects or with a number that does not
+    parse, else the first with a number outside its range.  The number
+    columns lead, in the order of ``ranges``."""
     outside = None
-    for lineno, row in records[1:]:
-        if row and len(row) != len(header):   # a blank line has no fields
-            return ValueError(f"{path}: line {lineno}: expected "
-                              f"{len(header)} fields, got {len(row)}")
-        for (name, (low, high, text)), cell in zip(ranges.items(), row):
-            try:
-                value = parse_cell(cell)
-            except ValueError as exc:
-                return ValueError(f"{path}: line {lineno}: {exc}")
-            if outside is None and not low <= value <= high:
-                outside = f"line {lineno}: " + (
-                    f"non-finite {name} value {value}"
-                    if not math.isfinite(value) else
-                    f"negative {name} value {value}" if value < 0 <= low
-                    else f"{name} value {value} outside {text}")
+    try:
+        for lineno, row in csv_records(path, header):
+            for (name, (low, high, text)), cell in zip(ranges.items(), row):
+                value = parse_cell(cell, f"{path}: line {lineno}: ")
+                if outside is None and not low <= value <= high:
+                    outside = f"line {lineno}: " + (
+                        f"non-finite {name} value {value}"
+                        if not math.isfinite(value) else
+                        f"negative {name} value {value}" if value < 0 <= low
+                        else f"{name} value {value} outside {text}")
+    except ValueError as exc:
+        return exc
     return ValueError(f"{path}: {outside or 'unreadable, no bad line found'}")
 
 
@@ -319,16 +340,17 @@ def _finite_number(text: str, parse=float):
     return value
 
 
-def parse_cell(cell: str) -> float:
+def parse_cell(cell: str, where: str = "") -> float:
     """A number cell as ``np.loadtxt`` reads it: ``float()`` of the cell
-    stripped of whitespace, where the rest must be ASCII without ``_``."""
+    stripped of whitespace, where the rest must be ASCII without ``_``; the
+    error for any other cell starts with ``where``."""
     text = cell.strip()
     if "_" not in text and text.isascii():
         try:
             return float(text)
         except ValueError:
             pass
-    raise ValueError(f"could not convert string to float: {cell!r}")
+    raise ValueError(f"{where}could not convert string to float: {cell!r}")
 
 
 def not_utf8_error(path, lines) -> ValueError | None:

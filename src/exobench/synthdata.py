@@ -39,9 +39,10 @@ LEVEL_BLEND_S = 45.0  # width of the tanh crossfade between phase levels
 def _scr_bumps(t, onsets, amplitudes):
     x = np.zeros_like(t)
     for onset, amp in zip(onsets, amplitudes):
-        dt = np.maximum(t - onset, 0.0)
-        x += amp * np.where(t > onset, (1 - np.exp(-dt / SCR_RISE_S))
-                            * np.exp(-dt / SCR_DECAY_S), 0.0)
+        start = np.searchsorted(t, onset, side="right")   # t ascends
+        dt = t[start:] - onset
+        x[start:] += amp * ((1 - np.exp(-dt / SCR_RISE_S))
+                            * np.exp(-dt / SCR_DECAY_S))
     return x
 
 

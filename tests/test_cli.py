@@ -596,6 +596,29 @@ class TestAnalyze:
             f"error: {root / _FILES['responses']}: no questionnaire response "
             f"for subject s02\n")
 
+    def test_padded_questionnaire_headers_pass_analyze_and_validate(
+            self, session_set, tmp_path, capsys):
+        # every loader strips each header field, the questionnaire's too
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        paths = [root / _FILES[key] for key in ("responses", "preferences")]
+        for path in paths:
+            header, rest = path.read_text().split("\n", 1)
+            path.write_text(" " + " , ".join(header.split(",")) + " \n"
+                            + rest)
+        reports = [tmp_path / "report.json", tmp_path / "plain.json"]
+        assert main(["analyze", str(root), "--out", str(reports[0])]) == 0
+        assert main(["analyze", str(session_set), "--out",
+                     str(reports[1])]) == 0
+        padded, plain = (json.loads(path.read_text())["questionnaire"]
+                         for path in reports)
+        assert padded["status"] == "ok"
+        assert padded == plain
+        capsys.readouterr()
+        assert main(["validate", *map(str, paths)]) == 0
+        assert capsys.readouterr().out == (
+            f"ok   {paths[0]} (responses)\nok   {paths[1]} (preferences)\n")
+
     def test_gait_stream_within_warmup_exits_one_naming_it(
             self, session_set, tmp_path):
         root = tmp_path / "set"
@@ -917,8 +940,8 @@ class TestValidate:
                 == f"FAIL {stream}: line {line}: not valid UTF-8\n")
 
     def test_stream_header_with_spaces_passes(self, tmp_path, capsys):
-        # load_csv strips each header field, so validate accepts what the
-        # loaders accept; the questionnaire headers stay exact
+        # every loader strips each header field, so validate accepts what
+        # the loaders accept
         stream = tmp_path / "stream.csv"
         main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
               "--seconds", "1.2", "--rate", "200"])
@@ -929,8 +952,8 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", str(stream)]) == 0
         assert capsys.readouterr().out == f"ok   {stream} (sensor-stream)\n"
-        assert main(["validate", str(responses)]) == 1
-        assert "unrecognised CSV header" in capsys.readouterr().out
+        assert main(["validate", str(responses)]) == 0
+        assert capsys.readouterr().out == f"ok   {responses} (responses)\n"
 
     def test_responses_not_utf8_names_the_line(self, tmp_path, capsys):
         responses = tmp_path / "responses.csv"
@@ -961,6 +984,46 @@ class TestValidate:
         assert capsys.readouterr().out == (
             f"FAIL {responses}: line 2: bad score 'banana'\n"
             f"ok   {prefs} (preferences)\n")
+
+    def test_eq_definition_flag_that_is_not_a_boolean_fails(self, tmp_path,
+                                                             capsys):
+        doc = default_definition().to_dict()
+        doc["items"][0]["reversed"] = "false"
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps(doc))
+        assert main(["validate", str(eq)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {eq}: item item_001: reversed must be true or false, "
+            f"got 'false'\n")
+
+    def test_duplicate_responses_row_fails(self, tmp_path, capsys):
+        responses = tmp_path / "responses.csv"
+        responses.write_text("subject_id,item_id,score\ns1,item_001,2\n"
+                             "s1,item_001,6\n")
+        assert main(["validate", str(responses)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {responses}: line 3: second score for subject 's1', "
+            f"item 'item_001'\n")
+
+    @pytest.mark.parametrize("header, kind, reason", [
+        ("ecg_mv", "ecg", "ecg_mv value -2000000000000.0 outside "
+                          "[-1e12, 1e12] mV"),
+        ("interval_ms", "beats", "negative interval_ms value -2000000000000.0"),
+        ("respiration_au", "respiration", "respiration_au value "
+                                          "-2000000000000.0 outside "
+                                          "[-1e12, 1e12] a.u."),
+        ("breath_t_s", "breath_times", "breath_t_s value -2000000000000.0 "
+                                       "outside [-1e12, 1e12] s"),
+        ("gsr_us", "gsr", "negative gsr_us value -2000000000000.0")])
+    def test_physio_channel_file_is_loaded_with_its_range(
+            self, tmp_path, capsys, header, kind, reason):
+        good = tmp_path / "good.csv"
+        good.write_text(f" {header} \n1.5\n2.5\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n1.5\n\n-2e12\n")
+        assert main(["validate", str(good), str(bad)]) == 1
+        assert capsys.readouterr().out == (
+            f"ok   {good} ({kind}-channel)\nFAIL {bad}: line 4: {reason}\n")
 
     def test_generated_questionnaire_files_pass(self, session_set, capsys):
         files = [session_set / "questionnaire_responses.csv",
@@ -1077,6 +1140,23 @@ class TestSynthData:
         assert report.consistency_pct > 80.0
         for fs in report.factor_scores.values():
             assert 1.0 <= fs <= 7.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scr_bumps_match_the_full_length_sum_bit_for_bit(self, seed):
+        # each bump starts at its onset; before it the full-length sum added
+        # +0.0, which leaves every sample as it was
+        from exobench.synthdata import SCR_DECAY_S, SCR_RISE_S, _scr_bumps
+        rng = np.random.default_rng(seed)
+        t = np.arange(20_700) / 10.0
+        onsets = [*np.sort(rng.uniform(0.0, t[-1], 140)), t[100], t[-1]]
+        amps = rng.uniform(0.1, 0.25, len(onsets))
+        expected = np.zeros_like(t)
+        for onset, amp in zip(onsets, amps):
+            dt = np.maximum(t - onset, 0.0)
+            expected += amp * np.where(
+                t > onset, (1 - np.exp(-dt / SCR_RISE_S))
+                * np.exp(-dt / SCR_DECAY_S), 0.0)
+        assert _scr_bumps(t, onsets, amps).tobytes() == expected.tobytes()
 
     def test_every_json_file_is_canonical(self, session_set, tmp_path):
         from exobench.segmentation import GaitRegressor

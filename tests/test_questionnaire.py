@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,7 @@ from exobench.questionnaire import (EQDefinition, QuestionnaireResponse,
                                     aggregate_reports, consistency,
                                     default_definition, factor_score,
                                     factor_weights, load_responses_csv,
+                                    load_scores_csv,
                                     reverse_map, save_preferences_csv,
                                     save_responses_csv, score_session,
                                     subfactor_score)
@@ -283,6 +285,31 @@ class TestDefinitionValidation:
         with pytest.raises(SchemaError, match="needs at least two"):
             EQDefinition.from_dict(doc)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_item_reversed_must_be_a_boolean(self, value):
+        doc = default_definition().to_dict()
+        doc["items"][4]["reversed"] = value
+        with pytest.raises(SchemaError, match=re.escape(
+                f"item item_005: reversed must be true or false, "
+                f"got {value!r}")):
+            EQDefinition.from_dict(doc)
+
+    def test_include_control_items_must_be_a_boolean(self):
+        doc = default_definition().to_dict()
+        doc["include_control_items"] = "no"
+        with pytest.raises(SchemaError, match="include_control_items must be "
+                                              "true or false, got 'no'"):
+            EQDefinition.from_dict(doc)
+
+    def test_absent_flags_default_to_false(self):
+        doc = default_definition().to_dict()
+        del doc["include_control_items"]
+        for item in doc["items"]:
+            del item["reversed"]
+        definition = EQDefinition.from_dict(doc)
+        assert not definition.include_control_items
+        assert not any(item.reversed for item in definition.items)
+
     def test_definition_file_round_trip(self, tmp_path):
         definition = default_definition()
         path = tmp_path / "eq.json"
@@ -316,3 +343,41 @@ class TestCsvRoundTrip:
         prefs_path.write_text("subject_id,factor,sub_a,sub_b,winner\n")
         with pytest.raises(SchemaError, match="line 2"):
             load_responses_csv(scores_path, prefs_path)
+
+    @pytest.mark.parametrize("score", ["\u0665", "1_0", "4.0", "0x5", "+-4",
+                                       "", "\u00b2"])
+    def test_score_outside_the_number_rule_names_its_line(self, tmp_path,
+                                                          score):
+        # int() reads the Arabic-Indic five and "1_0"; the dialect does not
+        path = tmp_path / "responses.csv"
+        path.write_text(f"subject_id,item_id,score\ns1,item_001,4\n"
+                        f"s1,item_002,{score}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: line 3: bad score {score!r}")):
+            load_scores_csv(path)
+
+    def test_score_with_sign_or_spaces_loads(self, tmp_path):
+        path = tmp_path / "responses.csv"
+        path.write_text("subject_id,item_id,score\ns1,item_001, 4 \n"
+                        "s1,item_002,+5\n")
+        assert load_scores_csv(path)["s1"].scores == {"item_001": 4,
+                                                      "item_002": 5}
+
+    def test_duplicate_score_row_names_its_line(self, tmp_path):
+        path = tmp_path / "responses.csv"
+        path.write_text("subject_id,item_id,score\ns1,item_001,2\n"
+                        "s2,item_001,3\ns1,item_001,6\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: line 4: second score for subject 's1', "
+                f"item 'item_001'")):
+            load_scores_csv(path)
+
+    def test_record_after_a_quoted_line_break_is_named_by_its_number(
+            self, tmp_path):
+        # the quoted subject spans two physical lines but is one record
+        path = tmp_path / "responses.csv"
+        path.write_text('subject_id,item_id,score\n"s\n1",item_001,2\n'
+                        's1,item_002,x\n')
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: line 3: bad score 'x'")):
+            load_scores_csv(path)
