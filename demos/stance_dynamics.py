@@ -1,13 +1,14 @@
 """Walkthrough: the planar stance model and its compensation torques.
 
-Builds the five-link grounded-ankle chain, pokes at the inertia matrix and
-gravity vector, and shows the friction/ripple table lookups.
+Builds the five-link grounded-ankle chain, reads its gravity torques and
+inertia matrix off the full stance torque, and shows the friction/ripple
+table lookups.
 """
 
 import numpy as np
 
-from exobench import (CompensationTables, ExoParams, StanceModel,
-                      blended_torque, gravity_vector, inertia_matrix)
+from exobench import (ACTUATED_JOINTS, CompensationTables, ExoParams,
+                      LookupTable1D, StanceModel, blended_torque)
 
 params = ExoParams()
 print("link parameters:")
@@ -19,17 +20,37 @@ left = StanceModel("left", params)
 print("\nleft-stance chain reads joints", left.perm,
       "(LA, LK, LH, RH, RK) out of (RH, RK, RA, LH, LK, LA)")
 
+# Flat tables leave only the chain's B(q) qdd + G(q): at qdd = 0 that is
+# the gravity torque G, and a unit qdd on chain joint k adds column k of B.
+flat = LookupTable1D([-1.0, 1.0], [0.0, 0.0])
+no_compensation = CompensationTables(
+    friction=dict.fromkeys(ACTUATED_JOINTS, flat),
+    ripple=dict.fromkeys(ACTUATED_JOINTS, flat))
+perm = list(left.perm)
+
+
+def chain_torque(q5, qdd5):
+    """The left-stance torque in chain order, for chain angles ``q5`` and
+    accelerations ``qdd5``, with the gains (1, 0)."""
+    q, qdd = np.zeros(6), np.zeros(6)
+    q[perm], qdd[perm] = q5, qdd5
+    tau = blended_torque(q, np.zeros(6), qdd, 1.0, 0.0, left, left,
+                         no_compensation)
+    return tau[perm]
+
+
 # fully vertical chain: gravity has nothing to do
 q5 = np.zeros(5)
-print("\ngravity torques, vertical pose:", gravity_vector(left, q5))
+print("\ngravity torques, vertical pose:", chain_torque(q5, np.zeros(5)))
 
 # lean the whole device forward ten degrees at the ankle
 q5_lean = np.array([np.radians(10), 0.0, 0.0, 0.0, 0.0])
-g_lean = gravity_vector(left, q5_lean)
+g_lean = chain_torque(q5_lean, np.zeros(5))
 print("gravity torques, 10 deg ankle lean:", np.round(g_lean, 3))
 print("  (the ankle carries the whole stack, the swing knee almost nothing)")
 
-B = inertia_matrix(left, q5_lean)
+B = np.column_stack([chain_torque(q5_lean, unit) - g_lean
+                     for unit in np.eye(5)])
 print("\ninertia matrix at that pose (kg m^2):")
 print(np.round(B, 3))
 eigs = np.linalg.eigvalsh(B)

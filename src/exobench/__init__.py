@@ -18,7 +18,6 @@ from .blend import AssistCommand, BlendGains, ControlLoop, blend_gains, gains
 from .dynamics import (ACTUATED_JOINTS, ACTUATED_MASK, JOINTS,
                        AccelerationEstimator, CompensationTables, ExoParams,
                        LookupTable1D, PlanarChain, StanceModel, blended_torque,
-                       friction_ripple, gravity_vector, inertia_matrix,
                        load_calibration, save_calibration)
 from .fuzzy import (FuzzyModel, NormalizedInputs, PIScores, TriangularMF,
                     default_fuzzy_model, infer, load_fuzzy_model, normalize)

@@ -24,7 +24,13 @@ link parameters:
   gains (1, 0) give the single-stance compensation of one side.
 * ``inertia_matrix`` / ``gravity_vector`` build the dense Lagrangian
   operators B(q) and G(q) from each body's reach coefficients with
-  vectorised numpy: the oracle of the tests and the benchmark.
+  vectorised numpy: the oracle of the tests and the benchmark, imported
+  from this module and not exported by the package.
+
+Friction and ripple come from ``CompensationTables`` in one scalar form,
+the ``ftab(qd[i]) + rtab(q[i])`` sum over ``_fr`` that ``friction_ripple``
+and the control step compute, and one array form, ``evaluate_array``; a
+hypothesis test pins the two bit for bit.
 
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
@@ -93,10 +99,9 @@ class ExoParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        for name in ("back_length", "thigh_length", "shank_length", "foot_height"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("thigh_mass", "shank_mass", "foot_mass", "back_mass"):
+        for name in ("back_length", "thigh_length", "shank_length",
+                     "foot_height", "thigh_mass", "shank_mass", "foot_mass",
+                     "back_mass"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 1.2 <= self.back_mass <= 8.0:
@@ -370,15 +375,9 @@ class CompensationTables:
             for j in ACTUATED_JOINTS
         )
 
-    def evaluate_scalar(self, q, qd):
-        """Compensation torques as a list of 6 floats (ankles zero)."""
-        out = [0.0] * 6
-        for idx, ftab, rtab in self._fr:
-            out[idx] = ftab(qd[idx]) + rtab(q[idx])
-        return out
-
     def evaluate_array(self, q, qd) -> np.ndarray:
-        """``evaluate_scalar`` over (n, 6) rows, as an (n, 6) array."""
+        """``friction_ripple`` of each of the (n, 6) rows of ``q`` and
+        ``qd``, bit for bit, as an (n, 6) array with zero ankle columns."""
         out = np.zeros(np.shape(q))
         for joint in ACTUATED_JOINTS:
             idx = JOINTS.index(joint)
@@ -407,7 +406,10 @@ def friction_ripple(tables: CompensationTables, q, qd) -> np.ndarray:
     qd = np.asarray(qd, dtype=float)
     if q.shape != (6,) or qd.shape != (6,):
         raise ValueError("q and qd must have shape (6,)")
-    return np.asarray(tables.evaluate_scalar(q, qd))
+    out = np.zeros(6)
+    for i, ftab, rtab in tables._fr:
+        out[i] = ftab(qd[i]) + rtab(q[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

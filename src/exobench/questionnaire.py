@@ -389,27 +389,38 @@ def save_preferences_csv(path, responses):
 def load_scores_csv(path) -> dict:
     """Read the item-score CSV; returns {subject_id: QuestionnaireResponse}
     with the scores set and no preferences.  A score is ASCII digits after
-    an optional sign, and each subject scores an item once."""
+    an optional sign, in [1, 7], and each subject scores an item once."""
     responses = {}
     for lineno, (subject, item, score) in csv_records(path, RESPONSES_HEADER):
         if not re.fullmatch(r"[+-]?[0-9]+", score.strip()):
             raise SchemaError(f"{path}: line {lineno}: bad score {score!r}")
+        if not LIKERT_MIN <= (value := int(score)) <= LIKERT_MAX:
+            raise SchemaError(f"{path}: line {lineno}: Likert score out of "
+                              f"range [1, 7]: {value}")
         resp = responses.setdefault(
             subject, QuestionnaireResponse(subject_id=subject, scores={}))
         if item in resp.scores:
             raise SchemaError(f"{path}: line {lineno}: second score for "
                               f"subject {subject!r}, item {item!r}")
-        resp.scores[item] = int(score)
+        resp.scores[item] = value
     return responses
 
 
 def load_preferences_csv(path) -> dict:
     """Read the pairwise-preference CSV; returns {subject_id: {factor:
-    [(sub_a, sub_b, winner), ...]}} in file order."""
+    [(sub_a, sub_b, winner), ...]}} in file order.  Each subject compares
+    an unordered pair of a factor once."""
     preferences = {}
-    for _, (subject, factor, *pair) in csv_records(path, PREFERENCES_HEADER):
+    seen = set()
+    for lineno, (subject, factor, a, b, winner) in csv_records(
+            path, PREFERENCES_HEADER):
+        if (key := (subject, factor, frozenset((a, b)))) in seen:
+            raise SchemaError(f"{path}: line {lineno}: second comparison of "
+                              f"({a}, {b}) for subject {subject!r}, factor "
+                              f"{factor!r}")
+        seen.add(key)
         preferences.setdefault(subject, {}).setdefault(factor, []).append(
-            tuple(pair))
+            (a, b, winner))
     return preferences
 
 

@@ -6,8 +6,10 @@ psychophysiological, questionnaire, and controller pipelines, and returns
 one report dict plus a wall-clock timing sidecar.
 
 The report is fully deterministic for fixed inputs: wall-clock step times
-live in the sidecar only, and the report carries sha256 digests of every
-input file plus a digest of the command stream for provenance.
+live in the sidecar only.  For provenance the report carries a digest of
+the command stream and sha256 digests of the set's shared files and of
+each subject's ``physio/manifest.json``, ``training.csv`` and
+``gait_stream.csv``; the physio channel CSVs have none.
 
 The controller section computes each subject's whole command stream with
 ``replay_batch``, which is bit-identical to streaming ``replay`` but much

@@ -2,7 +2,8 @@
 
 A stream is the common currency between the gait simulator, the regressor
 training pipeline, and the control loop: timestamps, six joint angles, the
-two sole loads, and an optional per-sample stage tag.
+two sole loads, and a per-sample stage tag.  A stream built without tags
+carries the empty tag on every sample, as its CSV form does.
 
 CSV columns: ``t, q_rh, q_rk, q_ra, q_lh, q_lk, q_la, left_load,
 right_load, stage_tag`` (header required, stage_tag may be empty).
@@ -110,10 +111,12 @@ class SensorStream:
             raise ValueError("q must have shape (n, 6)")
         if self.left_load.shape != (n,) or self.right_load.shape != (n,):
             raise ValueError("load arrays must match t in length")
-        if self.stage is not None:
-            self.stage = np.asarray(self.stage, dtype=object)
-            if self.stage.shape != (n,):
-                raise ValueError("stage array must match t in length")
+        tags = self.stage
+        if tags is None:   # untagged: the empty tag of the CSV form
+            tags = np.full(n, "", dtype=object)
+        self.stage = np.asarray(tags, dtype=object)
+        if self.stage.shape != (n,):
+            raise ValueError("stage array must match t in length")
 
     def __len__(self) -> int:
         return self.t.size
@@ -128,8 +131,7 @@ class SensorStream:
         """The first ``n`` samples (all of them if the stream is shorter)."""
         return SensorStream(
             t=self.t[:n], q=self.q[:n], left_load=self.left_load[:n],
-            right_load=self.right_load[:n],
-            stage=None if self.stage is None else self.stage[:n])
+            right_load=self.right_load[:n], stage=self.stage[:n])
 
     @staticmethod
     def concatenate(parts: list["SensorStream"]) -> "SensorStream":
@@ -138,16 +140,13 @@ class SensorStream:
             q=np.vstack([p.q for p in parts]),
             left_load=np.concatenate([p.left_load for p in parts]),
             right_load=np.concatenate([p.right_load for p in parts]),
-            stage=np.concatenate([
-                p.stage if p.stage is not None else np.full(len(p), "", object)
-                for p in parts]),
+            stage=np.concatenate([p.stage for p in parts]),
         )
 
     def save_csv(self, path):
         write_rows(path, ",".join(CSV_HEADER) + "\r\n",
                    [self.t, *self.q.T, self.left_load, self.right_load],
-                   "%r," * 9 + ("\r\n" if self.stage is None else "%s\r\n"),
-                   tags=self.stage, newline="")
+                   "%r," * 9 + "%s\r\n", tags=self.stage, newline="")
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":

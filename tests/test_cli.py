@@ -518,13 +518,19 @@ class TestAnalyze:
          "acceptability_sf2)"),
         ("preferences", lambda text: text.replace("\ns02,", "\ns09,"),
          "preferences for unknown subject 's09'"),
+        ("preferences", lambda text: re.sub(
+            "^(s01,acceptability,acceptability_sf1,acceptability_sf3,.*\n)",
+            r"\1\1", text, count=1, flags=re.M),
+         "line 4: second comparison of (acceptability_sf1, acceptability_sf3) "
+         "for subject 's01', factor 'acceptability'"),
         ("responses", lambda text: text.replace("s01,item_107,", "s01,x,"),
          "missing responses for items: item_107"),
         ("responses", lambda text: re.sub("^(s01,item_001,).*$", r"\g<1>9",
                                           text, flags=re.M),
-         "Likert score out of range [1, 7]: 9")],
+         "line 2: Likert score out of range [1, 7]: 9")],
         ids=["cut-mid-row", "cut-in-factor", "unexpected-pair", "bad-winner",
-             "unknown-subject", "missing-item", "likert-range"])
+             "unknown-subject", "repeated-pair", "missing-item",
+             "likert-range"])
     def test_questionnaire_error_names_its_csv(
             self, session_set, tmp_path, capsys, key, edit, reason):
         root = tmp_path / "set"
@@ -1004,6 +1010,27 @@ class TestValidate:
         assert capsys.readouterr().out == (
             f"FAIL {responses}: line 3: second score for subject 's1', "
             f"item 'item_001'\n")
+
+    @pytest.mark.parametrize("score", ["0", "8", " 9 ", "-1"])
+    def test_likert_score_out_of_range_fails(self, tmp_path, capsys, score):
+        responses = tmp_path / "responses.csv"
+        responses.write_text("subject_id,item_id,score\ns1,item_001,1\n"
+                             f"s1,item_002,7\ns1,item_003,{score}\n")
+        assert main(["validate", str(responses)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {responses}: line 4: Likert score out of range [1, 7]: "
+            f"{int(score)}\n")
+
+    def test_repeated_comparison_row_fails(self, tmp_path, capsys):
+        # the same pair for another subject or factor is not a repeat;
+        # the same unordered pair is, whichever way round
+        prefs = tmp_path / "prefs.csv"
+        prefs.write_text("subject_id,factor,sub_a,sub_b,winner\n"
+                         "s1,f,a,b,a\ns2,f,a,b,a\ns1,g,a,b,a\ns1,f,b,a,b\n")
+        assert main(["validate", str(prefs)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {prefs}: line 5: second comparison of (b, a) for subject "
+            f"'s1', factor 'f'\n")
 
     @pytest.mark.parametrize("header, kind, reason", [
         ("ecg_mv", "ecg", "ecg_mv value -2000000000000.0 outside "

@@ -279,6 +279,16 @@ class TestLookupTables:
             else:
                 assert out[j] == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(*[arrays(np.float64, 6, elements=st.floats(-5.0, 5.0)
+                    | st.floats(allow_nan=False))] * 2)
+    def test_friction_ripple_matches_evaluate_array_bit_for_bit(self, q, qd):
+        # finite values inside and outside the tables, and +-inf
+        tables = CompensationTables.default_synthetic()
+        row = tables.evaluate_array(q[None], qd[None])[0]
+        assert (friction_ripple(tables, q, qd).view(np.uint64).tolist()
+                == row.view(np.uint64).tolist())
+
 
 class TestChainTorque:
     @pytest.mark.parametrize("n", range(1, 8))
@@ -634,6 +644,15 @@ class TestParamsAndCalibration:
             ExoParams(thigh_length=-1.0)
         with pytest.raises(ValueError):
             ExoParams(com_fraction=1.5)
+
+    def test_positive_fields_are_checked_in_order(self):
+        names = ["back_length", "thigh_length", "shank_length",
+                 "foot_height", "thigh_mass", "shank_mass", "foot_mass",
+                 "back_mass"]
+        for k, name in enumerate(names):
+            bad = dict.fromkeys(names[k:], 0.0)
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                ExoParams(**bad)
 
     def test_calibration_round_trip(self, tmp_path):
         path = tmp_path / "calibration.json"

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exobench.biosignal import PhysioSession
+from exobench.errors import IncompleteTrainingError
+from exobench.segmentation import training_session_builder
 from exobench.simulator import ReplayResult
 from exobench.streams import (CSV_HEADER, ROWS_PER_CHUNK, SensorFrame,
                               SensorStream)
@@ -191,6 +193,22 @@ def test_save_load_round_trip_is_bit_identical(tmp_path_factory, rows):
     assert list(loaded.stage) == list(stream.stage)
 
 
+def test_untagged_stream_reads_the_same_before_and_after_csv(tmp_path):
+    # a stream built without tags holds the empty tags its CSV form holds,
+    # so the training builder sees the same stream on either side
+    n = 30
+    stream = SensorStream(t=np.arange(n) / 100.0, q=np.zeros((n, 6)),
+                          left_load=np.full(n, 400.0), right_load=np.zeros(n))
+    path = tmp_path / "untagged.csv"
+    stream.save_csv(path)
+    loaded = SensorStream.load_csv(path)
+    assert list(stream.stage) == list(loaded.stage) == [""] * n
+    for s in (stream, loaded):
+        with pytest.raises(IncompleteTrainingError) as info:
+            training_session_builder(s)
+        assert str(info.value) == "training stage missing: left_swing"
+
+
 SPELLINGS = ["1E5", ".5", "5.", " 1.5 ", "\t-2.25", "+7", "-0", "0e0",
              "1e-400", "4.9e-324", "2.2250738585072009e-308",
              "2.2250738585072014e-308", "1.7976931348623157e308",
@@ -274,7 +292,7 @@ def _csv_writer_oracle(path, stream):
             row += [repr(float(v)) for v in stream.q[i]]
             row += [repr(float(stream.left_load[i])),
                     repr(float(stream.right_load[i]))]
-            row.append("" if stream.stage is None else str(stream.stage[i]))
+            row.append(str(stream.stage[i]))
             writer.writerow(row)
 
 
