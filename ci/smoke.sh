@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The installed console script end to end: sim, analyze (twice, and the
-# two reports must be byte-identical), validate, train and replay, writing
+# two reports must be byte-identical), validate, train and replay (twice,
+# and the two command logs must match but for their step times), writing
 # into the directory given as the one argument.
 #
 #   ci/smoke.sh "$(mktemp -d)"
@@ -24,4 +25,10 @@ exobench sim --kind training --seed 1 --out "$tmp/training.csv"
 exobench train "$tmp/training.csv" --out "$tmp/model.json"
 exobench sim --kind gait --seed 1 --rate 5000 --seconds 2 --out "$tmp/gait.csv"
 exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
-  --calibration "$tmp/set/calibration.json" --report "$tmp/replay.json"
+  --calibration "$tmp/set/calibration.json" --report "$tmp/replay.json" \
+  --out "$tmp/commands.csv"
+# streaming replay is deterministic: a second run logs the same commands,
+# all but the wall-clock step_time_us column
+exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
+  --calibration "$tmp/set/calibration.json" --out "$tmp/commands2.csv"
+cmp <(cut -d, -f1-9 "$tmp/commands.csv") <(cut -d, -f1-9 "$tmp/commands2.csv")

@@ -98,12 +98,15 @@ class ControlLoop:
     non-finite phase raises ValueError before the estimator or any torque
     sees the frame.  The estimator owns the loop's state: its ``last_t``
     is the time of the last frame taken.  The loop reads no clock;
-    ``rate`` (Hz) sets the period replay counts overruns against.
+    ``rate`` (Hz), positive and finite, sets the period replay counts
+    overruns against.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
                  regressor: GaitRegressor, tables: CompensationTables,
                  rate: float = 5000.0):
+        if not (rate > 0 and isfinite(rate)):   # NaN included
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.left = left
         self.right = right
         self.regressor = regressor

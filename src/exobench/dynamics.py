@@ -13,15 +13,18 @@ chain is q = 0, and the chain tips toward +x for positive angles.
 There is one torque evaluator plus a test oracle; they share only the
 link parameters:
 
-* ``PlanarChain.torque`` is one recursive Newton-Euler pass at qd = 0
-  over links lumped into mass, first and second moment (point masses
-  included), O(n) per chain (Luh, Walker & Paul 1980; Featherstone 2008,
-  ch. 5).  It adds each joint's torque, times a gain, into a six-wide
-  output.  Its source is type-generic: native floats with ``math``
-  sin/cos for the 5 kHz step, or ``(6, m)`` column stacks with
-  ``np.sin``/``np.cos`` for m frames at once, bit-identically;
-  ``blended_torque`` and ``blended_torque_array`` route through it, and
-  gains (1, 0) give the single-stance compensation of one side.
+* ``PlanarChain.kernel(perm)`` is one recursive Newton-Euler pass at
+  qd = 0 over links lumped into mass, first and second moment (point
+  masses included), O(n) per chain (Luh, Walker & Paul 1980; Featherstone
+  2008, ch. 5), generated per chain and joint permutation as
+  straight-line code with the link constants and joint indices written
+  in, and compiled once per distinct text.  It adds each joint's torque, times a gain, into a
+  six-wide output.  Its source is type-generic: native floats with
+  ``math`` sin/cos for the 5 kHz step, or ``(6, m)`` column stacks with
+  ``np.sin``/``np.cos`` for m frames at once, bit-identically; each
+  ``StanceModel`` holds its chain's kernel as ``torque``, which both
+  ``blended_torque`` and ``blended_torque_array`` call, and gains (1, 0)
+  give the single-stance compensation of one side.
 * ``inertia_matrix`` / ``gravity_vector`` build the dense Lagrangian
   operators B(q) and G(q) from each body's reach coefficients with
   vectorised numpy: the oracle of the tests and the benchmark, imported
@@ -44,6 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -102,12 +106,17 @@ class ExoParams:
         for name in ("back_length", "thigh_length", "shank_length",
                      "foot_height", "thigh_mass", "shank_mass", "foot_mass",
                      "back_mass"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 1.2 <= self.back_mass <= 8.0:
             raise ValueError("back_mass must lie in [1.2, 8] kg")
         if not 0.0 <= self.com_fraction <= 1.0:
             raise ValueError("com_fraction must lie in [0, 1]")
+        if not math.isfinite(self.gravity):
+            raise ValueError(f"gravity must be finite, got {self.gravity}")
         if self.gravity <= 0:
             raise ValueError("gravity must be positive")
 
@@ -125,6 +134,8 @@ class PlanarChain:
         self.lengths = tuple(float(v) for v in lengths)
         self.masses = tuple(float(v) for v in masses)
         n = len(self.lengths)
+        if n == 0:
+            raise ValueError("a chain needs at least one link")
         if len(self.masses) != n:
             raise ValueError("lengths and masses must have the same size")
         if com_fractions is None:
@@ -136,6 +147,13 @@ class PlanarChain:
         self.inertias = tuple(float(v) for v in inertias)
         self.point_masses = tuple((int(k), float(d), float(m)) for k, d, m in point_masses)
         self.gravity = float(gravity)
+        # the kernels write these in as literals: repr(inf) is no float
+        if not all(map(math.isfinite, (
+                *self.lengths, *self.masses, *self.com_fractions,
+                *self.inertias, *(v for _, d, m in self.point_masses
+                                  for v in (d, m)), self.gravity))):
+            raise ValueError("lengths, masses, COM fractions, inertias, "
+                             "point masses and gravity must be finite")
         self.n = n
         self._precompute()
 
@@ -157,6 +175,8 @@ class PlanarChain:
             mass, first, second = lumped[k]
             lumped[k] = (mass + m, first + m * d, second + m * d * d)
         self._links = tuple((l, *lk) for l, lk in zip(self.lengths, lumped))
+        if not all(math.isfinite(v) for link in self._links for v in link):
+            raise ValueError("a link's lumped mass or moments overflow")
         C = np.asarray(coefs)
         m = np.asarray([body[2] for body in bodies])
         # oracle only: quadratic mass coupling and gravity weights
@@ -203,46 +223,100 @@ class PlanarChain:
     # -- recursive Newton-Euler evaluator (control-loop hot path) ----------
 
     def torque(self, q, qdd, perm, gain, out, sin=math.sin, cos=math.cos):
-        """Add ``gain`` times B(q) @ qdd + G(q) into ``out``, by one
-        Newton-Euler pass at qd = 0 over the lumped links.
+        """Add ``gain`` times B(q) @ qdd + G(q) into ``out``: the kernel of
+        ``perm`` (see ``kernel``) called on the other arguments."""
+        return self.kernel(perm)(q, qdd, gain, out, sin, cos)
+
+    def kernel(self, perm):
+        """``torque(q, qdd, gain, out, sin=math.sin, cos=math.cos)``: one
+        Newton-Euler pass at qd = 0 over the lumped links, generated for
+        ``perm`` as straight-line code and compiled once per distinct text,
+        so chains with the same constants share it.  Its text is its
+        ``source`` attribute.
 
         Base to tip: each link's absolute angle phi, angular acceleration
         alpha and proximal-joint acceleration (ax, ay), from an upward base
         acceleration g that stands in for gravity.  Tip to base: the force
         (fx, fy) each subtree needs and its moment about its joint, which
-        is that joint's torque, added into ``out`` as soon as it is known.
+        is that joint's torque, added times ``gain`` into ``out`` as soon
+        as it is known.
 
         Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]`` and
-        adds into ``out[perm[i]]``, so 6-joint vectors need no copy.
-        Accepts any indexable float sequences and performs no validation.
-        Accumulators are rebound rather than updated in place, so ``q``
-        and ``qdd`` may also be (6, m) arrays, as may ``out`` with ``gain``
-        an m-vector, with ``sin=np.sin, cos=np.cos``; each column then gets
-        the scalar result bit for bit.
+        adds into ``out[perm[i]]``, so 6-joint vectors need no copy; the
+        indices and the link constants are literals of the source.  The
+        kernel accepts any indexable float sequences and performs no
+        validation.  Its locals are rebound, never updated in place, so
+        ``q`` and ``qdd`` may also be (6, m) arrays, as may ``out`` with
+        ``gain`` an m-vector, with ``sin=np.sin, cos=np.cos``; each column
+        then gets the scalar result bit for bit.  Raises ValueError unless
+        ``perm`` holds n distinct non-negative indices.
         """
-        phi = alpha = ax = 0.0
-        ay = self.gravity
-        fwd = []
-        for k, (l, mass, first, second) in zip(perm, self._links):
-            phi = phi + q[k]
-            alpha = alpha + qdd[k]
-            s, c = sin(phi), cos(phi)
-            fwd.append((k, l, mass, first, second, s, c, alpha, ax, ay))
-            la = l * alpha
-            ax = ax + la * c
-            ay = ay - la * s
-        fx = fy = moment = 0.0
-        for k, l, mass, first, second, s, c, alpha, ax, ay in reversed(fwd):
-            moment = (moment + l * (c * fx - s * fy)
-                      + first * (c * ax - s * ay) + second * alpha)
-            out[k] += gain * moment
-            fa = first * alpha
-            fx = fx + mass * ax + fa * c
-            fy = fy + mass * ay - fa * s
+        perm = tuple(map(operator.index, perm))
+        if len(perm) != self.n or len(set(perm)) != self.n or min(perm) < 0:
+            raise ValueError(f"perm must hold {self.n} distinct "
+                             f"non-negative indices, got {perm}")
+        return _compiled(_torque_source(perm, self._links, self.gravity))
+
+
+@functools.lru_cache(maxsize=64)   # analyze builds two models per subject
+def _compiled(source: str):
+    """The ``torque`` function that ``source`` defines, compiled once."""
+    namespace = {"math": math}
+    exec(compile(source, "<PlanarChain kernel>", "exec"), namespace)
+    fn = namespace["torque"]
+    fn.source = source
+    return fn
+
+
+def _torque_source(perm, links, gravity) -> str:
+    """The source of ``PlanarChain.kernel(perm)``: the Newton-Euler pass
+    unrolled over ``links``, with link i's forward values in the locals
+    ``phi<i>, al<i>, s<i>, c<i>, ax<i>, ay<i>``.  The root link's starting
+    values 0.0 and ``gravity`` and the tip link's zero force and moment
+    stay in the expressions as literals, so every operation, and with it
+    every signed zero, is the same as in a loop over the links.  Values
+    no output reads (the tip's distal acceleration, the root's subtree
+    force) are not computed."""
+    n = len(links)
+    # the acceleration link i's joint starts from: the root's literals, else
+    # the locals link i-1 leaves
+    ax = ["0.0"] + [f"ax{i}" for i in range(1, n)]
+    ay = [repr(gravity)] + [f"ay{i}" for i in range(1, n)]
+    lines = ["def torque(q, qdd, gain, out, sin=math.sin, cos=math.cos):"]
+    for i, (k, (l, *_)) in enumerate(zip(perm, links)):
+        phi, alpha = (f"phi{i - 1}", f"al{i - 1}") if i else ("0.0", "0.0")
+        lines += [f"phi{i} = {phi} + q[{k}]",
+                  f"al{i} = {alpha} + qdd[{k}]",
+                  f"s{i} = sin(phi{i})",
+                  f"c{i} = cos(phi{i})"]
+        if i < n - 1:
+            lines += [f"la{i} = {l!r} * al{i}",
+                      f"ax{i + 1} = {ax[i]} + la{i} * c{i}",
+                      f"ay{i + 1} = {ay[i]} - la{i} * s{i}"]
+    for i in reversed(range(n)):
+        k, (l, mass, first, second) = perm[i], links[i]
+        # the force and moment the subtree past link i needs: none at the tip
+        fx, fy, moment = ((f"fx{i + 1}", f"fy{i + 1}", f"m{i + 1}")
+                          if i < n - 1 else ("0.0",) * 3)
+        lines += [f"m{i} = ({moment} + {l!r} * (c{i} * {fx} - s{i} * {fy})"
+                  f" + {first!r} * (c{i} * {ax[i]} - s{i} * {ay[i]})"
+                  f" + {second!r} * al{i})",
+                  f"out[{k}] += gain * m{i}"]
+        if i > 0:
+            lines += [f"fa{i} = {first!r} * al{i}",
+                      f"fx{i} = {fx} + {mass!r} * {ax[i]} + fa{i} * c{i}",
+                      f"fy{i} = {fy} + {mass!r} * {ay[i]} - fa{i} * s{i}"]
+    return "\n    ".join(lines) + "\n"
 
 
 class StanceModel:
-    """Single-stance chain for one grounded side plus its joint permutation."""
+    """Single-stance chain for one grounded side plus its joint permutation.
+
+    ``torque(q, qdd, gain, out, sin=math.sin, cos=math.cos)`` is the
+    chain's kernel for that permutation (``PlanarChain.kernel``): the one
+    torque evaluator, which the control step calls on six-wide float
+    sequences and the batch replay on (6, m) column stacks.
+    """
 
     def __init__(self, side: str, params: ExoParams | None = None):
         side = side.lower()
@@ -263,6 +337,11 @@ class StanceModel:
             point_masses=[(4, p.shank_length + p.foot_height, p.foot_mass)],
             gravity=p.gravity,
         )
+        self.torque = self.chain.kernel(self.perm)
+
+    def __reduce__(self):
+        # pickle cannot name a generated function: rebuild the model instead
+        return StanceModel, (self.side, self.params)
 
 
 def inertia_matrix(model: StanceModel, q5) -> np.ndarray:
@@ -437,9 +516,9 @@ def _blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right, tables):
     ``+ 0.0`` changes no bit."""
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
-        left.chain.torque(q, qdd, left.perm, gamma_l, tau6)
+        left.torque(q, qdd, gamma_l, tau6)
     if gamma_r > 0.0:
-        right.chain.torque(q, qdd, right.perm, gamma_r, tau6)
+        right.torque(q, qdd, gamma_r, tau6)
     for i, ftab, rtab in tables._fr:
         tau6[i] += ftab(qd[i]) + rtab(q[i])
     return tuple(tau6)
@@ -450,7 +529,7 @@ def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
                          tables: CompensationTables) -> np.ndarray:
     """``blended_torque`` for every row of (n, 6) arrays, bit for bit.
 
-    Each side's chain runs ``PlanarChain.torque`` once, adding into (6, m)
+    Each side's ``StanceModel.torque`` runs once, adding into (6, m)
     column stacks of the m rows whose gain is positive, and the terms are
     summed in the scalar path's order: gained stance torques into zeros,
     then the full six-wide compensation (zero ankle columns included).
@@ -461,8 +540,8 @@ def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
         if not rows.any():
             continue
         part = tau[rows].T
-        model.chain.torque(q[rows].T, qdd[rows].T, model.perm, gain[rows],
-                           part, sin=np.sin, cos=np.cos)
+        model.torque(q[rows].T, qdd[rows].T, gain[rows], part, sin=np.sin,
+                     cos=np.cos)
         tau[rows] = part.T
     return tau + tables.evaluate_array(q, qd)
 

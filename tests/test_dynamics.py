@@ -2,6 +2,7 @@ import bisect
 import itertools
 import json
 import math
+import pickle
 import struct
 from dataclasses import replace
 
@@ -290,7 +291,137 @@ class TestLookupTables:
                 == row.view(np.uint64).tolist())
 
 
+def torque_loop(chain, q, qdd, perm, gain, out, sin=math.sin, cos=math.cos):
+    """The Newton-Euler pass of ``PlanarChain.kernel`` as a loop over the
+    lumped links, the form the kernels replaced: the reference the
+    generated code is pinned to bit for bit."""
+    phi = alpha = ax = 0.0
+    ay = chain.gravity
+    fwd = []
+    for k, (l, mass, first, second) in zip(perm, chain._links):
+        phi = phi + q[k]
+        alpha = alpha + qdd[k]
+        s, c = sin(phi), cos(phi)
+        fwd.append((k, l, mass, first, second, s, c, alpha, ax, ay))
+        la = l * alpha
+        ax = ax + la * c
+        ay = ay - la * s
+    fx = fy = moment = 0.0
+    for k, l, mass, first, second, s, c, alpha, ax, ay in reversed(fwd):
+        moment = (moment + l * (c * fx - s * fy)
+                  + first * (c * ax - s * ay) + second * alpha)
+        out[k] += gain * moment
+        fa = first * alpha
+        fx = fx + mass * ax + fa * c
+        fy = fy + mass * ay - fa * s
+
+
+@st.composite
+def _chains(draw):
+    """``(chain, perm, rng)``: 1-7 links with random sizes, some drawn to be
+    exactly zero, and up to three point masses; ``perm`` picks n distinct
+    joints of 7, and ``rng`` is seeded by the draw for the states."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sizes(top):
+        zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return np.where(zero, 0.0, rng.uniform(0.0, top, n))
+
+    point_masses = [(int(rng.integers(n)), *rng.uniform(0.0, 2.0, 2))
+                    for _ in range(draw(st.integers(0, 3)))]
+    chain = PlanarChain(lengths=sizes(1.0), masses=sizes(6.0),
+                        com_fractions=sizes(1.0), inertias=sizes(0.3),
+                        point_masses=point_masses,
+                        gravity=rng.uniform(-20.0, 20.0))
+    return chain, draw(st.permutations(range(7)))[:n], rng
+
+
+def _uniform_with_specials(draw, rng, top, m):
+    """A (7, m) array uniform in [-top, top], with drawn entries set to
+    a signed zero or to an end of the range."""
+    x = rng.uniform(-top, top, (7, m))
+    cells = st.tuples(st.integers(0, 6), st.integers(0, m - 1),
+                      st.sampled_from([0.0, -0.0, top, -top]))
+    for i, j, v in draw(st.lists(cells, max_size=8)):
+        x[i, j] = v
+    return x
+
+
 class TestChainTorque:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_perm_rng=_chains(), m=st.integers(1, 4), data=st.data())
+    def test_kernel_matches_the_loop_bit_for_bit(self, chain_perm_rng, m,
+                                                 data):
+        # angles in +-2pi and accelerations, signed zeros among both, into
+        # a non-zero starting ``out``, at gains 0, 1 and between; on the
+        # (7, m) columns and on each column as float lists
+        chain, perm, rng = chain_perm_rng
+        q, qdd, out0 = (_uniform_with_specials(data.draw, rng, top, m)
+                        for top in (2 * math.pi, 1e3, 1e3))
+        gain = np.array(data.draw(st.lists(_GAINS, min_size=m, max_size=m)))
+        kernel = chain.kernel(perm)
+        columns, expected = out0.copy(), out0.copy()
+        kernel(q, qdd, gain, columns, sin=np.sin, cos=np.cos)
+        torque_loop(chain, q, qdd, perm, gain, expected, sin=np.sin,
+                    cos=np.cos)
+        assert np.array_equal(_bits(columns), _bits(expected))
+        for j in range(m):
+            out, ref = out0[:, j].tolist(), out0[:, j].tolist()
+            kernel(q[:, j].tolist(), qdd[:, j].tolist(), float(gain[j]), out)
+            torque_loop(chain, q[:, j].tolist(), qdd[:, j].tolist(), perm,
+                        float(gain[j]), ref)
+            assert np.array_equal(_bits(out), _bits(ref))
+
+    def test_kernel_is_built_once_per_text(self):
+        chain = StanceModel("left").chain
+        kernel = chain.kernel((5, 4, 3, 0, 1))
+        assert chain.kernel([5, 4, 3, 0, 1]) is kernel
+        assert chain.kernel(np.array([5, 4, 3, 0, 1])) is kernel
+        assert StanceModel("left").torque is kernel
+        assert chain.kernel(range(5)) is not kernel
+        assert "q[5]" in kernel.source and "for " not in kernel.source
+        # equal constants of opposite sign write another text
+        plus, minus = (PlanarChain([1.0], [1.0], gravity=g)
+                       for g in (0.0, -0.0))
+        assert plus.kernel([0]) is not minus.kernel([0])
+
+    def test_stance_model_pickles(self):
+        model = StanceModel("right", ExoParams(back_mass=6.0))
+        copy = pickle.loads(pickle.dumps(model))
+        assert (copy.side, copy.params) == (model.side, model.params)
+        assert copy.torque is model.torque
+
+    @pytest.mark.parametrize("perm", [(0, 1, 2, 3), (0, 1, 2, 3, 4, 5),
+                                      (0, 1, 2, 3, 3), (0, 1, 2, 3, -1)])
+    def test_bad_perm_is_rejected_when_built(self, perm):
+        chain = StanceModel("left").chain
+        with pytest.raises(ValueError, match="perm must hold 5 distinct "
+                                             "non-negative indices"):
+            chain.kernel(perm)
+
+    @pytest.mark.parametrize("field", ["lengths", "masses", "com_fractions",
+                                       "inertias", "point_masses", "gravity"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_chain_constants_must_be_finite(self, field, bad):
+        args = {"lengths": [0.4, 0.3], "masses": [2.0, 1.0],
+                "com_fractions": [0.5, 0.5], "inertias": [0.1, 0.1],
+                "point_masses": [(1, 0.3, 0.2)], "gravity": 9.81}
+        args[field] = {"gravity": bad,
+                       "point_masses": [(1, bad, 0.2)]}.get(field, [0.4, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            PlanarChain(**args)
+
+    def test_empty_chain_is_rejected(self):
+        # its kernel would be a function with no body
+        with pytest.raises(ValueError, match="at least one link"):
+            PlanarChain(lengths=[], masses=[])
+
+    def test_lumped_moment_overflow_is_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            PlanarChain(lengths=[1.0], masses=[1.0],
+                        point_masses=[(0, 1e200, 1.0)])
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_generic_chain_matches_oracle(self, n):
         # random rods with free COM fractions and inertias, one point mass
@@ -653,6 +784,17 @@ class TestParamsAndCalibration:
             bad = dict.fromkeys(names[k:], 0.0)
             with pytest.raises(ValueError, match=f"^{name} must be positive$"):
                 ExoParams(**bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", [
+        "back_length", "thigh_length", "shank_length", "foot_height",
+        "thigh_mass", "shank_mass", "foot_mass", "gravity"])
+    def test_non_finite_field_is_rejected(self, name, bad):
+        # each of these passed the positivity check and gave non-finite
+        # torques
+        with pytest.raises(ValueError, match=f"^{name} must be finite, "
+                                             f"got {bad}$"):
+            ExoParams(**{name: bad})
 
     def test_calibration_round_trip(self, tmp_path):
         path = tmp_path / "calibration.json"

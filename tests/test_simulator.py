@@ -213,6 +213,15 @@ class TestReplay:
         slow = replay(stream, ControlLoop(left, right, reg, tables, rate=1e-3))
         assert slow.timing().overruns == 0
 
+    @pytest.mark.parametrize("rate", [0, 0.0, -5000.0, math.inf, -math.inf,
+                                      math.nan])
+    def test_rate_must_be_positive_and_finite(self, loop_parts, rate):
+        # a zero rate divided by zero in replay; a negative or infinite one
+        # counted every step as an overrun and NaN counted none
+        with pytest.raises(ValueError, match="^rate must be positive and "
+                                             f"finite, got {rate}$"):
+            ControlLoop(*loop_parts, rate=rate)
+
 
 def _variant(stream, t=None, q=None):
     """``stream`` with its timestamps or joint angles replaced."""
