@@ -32,3 +32,15 @@ exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
 exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
   --calibration "$tmp/set/calibration.json" --out "$tmp/commands2.csv"
 cmp <(cut -d, -f1-9 "$tmp/commands.csv") <(cut -d, -f1-9 "$tmp/commands2.csv")
+# a step of 1e-170 s between the first two frames is below the estimator's
+# 1e-9 s minimum: replay exits 1 with a named error, not a traceback
+awk -F, -v OFS=, 'NR == 3 { $1 = "1e-170" } { print }' "$tmp/gait.csv" \
+  > "$tmp/tiny_step.csv"
+status=0
+exobench replay "$tmp/tiny_step.csv" --model "$tmp/model.json" \
+  --calibration "$tmp/set/calibration.json" 2> "$tmp/tiny_step.err" || status=$?
+if [ "$status" -ne 1 ] || grep -q Traceback "$tmp/tiny_step.err"; then
+  echo "replay of a 1e-170 s step exited $status:" >&2
+  cat "$tmp/tiny_step.err" >&2
+  exit 1
+fi

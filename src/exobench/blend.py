@@ -8,13 +8,16 @@ stance transitions.
 
 When a gain is exactly zero the corresponding side is skipped entirely, so
 a saturated phase reproduces the single-stance torque bit for bit and the
-step gets cheaper.
+step gets cheaper.  ``ControlLoop.step`` is one function per loop, compiled
+from the estimator's and both chains' statements inlined as straight-line
+code: bit for bit what ``phase``, ``gains``, ``push`` and
+``blended_torque`` compose.
 """
 
 from __future__ import annotations
 
 import functools
-from math import isfinite
+from math import cos, isfinite, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -23,13 +26,12 @@ from .dynamics import (
     AccelerationEstimator,
     CompensationTables,
     StanceModel,
-    _blended_tau,
+    _compiled,
+    _tracker_lines,
 )
 from .errors import OutOfOrderFrameError
 from .segmentation import GaitRegressor
 from .streams import ANGLE_LIMIT, angle_error
-
-_ZERO6 = (0.0,) * 6
 
 
 class BlendGains(NamedTuple):
@@ -92,14 +94,17 @@ _new_command = functools.partial(tuple.__new__, AssistCommand)
 class ControlLoop:
     """Deterministic single-threaded control pipeline.
 
-    Each step regresses the gait phase, estimates joint
-    velocity/acceleration from the incoming angle stream, and emits the
-    blended assistance command.  Gains come from ``gains``, so a
-    non-finite phase raises ValueError before the estimator or any torque
-    sees the frame.  The estimator owns the loop's state: its ``last_t``
-    is the time of the last frame taken.  The loop reads no clock;
-    ``rate`` (Hz), positive and finite, sets the period replay counts
-    overruns against.
+    ``step(frame)``, compiled per loop over its parts (``_step_source``),
+    regresses the gait phase, estimates joint velocity/acceleration from
+    the incoming angle stream, and returns the blended assistance command.
+    It raises OutOfOrderFrameError on a timestamp regression (the frame
+    must be dropped) and ValueError on a non-finite timestamp or phase, an
+    angle outside [-2pi, 2pi] rad or a step the estimator rejects, before
+    any state changes, so the next frame is processed as if the rejected
+    one had never arrived.  The estimator owns the loop's state: its
+    ``last_t`` is the time of the last frame taken.  The loop reads no
+    clock; ``rate`` (Hz), positive and finite, sets the period replay
+    counts overruns against.
     """
 
     def __init__(self, left: StanceModel, right: StanceModel,
@@ -113,37 +118,67 @@ class ControlLoop:
         self.tables = tables
         self.rate = rate
         self.estimator = AccelerationEstimator()
+        self.step = self._bind()
+
+    def _bind(self):
+        """The compiled step over this loop's parts."""
+        fr = self.tables._fr
+        bind = _compiled(_step_source(self.left, self.right,
+                                      [i for i, _, _ in fr]), "bind")
+        return bind(self.estimator, self.regressor.phase, gains, _new_command,
+                    OutOfOrderFrameError, angle_error, isfinite, sin, cos,
+                    *(f for _, ftab, rtab in fr for f in (ftab, rtab)))
+
+    def __reduce__(self):
+        # pickle cannot name a generated function: rebuild the loop from its
+        # parts, then bind its step to the estimator with its state
+        return ControlLoop, (self.left, self.right, self.regressor,
+                             self.tables, self.rate), self.estimator
+
+    def __setstate__(self, estimator):
+        self.estimator = estimator
+        self.step = self._bind()
 
     def reset(self):
         self.estimator.reset()
 
-    def step(self, frame) -> AssistCommand:
-        """The command for one sensor frame; raises OutOfOrderFrameError
-        on a timestamp regression (the frame must be dropped) and
-        ValueError on a non-finite timestamp or phase or an angle outside
-        [-2pi, 2pi] rad.  A rejected frame changes no state: it raises
-        before the estimator sees it, so the next frame is processed as if
-        it had never arrived."""
-        t = frame.t
-        if not isfinite(t):
-            raise ValueError(f"frame timestamp must be finite, got {t}")
-        last = self.estimator.last_t
-        if last is not None and t <= last:
-            raise OutOfOrderFrameError(
-                f"frame at t={t} after t={last}")
-        q = frame.q
-        raw = self.regressor.phase(q)
-        gl, gr = gains(raw)   # rejects a non-finite phase
-        # unrolled: min(q) and max(q) take about three times as long
-        if not (abs(q[0]) <= ANGLE_LIMIT and abs(q[1]) <= ANGLE_LIMIT
-                and abs(q[2]) <= ANGLE_LIMIT and abs(q[3]) <= ANGLE_LIMIT
-                and abs(q[4]) <= ANGLE_LIMIT and abs(q[5]) <= ANGLE_LIMIT):
-            raise angle_error(q)
-        qd, qdd = self.estimator.push(t, q)
-        degraded = qd is None
-        if degraded:
-            qd = qdd = _ZERO6
-        tau6 = _blended_tau(q, qd, qdd, gl, gr, self.left, self.right,
-                            self.tables)
-        return _new_command((t, tau6, raw, gl, gr, degraded, tuple(qd),
-                             tuple(qdd)))
+
+def _step_source(left: StanceModel, right: StanceModel, joints) -> str:
+    """The text of ``bind(est, phase, gains, command, frame_error,
+    angle_error, isfinite, sin, cos, f<i>, r<i> ...)``, which returns the
+    step over those parts, ``f<i>`` and ``r<i>`` the friction and ripple
+    lookups of joint i in ``joints``.  Only the chains' constants are
+    written in, so loops over equal models share the text."""
+    angles = [f"q{j}" for j in range(6)]
+    limit = repr(ANGLE_LIMIT)
+    lines = [
+        "t, q = frame",
+        "if not isfinite(t):",
+        "    raise ValueError(f'frame timestamp must be finite, got {t}')",
+        "last = est.last_t",
+        "if last is not None and t <= last:",
+        "    raise frame_error(f'frame at t={t} after t={last}')",
+        "raw = phase(q)",
+        "gl, gr = gains(raw)",
+        f"{', '.join(angles)}, = q",
+        "if not (" + " and ".join(f"abs({a}) <= {limit}" for a in angles)
+        + "):",
+        "    raise angle_error(q)",
+        *_tracker_lines(6),
+        "if degraded:",
+        f"    qd = qdd = {(0.0,) * 6!r}",
+        " = ".join(f"o{j}" for j in range(6)) + " = 0.0",
+    ]
+    for gain, model in (("gl", left), ("gr", right)):
+        lines += [f"if {gain} > 0.0:",
+                  *("    " + line for line in model.chain.statements(
+                      model.perm, "q{}", "qdd[{}]", f"o{{}} += {gain} * {{}}"))]
+    lines += [f"o{i} += f{i}(qd[{i}]) + r{i}(q{i})" for i in joints]
+    lines.append("return command((t, (" + ", ".join(f"o{j}" for j in range(6))
+                 + "), raw, gl, gr, degraded, qd, qdd))")
+    lookups = "".join(f", f{i}, r{i}" for i in joints)
+    return ("def bind(est, phase, gains, command, frame_error, angle_error, "
+            f"isfinite, sin, cos{lookups}):\n"
+            "    def step(frame):\n"
+            + "".join(f"        {line}\n" for line in lines)
+            + "    return step\n")

@@ -107,17 +107,19 @@ def cmd_replay(args) -> int:
     stream = SensorStream.load_csv(args.stream)
     loop = ControlLoop(StanceModel("left", params),
                        StanceModel("right", params), regressor, tables)
-    result = replay(stream, loop)
+    with naming(args.stream):
+        result = replay(stream, loop)
     if args.out:
         result.save_csv(args.out)
     timing = result.timing()
     with naming(args.stream):
         smooth = result.smoothness()
+    ratio = "n/a" if smooth.jump_ratio is None else f"{smooth.jump_ratio:.2f}"
     print(f"{result.commands} commands ({result.dropped_frames} dropped); "
           f"step time us p50={timing.p50_us:.1f} p95={timing.p95_us:.1f} "
           f"p99={timing.p99_us:.1f}; {timing.overruns} over the "
           f"{result.period_us:.0f} us period; "
-          f"max/median torque jump={smooth.jump_ratio:.2f}")
+          f"max/median torque jump={ratio}")
     if args.report:
         write_json(args.report, {
             "timing": asdict(timing), "smoothness": asdict(smooth),

@@ -10,19 +10,19 @@ about the COM); the swing-side foot rides as a point mass fixed to the
 swing shank.  Joint angles are relative, measured so that a fully vertical
 chain is q = 0, and the chain tips toward +x for positive angles.
 
-There is one torque evaluator plus a test oracle; they share only the
-link parameters:
+There is one torque text plus a test oracle; they share only the link
+parameters:
 
-* ``PlanarChain.kernel(perm)`` is one recursive Newton-Euler pass at
+* ``PlanarChain.statements(perm)`` is one recursive Newton-Euler pass at
   qd = 0 over links lumped into mass, first and second moment (point
   masses included), O(n) per chain (Luh, Walker & Paul 1980; Featherstone
-  2008, ch. 5), generated per chain and joint permutation as
-  straight-line code with the link constants and joint indices written
-  in, and compiled once per distinct text.  It adds each joint's torque, times a gain, into a
-  six-wide output.  Its source is type-generic: native floats with
-  ``math`` sin/cos for the 5 kHz step, or ``(6, m)`` column stacks with
-  ``np.sin``/``np.cos`` for m frames at once, bit-identically; each
-  ``StanceModel`` holds its chain's kernel as ``torque``, which both
+  2008, ch. 5), as straight-line statements per chain and joint
+  permutation with the link constants and joint indices written in.  It
+  adds each joint's torque, times a gain, into a six-wide output.  The
+  control step inlines it; ``PlanarChain.kernel(perm)`` compiles it alone,
+  type-generic: native floats with ``math`` sin/cos, or ``(6, m)`` column
+  stacks with ``np.sin``/``np.cos`` for m frames at once, bit-identically.
+  Each ``StanceModel`` holds its chain's kernel as ``torque``, which
   ``blended_torque`` and ``blended_torque_array`` call, and gains (1, 0)
   give the single-stance compensation of one side.
 * ``inertia_matrix`` / ``gravity_vector`` build the dense Lagrangian
@@ -37,9 +37,10 @@ hypothesis test pins the two bit for bit.
 
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
-warm-up.  ``push`` takes one sample of every joint for the control step;
-``estimate_array`` continues it one joint column at a time over a block of
-rows, and a hypothesis test pins the twins bit for bit.
+warm-up, whose update is the five statements of ``_TRACKER_UPDATE``.
+``push`` and the control step run them unrolled over the joints;
+``estimate_array`` runs them one joint column at a time over a block of
+rows.  ``_compiled`` compiles every generated text once per process.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ TRACKER_RATE = 80.0  # 1/s, pole rate of the qd/qdd tracker
 # inertial term switches on with a step (1.29 Nm) about the size of the
 # largest steady jump (1.25 Nm); after 2/TRACKER_RATE the step is 4.5 Nm.
 WARMUP_S = 8 / TRACKER_RATE
+# the shortest time step the tracker takes (1 GHz): far above the steps
+# where its gains round to 0 and, below ~1e-162 s, divide by zero
+MIN_STEP_S = 1e-9
 
 # friction and ripple of the synthetic device (see default_synthetic)
 FRICTION_VISCOUS = 0.6     # Nm per rad/s
@@ -230,16 +234,9 @@ class PlanarChain:
     def kernel(self, perm):
         """``torque(q, qdd, gain, out, sin=math.sin, cos=math.cos)``: one
         Newton-Euler pass at qd = 0 over the lumped links, generated for
-        ``perm`` as straight-line code and compiled once per distinct text,
-        so chains with the same constants share it.  Its text is its
-        ``source`` attribute.
-
-        Base to tip: each link's absolute angle phi, angular acceleration
-        alpha and proximal-joint acceleration (ax, ay), from an upward base
-        acceleration g that stands in for gravity.  Tip to base: the force
-        (fx, fy) each subtree needs and its moment about its joint, which
-        is that joint's torque, added times ``gain`` into ``out`` as soon
-        as it is known.
+        ``perm`` as straight-line code (``statements``) and compiled once
+        per distinct text, so chains with the same constants share it.
+        Its text is its ``source`` attribute.
 
         Joint i of the chain reads ``q[perm[i]]`` and ``qdd[perm[i]]`` and
         adds into ``out[perm[i]]``, so 6-joint vectors need no copy; the
@@ -251,62 +248,78 @@ class PlanarChain:
         then gets the scalar result bit for bit.  Raises ValueError unless
         ``perm`` holds n distinct non-negative indices.
         """
+        return _compiled("\n    ".join([
+            "def torque(q, qdd, gain, out, sin=math.sin, cos=math.cos):",
+            *self.statements(perm)]) + "\n", "torque")
+
+    def statements(self, perm, angle="q[{}]", accel="qdd[{}]",
+                   add="out[{}] += gain * {}"):
+        """The body of ``kernel(perm)``, a list of statements: the pass
+        unrolled over the lumped links, reading joint k's angle as
+        ``angle.format(k)`` and acceleration as ``accel.format(k)``, and
+        adding link i's moment by ``add.format(k, f"m{i}")``.  It calls
+        ``sin`` and ``cos``; its locals are ``phi, al, s, c, la, ax, ay,
+        m, fa, fx, fy`` suffixed with a link index.
+
+        Base to tip: each link's absolute angle phi, angular acceleration
+        alpha and proximal-joint acceleration (ax, ay), from an upward base
+        acceleration g that stands in for gravity.  Tip to base: the force
+        (fx, fy) each subtree needs and its moment about its joint, which
+        is that joint's torque, added as soon as it is known.  The root
+        link's starting values 0.0 and ``gravity`` and the tip link's zero
+        force and moment stay in the expressions as literals, so every
+        operation, and with it every signed zero, is the same as in a loop
+        over the links.  Values no output reads (the tip's distal
+        acceleration, the root's subtree force) are not computed.
+        """
         perm = tuple(map(operator.index, perm))
-        if len(perm) != self.n or len(set(perm)) != self.n or min(perm) < 0:
-            raise ValueError(f"perm must hold {self.n} distinct "
+        n = self.n
+        if len(perm) != n or len(set(perm)) != n or min(perm) < 0:
+            raise ValueError(f"perm must hold {n} distinct "
                              f"non-negative indices, got {perm}")
-        return _compiled(_torque_source(perm, self._links, self.gravity))
+        links = self._links
+        # the acceleration link i's joint starts from: the root's literals,
+        # else the locals link i-1 leaves
+        ax = ["0.0"] + [f"ax{i}" for i in range(1, n)]
+        ay = [repr(self.gravity)] + [f"ay{i}" for i in range(1, n)]
+        lines = []
+        for i, (k, (l, *_)) in enumerate(zip(perm, links)):
+            phi, alpha = (f"phi{i - 1}", f"al{i - 1}") if i else ("0.0", "0.0")
+            lines += [f"phi{i} = {phi} + {angle.format(k)}",
+                      f"al{i} = {alpha} + {accel.format(k)}",
+                      f"s{i} = sin(phi{i})",
+                      f"c{i} = cos(phi{i})"]
+            if i < n - 1:
+                lines += [f"la{i} = {l!r} * al{i}",
+                          f"ax{i + 1} = {ax[i]} + la{i} * c{i}",
+                          f"ay{i + 1} = {ay[i]} - la{i} * s{i}"]
+        for i in reversed(range(n)):
+            k, (l, mass, first, second) = perm[i], links[i]
+            # the force and moment the subtree past link i needs: none at
+            # the tip
+            fx, fy, moment = ((f"fx{i + 1}", f"fy{i + 1}", f"m{i + 1}")
+                              if i < n - 1 else ("0.0",) * 3)
+            lines += [f"m{i} = ({moment} + {l!r} * (c{i} * {fx} - s{i} * {fy})"
+                      f" + {first!r} * (c{i} * {ax[i]} - s{i} * {ay[i]})"
+                      f" + {second!r} * al{i})",
+                      add.format(k, f"m{i}")]
+            if i > 0:
+                lines += [f"fa{i} = {first!r} * al{i}",
+                          f"fx{i} = {fx} + {mass!r} * {ax[i]} + fa{i} * c{i}",
+                          f"fy{i} = {fy} + {mass!r} * {ay[i]} - fa{i} * s{i}"]
+        return lines
 
 
 @functools.lru_cache(maxsize=64)   # analyze builds two models per subject
-def _compiled(source: str):
-    """The ``torque`` function that ``source`` defines, compiled once."""
-    namespace = {"math": math}
-    exec(compile(source, "<PlanarChain kernel>", "exec"), namespace)
-    fn = namespace["torque"]
+def _compiled(source: str, name: str):
+    """The function ``name`` that ``source`` defines, compiled once per
+    text, with the text as its ``source`` attribute.  The text may read
+    the globals ``math`` and ``tracker_gains`` (``_tracker_gains``)."""
+    namespace = {"math": math, "tracker_gains": _tracker_gains}
+    exec(compile(source, f"<exobench {name}>", "exec"), namespace)
+    fn = namespace[name]
     fn.source = source
     return fn
-
-
-def _torque_source(perm, links, gravity) -> str:
-    """The source of ``PlanarChain.kernel(perm)``: the Newton-Euler pass
-    unrolled over ``links``, with link i's forward values in the locals
-    ``phi<i>, al<i>, s<i>, c<i>, ax<i>, ay<i>``.  The root link's starting
-    values 0.0 and ``gravity`` and the tip link's zero force and moment
-    stay in the expressions as literals, so every operation, and with it
-    every signed zero, is the same as in a loop over the links.  Values
-    no output reads (the tip's distal acceleration, the root's subtree
-    force) are not computed."""
-    n = len(links)
-    # the acceleration link i's joint starts from: the root's literals, else
-    # the locals link i-1 leaves
-    ax = ["0.0"] + [f"ax{i}" for i in range(1, n)]
-    ay = [repr(gravity)] + [f"ay{i}" for i in range(1, n)]
-    lines = ["def torque(q, qdd, gain, out, sin=math.sin, cos=math.cos):"]
-    for i, (k, (l, *_)) in enumerate(zip(perm, links)):
-        phi, alpha = (f"phi{i - 1}", f"al{i - 1}") if i else ("0.0", "0.0")
-        lines += [f"phi{i} = {phi} + q[{k}]",
-                  f"al{i} = {alpha} + qdd[{k}]",
-                  f"s{i} = sin(phi{i})",
-                  f"c{i} = cos(phi{i})"]
-        if i < n - 1:
-            lines += [f"la{i} = {l!r} * al{i}",
-                      f"ax{i + 1} = {ax[i]} + la{i} * c{i}",
-                      f"ay{i + 1} = {ay[i]} - la{i} * s{i}"]
-    for i in reversed(range(n)):
-        k, (l, mass, first, second) = perm[i], links[i]
-        # the force and moment the subtree past link i needs: none at the tip
-        fx, fy, moment = ((f"fx{i + 1}", f"fy{i + 1}", f"m{i + 1}")
-                          if i < n - 1 else ("0.0",) * 3)
-        lines += [f"m{i} = ({moment} + {l!r} * (c{i} * {fx} - s{i} * {fy})"
-                  f" + {first!r} * (c{i} * {ax[i]} - s{i} * {ay[i]})"
-                  f" + {second!r} * al{i})",
-                  f"out[{k}] += gain * m{i}"]
-        if i > 0:
-            lines += [f"fa{i} = {first!r} * al{i}",
-                      f"fx{i} = {fx} + {mass!r} * {ax[i]} + fa{i} * c{i}",
-                      f"fy{i} = {fy} + {mass!r} * {ay[i]} - fa{i} * s{i}"]
-    return "\n    ".join(lines) + "\n"
 
 
 class StanceModel:
@@ -504,16 +517,10 @@ def blended_torque(q, qd, qdd, gamma_l: float, gamma_r: float,
 
     A side whose gain is exactly zero is skipped entirely, so saturated
     gains reproduce the corresponding single-stance torque bit for bit.
-    Passive ankle entries are informational: see ``ACTUATED_MASK``.
+    The sum starts at +0.0 and so never holds -0.0: leaving out the
+    ankles' ``+ 0.0`` changes no bit.  Passive ankle entries are
+    informational: see ``ACTUATED_MASK``.
     """
-    return np.asarray(_blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right,
-                                   tables))
-
-
-def _blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right, tables):
-    """``blended_torque`` as the 6-tuple ``AssistCommand.tau`` stores.  The
-    sum starts at +0.0 and so never holds -0.0: leaving out the ankles'
-    ``+ 0.0`` changes no bit."""
     tau6 = [0.0] * 6
     if gamma_l > 0.0:
         left.torque(q, qdd, gamma_l, tau6)
@@ -521,7 +528,7 @@ def _blended_tau(q, qd, qdd, gamma_l, gamma_r, left, right, tables):
         right.torque(q, qdd, gamma_r, tau6)
     for i, ftab, rtab in tables._fr:
         tau6[i] += ftab(qd[i]) + rtab(q[i])
-    return tuple(tau6)
+    return np.asarray(tau6)
 
 
 def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
@@ -551,6 +558,75 @@ def blended_torque_array(q, qd, qdd, gamma_l, gamma_r, left: StanceModel,
 # ---------------------------------------------------------------------------
 
 
+# The tracker's update of joint j from its sample q<j> over a step dt, with
+# the gains ka, kv, kacc and half step h of ``_tracker_gains``: predict,
+# then correct the angle, the velocity (from the old acceleration) and the
+# acceleration by the residual.
+_TRACKER_UPDATE = (
+    "xp{j} = x{j} + dt * (v{j} + h * a{j})",
+    "e{j} = q{j} - xp{j}",
+    "x{j} = xp{j} + ka * e{j}",
+    "v{j} = v{j} + dt * a{j} + kv * e{j}",
+    "a{j} = a{j} + kacc * e{j}",
+)
+
+
+def _tracker_lines(n: int) -> list:
+    """Statements that take the sample ``t, q0 ... q<n-1>`` into the
+    estimator ``est``, given ``last = est.last_t``: the first sample seeds
+    it, a later one runs ``_TRACKER_UPDATE`` on each joint.  They leave
+    ``degraded`` (no estimate yet) and the tuples ``qd`` and ``qdd``."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{j}" for j in range(n)) + ","
+
+    zeros = repr((0.0,) * n)
+    return [
+        "if last is None:",
+        "    est._t0 = est.last_t = t",
+        f"    est._x = ({names('q')})",
+        f"    est._v = est._a = {zeros}",
+        "    degraded = True",
+        "else:",
+        "    dt = t - last",
+        "    ka, kv, kacc, h = tracker_gains(dt)",
+        f"    {names('x')} = est._x",
+        f"    {names('v')} = est._v",
+        f"    {names('a')} = est._a",
+        *("    " + line.format(j=j) for j in range(n)
+          for line in _TRACKER_UPDATE),
+        f"    est._x = ({names('x')})",
+        f"    est._v = qd = ({names('v')})",
+        f"    est._a = qdd = ({names('a')})",
+        "    est.last_t = t",
+        f"    degraded = t - est._t0 < {WARMUP_S!r}",
+    ]
+
+
+@functools.cache
+def _push_source(n: int) -> str:
+    """The text of ``AccelerationEstimator.push`` for n joints."""
+    return "\n    ".join([
+        "def push(est, t, q):",
+        f"{', '.join(f'q{j}' for j in range(n))}, = q",
+        "last = est.last_t",
+        *_tracker_lines(n),
+        "if degraded:",
+        "    return None, None",
+        "return list(qd), list(qdd)"]) + "\n"
+
+
+# ``estimate_array``'s pass over one joint's column, from its state (x, v, a)
+_TRACK_COLUMN = "\n    ".join([
+    "def track(x, v, a, dts, gains, column):",
+    "vs = []",
+    "accs = []",
+    "for dt, (ka, kv, kacc, h), q in zip(dts, gains, column):",
+    *("    " + line.format(j="") for line in _TRACKER_UPDATE),
+    "    vs.append(v)",
+    "    accs.append(a)",
+    "return x, v, a, vs, accs"]) + "\n"
+
+
 class AccelerationEstimator:
     """Joint velocity and acceleration from a steady-state alpha-beta-gamma
     tracker: per joint, angle x, velocity v and acceleration a predict the
@@ -569,39 +645,19 @@ class AccelerationEstimator:
 
     def push(self, t: float, q):
         """Ingest one sample; returns (qd, qdd) lists, or (None, None) until
-        ``WARMUP_S`` has passed since the first sample.  ``estimate_array``
-        is its batch twin: keep the two recursions statement for statement
-        alike."""
-        if self._x is None:
-            self._t0 = self.last_t = t
-            self._x = list(q)
-            self._v = self._a = [0.0] * len(self._x)
-            return None, None
-        dt = t - self.last_t
-        if not dt > 0:   # NaN included
-            raise ValueError("timestamps must be strictly increasing")
-        ka, kv, kacc, h = _tracker_gains(dt)
-        xs, vs, accs = [], [], []
-        for x, v, a, z in zip(self._x, self._v, self._a, q):
-            xp = x + dt * (v + h * a)
-            e = z - xp
-            xs.append(xp + ka * e)
-            vs.append(v + dt * a + kv * e)
-            accs.append(a + kacc * e)
-        self.last_t = t
-        self._x, self._v, self._a = xs, vs, accs
-        if t - self._t0 < WARMUP_S:
-            return None, None
-        return vs, accs
+        ``WARMUP_S`` has passed since the first sample.  A step from the
+        last sample that ``_tracker_gains`` rejects raises its ValueError
+        before any state changes."""
+        return _compiled(_push_source(len(q)), "push")(self, t, q)
 
     def estimate_array(self, t, q):
         """``(qd, qdd, ready)`` for the rows of ``(t, q)``: exactly ``push``
         applied to each row in turn, from this estimator's state (the first
         row seeds a fresh one) to where the last ``push`` leaves it, with
         ``ready`` False and zero rows where ``push`` returns None.  A step
-        that is not positive raises ``push``'s ``ValueError`` before any
-        state changes.  It runs ``push``'s statements in order one joint
-        column at a time, so every value is bit for bit the same."""
+        ``push`` rejects raises its ``ValueError`` before any state
+        changes.  It runs ``_TRACKER_UPDATE`` one joint column at a time,
+        so every value is bit for bit the same."""
         ts = np.asarray(t).tolist()
         cols = np.asarray(q).T.tolist()
         qd = np.zeros(np.shape(q))
@@ -615,24 +671,14 @@ class AccelerationEstimator:
             t0, last, start = self._t0, self.last_t, 0
             state = list(zip(self._x, self._v, self._a))
         dts = [b - a for a, b in zip([last] + ts[start:], ts[start:])]
-        if not all(dt > 0 for dt in dts):   # NaN included
-            raise ValueError("timestamps must be strictly increasing")
         gains = [_tracker_gains(dt) for dt in dts]
+        track = _compiled(_TRACK_COLUMN, "track")
         for j, (col, (x, v, a)) in enumerate(zip(cols, state)):
-            vs, accs = [], []
-            for dt, (ka, kv, kacc, h), z in zip(dts, gains, col[start:]):
-                xp = x + dt * (v + h * a)
-                e = z - xp
-                x = xp + ka * e
-                v = v + dt * a + kv * e
-                a = a + kacc * e
-                vs.append(v)
-                accs.append(a)
-            qd[start:, j] = vs
-            qdd[start:, j] = accs
+            x, v, a, qd[start:, j], qdd[start:, j] = track(x, v, a, dts, gains,
+                                                          col[start:])
             state[j] = x, v, a
         self._t0, self.last_t = t0, ts[-1]
-        self._x, self._v, self._a = map(list, zip(*state))
+        self._x, self._v, self._a = zip(*state)
         ready = ~(np.array(ts, dtype=float) - t0 < WARMUP_S)
         ready[:start] = False
         qd[~ready] = 0.0
@@ -644,7 +690,15 @@ class AccelerationEstimator:
 def _tracker_gains(dt: float):
     """``(alpha, beta/dt, gamma/dt**2, dt/2)`` of the tracker for a step dt:
     with r = exp(-TRACKER_RATE*dt), alpha = 1 - r**3, beta = 1.5*(1-r)**2
-    *(1+r) and gamma = (1-r)**3 put a triple, critically damped pole at r."""
+    *(1+r) and gamma = (1-r)**3 put a triple, critically damped pole at r.
+
+    Raises ValueError unless dt is positive ("timestamps must be strictly
+    increasing"), finite and at least ``MIN_STEP_S``."""
+    if not dt > 0:   # NaN included
+        raise ValueError("timestamps must be strictly increasing")
+    if not MIN_STEP_S <= dt < math.inf:
+        raise ValueError(f"time step of {dt!r} s: a step must be finite "
+                         f"and at least {MIN_STEP_S!r} s")
     r = math.exp(-TRACKER_RATE * dt)
     u = 1.0 - r
     return (1.0 - r * r * r, 1.5 * u * u * (1.0 + r) / dt,

@@ -118,9 +118,9 @@ def _controller_section(directory: Path, params, tables, stages: dict):
         stream = SensorStream.load_csv(gait_csv)
     loop = ControlLoop(StanceModel("left", params), StanceModel("right", params),
                        regressor, tables)
-    with _timed(stages, "batch_replay"):
+    with _timed(stages, "batch_replay"), naming(gait_csv):
         result = replay_batch(stream, loop)   # reads no loop state
-    with _timed(stages, "probe"):
+    with _timed(stages, "probe"), naming(gait_csv):
         probe = replay(stream.head(PROBE_STEPS), loop)
         n = probe.commands   # the batch must open with the probe's commands
         rows = [np.column_stack([r.t[:n], r.raw_phase[:n], r.gamma_l[:n],

@@ -26,7 +26,8 @@ from time import perf_counter
 import numpy as np
 
 from .blend import ControlLoop, blend_gains
-from .dynamics import WARMUP_S, AccelerationEstimator, blended_torque_array
+from .dynamics import (MIN_STEP_S, WARMUP_S, AccelerationEstimator,
+                       blended_torque_array)
 from .errors import OutOfOrderFrameError
 from .streams import (ANGLE_LIMIT, ROWS_PER_CHUNK, SensorFrame,
                       SensorStream, write_rows)
@@ -272,7 +273,7 @@ class SmoothnessReport:
 
     median_jump: float
     max_jump: float
-    jump_ratio: float      # max / median
+    jump_ratio: float | None   # max / median; None when the median is 0
     lipschitz: float       # max jump / sample period, Nm/s
 
 
@@ -328,7 +329,7 @@ class ReplayResult:
         return SmoothnessReport(
             median_jump=median,
             max_jump=peak,
-            jump_ratio=peak / median if median > 0 else math.inf,
+            jump_ratio=peak / median if median > 0 else None,
             lipschitz=peak / dt if dt > 0 else math.inf,
         )
 
@@ -378,24 +379,30 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
     ``ROWS_PER_CHUNK`` kept frames into preallocated outputs, one fresh
     ``AccelerationEstimator`` continuing across the blocks.
 
-    Raises where ``ControlLoop.step`` would, with its message: a fresh loop
-    steps the first frame with a non-finite timestamp, or the first kept
-    frame with a non-finite phase or an angle outside [-2pi, 2pi] rad.  It
-    reads the loop's parts, never its state.
+    Raises where ``ControlLoop.step`` would, with its message.  A frame is
+    bad with a non-finite timestamp, or kept with a non-finite phase, an
+    angle outside [-2pi, 2pi] rad, or a step from the kept frame before it
+    that the estimator rejects (``AccelerationEstimator.push``); a fresh
+    loop steps the kept frame before the first bad one, then that frame.
+    It reads the loop's parts, never its state.
     """
     t_all, q_all = stream.t, stream.q
     # a frame is kept when it is later than every frame before it
     keep = np.ones(t_all.size, dtype=bool)
     keep[1:] = t_all[1:] > np.maximum.accumulate(t_all)[:-1]
-    t, q = t_all[keep], q_all[keep]
+    kept = np.flatnonzero(keep)
+    t, q = t_all[kept], q_all[kept]
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
         raw = loop.regressor.phase_array(q)
+        dt = np.diff(t)
     bad = ~np.isfinite(t_all)
-    bad[keep] |= ~(np.isfinite(raw) & (np.abs(q) <= ANGLE_LIMIT).all(axis=1))
+    bad[kept] |= ~(np.isfinite(raw) & (np.abs(q) <= ANGLE_LIMIT).all(axis=1))
+    bad[kept[1:]] |= ~((dt >= MIN_STEP_S) & (dt < np.inf))
     if bad.any():
         i = bad.argmax()
-        ControlLoop(loop.left, loop.right, loop.regressor, loop.tables).step(
-            SensorFrame(float(t_all[i]), tuple(q_all[i].tolist())))
+        fresh = ControlLoop(loop.left, loop.right, loop.regressor, loop.tables)
+        for j in (*kept[kept < i][-1:], i):
+            fresh.step(SensorFrame(float(t_all[j]), tuple(q_all[j].tolist())))
     gl, gr = blend_gains(raw)
     estimator = AccelerationEstimator()
     tau = np.empty(q.shape)

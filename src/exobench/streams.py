@@ -286,14 +286,17 @@ def angle_error(q) -> ValueError:
 
 def canonical_json(doc: dict) -> str:
     """Stable byte-for-byte serialisation of every JSON file exobench
-    writes: sorted keys, two-space indent, one trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    writes: sorted keys, two-space indent, one trailing newline.  A NaN or
+    infinite float raises ValueError: JSON has no such number, and
+    ``read_json`` rejects one."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, doc: dict) -> None:
     """Write ``doc`` to ``path`` as ``canonical_json`` text."""
+    text = canonical_json(doc)   # raises before the file is opened
     with open(path, "w", encoding="utf-8") as f:
-        f.write(canonical_json(doc))
+        f.write(text)
 
 
 def read_json(path, version=None, build=dict):

@@ -25,7 +25,7 @@ from exobench.fuzzy import default_fuzzy_model
 from exobench.questionnaire import default_definition
 from exobench.report import STAGES
 from exobench.segmentation import GaitRegressor
-from exobench.streams import SensorStream
+from exobench.streams import SensorStream, read_json
 from exobench.synthdata import (synth_physio_session,
                                 synth_questionnaire_response,
                                 synth_session_set)
@@ -38,6 +38,29 @@ def _python(*args):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env)
+
+
+def _rewrite_rows(path, edit):
+    """Apply ``edit(k, row)`` to the cells of data row k of a CSV in place."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    for k, row in enumerate(rows[1:]):
+        edit(k, row)
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
+def _motionless(k, row):
+    """Every angle of a stream row set to 0.3 rad: a stream that never
+    moves, whose torque never jumps."""
+    row[1:7] = ["0.3"] * 6
+
+
+def _tiny_step(k, row):
+    """The second row of a stream at t = 1e-170 s: a step below the
+    estimator's 1e-9 s minimum, once a ZeroDivisionError."""
+    if k == 1:
+        row[0] = "1e-170"
 
 
 def _make_airborne(path):
@@ -281,6 +304,44 @@ class TestReplay:
             f"error: {stream}: no settled command pairs to measure: the "
             f"stream spans 0.080 s, and the acceleration estimator gives no "
             f"estimate in its first {WARMUP_S} s\n")
+
+    def test_tiny_step_exits_one_naming_the_stream(self, tmp_path,
+                                                  calibration):
+        data = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "5"])
+        main(["train", str(data), "--out", str(model)])
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "5000"])
+        _rewrite_rows(stream, _tiny_step)
+        proc = _python("-m", "exobench.cli", "replay", str(stream),
+                       "--model", str(model), "--calibration", str(calibration))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {stream}: time step of 1e-170 s: a step must be finite "
+            f"and at least 1e-09 s\n")
+
+    def test_motionless_stream_reports_no_jump_ratio(self, tmp_path,
+                                                     calibration, capsys):
+        # the median torque jump is 0: the ratio is null, never Infinity
+        data = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "5"])
+        main(["train", str(data), "--out", str(model)])
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "6",
+              "--seconds", "1.2", "--rate", "1000"])
+        _rewrite_rows(stream, _motionless)
+        capsys.readouterr()
+        rep = tmp_path / "replay.json"
+        assert main(["replay", str(stream), "--model", str(model),
+                     "--calibration", str(calibration),
+                     "--report", str(rep)]) == 0
+        assert "max/median torque jump=n/a" in capsys.readouterr().out
+        smooth = read_json(rep)["smoothness"]
+        assert smooth["median_jump"] == smooth["max_jump"] == 0.0
+        assert smooth["jump_ratio"] is None
 
     def test_replay_summary_counts_overruns(self, tmp_path, calibration,
                                             capsys):
@@ -639,6 +700,32 @@ class TestAnalyze:
             f"error: {path}: no settled command pairs to measure")
         assert f"first {WARMUP_S} s" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_tiny_step_in_gait_stream_exits_one_naming_it(
+            self, session_set, tmp_path):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s02" / "gait_stream.csv"
+        _rewrite_rows(path, _tiny_step)
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {path}: time step of 1e-170 s: a step must be finite "
+            f"and at least 1e-09 s\n")
+
+    def test_motionless_gait_stream_writes_readable_json(
+            self, session_set, tmp_path):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        _rewrite_rows(root / "subjects" / "s01" / "gait_stream.csv",
+                      _motionless)
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(root), "--out", str(out)]) == 0
+        ctrl = read_json(out)["controller"]["subjects"]
+        assert ctrl["s01"]["smoothness"]["jump_ratio"] is None
+        assert ctrl["s02"]["smoothness"]["jump_ratio"] > 0.0
+        read_json(tmp_path / "report.timing.json")
 
     def test_all_airborne_training_exits_one_naming_it(
             self, session_set, tmp_path):

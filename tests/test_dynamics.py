@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import struct
 from dataclasses import replace
 
@@ -35,6 +36,8 @@ from exobench.errors import ConfigurationError
 from exobench.segmentation import GaitRegressor
 from exobench.simulator import GaitPattern, generate_cycle
 from exobench.streams import SensorFrame
+
+from retired import retired_push
 
 
 def two_link_textbook_inertia(m1, l1, m2, l2, q2, c=0.5):
@@ -550,11 +553,12 @@ def _tracker_streams(draw, min_rows=0):
     return np.array(t[:n]), np.column_stack(q).reshape(n, 6)
 
 
-def _pushed_rows(t, q):
-    """``(qd, qdd, ready)`` of a fresh estimator's ``push`` on each row,
-    with zero rows where it returns None."""
+def _pushed_rows(t, q, push=AccelerationEstimator.push):
+    """``(qd, qdd, ready)`` of a fresh estimator's ``push`` (or of
+    ``push(est, t, q)``) on each row, with zero rows where it returns
+    None."""
     est = AccelerationEstimator()
-    rows = [est.push(ti, qi) for ti, qi in zip(t.tolist(), q.tolist())]
+    rows = [push(est, ti, qi) for ti, qi in zip(t.tolist(), q.tolist())]
     zeros = [0.0] * 6
     return (np.array([v or zeros for v, _ in rows]).reshape(q.shape),
             np.array([a or zeros for _, a in rows]).reshape(q.shape),
@@ -670,14 +674,18 @@ class TestAccelerationEstimator:
     @settings(max_examples=60, deadline=None)
     @given(stream=_tracker_streams())
     def test_array_is_push_bit_for_bit(self, stream):
+        # the generated push and estimate_array against the loop over the
+        # joints they replaced
         t, q = stream
         assert (np.diff(t) > 0).all()
-        qd, qdd, ready = AccelerationEstimator().estimate_array(t, q)
-        qd_ref, qdd_ref, ready_ref = _pushed_rows(t, q)
-        assert qd.dtype == qdd.dtype == np.float64
-        assert np.array_equal(qd.view(np.uint64), qd_ref.view(np.uint64))
-        assert np.array_equal(qdd.view(np.uint64), qdd_ref.view(np.uint64))
-        assert np.array_equal(ready, ready_ref)
+        qd_ref, qdd_ref, ready_ref = _pushed_rows(t, q, retired_push)
+        for qd, qdd, ready in (AccelerationEstimator().estimate_array(t, q),
+                               _pushed_rows(t, q)):
+            assert qd.dtype == qdd.dtype == np.float64
+            assert np.array_equal(qd.view(np.uint64), qd_ref.view(np.uint64))
+            assert np.array_equal(qdd.view(np.uint64),
+                                  qdd_ref.view(np.uint64))
+            assert np.array_equal(ready, ready_ref)
 
     @settings(max_examples=60, deadline=None)
     @given(stream=_tracker_streams(), data=st.data())
@@ -732,6 +740,27 @@ class TestAccelerationEstimator:
             _pushed_rows(t, q)
         with pytest.raises(ValueError, match=message):
             AccelerationEstimator().estimate_array(t, q)
+
+    @pytest.mark.parametrize("t, reason", [
+        ([-2e-4, 0.0, 1e-170], "time step of 1e-170 s"),   # dt*dt underflows
+        ([-2e-4, 0.0, 1e-30], "time step of 1e-30 s"),     # the gains are 0
+        ([-1e308, 8e307], "time step of inf s"),           # the step overflows
+    ], ids=["underflow", "below-minimum", "overflow"])
+    def test_bad_step_is_rejected_before_any_state_changes(self, t, reason):
+        q = np.full((len(t), 6), 0.1)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            AccelerationEstimator().estimate_array(np.array(t), q)
+        est, block = AccelerationEstimator(), AccelerationEstimator()
+        for ti in t[:-1]:
+            est.push(ti, (0.1,) * 6)
+        block.estimate_array(np.array(t[:-1]), q[:-1])
+        for e in (est, block):
+            before = vars(e).copy()
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                e.push(t[-1], (0.1,) * 6)
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                e.estimate_array(np.array(t[-1:]), q[-1:])
+            assert vars(e) == before
 
     def test_rejects_backward_time(self):
         est = AccelerationEstimator()

@@ -385,3 +385,36 @@ class TestReplayBatch:
         loop = ControlLoop(left, right, reg, tables)
         assert (replay_batch(dropped, loop).tau.tobytes()
                 == replay(dropped, loop).tau.tobytes())
+
+    @pytest.mark.parametrize("regressor", ["trained", "scaled"])
+    def test_bad_step_raises_where_streaming_raises(
+            self, loop_parts, batch_streams, regressor):
+        # the estimator's step rule between kept frames, the dropped ones
+        # skipped; the first bad frame decides
+        left, right, reg, tables = loop_parts
+        reg = _regressor(reg, regressor)
+        short = batch_streams["jittered"].head(20)
+        tiny = short.t.copy()
+        tiny[6] = tiny[5] + 1e-12
+        dropped = short.t.copy()
+        dropped[[5, 6]] = dropped[3], dropped[4] + 1e-12   # 5 is dropped
+        overflow = np.concatenate([[-1e308], 8e307 + np.arange(1, 20) * 1e293])
+        wide = short.q.copy()
+        wide[9, 3] = 7.0   # past 2pi, after the short step
+        early = short.q.copy()
+        early[4, 3] = 7.0   # before it
+        short_step = r"^time step of [0-9.e-]+ s: a step must be finite"
+        cases = ((tiny, None, short_step),
+                 (dropped, None, short_step),
+                 (overflow, None, r"^time step of inf s"),
+                 (tiny, wide, short_step),
+                 (tiny, early, r"^q_lh value 7\.0 outside"))
+        for t, q, match in cases:
+            stream = _variant(short, t=t, q=q)
+            messages = []
+            for run in (replay, replay_batch):
+                loop = ControlLoop(left, right, reg, tables)
+                with pytest.raises(ValueError, match=match) as info:
+                    run(stream, loop)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]

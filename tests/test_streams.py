@@ -16,7 +16,7 @@ from exobench.errors import IncompleteTrainingError
 from exobench.segmentation import training_session_builder
 from exobench.simulator import ReplayResult
 from exobench.streams import (CSV_HEADER, ROWS_PER_CHUNK, SensorFrame,
-                              SensorStream)
+                              SensorStream, write_json)
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -415,3 +415,10 @@ def test_frames_are_float_sensor_frames(n):
         assert type(frame.q) is tuple and len(frame.q) == 6
         assert all(type(x) is float for x in frame.q)
         assert frame.q == tuple(stream.q[i])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_what_no_json_number_holds(tmp_path, value):
+    # read_json rejects NaN and Infinity, so no writer may emit them
+    with pytest.raises(ValueError, match="Out of range float values"):
+        write_json(tmp_path / "doc.json", {"ok": 1.0, "bad": [value]})
