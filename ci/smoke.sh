@@ -44,3 +44,20 @@ if [ "$status" -ne 1 ] || grep -q Traceback "$tmp/tiny_step.err"; then
   cat "$tmp/tiny_step.err" >&2
   exit 1
 fi
+# a respiration rate of 1e307 Hz is above the 1e6 Hz limit, and a window's
+# sample index would overflow: analyze exits 1 with a named error, not a
+# traceback
+cp -R "$tmp/set" "$tmp/huge_fs"
+python3 -c 'import json, pathlib, sys
+path = pathlib.Path(sys.argv[1])
+manifest = json.loads(path.read_text())
+manifest["channels"]["respiration"]["fs"] = 1e307
+path.write_text(json.dumps(manifest))' "$tmp/huge_fs/subjects/s01/physio/manifest.json"
+status=0
+exobench analyze "$tmp/huge_fs" --out "$tmp/huge_fs.json" \
+  2> "$tmp/huge_fs.err" || status=$?
+if [ "$status" -ne 1 ] || grep -q Traceback "$tmp/huge_fs.err"; then
+  echo "analyze of a 1e307 Hz respiration rate exited $status:" >&2
+  cat "$tmp/huge_fs.err" >&2
+  exit 1
+fi

@@ -528,8 +528,7 @@ class PhysioSession:
     _beats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _check_layout(self.markers, self.ecg is not None
-                      or self.beat_intervals_ms is not None)
+        _check_layout(vars(self))
 
     def validate_protocol(self, lenient: bool = False):
         """Check SIT and WALK durations against the protocol (+-5%)."""
@@ -611,16 +610,21 @@ CHANNELS = (
 )
 
 
-def _check_layout(markers: dict, has_beats: bool) -> None:
-    """Raise SchemaError unless each phase marker is a pair of numbers with
-    a positive span, in phase order without overlap, beside a heart channel."""
+def _check_layout(fields: dict) -> None:
+    """Raise SchemaError unless the session ``fields`` hold a heart channel,
+    sample rates in (0, 1e6] Hz and, per phase, a pair of numbers in
+    [-1e10, 1e10] s with a positive span, in phase order without overlap.
+    The bounds admit Unix-epoch seconds and keep a window's sample index
+    int(t * fs) below 1e16."""
+    markers = fields["markers"]
     for phase in PHASES:
         if phase not in markers:
             raise SchemaError(f"missing phase marker: {phase}")
         bounds = markers[phase]
-        if len(bounds) != 2 or not all(map(_finite, bounds)):
-            raise SchemaError(f"marker {phase} must be a pair of numbers, "
-                              f"got {bounds!r}")
+        if len(bounds) != 2 or not all(_finite(t) and abs(t) <= 1e10
+                                       for t in bounds):
+            raise SchemaError(f"marker {phase} must be a pair of numbers in "
+                              f"[-1e10, 1e10] s, got {bounds!r}")
         start, stop = bounds
         if stop <= start:
             raise SchemaError(f"phase {phase} has non-positive duration")
@@ -628,7 +632,12 @@ def _check_layout(markers: dict, has_beats: bool) -> None:
     for (a0, a1), (b0, b1) in zip(order, order[1:]):
         if b0 < a1:
             raise SchemaError("phase markers overlap or are out of order")
-    if not has_beats:
+    for _, name, *_, rate in CHANNELS:
+        fs = fields.get(rate)
+        if rate in fields and not (_finite(fs) and 0 < fs <= 1e6):
+            raise SchemaError(f"channel {name}: fs must be a number in "
+                              f"(0, 1e6] Hz, got {fs!r}")
+    if fields.get("ecg") is None and fields.get("beat_intervals_ms") is None:
         raise SchemaError("need an ECG channel or precomputed intervals")
 
 
@@ -649,12 +658,8 @@ def _session_fields(doc: dict, directory: Path) -> dict:
             continue
         fields[attr] = directory / spec["file"]
         if rate and "fs" in spec:
-            if not (_finite(spec["fs"]) and spec["fs"] > 0):
-                raise SchemaError(f"channel {name}: fs must be a positive "
-                                  f"finite number, got {spec['fs']!r}")
             fields[rate] = spec["fs"]
-    _check_layout(fields["markers"], "ecg" in fields
-                  or "beat_intervals_ms" in fields)
+    _check_layout(fields)
     return fields
 
 
@@ -684,6 +689,20 @@ def _window_intervals(beats: np.ndarray, start: float, stop: float):
     return np.diff(inside) * 1000.0
 
 
+def _or_none(n: int, estimate, *args) -> tuple:
+    """``estimate(*args)``, or ``n`` Nones when the data are too few for it:
+    the one place ``windowed_features`` gives up a feature."""
+    try:
+        return estimate(*args)
+    except InsufficientDataError:
+        return (None,) * n
+
+
+def _gsr_levels(gsr, fs: float, start: float, stop: float) -> tuple:
+    dec = gsr_decompose(gsr[int(start * fs):int(stop * fs)], fs)
+    return dec.scl_mean, dec.scr_rate_per_min, dec.scr_mean_amplitude
+
+
 def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
     """Per-phase feature windows: non-overlapping ``WINDOW_S`` spans.
 
@@ -691,9 +710,19 @@ def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
     needs more context than one window, so it is computed over a
     ``LF_CONTEXT_S``-second span ending at the window where possible,
     shifted to fit inside the phase otherwise; windows of phases shorter
-    than the context get no LF value.
+    than the context get no LF value.  Respiration comes from the waveform,
+    else from the breath marks.  Every estimator runs through ``_or_none``.
     """
     beats = session.beat_times()
+    resp = None   # the respiration_rate arguments of a window, if any
+    if session.respiration is not None:
+        def resp(a, b):
+            fs = session.respiration_fs
+            return session.respiration[int(a * fs):int(b * fs)], fs
+    elif session.breath_times is not None:
+        def resp(a, b):
+            marks = session.breath_times
+            return None, None, marks[(marks >= a) & (marks <= b)]
     out = []
     for phase in PHASES:
         t0, t1 = session.markers[phase]
@@ -704,44 +733,19 @@ def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
             if stop > t1 + 1e-9:
                 break
             fw = FeatureWindow(phase=phase, start=start, stop=stop)
-            try:
-                fw.hr, fw.rmssd = hr_rmssd(_window_intervals(beats, start, stop))
-            except InsufficientDataError:
-                pass
+            fw.hr, fw.rmssd = _or_none(
+                2, hr_rmssd, _window_intervals(beats, start, stop))
             # LF: context window clamped into the phase
             ctx_start = max(t0, stop - LF_CONTEXT_S)
             ctx_stop = ctx_start + LF_CONTEXT_S
             if ctx_stop <= t1 + 1e-9:
-                ctx_iv = _window_intervals(beats, ctx_start, ctx_stop)
-                try:
-                    fw.lf_ms2, fw.lf_fraction = lf_power(ctx_iv)
-                except InsufficientDataError:
-                    pass
-            if session.respiration is not None:
-                fs = session.respiration_fs
-                seg = session.respiration[int(start * fs):int(stop * fs)]
-                try:
-                    rate, valid = respiration_rate(seg, fs)
-                    fw.rr = rate if valid else None
-                except InsufficientDataError:
-                    pass
-            elif session.breath_times is not None:
-                marks = session.breath_times
-                seg = marks[(marks >= start) & (marks <= stop)]
-                try:
-                    rate, valid = respiration_rate(breath_times=seg)
-                    fw.rr = rate if valid else None
-                except InsufficientDataError:
-                    pass
+                fw.lf_ms2, fw.lf_fraction = _or_none(
+                    2, lf_power, _window_intervals(beats, ctx_start, ctx_stop))
+            if resp is not None:
+                rate, valid = _or_none(2, respiration_rate, *resp(start, stop))
+                fw.rr = rate if valid else None
             if session.gsr is not None:
-                fs = session.gsr_fs
-                seg = session.gsr[int(start * fs):int(stop * fs)]
-                try:
-                    dec = gsr_decompose(seg, fs)
-                    fw.scl = dec.scl_mean
-                    fw.scr_rate = dec.scr_rate_per_min
-                    fw.scr_amplitude = dec.scr_mean_amplitude
-                except InsufficientDataError:
-                    pass
+                fw.scl, fw.scr_rate, fw.scr_amplitude = _or_none(
+                    3, _gsr_levels, session.gsr, session.gsr_fs, start, stop)
             out.append(fw)
     return out

@@ -226,11 +226,6 @@ class PlanarChain:
 
     # -- recursive Newton-Euler evaluator (control-loop hot path) ----------
 
-    def torque(self, q, qdd, perm, gain, out, sin=math.sin, cos=math.cos):
-        """Add ``gain`` times B(q) @ qdd + G(q) into ``out``: the kernel of
-        ``perm`` (see ``kernel``) called on the other arguments."""
-        return self.kernel(perm)(q, qdd, gain, out, sin, cos)
-
     def kernel(self, perm):
         """``torque(q, qdd, gain, out, sin=math.sin, cos=math.cos)``: one
         Newton-Euler pass at qd = 0 over the lumped links, generated for

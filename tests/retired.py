@@ -1,12 +1,19 @@
-"""The control step and the estimator update as plain Python, in the forms
-the compiled ``ControlLoop.step`` and ``AccelerationEstimator.push``
-replaced: the bitwise references the tests pin the generated code to."""
+"""Retired forms the tests pin today's code to bit for bit: the control
+step and the estimator update as plain Python, which the compiled
+``ControlLoop.step`` and ``AccelerationEstimator.push`` replaced, and
+``windowed_features`` with one give-up block per estimator and the
+respiration source chosen in every window."""
 
 from math import isfinite
 
+import numpy as np
+
+from exobench.biosignal import (LF_CONTEXT_S, PHASES, WINDOW_S, FeatureWindow,
+                                _window_intervals, gsr_decompose, hr_rmssd,
+                                lf_power, respiration_rate)
 from exobench.blend import AssistCommand, _new_command, gains
 from exobench.dynamics import WARMUP_S, _tracker_gains, blended_torque
-from exobench.errors import OutOfOrderFrameError
+from exobench.errors import InsufficientDataError, OutOfOrderFrameError
 from exobench.streams import ANGLE_LIMIT, angle_error
 
 _ZERO6 = (0.0,) * 6
@@ -61,3 +68,60 @@ def retired_step(loop, frame) -> AssistCommand:
                          loop.tables)
     return _new_command((t, tuple(tau.tolist()), raw, gl, gr, degraded,
                          tuple(qd), tuple(qdd)))
+
+
+def retired_windowed_features(session):
+    """``windowed_features(session)`` as it was before every estimator call
+    went through one give-up helper."""
+    beats = session.beat_times()
+    out = []
+    for phase in PHASES:
+        t0, t1 = session.markers[phase]
+        n_win = int(np.floor((t1 - t0 + 1e-9 - WINDOW_S) / WINDOW_S)) + 1
+        for i in range(max(0, n_win)):
+            start = t0 + i * WINDOW_S
+            stop = start + WINDOW_S
+            if stop > t1 + 1e-9:
+                break
+            fw = FeatureWindow(phase=phase, start=start, stop=stop)
+            try:
+                fw.hr, fw.rmssd = hr_rmssd(_window_intervals(beats, start, stop))
+            except InsufficientDataError:
+                pass
+            # LF: context window clamped into the phase
+            ctx_start = max(t0, stop - LF_CONTEXT_S)
+            ctx_stop = ctx_start + LF_CONTEXT_S
+            if ctx_stop <= t1 + 1e-9:
+                ctx_iv = _window_intervals(beats, ctx_start, ctx_stop)
+                try:
+                    fw.lf_ms2, fw.lf_fraction = lf_power(ctx_iv)
+                except InsufficientDataError:
+                    pass
+            if session.respiration is not None:
+                fs = session.respiration_fs
+                seg = session.respiration[int(start * fs):int(stop * fs)]
+                try:
+                    rate, valid = respiration_rate(seg, fs)
+                    fw.rr = rate if valid else None
+                except InsufficientDataError:
+                    pass
+            elif session.breath_times is not None:
+                marks = session.breath_times
+                seg = marks[(marks >= start) & (marks <= stop)]
+                try:
+                    rate, valid = respiration_rate(breath_times=seg)
+                    fw.rr = rate if valid else None
+                except InsufficientDataError:
+                    pass
+            if session.gsr is not None:
+                fs = session.gsr_fs
+                seg = session.gsr[int(start * fs):int(stop * fs)]
+                try:
+                    dec = gsr_decompose(seg, fs)
+                    fw.scl = dec.scl_mean
+                    fw.scr_rate = dec.scr_rate_per_min
+                    fw.scr_amplitude = dec.scr_mean_amplitude
+                except InsufficientDataError:
+                    pass
+            out.append(fw)
+    return out

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, TACHOGRAM_HZ,
                                 lf_power, respiration_rate, windowed_features)
 from exobench.errors import (DataQualityError, InsufficientDataError,
                              SchemaError)
+from retired import retired_windowed_features
 
 
 def synthetic_ecg(beat_times, fs, duration, amplitude=1.0, width_s=0.012,
@@ -555,6 +556,59 @@ class TestWindowedFeatures:
         r2 = [asdict(fw) for fw in windowed_features(session)]
         assert r1 == r2
 
+    # each variant and the features some window of it gives up
+    @pytest.mark.parametrize("variant, missing", [
+        ("waveform-over-marks", {"lf_ms2", "lf_fraction"}),
+        ("ecg-breath-marks", {"lf_ms2", "lf_fraction", "rr", "scl",
+                              "scr_rate", "scr_amplitude"}),
+        ("no-respiration", {"lf_ms2", "lf_fraction", "rr"}),
+        ("beat-gap-noise", set(FeatureWindow.FEATURES))],
+        ids=["waveform-over-marks", "ecg-breath-marks", "no-respiration",
+             "beat-gap-noise"])
+    def test_matches_the_retired_form_bit_for_bit(self, variant, missing):
+        session = _pinned_session(variant)
+        rows = windowed_features(session)
+        expected = retired_windowed_features(session)
+        assert len(rows) == len(expected) == 8
+        for row, old in zip(rows, expected):
+            for name, value in asdict(row).items():
+                want = getattr(old, name)
+                if want is None or isinstance(want, str):
+                    assert value is want, (row, name)
+                else:
+                    assert type(value) is float, (row, name)
+                    assert (np.array(value).view(np.uint64)
+                            == np.array(want).view(np.uint64)), (row, name)
+        assert {name for fw in rows for name in FeatureWindow.FEATURES
+                if getattr(fw, name) is None} == missing
+
+
+def _pinned_session(variant):
+    """A 520 s session whose 100 s sit phase is shorter than LF_CONTEXT_S,
+    with the channels of ``variant``: beat intervals, GSR, and a
+    respiration waveform beside breath marks, which it takes precedence
+    over; an ECG with breath marks 2 s and 3 s apart, some on window
+    bounds, that stop at 400 s; no respiration channel; or no beat from
+    330 s to 410 s, white-noise respiration, and waveforms that stop at
+    450 s."""
+    session = small_session(sit=100.0, sit_exo=180.0, walk=240.0)
+    beats = np.cumsum(session.beat_intervals_ms) / 1000.0
+    if variant == "ecg-breath-marks":
+        return replace(session, beat_intervals_ms=None, respiration=None,
+                       gsr=None, ecg=synthetic_ecg(beats, ECG_FS, 520.0),
+                       ecg_fs=ECG_FS,
+                       breath_times=np.cumsum(np.tile([2.0, 3.0], 80)))
+    if variant == "waveform-over-marks":
+        return replace(session, breath_times=np.arange(1.0, 520.0, 5.0))
+    if variant == "beat-gap-noise":
+        kept = beats[(beats < 330.0) | (beats > 410.0)]
+        noise = np.random.default_rng(11).normal(size=450 * 25)
+        return replace(session,
+                       beat_intervals_ms=np.diff(kept, prepend=0.0) * 1000.0,
+                       respiration=noise, gsr=session.gsr[:450 * 15])
+    assert variant == "no-respiration", variant
+    return replace(session, respiration=None)
+
 
 def _save_series(directory):
     """Save a session whose five channel files each hold 1.0 to 40.0."""
@@ -614,14 +668,15 @@ class TestPhysioSession:
         return path
 
     @pytest.mark.parametrize("channel", ["ecg", "respiration", "gsr"])
-    @pytest.mark.parametrize("fs", [0, -250, 0.0, "250", True, [250]])
+    @pytest.mark.parametrize("fs", [0, -250, 0.0, "250", True, [250],
+                                    1000001, 1e307])
     def test_bad_rate_names_the_manifest(self, tmp_path, channel, fs):
         path = self._edit_manifest(
             tmp_path, lambda m: m["channels"][channel].update(fs=fs))
         with pytest.raises(SchemaError) as info:
             PhysioSession.load(tmp_path)
         assert str(info.value) == (f"{path}: channel {channel}: fs must be "
-                                   f"a positive finite number, got {fs!r}")
+                                   f"a number in (0, 1e6] Hz, got {fs!r}")
 
     def test_missing_rate_keeps_the_protocol_default(self, tmp_path):
         def drop_rates(manifest):
@@ -637,14 +692,47 @@ class TestPhysioSession:
             500.0, 50.0, 30.0)
 
     @pytest.mark.parametrize("bounds", [
-        [0], [0.0, 1.0, 2.0], [0.0, "1"], "01", {"start": 0}, [False, 1.0]])
+        [0], [0.0, 1.0, 2.0], [0.0, "1"], "01", {"start": 0}, [False, 1.0],
+        [0.0, 1e307], [-1.5e10, 1.0], [0.0, 10000000001]])
     def test_bad_marker_names_the_manifest(self, tmp_path, bounds):
         path = self._edit_manifest(
             tmp_path, lambda m: m["markers"].update(sit=bounds))
         with pytest.raises(SchemaError) as info:
             PhysioSession.load(tmp_path)
         assert str(info.value) == (f"{path}: marker sit must be a pair of "
-                                   f"numbers, got {tuple(bounds)!r}")
+                                   f"numbers in [-1e10, 1e10] s, "
+                                   f"got {tuple(bounds)!r}")
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"respiration_fs": -25.0},
+         "channel respiration: fs must be a number in (0, 1e6] Hz, "
+         "got -25.0"),
+        ({"gsr_fs": float("nan")},
+         "channel gsr: fs must be a number in (0, 1e6] Hz, got nan"),
+        ({"ecg_fs": 1e307},
+         "channel ecg: fs must be a number in (0, 1e6] Hz, got 1e+307"),
+        ({"markers": {"sit": (1e307, 2e307), "sit_exo": (2e307, 3e307),
+                      "walk": (3e307, 4e307)}},
+         "marker sit must be a pair of numbers in [-1e10, 1e10] s, "
+         "got (1e+307, 2e+307)")],
+        ids=["negative-rate", "nan-rate", "huge-rate", "huge-markers"])
+    def test_direct_construction_bounds_rates_and_markers(self, change,
+                                                          reason):
+        # the checks the manifest path runs hold for a session built in code
+        fields = {"markers": {"sit": (0.0, 240.0), "sit_exo": (240.0, 420.0),
+                              "walk": (420.0, 1380.0)},
+                  "beat_intervals_ms": np.full(10, 800.0)}
+        with pytest.raises(SchemaError) as info:
+            PhysioSession(**fields | change)
+        assert str(info.value) == reason
+
+    def test_rates_and_markers_at_their_limits_construct(self):
+        session = PhysioSession(
+            markers={"sit": (-1e10, 0.0), "sit_exo": (0.0, 1.0),
+                     "walk": (1.0, 1e10)},
+            beat_intervals_ms=np.full(10, 800.0), ecg_fs=1e6,
+            respiration_fs=1e6, gsr_fs=1e6)
+        assert session.markers["walk"] == (1.0, 1e10)
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda m: m["markers"].pop("walk"), "missing phase marker: walk"),

@@ -914,6 +914,31 @@ class TestMalformedJson:
         assert (capsys.readouterr().err
                 == f"error: {path}: not a finite float: {digits}\n")
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda m: m["channels"]["respiration"].update(fs=1e307),
+         "channel respiration: fs must be a number in (0, 1e6] Hz, "
+         "got 1e+307"),
+        (lambda m: m["channels"]["gsr"].update(fs=1e307),
+         "channel gsr: fs must be a number in (0, 1e6] Hz, got 1e+307"),
+        (lambda m: m.update(markers={"sit": [1e307, 2e307],
+                                     "sit_exo": [2e307, 3e307],
+                                     "walk": [3e307, 4e307]}),
+         "marker sit must be a pair of numbers in [-1e10, 1e10] s, "
+         "got (1e+307, 2e+307)")],
+        ids=["respiration-rate", "gsr-rate", "markers"])
+    def test_huge_rate_or_marker_exits_one_naming_the_manifest(
+            self, session_set, tmp_path, capsys, edit, reason):
+        # finite values whose window sample index int(t * fs) overflows
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s01" / "physio" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        assert main(["analyze", str(root), "--out", str(tmp_path / "r.json"),
+                     "--lenient"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
 
 # the CSVs that analyze reads, as paths in a session set, and the mutations
 # the test below makes at a drawn byte: a cell's text, a cut, a byte that
@@ -924,7 +949,7 @@ _MUTATED_CSVS = ("subjects/s01/gait_stream.csv", "subjects/s01/training.csv",
                  "subjects/s01/physio/gsr.csv", "questionnaire_responses.csv",
                  "questionnaire_preferences.csv")
 _CELL_TEXT = {"nan": b"nan", "1e300": b"1e300", "-1e300": b"-1e300",
-              "negative": b"-0.5"}
+              "1e308": b"1e308", "-1e308": b"-1e308", "negative": b"-0.5"}
 _NUMERIC_MUTATIONS = (*_CELL_TEXT, "truncate", "latin-1", "second-number",
                       "second-field")
 

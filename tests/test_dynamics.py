@@ -443,13 +443,13 @@ class TestChainTorque:
         q = rng.uniform(-1.0, 1.0, (n, 25))
         qdd = rng.uniform(-20.0, 20.0, (n, 25))
         columns = np.zeros((n, 25))
-        chain.torque(q, qdd, perm, 1.0, columns, sin=np.sin, cos=np.cos)
+        torque = chain.kernel(perm)
+        torque(q, qdd, 1.0, columns, sin=np.sin, cos=np.cos)
         for j in range(25):
             expected = (chain.inertia(q[:, j]) @ qdd[:, j]
                         + chain.gravity_torque(q[:, j]))
             scalar = [0.0] * n
-            chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm, 1.0,
-                         scalar)
+            torque(q[:, j].tolist(), qdd[:, j].tolist(), 1.0, scalar)
             # |tau| reaches 4e3 Nm on the longer chains, hence the rtol
             for tau in (scalar, columns[:, j]):
                 np.testing.assert_allclose(tau, expected, rtol=1e-12,
@@ -575,7 +575,7 @@ _GAINS = st.one_of(st.just(0.0), st.just(1.0),
 
 
 class TestAccumulatingTorque:
-    """``PlanarChain.torque`` adds ``gain`` times its torque into ``out``,
+    """A chain's ``kernel`` adds ``gain`` times its torque into ``out``,
     scalar or column-wise, and the control step and the batch replay sum
     the two sides through it into the same bits."""
 
@@ -590,16 +590,15 @@ class TestAccumulatingTorque:
             for x in (2 * math.pi, 1e3, 1e3))
         gain = np.array(data.draw(st.lists(_GAINS, min_size=m, max_size=m)))
         columns = out0.copy()
-        chain.torque(q, qdd, perm, gain, columns, sin=np.sin, cos=np.cos)
+        torque = chain.kernel(perm)
+        torque(q, qdd, gain, columns, sin=np.sin, cos=np.cos)
         for j in range(m):
             # -0.0 is the exact additive identity, so ``alone`` holds each
             # moment's own bits; starting at +0.0 would turn -0.0 into +0.0
             alone = [-0.0] * 6
-            chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm, 1.0,
-                         alone)
+            torque(q[:, j].tolist(), qdd[:, j].tolist(), 1.0, alone)
             out = out0[:, j].tolist()
-            chain.torque(q[:, j].tolist(), qdd[:, j].tolist(), perm,
-                         float(gain[j]), out)
+            torque(q[:, j].tolist(), qdd[:, j].tolist(), float(gain[j]), out)
             expected = out0[:, j] + gain[j] * np.array(alone)
             assert np.array_equal(_bits(out), _bits(expected))
             assert np.array_equal(_bits(columns[:, j]), _bits(out))
