@@ -698,8 +698,15 @@ def _or_none(n: int, estimate, *args) -> tuple:
         return (None,) * n
 
 
+def _samples(wave, fs: float, start: float, stop: float):
+    """The samples of ``wave``, whose first sample is at t = 0, from
+    ``start`` to ``stop`` s.  Both indices are clamped at 0, so a window
+    wholly before the recording gets none, not its last samples."""
+    return wave[max(0, int(start * fs)):max(0, int(stop * fs))]
+
+
 def _gsr_levels(gsr, fs: float, start: float, stop: float) -> tuple:
-    dec = gsr_decompose(gsr[int(start * fs):int(stop * fs)], fs)
+    dec = gsr_decompose(_samples(gsr, fs, start, stop), fs)
     return dec.scl_mean, dec.scr_rate_per_min, dec.scr_mean_amplitude
 
 
@@ -718,7 +725,7 @@ def windowed_features(session: PhysioSession) -> list[FeatureWindow]:
     if session.respiration is not None:
         def resp(a, b):
             fs = session.respiration_fs
-            return session.respiration[int(a * fs):int(b * fs)], fs
+            return _samples(session.respiration, fs, a, b), fs
     elif session.breath_times is not None:
         def resp(a, b):
             marks = session.breath_times

@@ -9,9 +9,10 @@ stance transitions.
 When a gain is exactly zero the corresponding side is skipped entirely, so
 a saturated phase reproduces the single-stance torque bit for bit and the
 step gets cheaper.  ``ControlLoop.step`` is one function per loop, compiled
-from the estimator's and both chains' statements inlined as straight-line
-code: bit for bit what ``phase``, ``gains``, ``push`` and
-``blended_torque`` compose.
+from the phase, the gain law, the estimator's and both chains' statements
+and the table lookups inlined as straight-line code: bit for bit what
+``phase``, ``gains``, ``push`` and ``blended_torque`` compose.  A lookup
+calls its table only when the query leaves the table's hint interval.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ _new_gains = functools.partial(tuple.__new__, BlendGains)
 
 
 def gains(raw_phase: float) -> BlendGains:
-    """Gains from the raw (unclamped) phase: gamma_l = clamp((p+1)/2)."""
+    """Gains from the raw (unclamped) phase: gamma_l = clamp((p+1)/2).
+    ``ControlLoop.step`` inlines these statements (``_step_source``)."""
     if not isfinite(raw_phase):
         raise ValueError("raw_phase must be finite")
     gl = 0.5 * (raw_phase + 1.0)
@@ -125,7 +127,7 @@ class ControlLoop:
         fr = self.tables._fr
         bind = _compiled(_step_source(self.left, self.right,
                                       [i for i, _, _ in fr]), "bind")
-        return bind(self.estimator, self.regressor.phase, gains, _new_command,
+        return bind(self.estimator, self.regressor._w, _new_command,
                     OutOfOrderFrameError, angle_error, isfinite, sin, cos,
                     *(f for _, ftab, rtab in fr for f in (ftab, rtab)))
 
@@ -143,13 +145,33 @@ class ControlLoop:
         self.estimator.reset()
 
 
+def _lookup_lines(table: str, x: str, y: str) -> list:
+    """Statements that set ``y`` to ``table(x)``, ``table`` the bound
+    ``__call__`` of a ``LookupTable1D`` ``<table>tab``: its interpolation
+    when ``x`` lies strictly inside the table's ``_hint`` interval, else
+    the call, which clamps, bisects and moves the hint.  They read the
+    table's lists as ``<table>bp``, ``<table>val``, ``<table>dx`` and
+    ``<table>dy``."""
+    return [f"k = {table}tab._hint",
+            f"if {table}bp[k] < {x} < {table}bp[k + 1]:",
+            f"    {y} = {table}val[k] + ({x} - {table}bp[k]) / {table}dx[k]"
+            f" * {table}dy[k]",
+            "else:",
+            f"    {y} = {table}({x})"]
+
+
 def _step_source(left: StanceModel, right: StanceModel, joints) -> str:
-    """The text of ``bind(est, phase, gains, command, frame_error,
-    angle_error, isfinite, sin, cos, f<i>, r<i> ...)``, which returns the
-    step over those parts, ``f<i>`` and ``r<i>`` the friction and ripple
-    lookups of joint i in ``joints``.  Only the chains' constants are
-    written in, so loops over equal models share the text."""
+    """The text of ``bind(est, w, command, frame_error, angle_error,
+    isfinite, sin, cos, f<i>, r<i> ...)``, which returns the step over
+    those parts: ``w`` the regressor's six weights, ``f<i>`` and ``r<i>``
+    the friction and ripple lookups of joint i in ``joints`` (bound
+    ``LookupTable1D.__call__``, as in ``CompensationTables._fr``).
+    The step inlines ``GaitRegressor.phase``, ``gains``, the tracker
+    update, both chains and every table lookup that hits the table's hint
+    (``_lookup_lines``).  Only the chains' constants are written in, so
+    loops over equal models share the text."""
     angles = [f"q{j}" for j in range(6)]
+    lookups = [f"{kind}{i}" for i in joints for kind in "fr"]
     limit = repr(ANGLE_LIMIT)
     lines = [
         "t, q = frame",
@@ -158,27 +180,43 @@ def _step_source(left: StanceModel, right: StanceModel, joints) -> str:
         "last = est.last_t",
         "if last is not None and t <= last:",
         "    raise frame_error(f'frame at t={t} after t={last}')",
-        "raw = phase(q)",
-        "gl, gr = gains(raw)",
         f"{', '.join(angles)}, = q",
-        "if not (" + " and ".join(f"abs({a}) <= {limit}" for a in angles)
-        + "):",
+        "raw = " + " + ".join(f"w{j} * q{j}" for j in range(6)),
+        "if not isfinite(raw):",
+        "    raise ValueError('raw_phase must be finite')",
+        "gl = 0.5 * (raw + 1.0)",
+        "if gl < 0.0:",
+        "    gl = 0.0",
+        "elif gl > 1.0:",
+        "    gl = 1.0",
+        "gr = 1.0 - gl",
+        "if not (" + " and ".join(f"-{limit} <= {a} <= {limit}"
+                                  for a in angles) + "):",
         "    raise angle_error(q)",
         *_tracker_lines(6),
         "if degraded:",
         f"    qd = qdd = {(0.0,) * 6!r}",
+        "    " + " = ".join(f"{kind}{j}" for kind in "va" for j in range(6))
+        + " = 0.0",
         " = ".join(f"o{j}" for j in range(6)) + " = 0.0",
     ]
     for gain, model in (("gl", left), ("gr", right)):
         lines += [f"if {gain} > 0.0:",
                   *("    " + line for line in model.chain.statements(
-                      model.perm, "q{}", "qdd[{}]", f"o{{}} += {gain} * {{}}"))]
-    lines += [f"o{i} += f{i}(qd[{i}]) + r{i}(q{i})" for i in joints]
+                      model.perm, "q{}", "a{}", f"o{{}} += {gain} * {{}}"))]
+    for i in joints:
+        lines += [*_lookup_lines(f"f{i}", f"v{i}", "yf"),
+                  *_lookup_lines(f"r{i}", f"q{i}", "yr"),
+                  f"o{i} += yf + yr"]
     lines.append("return command((t, (" + ", ".join(f"o{j}" for j in range(6))
                  + "), raw, gl, gr, degraded, qd, qdd))")
-    lookups = "".join(f", f{i}, r{i}" for i in joints)
-    return ("def bind(est, phase, gains, command, frame_error, angle_error, "
-            f"isfinite, sin, cos{lookups}):\n"
-            "    def step(frame):\n"
+    return (f"def bind(est, w, command, frame_error, angle_error, isfinite, "
+            f"sin, cos, {', '.join(lookups)}):\n"
+            f"    {', '.join(f'w{j}' for j in range(6))} = w\n"
+            + "".join(f"    {tab}tab = {tab}.__self__\n"
+                      f"    {tab}bp, {tab}val, {tab}dx, {tab}dy = {tab}tab._bp, "
+                      f"{tab}tab._val, {tab}tab._dx, {tab}tab._dy\n"
+                      for tab in lookups)
+            + "    def step(frame):\n"
             + "".join(f"        {line}\n" for line in lines)
             + "    return step\n")

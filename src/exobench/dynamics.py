@@ -32,8 +32,9 @@ parameters:
 
 Friction and ripple come from ``CompensationTables`` in one scalar form,
 the ``ftab(qd[i]) + rtab(q[i])`` sum over ``_fr`` that ``friction_ripple``
-and the control step compute, and one array form, ``evaluate_array``; a
-hypothesis test pins the two bit for bit.
+computes and the control step inlines (see ``LookupTable1D``), and one
+array form, ``evaluate_array``; a hypothesis test pins the two bit for
+bit.
 
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
@@ -376,6 +377,12 @@ class LookupTable1D:
     were no hint.  The hint is where a search starts and never decides a
     result, so a table shared by several joints stays correct and only
     searches more often.
+
+    ``ControlLoop.step`` reads ``_hint`` and the lists ``_bp``, ``_val``,
+    ``_dx`` and ``_dy`` itself, bound when the loop is built, and computes
+    a hit inline; it calls the table only on a miss.  So a subclass's
+    ``__call__`` runs in the step only when the hint interval misses, and
+    the lists must be changed in place, never replaced.
     """
 
     def __init__(self, breakpoints, values):

@@ -93,7 +93,8 @@ class GaitRegressor:
         self._w = tuple(self.weights.tolist())
 
     def phase(self, q) -> float:
-        """Raw (unclamped) phase Y . q; blend gains apply the clamp."""
+        """Raw (unclamped) phase Y . q; blend gains apply the clamp.
+        ``ControlLoop.step`` inlines this sum, in this order."""
         w = self._w
         return (w[0] * q[0] + w[1] * q[1] + w[2] * q[2]
                 + w[3] * q[3] + w[4] * q[4] + w[5] * q[5])

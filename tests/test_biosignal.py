@@ -556,6 +556,26 @@ class TestWindowedFeatures:
         r2 = [asdict(fw) for fw in windowed_features(session)]
         assert r1 == r2
 
+    def test_window_before_the_recording_reads_no_samples(self):
+        # the waveforms start at t = 0 and breathe at 30/min over their
+        # last 2 min, 18/min before: the sit windows from -120 s to 0 lie
+        # wholly before the recording and get no value from its end
+        session = small_session(sit=120.0, sit_exo=180.0, walk=240.0)
+        fs = session.respiration_fs
+        t = np.arange(session.respiration.size) / fs
+        rate = np.where(t < t[-1] - 120.0, 18.0, 30.0) / 60.0
+        shifted = replace(
+            session, respiration=np.sin(2 * np.pi * np.cumsum(rate) / fs),
+            markers={"sit": (-120.0, 0.0), "sit_exo": (0.0, 180.0),
+                     "walk": (180.0, 420.0)})
+        rows = windowed_features(shifted)
+        assert [(fw.start, fw.stop) for fw in rows[:2]] == [(-120.0, -60.0),
+                                                           (-60.0, 0.0)]
+        for fw in rows[:2]:
+            assert all(getattr(fw, name) is None
+                       for name in FeatureWindow.FEATURES), fw
+        assert rows[2].rr == pytest.approx(18.0, abs=0.5)
+
     # each variant and the features some window of it gives up
     @pytest.mark.parametrize("variant, missing", [
         ("waveform-over-marks", {"lf_ms2", "lf_fraction"}),

@@ -949,7 +949,8 @@ _MUTATED_CSVS = ("subjects/s01/gait_stream.csv", "subjects/s01/training.csv",
                  "subjects/s01/physio/gsr.csv", "questionnaire_responses.csv",
                  "questionnaire_preferences.csv")
 _CELL_TEXT = {"nan": b"nan", "1e300": b"1e300", "-1e300": b"-1e300",
-              "1e308": b"1e308", "-1e308": b"-1e308", "negative": b"-0.5"}
+              "1e308": b"1e308", "-1e308": b"-1e308", "negative": b"-0.5",
+              "1e-170": b"1e-170"}
 _NUMERIC_MUTATIONS = (*_CELL_TEXT, "truncate", "latin-1", "second-number",
                       "second-field")
 
