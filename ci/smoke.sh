@@ -44,6 +44,21 @@ if [ "$status" -ne 1 ] || grep -q Traceback "$tmp/tiny_step.err"; then
   cat "$tmp/tiny_step.err" >&2
   exit 1
 fi
+# a timestamp of 1e300 s is outside the [-1e10, 1e10] s time bound; its
+# step once overflowed the estimator's update into a NaN torque command:
+# replay exits 1 with an error naming the file and line, not a traceback
+awk -F, -v OFS=, 'NR == 2002 { $1 = "1e300" } { print }' "$tmp/gait.csv" \
+  > "$tmp/huge_t.csv"
+status=0
+exobench replay "$tmp/huge_t.csv" --model "$tmp/model.json" \
+  --calibration "$tmp/set/calibration.json" --report "$tmp/huge_t.json" \
+  --out "$tmp/huge_t_commands.csv" 2> "$tmp/huge_t.err" || status=$?
+if [ "$status" -ne 1 ] || grep -q Traceback "$tmp/huge_t.err" \
+    || ! grep -qF "error: $tmp/huge_t.csv: line 2002: " "$tmp/huge_t.err"; then
+  echo "replay of a 1e300 s timestamp exited $status:" >&2
+  cat "$tmp/huge_t.err" >&2
+  exit 1
+fi
 # a respiration rate of 1e307 Hz is above the 1e6 Hz limit, and a window's
 # sample index would overflow: analyze exits 1 with a named error, not a
 # traceback

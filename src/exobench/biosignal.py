@@ -18,13 +18,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataQualityError, InsufficientDataError, SchemaError
-from .streams import load_column, read_json, write_json, write_rows
+from .streams import (TIME_LIMIT, TIME_RANGE, load_column, read_json,
+                      write_json, write_rows)
 
 SESSION_SCHEMA_VERSION = 1
 
@@ -525,13 +526,21 @@ class PhysioSession:
     breath_times: np.ndarray | None = None
     gsr: np.ndarray | None = None
     gsr_fs: float = GSR_FS
-    _beats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_layout(vars(self))
 
     def validate_protocol(self, lenient: bool = False):
-        """Check SIT and WALK durations against the protocol (+-5%)."""
+        """Check that no phase ends more than ``WINDOW_S`` after the
+        recording and, unless ``lenient``, the SIT and WALK durations
+        against the protocol (+-5%)."""
+        end = self.recording_end()
+        for phase in PHASES:
+            stop = self.markers[phase][1]
+            if stop > end + WINDOW_S:
+                raise SchemaError(
+                    f"phase {phase} ends at {stop:g} s, more than "
+                    f"{WINDOW_S:g} s after the recording ends at {end:g} s")
         if lenient:
             return
         for phase, nominal in ((PHASE_SIT, SIT_DURATION_S),
@@ -542,15 +551,28 @@ class PhysioSession:
                     f"{phase} duration {stop - start:.1f} s outside "
                     f"{nominal:.0f} s +-{PROTOCOL_TOLERANCE * 100:.0f}%")
 
-    def beat_times(self) -> np.ndarray:
-        """Beat timestamps (s), detected once and cached."""
-        if self._beats is None:
-            if self.beat_intervals_ms is not None:
-                iv = np.asarray(self.beat_intervals_ms, dtype=float)
-                self._beats = np.cumsum(iv) / 1000.0
+    def recording_end(self) -> float:
+        """The end (s) of the longest channel: a waveform's length over its
+        rate, the last beat of the intervals, or the last breath mark."""
+        ends = [0.0]
+        for attr, _, _, _, _, kind, _, _, rate in CHANNELS:
+            data = getattr(self, attr)
+            if data is None or not len(data):
+                continue
+            if rate:
+                ends.append(len(data) / getattr(self, rate))
+            elif kind == "intervals":
+                ends.append(float(np.sum(data)) / 1000.0)
             else:
-                self._beats = detect_beats(self.ecg, self.ecg_fs).times
-        return self._beats
+                ends.append(float(np.max(data)))
+        return max(ends)
+
+    def beat_times(self) -> np.ndarray:
+        """Beat timestamps (s), from the intervals, else from the ECG."""
+        if self.beat_intervals_ms is not None:
+            iv = np.asarray(self.beat_intervals_ms, dtype=float)
+            return np.cumsum(iv) / 1000.0
+        return detect_beats(self.ecg, self.ecg_fs).times
 
     # -- directory round trip ------------------------------------------------
 
@@ -604,7 +626,7 @@ CHANNELS = (
      "%.8g", "waveform", "a.u.", (*_SPAN, "[-1e12, 1e12] a.u."),
      "respiration_fs"),
     ("breath_times", "breath_times", "breath_times.csv", "breath_t_s",
-     "%.12g", "marks", "s", (*_SPAN, "[-1e12, 1e12] s"), None),
+     "%.12g", "marks", "s", TIME_RANGE, None),
     ("gsr", "gsr", "gsr.csv", "gsr_us", "%.8g", "waveform", "uS",
      (0.0, CHANNEL_LIMIT, "[0, 1e12] uS"), "gsr_fs"),
 )
@@ -621,10 +643,10 @@ def _check_layout(fields: dict) -> None:
         if phase not in markers:
             raise SchemaError(f"missing phase marker: {phase}")
         bounds = markers[phase]
-        if len(bounds) != 2 or not all(_finite(t) and abs(t) <= 1e10
+        if len(bounds) != 2 or not all(_finite(t) and abs(t) <= TIME_LIMIT
                                        for t in bounds):
             raise SchemaError(f"marker {phase} must be a pair of numbers in "
-                              f"[-1e10, 1e10] s, got {bounds!r}")
+                              f"{TIME_RANGE[2]}, got {bounds!r}")
         start, stop = bounds
         if stop <= start:
             raise SchemaError(f"phase {phase} has non-positive duration")

@@ -193,7 +193,7 @@ def _step_source(left: StanceModel, right: StanceModel, joints) -> str:
         "if not (" + " and ".join(f"-{limit} <= {a} <= {limit}"
                                   for a in angles) + "):",
         "    raise angle_error(q)",
-        *_tracker_lines(6),
+        *_tracker_lines(),
         "if degraded:",
         f"    qd = qdd = {(0.0,) * 6!r}",
         "    " + " = ".join(f"{kind}{j}" for kind in "va" for j in range(6))

@@ -39,9 +39,10 @@ bit.
 The inertial term's qd/qdd come from ``AccelerationEstimator``, one
 critically damped alpha-beta-gamma tracker per joint, silent for a 0.1 s
 warm-up, whose update is the five statements of ``_TRACKER_UPDATE``.
-``push`` and the control step run them unrolled over the joints;
-``estimate_array`` runs them one joint column at a time over a block of
-rows.  ``_compiled`` compiles every generated text once per process.
+The control step runs them unrolled over the joints (``_tracker_lines``);
+``estimate_array``, which the batch replay calls and ``push`` calls for
+one row, runs them one joint column at a time over a block of rows.
+``_compiled`` compiles every generated text once per process.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .streams import read_json, write_json
+from .streams import TIME_LIMIT, read_json, write_json
 
 JOINTS = ("RH", "RK", "RA", "LH", "LK", "LA")
 ACTUATED_JOINTS = ("RH", "RK", "LH", "LK")
@@ -77,6 +78,9 @@ WARMUP_S = 8 / TRACKER_RATE
 # the shortest time step the tracker takes (1 GHz): far above the steps
 # where its gains round to 0 and, below ~1e-162 s, divide by zero
 MIN_STEP_S = 1e-9
+# the longest: the widest step between two times within the stream bound;
+# above ~1e154 s the update's dt * (v + h * a) overflows to a NaN command
+MAX_STEP_S = 2 * TIME_LIMIT
 
 # friction and ripple of the synthetic device (see default_synthetic)
 FRICTION_VISCOUS = 0.6     # Nm per rad/s
@@ -573,20 +577,19 @@ _TRACKER_UPDATE = (
 )
 
 
-def _tracker_lines(n: int) -> list:
-    """Statements that take the sample ``t, q0 ... q<n-1>`` into the
-    estimator ``est``, given ``last = est.last_t``: the first sample seeds
-    it, a later one runs ``_TRACKER_UPDATE`` on each joint.  They leave
+def _tracker_lines() -> list:
+    """Statements that take the sample ``t, q0 ... q5`` into the estimator
+    ``est``, given ``last = est.last_t``: the first sample seeds it, a
+    later one runs ``_TRACKER_UPDATE`` on each joint.  They leave
     ``degraded`` (no estimate yet) and the tuples ``qd`` and ``qdd``."""
     def names(prefix):
-        return ", ".join(f"{prefix}{j}" for j in range(n)) + ","
+        return ", ".join(f"{prefix}{j}" for j in range(6)) + ","
 
-    zeros = repr((0.0,) * n)
     return [
         "if last is None:",
         "    est._t0 = est.last_t = t",
         f"    est._x = ({names('q')})",
-        f"    est._v = est._a = {zeros}",
+        f"    est._v = est._a = {(0.0,) * 6!r}",
         "    degraded = True",
         "else:",
         "    dt = t - last",
@@ -594,7 +597,7 @@ def _tracker_lines(n: int) -> list:
         f"    {names('x')} = est._x",
         f"    {names('v')} = est._v",
         f"    {names('a')} = est._a",
-        *("    " + line.format(j=j) for j in range(n)
+        *("    " + line.format(j=j) for j in range(6)
           for line in _TRACKER_UPDATE),
         f"    est._x = ({names('x')})",
         f"    est._v = qd = ({names('v')})",
@@ -602,19 +605,6 @@ def _tracker_lines(n: int) -> list:
         "    est.last_t = t",
         f"    degraded = t - est._t0 < {WARMUP_S!r}",
     ]
-
-
-@functools.cache
-def _push_source(n: int) -> str:
-    """The text of ``AccelerationEstimator.push`` for n joints."""
-    return "\n    ".join([
-        "def push(est, t, q):",
-        f"{', '.join(f'q{j}' for j in range(n))}, = q",
-        "last = est.last_t",
-        *_tracker_lines(n),
-        "if degraded:",
-        "    return None, None",
-        "return list(qd), list(qdd)"]) + "\n"
 
 
 # ``estimate_array``'s pass over one joint's column, from its state (x, v, a)
@@ -649,17 +639,19 @@ class AccelerationEstimator:
         """Ingest one sample; returns (qd, qdd) lists, or (None, None) until
         ``WARMUP_S`` has passed since the first sample.  A step from the
         last sample that ``_tracker_gains`` rejects raises its ValueError
-        before any state changes."""
-        return _compiled(_push_source(len(q)), "push")(self, t, q)
+        before any state changes.  It is one row of ``estimate_array``."""
+        qd, qdd, ready = self.estimate_array([t], [q])
+        if not ready[0]:
+            return None, None
+        return qd[0].tolist(), qdd[0].tolist()
 
     def estimate_array(self, t, q):
-        """``(qd, qdd, ready)`` for the rows of ``(t, q)``: exactly ``push``
-        applied to each row in turn, from this estimator's state (the first
-        row seeds a fresh one) to where the last ``push`` leaves it, with
-        ``ready`` False and zero rows where ``push`` returns None.  A step
-        ``push`` rejects raises its ``ValueError`` before any state
-        changes.  It runs ``_TRACKER_UPDATE`` one joint column at a time,
-        so every value is bit for bit the same."""
+        """``(qd, qdd, ready)`` for the rows of ``(t, q)``, each row taken
+        in turn from this estimator's state (the first row seeds a fresh
+        one), with ``ready`` False and zero rows inside the warm-up.  A
+        step ``_tracker_gains`` rejects raises its ``ValueError`` before
+        any state changes.  It runs ``_TRACKER_UPDATE`` one joint column
+        at a time, bit for bit the update the control step inlines."""
         ts = np.asarray(t).tolist()
         cols = np.asarray(q).T.tolist()
         qd = np.zeros(np.shape(q))
@@ -695,12 +687,15 @@ def _tracker_gains(dt: float):
     *(1+r) and gamma = (1-r)**3 put a triple, critically damped pole at r.
 
     Raises ValueError unless dt is positive ("timestamps must be strictly
-    increasing"), finite and at least ``MIN_STEP_S``."""
+    increasing"), at least ``MIN_STEP_S`` and at most ``MAX_STEP_S``."""
     if not dt > 0:   # NaN included
         raise ValueError("timestamps must be strictly increasing")
-    if not MIN_STEP_S <= dt < math.inf:
+    if dt < MIN_STEP_S:
         raise ValueError(f"time step of {dt!r} s: a step must be finite "
                          f"and at least {MIN_STEP_S!r} s")
+    if dt > MAX_STEP_S:
+        raise ValueError(f"time step of {dt!r} s: a step must be at most "
+                         f"{MAX_STEP_S!r} s")
     r = math.exp(-TRACKER_RATE * dt)
     u = 1.0 - r
     return (1.0 - r * r * r, 1.5 * u * u * (1.0 + r) / dt,

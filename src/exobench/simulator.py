@@ -26,8 +26,8 @@ from time import perf_counter
 import numpy as np
 
 from .blend import ControlLoop, blend_gains
-from .dynamics import (MIN_STEP_S, WARMUP_S, AccelerationEstimator,
-                       blended_torque_array)
+from .dynamics import (MAX_STEP_S, MIN_STEP_S, WARMUP_S,
+                       AccelerationEstimator, blended_torque_array)
 from .errors import OutOfOrderFrameError
 from .streams import (ANGLE_LIMIT, ROWS_PER_CHUNK, SensorFrame,
                       SensorStream, write_rows)
@@ -159,17 +159,13 @@ def _assemble(pat: GaitPattern, t, q, share, rng, stage) -> SensorStream:
                         stage=np.full(n, stage, dtype=object))
 
 
-def _check_rate(rate: float) -> None:
-    if not 100 <= rate < math.inf:   # NaN included
-        raise ValueError(f"sample rate must be at least 100 Hz and finite, "
-                         f"got {rate}")
-
-
 def check_size(rate: float, seconds: float) -> None:
     """Raise ValueError unless sim may generate ``seconds`` at ``rate`` Hz:
     a finite rate >= 100 Hz, a finite duration > 0, and at most
     ``MAX_FRAMES`` frames (1,000 s at 5 kHz, about 1 GB while generated)."""
-    _check_rate(rate)
+    if not 100 <= rate < math.inf:   # NaN included
+        raise ValueError(f"sample rate must be at least 100 Hz and finite, "
+                         f"got {rate}")
     if not 0 < seconds < math.inf:   # NaN included
         raise ValueError(f"duration must be positive and finite, "
                          f"got {seconds} s")
@@ -183,9 +179,9 @@ def generate_cycle(pattern: GaitPattern, rate: float, cycles: int,
                    seed: int = 0, stage: str = "gait",
                    t_start: float = 0.0) -> SensorStream:
     """Periodic gait frames at the given sample rate, ``cycles`` cycles long."""
-    _check_rate(rate)
     if not 0 < cycles < math.inf:
         raise ValueError(f"cycles must be positive and finite, got {cycles}")
+    check_size(rate, cycles * pattern.cycle_duration)
     rng = np.random.default_rng(seed)
     n = round(cycles * pattern.cycle_duration * rate)
     t = t_start + np.arange(n) / rate
@@ -330,7 +326,7 @@ class ReplayResult:
             median_jump=median,
             max_jump=peak,
             jump_ratio=peak / median if median > 0 else None,
-            lipschitz=peak / dt if dt > 0 else math.inf,
+            lipschitz=peak / dt,
         )
 
     def save_csv(self, path):
@@ -397,7 +393,7 @@ def replay_batch(stream: SensorStream, loop: ControlLoop) -> ReplayResult:
         dt = np.diff(t)
     bad = ~np.isfinite(t_all)
     bad[kept] |= ~(np.isfinite(raw) & (np.abs(q) <= ANGLE_LIMIT).all(axis=1))
-    bad[kept[1:]] |= ~((dt >= MIN_STEP_S) & (dt < np.inf))
+    bad[kept[1:]] |= ~((dt >= MIN_STEP_S) & (dt <= MAX_STEP_S))
     if bad.any():
         i = bad.argmax()
         fresh = ControlLoop(loop.left, loop.right, loop.regressor, loop.tables)

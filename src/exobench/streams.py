@@ -27,8 +27,9 @@ digits after an optional sign):
 * numbers are read like ``float()`` of the stripped cell, except that ``_``
   digit separators and non-ASCII digits are rejected;
 * ``nan`` and ``inf`` cells, and bytes that are not UTF-8, are rejected;
-* a joint angle lies in [-2pi, 2pi] rad (``ANGLE_LIMIT``) and a sole load
-  is at least 0; a value outside its column's range is rejected;
+* a time lies in [-1e10, 1e10] s (``TIME_LIMIT``), a joint angle in
+  [-2pi, 2pi] rad (``ANGLE_LIMIT``), and a sole load is at least 0; a
+  value outside its column's range is rejected;
 * a file with a header and no records is rejected as "no samples".
 
 Each file is read in one ``np.loadtxt`` pass after its header line.
@@ -76,10 +77,13 @@ _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
 ROWS_PER_CHUNK = 4096
 ANGLE_LIMIT = 2 * math.pi   # rad: the largest |q| of a stream angle
 _ANGLE_RANGE = (-ANGLE_LIMIT, ANGLE_LIMIT, "[-2pi, 2pi] rad")
-_FINITE = (-sys.float_info.max, sys.float_info.max, "finite")
+# s: the largest |t| of a stream time, a breath mark or a phase marker;
+# it admits Unix-epoch seconds
+TIME_LIMIT = 1e10
+TIME_RANGE = (-TIME_LIMIT, TIME_LIMIT, "[-1e10, 1e10] s")
 # (low, high, range text) of each number column; no range holds nan or inf
-_STREAM_RANGES = dict(zip(CSV_HEADER, [_FINITE] + [_ANGLE_RANGE] * 6
-                          + [(0.0, _FINITE[1], "[0, inf)")] * 2))
+_STREAM_RANGES = dict(zip(CSV_HEADER, [TIME_RANGE] + [_ANGLE_RANGE] * 6
+                          + [(0.0, sys.float_info.max, "[0, inf)")] * 2))
 
 
 class SensorFrame(NamedTuple):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from exobench import biosignal
 from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, TACHOGRAM_HZ,
-                                FeatureWindow, PhysioSession, _butter_sos,
-                                _cubic_spline, _detrend, _fft_filtfilt,
-                                _find_peaks, _sosfiltfilt, _welch,
+                                WINDOW_S, FeatureWindow, PhysioSession,
+                                _butter_sos, _cubic_spline, _detrend,
+                                _fft_filtfilt, _find_peaks, _sosfiltfilt,
+                                _welch,
                                 detect_beats, gsr_decompose, hr_rmssd,
                                 lf_power, respiration_rate, windowed_features)
 from exobench.errors import (DataQualityError, InsufficientDataError,
@@ -655,6 +656,33 @@ class TestPhysioSession:
         session.validate_protocol(lenient=True)
         small_session().validate_protocol()
 
+    @pytest.mark.parametrize("channels, end", [
+        ({"beat_intervals_ms": np.full(5, 1000.0)}, 5.0),
+        ({"ecg": np.zeros(2500), "ecg_fs": 500.0}, 5.0),
+        ({"ecg": np.zeros(2500), "ecg_fs": 500.0,
+          "breath_times": np.array([1.0, 7.5])}, 7.5),
+        ({"beat_intervals_ms": np.full(5, 1000.0),
+          "respiration": np.zeros(200), "respiration_fs": 25.0}, 8.0),
+        ({"ecg": np.zeros(2500), "ecg_fs": 500.0, "gsr": np.zeros(150),
+          "gsr_fs": 15.0}, 10.0)],
+        ids=["intervals", "ecg", "breath-marks", "respiration", "gsr"])
+    def test_recording_ends_with_its_longest_channel(self, channels, end):
+        markers = {"sit": (0.0, 1.0), "sit_exo": (1.0, 2.0), "walk": (2.0, 3.0)}
+        session = PhysioSession(markers=markers, **channels)
+        assert session.recording_end() == end
+
+    def test_phase_past_the_recording_fails_lenient_or_not(self):
+        session = small_session()
+        end = session.recording_end()
+        start = session.markers["walk"][0]
+        late = replace(session, markers={**session.markers,
+                                         "walk": (start, end + WINDOW_S + 1)})
+        for lenient in (False, True):
+            with pytest.raises(SchemaError, match="^phase walk ends at "):
+                late.validate_protocol(lenient=lenient)
+        replace(late, markers={**session.markers, "walk": (
+            start, end + WINDOW_S)}).validate_protocol(lenient=True)
+
     def test_directory_round_trip(self, tmp_path):
         session = small_session()
         session.save(tmp_path / "phys")
@@ -808,7 +836,7 @@ class TestPhysioSession:
         ("respiration.csv", "2e12", "respiration_au value 2000000000000.0 "
                                     "outside [-1e12, 1e12] a.u."),
         ("breath_times.csv", "-1e300",
-         "breath_t_s value -1e+300 outside [-1e12, 1e12] s"),
+         "breath_t_s value -1e+300 outside [-1e10, 1e10] s"),
         ("gsr.csv", "-5.0", "negative gsr_us value -5.0"),
         ("gsr.csv", "1e13", "gsr_us value 10000000000000.0 outside "
                             "[0, 1e12] uS")])
@@ -824,15 +852,16 @@ class TestPhysioSession:
             PhysioSession.load(tmp_path)
         assert str(info.value) == f"{path}: line 10: {reason}"
 
-    @pytest.mark.parametrize("file, low", [
-        ("ecg.csv", "-1e12"), ("beat_intervals.csv", "5e-324"),
-        ("respiration.csv", "-1e12"), ("breath_times.csv", "-1e12"),
-        ("gsr.csv", "0")])
-    def test_values_at_their_range_limits_load(self, tmp_path, file, low):
+    @pytest.mark.parametrize("file, low, high", [
+        ("ecg.csv", "-1e12", "1e12"), ("beat_intervals.csv", "5e-324", "1e12"),
+        ("respiration.csv", "-1e12", "1e12"),
+        ("breath_times.csv", "-1e10", "1e10"), ("gsr.csv", "0", "1e12")])
+    def test_values_at_their_range_limits_load(self, tmp_path, file, low,
+                                               high):
         _save_series(tmp_path)
         path = tmp_path / file
         lines = path.read_text().splitlines()
-        lines[1:3] = [low, "1e12"]
+        lines[1:3] = [low, high]
         path.write_text("\n".join(lines) + "\n")
         session = PhysioSession.load(tmp_path)
         values = {"ecg.csv": session.ecg,
@@ -840,4 +869,4 @@ class TestPhysioSession:
                   "respiration.csv": session.respiration,
                   "breath_times.csv": session.breath_times,
                   "gsr.csv": session.gsr}[file]
-        assert values[:3].tolist() == [float(low), 1e12, 3.0]
+        assert values[:3].tolist() == [float(low), float(high), 3.0]

@@ -306,7 +306,11 @@ class TestControlLoop:
         ((-2e-4, 0.0, 1e-170), "time step of 1e-170 s"),   # dt*dt underflows
         ((-2e-4, 0.0, 1e-30), "time step of 1e-30 s"),     # the gains are 0
         ((-1e308, 8e307), "time step of inf s"),           # the step overflows
-    ], ids=["underflow", "below-minimum", "overflow"])
+        ((-2e-4, 0.0, 1e300), "time step of 1e+300 s"),    # the update does
+        ((-1e10, 1e10 + 1e-5), "time step of 20000000000.000008 s: a step "
+                               "must be at most 20000000000.0 s"),
+    ], ids=["underflow", "below-minimum", "overflow", "update-overflows",
+            "above-maximum"])
     def test_bad_step_raises_and_changes_no_state(self, rig, times, reason):
         loop = self.make_loop(rig)
         q = (0.1,) * 6

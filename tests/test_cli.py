@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exobench
@@ -61,6 +61,13 @@ def _tiny_step(k, row):
     estimator's 1e-9 s minimum, once a ZeroDivisionError."""
     if k == 1:
         row[0] = "1e-170"
+
+
+def _huge_time(k, row):
+    """Row 2,000 of a stream at t = 1e300 s: once a step that overflowed
+    the estimator's update into a NaN torque command."""
+    if k == 2000:
+        row[0] = "1e300"
 
 
 def _make_airborne(path):
@@ -321,6 +328,25 @@ class TestReplay:
         assert proc.stderr == (
             f"error: {stream}: time step of 1e-170 s: a step must be finite "
             f"and at least 1e-09 s\n")
+
+    def test_huge_timestamp_exits_one_naming_the_stream(self, tmp_path,
+                                                        calibration):
+        data = tmp_path / "training.csv"
+        model = tmp_path / "model.json"
+        stream = tmp_path / "stream.csv"
+        main(["sim", "--kind", "training", "--out", str(data), "--seed", "5"])
+        main(["train", str(data), "--out", str(model)])
+        main(["sim", "--kind", "gait", "--out", str(stream), "--seed", "1",
+              "--seconds", "2", "--rate", "5000"])
+        _rewrite_rows(stream, _huge_time)
+        proc = _python("-m", "exobench.cli", "replay", str(stream),
+                       "--model", str(model), "--calibration", str(calibration),
+                       "--out", str(tmp_path / "commands.csv"),
+                       "--report", str(tmp_path / "replay.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {stream}: line 2002: t value 1e+300 outside "
+            f"[-1e10, 1e10] s\n")
 
     def test_motionless_stream_reports_no_jump_ratio(self, tmp_path,
                                                      calibration, capsys):
@@ -714,6 +740,19 @@ class TestAnalyze:
             f"error: {path}: time step of 1e-170 s: a step must be finite "
             f"and at least 1e-09 s\n")
 
+    def test_huge_timestamp_in_gait_stream_exits_one_naming_it(
+            self, session_set, tmp_path):
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "subjects" / "s01" / "gait_stream.csv"
+        _rewrite_rows(path, _huge_time)
+        proc = _python("-m", "exobench.cli", "analyze", str(root),
+                       "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {path}: line 2002: t value 1e+300 outside "
+            f"[-1e10, 1e10] s\n")
+
     def test_motionless_gait_stream_writes_readable_json(
             self, session_set, tmp_path):
         root = tmp_path / "set"
@@ -939,6 +978,23 @@ class TestMalformedJson:
                      "--lenient"]) == 1
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
+    def test_lenient_phase_past_the_recording_exits_one_naming_it(
+            self, small_set, tmp_path, capsys):
+        # a walk to 1e5 s, within the marker bound, would be some 1,600
+        # windows of no data
+        root = tmp_path / "set"
+        shutil.copytree(small_set, root)
+        physio = root / "subjects" / "s01" / "physio"
+        manifest = json.loads((physio / "manifest.json").read_text())
+        manifest["markers"]["walk"][1] = 1e5
+        (physio / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(root), "--out", str(tmp_path / "r.json"),
+                     "--lenient"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {physio}: phase walk ends at 100000 s, "
+                              f"more than 60 s after the recording ends at ")
+        assert err.count("\n") == 1
+
 
 # the CSVs that analyze reads, as paths in a session set, and the mutations
 # the test below makes at a drawn byte: a cell's text, a cut, a byte that
@@ -990,6 +1046,8 @@ def small_set(tmp_path_factory):
 @given(file=st.sampled_from(_MUTATED_CSVS),
        mutation=st.sampled_from(_NUMERIC_MUTATIONS),
        place=st.floats(0.0, 1.0, exclude_max=True))
+@example(file="subjects/s01/gait_stream.csv", mutation="1e300",
+         place=0.4125839634910778)   # once a NaN command
 def test_mutated_numeric_csv_ends_in_a_named_error(small_set, file, mutation,
                                                    place):
     # any input analyze reads ends in a report or in one error line that
@@ -1153,7 +1211,7 @@ class TestValidate:
                                           "-2000000000000.0 outside "
                                           "[-1e12, 1e12] a.u."),
         ("breath_t_s", "breath_times", "breath_t_s value -2000000000000.0 "
-                                       "outside [-1e12, 1e12] s"),
+                                       "outside [-1e10, 1e10] s"),
         ("gsr_us", "gsr", "negative gsr_us value -2000000000000.0")])
     def test_physio_channel_file_is_loaded_with_its_range(
             self, tmp_path, capsys, header, kind, reason):

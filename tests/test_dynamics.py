@@ -744,7 +744,11 @@ class TestAccelerationEstimator:
         ([-2e-4, 0.0, 1e-170], "time step of 1e-170 s"),   # dt*dt underflows
         ([-2e-4, 0.0, 1e-30], "time step of 1e-30 s"),     # the gains are 0
         ([-1e308, 8e307], "time step of inf s"),           # the step overflows
-    ], ids=["underflow", "below-minimum", "overflow"])
+        ([-2e-4, 0.0, 1e300], "time step of 1e+300 s"),    # the update does
+        ([-1e10, 1e10 + 1e-5], "time step of 20000000000.000008 s: a step "
+                               "must be at most 20000000000.0 s"),
+    ], ids=["underflow", "below-minimum", "overflow", "update-overflows",
+            "above-maximum"])
     def test_bad_step_is_rejected_before_any_state_changes(self, t, reason):
         q = np.full((len(t), 6), 0.1)
         with pytest.raises(ValueError, match=re.escape(reason)):
@@ -760,6 +764,19 @@ class TestAccelerationEstimator:
             with pytest.raises(ValueError, match=re.escape(reason)):
                 e.estimate_array(np.array(t[-1:]), q[-1:])
             assert vars(e) == before
+
+    def test_widest_step_gives_finite_estimates(self):
+        # steps of 1e10 s and of MAX_STEP_S = 2e10 s, the widest between
+        # two times within TIME_LIMIT, after a step of about 1e-5 s
+        t = np.array([-1e10, -1e10 + 1e-5, 0.0, 1e10])
+        q = np.array([[0.1] * 6, [-0.2] * 6, [6.0] * 6, [-6.0] * 6])
+        for times, angles in ((t, q), (t[[0, 3]], q[[0, 3]])):
+            got = AccelerationEstimator().estimate_array(times, angles)
+            ref = _pushed_rows(times, angles, retired_push)
+            assert got[2][-1] and np.array_equal(got[2], ref[2])
+            for values, want in zip(got[:2], ref[:2]):
+                assert np.isfinite(values).all()
+                assert np.array_equal(_bits(values), _bits(want))
 
     def test_rejects_backward_time(self):
         est = AccelerationEstimator()

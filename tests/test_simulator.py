@@ -82,6 +82,12 @@ class TestGenerateCycle:
                                              "finite"):
             generate_cycle(GaitPattern(), rate=100, cycles=cycles)
 
+    def test_rejects_more_frames_than_sim_generates(self):
+        # 1e9 cycles at 5 kHz would be about 44 TiB of frames
+        with pytest.raises(ValueError, match="frames; a generated stream "
+                                             "holds at most 5000000$"):
+            generate_cycle(GaitPattern(), rate=5000, cycles=1e9)
+
     def test_knee_stays_flexion_only(self):
         stream = generate_cycle(GaitPattern(angle_noise=0.0), rate=500,
                                 cycles=2, seed=2)
@@ -399,6 +405,8 @@ class TestReplayBatch:
         dropped = short.t.copy()
         dropped[[5, 6]] = dropped[3], dropped[4] + 1e-12   # 5 is dropped
         overflow = np.concatenate([[-1e308], 8e307 + np.arange(1, 20) * 1e293])
+        huge = short.t.copy()
+        huge[8] = 1e300   # the frames after it are dropped
         wide = short.q.copy()
         wide[9, 3] = 7.0   # past 2pi, after the short step
         early = short.q.copy()
@@ -407,6 +415,8 @@ class TestReplayBatch:
         cases = ((tiny, None, short_step),
                  (dropped, None, short_step),
                  (overflow, None, r"^time step of inf s"),
+                 (huge, None, r"^time step of 1e\+300 s: a step must be at "
+                              r"most 20000000000\.0 s$"),
                  (tiny, wide, short_step),
                  (tiny, early, r"^q_lh value 7\.0 outside"))
         for t, q, match in cases:
