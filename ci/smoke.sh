@@ -32,6 +32,29 @@ exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
 exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
   --calibration "$tmp/set/calibration.json" --out "$tmp/commands2.csv"
 cmp <(cut -d, -f1-9 "$tmp/commands.csv") <(cut -d, -f1-9 "$tmp/commands2.csv")
+# the writer formats repr columns in numpy: a Python repr loop re-renders
+# the gait stream, and columns 1-9 of the command log, byte for byte
+python3 - "$tmp/gait.csv" "$tmp/gait_repr.csv" <<'EOF'
+import csv, sys
+with open(sys.argv[1], newline="") as src, \
+        open(sys.argv[2], "w", newline="") as out:
+    rows = csv.reader(src)
+    writer = csv.writer(out)
+    writer.writerow(next(rows))
+    for row in rows:
+        writer.writerow([repr(float(cell)) for cell in row[:9]] + row[9:])
+EOF
+cmp "$tmp/gait.csv" "$tmp/gait_repr.csv"
+cut -d, -f1-9 "$tmp/commands.csv" > "$tmp/commands_1-9.csv"
+python3 - "$tmp/commands_1-9.csv" "$tmp/commands_repr.csv" <<'EOF'
+import sys
+with open(sys.argv[1]) as src, open(sys.argv[2], "w") as out:
+    out.write(next(src))
+    for line in src:
+        out.write(",".join(repr(float(cell)) for cell in line.split(","))
+                  + "\n")
+EOF
+cmp "$tmp/commands_1-9.csv" "$tmp/commands_repr.csv"
 # a step of 1e-170 s between the first two frames is below the estimator's
 # 1e-9 s minimum: replay exits 1 with a named error, not a traceback
 awk -F, -v OFS=, 'NR == 3 { $1 = "1e-170" } { print }' "$tmp/gait.csv" \

@@ -691,8 +691,8 @@ def _tracker_gains(dt: float):
     if not dt > 0:   # NaN included
         raise ValueError("timestamps must be strictly increasing")
     if dt < MIN_STEP_S:
-        raise ValueError(f"time step of {dt!r} s: a step must be finite "
-                         f"and at least {MIN_STEP_S!r} s")
+        raise ValueError(f"time step of {dt!r} s: a step must be at least "
+                         f"{MIN_STEP_S!r} s")
     if dt > MAX_STEP_S:
         raise ValueError(f"time step of {dt!r} s: a step must be at most "
                          f"{MAX_STEP_S!r} s")

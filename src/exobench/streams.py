@@ -10,11 +10,14 @@ right_load, stage_tag`` (header required, stage_tag may be empty).
 
 The accepted dialect is what ``save_csv`` writes (``csv.writer`` defaults)
 through ``write_rows``, the chunked writer of every numeric CSV exobench
-makes.  It also covers the one-column physiological channel files that
-``load_column`` reads, each with its own header and range, and the
-questionnaire's ``questionnaire_responses.csv`` and
-``questionnaire_preferences.csv``, whose cells are text (a score is ASCII
-digits after an optional sign):
+makes.  Its ``%r`` columns are formatted in numpy by ``_repr_slots``, and
+the bytes are exactly those of Python's ``repr``: a zero and every value
+with 1e-4 <= |x| < 1e16 in numpy, any other value (and a near tie) by
+``repr`` itself, one value at a time.  The dialect also covers the
+one-column physiological channel files that ``load_column`` reads, each
+with its own header and range, and the questionnaire's
+``questionnaire_responses.csv`` and ``questionnaire_preferences.csv``,
+whose cells are text (a score is ASCII digits after an optional sign):
 
 * the first line is the header, compared field by field after stripping
   whitespace;
@@ -57,6 +60,7 @@ import functools
 import io
 import json
 import math
+import re
 import reprlib
 import sys
 import warnings
@@ -175,25 +179,224 @@ def load_column(path, name: str, limits: tuple) -> np.ndarray:
 
 def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
     """Write ``header``, then each row of the equal-length 1-D ``columns``
-    as ``row_fmt`` of Python floats, one ``%`` and one write per
-    ``ROWS_PER_CHUNK`` rows; ``str`` of each of the ``tags`` fills its row's
-    last ``%s``, quoted as ``csv.writer`` quotes a field."""
+    as ``row_fmt`` of Python floats, one write per ``ROWS_PER_CHUNK`` rows;
+    ``str`` of each of the ``tags`` fills its row's last ``%s``, quoted as
+    ``csv.writer`` quotes a field.
+
+    A ``row_fmt`` whose only conversions are one ``%r`` per column (then
+    the ``%s`` of the tags) is formatted in numpy by ``_repr_slots``, a
+    column of a chunk at a time, and each chunk's rows are cut out of one
+    byte array by one mask.  The bytes are unchanged, those of Python's
+    ``repr``: the formatter's domain is a zero and 1e-4 <= |x| < 1e16, and
+    any other value (or a near tie) is formatted by ``repr`` itself, one
+    value at a time.  Any other ``row_fmt`` (the ``%.8g`` physiological
+    channels) is one Python ``%`` per chunk."""
     columns = [np.asarray(c, dtype=float) for c in columns]
+    tokens = re.split("(%[rs])", row_fmt)
+    numpy_path = (tokens[1::2] == ["%r"] * len(columns)
+                  + ["%s"] * (tags is not None)
+                  and not any("%" in literal for literal in tokens[::2]))
     quoted = {}
     with open(path, "w", newline=newline, encoding="utf-8") as f:
         f.write(header)
         for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
             stop = start + ROWS_PER_CHUNK
-            cells = [c[start:stop].tolist() for c in columns]
+            texts = None
             if tags is not None:
                 texts = [str(tag) for tag in tags[start:stop]]
                 for text in set(texts).difference(quoted):
                     buf = io.StringIO()   # text after a field, then "\r\n"
                     csv.writer(buf).writerow(["", text])
                     quoted[text] = buf.getvalue()[1:-2]
-                cells.append([quoted[text] for text in texts])
-            f.write(row_fmt * len(cells[0])
-                    % tuple(chain.from_iterable(zip(*cells))))
+                texts = [quoted[text] for text in texts]
+            cells = [c[start:stop] for c in columns]
+            if numpy_path:
+                f.write(_repr_rows(tokens, cells, texts))
+            else:
+                cells = [c.tolist() for c in cells]
+                if texts is not None:
+                    cells.append(texts)
+                f.write(row_fmt * len(cells[0])
+                        % tuple(chain.from_iterable(zip(*cells))))
+
+
+def _repr_rows(tokens, cells, texts) -> str:
+    """One chunk of rows as text.  ``tokens`` is ``re.split("(%[rs])",
+    row_fmt)``: each ``%r`` is the ``repr`` of the next of the equal-length
+    ``cells``, the ``%s`` each row's quoted text in ``texts``.  Every field
+    and literal is a block of bytes per row, and one mask keeps what each
+    row writes of them."""
+    rows = cells[0].size
+    blocks, keep = [], []
+    cells = iter(cells)
+    for token in filter(None, tokens):
+        if token == "%r":
+            block = _repr_slots(next(cells))
+            mask = block != 0
+        elif token == "%s":   # the distinct texts, padded, then one gather
+            index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+            encoded = [text.encode("utf-8") for text in index]
+            width = max(map(len, encoded))
+            table = np.frombuffer(b"".join(
+                text.ljust(width, b"\0") for text in encoded),
+                np.uint8).reshape(len(encoded), width)
+            rows_of = np.fromiter(map(index.__getitem__, texts), np.intp,
+                                  rows)
+            block = table[rows_of]
+            mask = (np.arange(width)
+                    < np.array([len(text) for text in encoded])[rows_of, None])
+        else:   # a literal between fields
+            literal = np.frombuffer(token.encode("utf-8"), np.uint8)
+            block = np.broadcast_to(literal, (rows, literal.size))
+            mask = np.ones(block.shape, bool)
+        blocks.append(block)
+        keep.append(mask)
+    return np.hstack(blocks)[np.hstack(keep)].tobytes().decode("utf-8")
+
+
+# -- the repr formatter -------------------------------------------------------
+#
+# |x| in [1e-4, 1e16) is scaled by 10**k into [1e16, 1e17) as an exact sum
+# hi + lo (Dekker's product of Veltkamp halves; 10**k is exact for k <=
+# 22), hi an even integer.  Rounded to 15, 16 and 17 digits by exact
+# comparisons of lo, the shortest rounding whose distance to x is below half
+# an ulp of x (scaled) is the repr's digits: a 15-digit one once stripped of
+# its trailing zeros, as every decimal of 15 or fewer digits reads back
+# unchanged (DBL_DIG).  Two 16-digit roundings at one distance go to repr;
+# at 17 digits, np.rint takes the even one of two, as repr does.  Below a
+# power of two half an ulp is narrower, but each one in the domain has an
+# exact decimal of at most 16 digits, which the roundings meet at distance
+# 0.  Digits are laid out in three little-endian 64-bit words per value,
+# trailing zeros as NUL bytes.
+_P10 = np.array([float(10 ** k) for k in range(23)])
+_P10_HI = 134217729.0 * _P10   # 2**27 + 1: Veltkamp's splitter
+_P10_HI -= _P10_HI - _P10
+_SCALES = np.stack([_P10, _P10_HI, _P10 - _P10_HI])
+# k of a value from its biased binary exponent, at most 1 too large
+_K_GUESS = np.clip(16 - np.floor((np.arange(2048) - 1023) * np.log10(2)),
+                   1, 21).astype(np.intp)
+# half an ulp of a normal value, by its biased binary exponent
+_HALF_ULP = np.ldexp(1.0, np.arange(2048, dtype=np.int32) - 1076)
+_TIE_MARGIN = 1e-9   # a distance this near half an ulp goes to repr
+# the ASCII of each 4-digit group, then with its trailing zeros as NUL
+_GROUPS = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_DIGITS4 = np.concatenate([
+    _GROUPS + 48, np.where(np.cumsum(_GROUPS[:, ::-1], axis=1)[:, ::-1],
+                           _GROUPS + 48, 0)]).astype(np.uint8).view(
+    "<u4").ravel().astype(np.uint64)
+_DIGIT1 = np.array([0, *b"123456789"], np.uint64)
+_BYTE, _HALF_WORD = np.uint64(8), np.uint64(32)
+_SLOT = 24   # bytes of the longest repr, -2.2250738585072014e-308
+
+
+def _layouts() -> np.ndarray:
+    """Per k, rows: the byte shift of the digits after the point (bits),
+    64 minus it, then the three words each of the fixed bytes, of the
+    digits before the point and of those after it, byte 0 the sign."""
+    table = np.zeros((23, 3, _SLOT), np.uint8)
+    shift = np.zeros(23, np.uint64)
+    for k in range(1, 21):
+        point = 17 - k   # decimal exponent + 1: digits before the point
+        fixed, before, after = table[k]
+        if point <= 0:   # "0." and -point zeros, then every digit
+            shift[k] = 8 * (3 - point)
+            fixed[1:3 - point] = list(b"0." + b"0" * -point)
+            after[:] = 255
+        else:   # the digits, zeros for NULs, "." and at least one digit
+            shift[k] = 16
+            fixed[1:point + 3] = list(b"0" * point + b".0")
+            before[1:point + 1] = 255
+            after[point + 2:] = 255
+    words = table.view("<u8").reshape(23, 9).T
+    return np.concatenate([[shift, np.uint64(64) - shift], words])
+
+
+_LAYOUTS = _layouts()
+
+
+def _repr_slots(values: np.ndarray) -> np.ndarray:
+    """A ``(len(values), 24)`` uint8 array: row ``i`` is the ASCII of
+    ``repr(float(values[i]))`` among NUL bytes (a NUL for the sign of a
+    positive value, then after the text).  Zeros and the values in 1e-4
+    <= |x| < 1e16 are formatted in numpy, but for a 16-digit tie and a
+    distance within ``_TIE_MARGIN`` of half an ulp (and, as a guard, a
+    rounding outside [1e16, 1e17), which no value in the domain makes);
+    those and all other values (NaN, +-inf, subnormals) go to ``repr``
+    one at a time."""
+    a = np.abs(values)
+    exponent = a.view(np.int64) >> 52
+    k = _K_GUESS[exponent]
+    with np.errstate(all="ignore"):   # NaN, inf, 1e300: fall back below
+        k -= a * _P10[k] >= 1e17
+        scale, scale_hi, scale_lo = _SCALES.take(k, axis=1)
+        hi = a * scale
+        split = 134217729.0 * a
+        a_hi = split - (split - a)
+        a_lo = a - a_hi
+        lo = (((a_hi * scale_hi - hi) + a_hi * scale_lo + a_lo * scale_hi)
+              + a_lo * scale_lo)
+        n = hi.astype(np.int64)
+    half = scale * _HALF_ULP[exponent]
+    r100 = n - n // 100 * 100
+    r10 = r100 - r100 // 10 * 10
+    f100 = r100.astype(float)
+    f10 = r10.astype(float)
+    # the nearest multiple of 100 and of 10 to hi + lo, and the distances
+    up15 = lo > 50 - f100
+    d15 = np.abs(100 * up15 - f100 - lo)
+    up16 = (lo > 5 - f10).astype(np.int64) + (lo > 15 - f10) - (lo < -5 - f10)
+    d16 = np.abs(10 * up16 - f10 - lo)
+    up17 = np.rint(lo)   # half an ulp exceeds 0.5 here; a tie goes even
+    inner = half * (1 - _TIE_MARGIN)
+    outer = half * (1 + _TIE_MARGIN)
+    hit15 = d15 < inner
+    hit16 = d16 < inner
+    bad = (d15 >= inner) & (d15 <= outer) | ~hit15 & (
+        (d16 >= inner) & (d16 <= outer) | hit16 & (d16 == 5))
+    with np.errstate(invalid="ignore"):
+        n += np.where(hit15, 100 * up15 - r100,
+                      np.where(hit16, 10 * up16 - r10, up17.astype(np.int64)))
+    bad |= (a < 1e-4) | ~(a < 1e16) | (n < 10 ** 16) | (n >= 10 ** 17)
+    zero = a == 0
+    bad &= ~zero
+    n[bad] = 10 ** 16
+    n[zero] = 0   # no digits: "0.0", as k = 16 lays them out
+    k[bad | zero] = 16
+    # 17 digits: four 4-digit groups, then one; NUL past the last nonzero
+    top = n // 10
+    last = n - top * 10
+    high = top // 10 ** 8
+    low = top - high * 10 ** 8
+    g0 = high // 10 ** 4
+    g2 = low // 10 ** 4
+    g1 = high - g0 * 10 ** 4
+    g3 = low - g2 * 10 ** 4
+    zeros = last == 0   # every digit after the group is a zero
+    w2 = _DIGIT1[last]
+    w1 = _DIGITS4[g3 + 10000 * zeros] << _HALF_WORD
+    zeros &= g3 == 0
+    w1 |= _DIGITS4[g2 + 10000 * zeros]
+    zeros &= g2 == 0
+    w0 = _DIGITS4[g1 + 10000 * zeros] << _HALF_WORD
+    zeros &= g1 == 0
+    w0 |= _DIGITS4[g0 + 10000 * zeros]
+    # shift the digits past the sign byte, then past the point or "0.00"
+    (shift, back, fixed0, fixed1, fixed2, before0, before1, before2,
+     after0, after1, after2) = _LAYOUTS.take(k, axis=1)
+    slots = np.empty((values.size, 3), "<u8")
+    slots[:, 0] = (fixed0 | np.signbit(values) * np.uint64(ord("-"))
+                   | (w0 << _BYTE) & before0 | (w0 << shift) & after0)
+    slots[:, 1] = (fixed1 | ((w1 << _BYTE) | (w0 >> np.uint64(56))) & before1
+                   | ((w1 << shift) | (w0 >> back)) & after1)
+    slots[:, 2] = (fixed2 | ((w2 << _BYTE) | (w1 >> np.uint64(56))) & before2
+                   | ((w2 << shift) | (w1 >> back)) & after2)
+    slots = slots.view(np.uint8)
+    if (fallback := np.flatnonzero(bad)).size:
+        slots[fallback] = np.frombuffer(b"".join(
+            repr(value).encode("ascii").ljust(_SLOT, b"\0")
+            for value in values[fallback].tolist()), np.uint8).reshape(
+            -1, _SLOT)
+    return slots
 
 
 def read_header(path) -> list[str]:

@@ -326,8 +326,8 @@ class TestReplay:
                        "--model", str(model), "--calibration", str(calibration))
         assert proc.returncode == 1
         assert proc.stderr == (
-            f"error: {stream}: time step of 1e-170 s: a step must be finite "
-            f"and at least 1e-09 s\n")
+            f"error: {stream}: time step of 1e-170 s: a step must be at "
+            f"least 1e-09 s\n")
 
     def test_huge_timestamp_exits_one_naming_the_stream(self, tmp_path,
                                                         calibration):
@@ -737,8 +737,8 @@ class TestAnalyze:
                        "--out", str(tmp_path / "report.json"))
         assert proc.returncode == 1
         assert proc.stderr == (
-            f"error: {path}: time step of 1e-170 s: a step must be finite "
-            f"and at least 1e-09 s\n")
+            f"error: {path}: time step of 1e-170 s: a step must be at "
+            f"least 1e-09 s\n")
 
     def test_huge_timestamp_in_gait_stream_exits_one_naming_it(
             self, session_set, tmp_path):

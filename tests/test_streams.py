@@ -1,6 +1,6 @@
 """SensorStream CSV reading: the accepted dialect, its errors, round trips;
-the chunked row writer pinned to the per-row writers it replaced; and the
-frames the control loop iterates."""
+the chunked row writer pinned to the per-row writers it replaced, and its
+repr formatter pinned to repr; and the frames the control loop iterates."""
 
 import csv
 import math
@@ -11,12 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exobench import streams
 from exobench.biosignal import PhysioSession
 from exobench.errors import IncompleteTrainingError
 from exobench.segmentation import training_session_builder
-from exobench.simulator import ReplayResult
+from exobench.simulator import (GaitPattern, ReplayResult, generate_cycle,
+                                generate_training_protocol)
 from exobench.streams import (CSV_HEADER, ROWS_PER_CHUNK, TIME_LIMIT,
-                              SensorFrame, SensorStream, write_json)
+                              SensorFrame, SensorStream, _repr_slots,
+                              write_json)
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -361,10 +364,29 @@ def test_stream_writer_matches_the_csv_writer_loop(tmp_path_factory, n, seed,
     stream = SensorStream(t=column(n), q=np.column_stack(
         [column(n) for _ in range(6)]), left_load=column(n),
         right_load=column(n), stage=stage)
-    directory = tmp_path_factory.mktemp("stream_writer")
+    _check_stream_writer(tmp_path_factory.mktemp("stream_writer"), stream)
+
+
+def _check_stream_writer(directory, stream):
     stream.save_csv(directory / "new.csv")
     _csv_writer_oracle(directory / "old.csv", stream)
     _same_bytes(directory / "new.csv", directory / "old.csv")
+
+
+# the streams exobench writes: a 5 kHz gait cycle and a training protocol,
+# each longer than one chunk
+_GENERATED_STREAMS = {
+    "gait_5khz": lambda: generate_cycle(GaitPattern(), rate=5000, cycles=1,
+                                        seed=3),
+    "training": lambda: generate_training_protocol(seed=4)}
+
+
+@pytest.mark.parametrize("name", _GENERATED_STREAMS)
+def test_stream_writer_matches_the_csv_writer_loop_on_generated_streams(
+        tmp_path, name):
+    stream = _GENERATED_STREAMS[name]()
+    assert len(stream) > ROWS_PER_CHUNK
+    _check_stream_writer(tmp_path, stream)
 
 
 @settings(max_examples=25, deadline=None)
@@ -393,10 +415,89 @@ def test_command_log_writer_matches_the_repr_loop(tmp_path_factory, n, seed,
         tau=np.column_stack([column(n) for _ in range(6)]),
         degraded=np.zeros(n, bool), dropped_frames=0, step_us=column(n),
         period_us=200.0)
-    directory = tmp_path_factory.mktemp("command_log_writer")
+    _check_command_log_writer(
+        tmp_path_factory.mktemp("command_log_writer"), result)
+
+
+def _check_command_log_writer(directory, result):
     result.save_csv(directory / "new.csv")
     _command_log_oracle(directory / "old.csv", result)
     _same_bytes(directory / "new.csv", directory / "old.csv")
+
+
+def test_command_log_writer_matches_the_repr_loop_on_gait_sized_commands(
+        tmp_path):
+    """A 5 kHz log longer than one chunk: zero torque in the warm-up,
+    torques of tens of Nm, a blend weight often exactly 0 or 1."""
+    rng = np.random.default_rng(5)
+    n = ROWS_PER_CHUNK + 1000
+    t = np.arange(n) / 5000
+    tau = rng.normal(0.0, 30.0, (n, 6))
+    tau[:250] = 0.0
+    result = ReplayResult(
+        t=t, raw_phase=t / 1.1 % 1.0,
+        gamma_l=np.clip(rng.normal(0.5, 0.6, n), 0.0, 1.0), tau=tau,
+        degraded=np.zeros(n, bool), dropped_frames=0,
+        step_us=rng.uniform(4.0, 40.0, n), period_us=200.0)
+    _check_command_log_writer(tmp_path, result)
+
+
+# the repr formatter: its domain is 1e-4 <= |x| < 1e16, and zeros
+_DOMAIN = (st.floats(1e-4, 1e16, exclude_max=True)
+           | st.floats(-1e16, -1e-4, exclude_min=True))
+_POWERS_OF_TWO = [2.0 ** e for e in range(-14, 55)]
+# x exactly halfway between two 17-digit decimals (the last needs only 16
+# digits), then between two 16-digit ones: repr takes the even one
+_TIES = [1e15 + 0.25, 1e15 + 0.75, 2.0 ** 50 + 0.5, 5e14 + 0.125,
+         758395212507966.25, 879555887485041.75]
+_EDGES = [9.999999999999999e15, 1e16, 1e-4, 9.999999999999999e-05,
+          0.1 + 0.2, 100.0, 0.0, -0.0, 5e-324, 2.0 ** -1022, math.nan,
+          math.inf, -math.inf]
+
+
+def _formatted(values):
+    """The text ``_repr_slots`` makes of each of ``values``."""
+    return [row[row != 0].tobytes().decode("ascii")
+            for row in _repr_slots(np.array(values, dtype=float))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_DOMAIN, min_size=1, max_size=64))
+@example(_POWERS_OF_TWO + [-x for x in _POWERS_OF_TWO])
+@example(_TIES + [-x for x in _TIES])
+@example(_EDGES)
+def test_repr_formatter_writes_the_bytes_of_repr(values):
+    assert _formatted(values) == [repr(x) for x in values]
+
+
+def test_repr_formatter_matches_repr_over_a_seeded_sweep():
+    """10**6 values, mantissas in [1, 10) at decimal exponents -6..17 of
+    either sign: the sweep crosses both ends of the domain."""
+    rng = np.random.default_rng(2024)
+    n = 10 ** 6
+    values = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-6, 18, n)
+              * rng.choice([-1.0, 1.0], n))
+    slots = np.vstack([_repr_slots(chunk) for chunk
+                       in np.array_split(values, n // ROWS_PER_CHUNK)])
+    slots = np.hstack([slots, np.full((n, 1), ord(","), np.uint8)])
+    written = slots[slots != 0].tobytes().decode("ascii").split(",")[:-1]
+    assert written == list(map(repr, values.tolist())), [
+        x for x, text in zip(values.tolist(), written) if text != repr(x)][:5]
+
+
+def test_repr_formatter_formats_zeros_and_generated_gait_itself(
+        monkeypatch):
+    """Of a 5 kHz gait cycle, whose loads are often exactly zero, under 1%
+    of the values reach ``repr``, and no zero does."""
+    reached = []
+    monkeypatch.setattr(streams, "repr", lambda x: reached.append(x)
+                        or repr(x), raising=False)
+    stream = _GENERATED_STREAMS["gait_5khz"]()
+    values = np.concatenate([stream.t, stream.q.ravel(), stream.left_load,
+                             stream.right_load, [0.0, -0.0]])
+    assert _formatted(values) == [repr(x) for x in values.tolist()]
+    assert 0.0 not in reached
+    assert len(reached) < values.size / 100
 
 
 @pytest.mark.parametrize("n", [1, 2, 257])
