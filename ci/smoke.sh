@@ -55,6 +55,19 @@ with open(sys.argv[1]) as src, open(sys.argv[2], "w") as out:
                   + "\n")
 EOF
 cmp "$tmp/commands_1-9.csv" "$tmp/commands_repr.csv"
+# the writer formats the %.8g physio channels in numpy too: a Python '%'
+# loop re-renders s01's ECG, respiration and GSR, byte for byte
+for channel in ecg respiration gsr; do
+  python3 - "$tmp/set/subjects/s01/physio/$channel.csv" \
+    "$tmp/${channel}_percent.csv" <<'EOF'
+import sys
+with open(sys.argv[1]) as src, open(sys.argv[2], "w") as out:
+    out.write(next(src))
+    for line in src:
+        out.write("%.8g\n" % float(line))
+EOF
+  cmp "$tmp/set/subjects/s01/physio/$channel.csv" "$tmp/${channel}_percent.csv"
+done
 # a step of 1e-170 s between the first two frames is below the estimator's
 # 1e-9 s minimum: replay exits 1 with a named error, not a traceback
 awk -F, -v OFS=, 'NR == 3 { $1 = "1e-170" } { print }' "$tmp/gait.csv" \

@@ -15,7 +15,9 @@ the bytes are exactly those of Python's ``repr``: a zero and every value
 with 1e-4 <= |x| < 1e16 in numpy, any other value (and a near tie) by
 ``repr`` itself, one value at a time.  The dialect also covers the
 one-column physiological channel files that ``load_column`` reads, each
-with its own header and range, and the questionnaire's
+with its own header and range; ``_g8_slots`` formats the ``%.8g`` ones
+(ECG, respiration, GSR) in numpy the same way, with the bytes of Python's
+``%`` for 1e-4 <= |x| < 1e8.  It also covers the questionnaire's
 ``questionnaire_responses.csv`` and ``questionnaire_preferences.csv``,
 whose cells are text (a score is ASCII digits after an optional sign):
 
@@ -183,18 +185,18 @@ def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
     ``str`` of each of the ``tags`` fills its row's last ``%s``, quoted as
     ``csv.writer`` quotes a field.
 
-    A ``row_fmt`` whose only conversions are one ``%r`` per column (then
-    the ``%s`` of the tags) is formatted in numpy by ``_repr_slots``, a
-    column of a chunk at a time, and each chunk's rows are cut out of one
-    byte array by one mask.  The bytes are unchanged, those of Python's
-    ``repr``: the formatter's domain is a zero and 1e-4 <= |x| < 1e16, and
-    any other value (or a near tie) is formatted by ``repr`` itself, one
-    value at a time.  Any other ``row_fmt`` (the ``%.8g`` physiological
-    channels) is one Python ``%`` per chunk."""
+    A ``row_fmt`` whose only conversions are one ``%r`` or ``%.8g`` per
+    column (then the ``%s`` of the tags) is formatted in numpy, a column of
+    a chunk at a time by ``_repr_slots`` or ``_g8_slots``, and each chunk's
+    rows are cut out of one byte array by one mask.  The bytes are
+    unchanged, those of Python's ``repr`` and ``%``: a value outside a
+    formatter's domain (or a near tie) is formatted by Python, one value at
+    a time.  Any other ``row_fmt`` (the ``%.12g`` beat intervals and breath
+    times, which ``sim`` does not write) is one Python ``%`` per chunk."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    tokens = re.split("(%[rs])", row_fmt)
-    numpy_path = (tokens[1::2] == ["%r"] * len(columns)
-                  + ["%s"] * (tags is not None)
+    tokens = re.split(r"(%r|%\.8g|%s)", row_fmt)
+    numpy_path = ([field in _FORMATTERS for field in tokens[1::2]]
+                  == [True] * len(columns) + [False] * (tags is not None)
                   and not any("%" in literal for literal in tokens[::2]))
     quoted = {}
     with open(path, "w", newline=newline, encoding="utf-8") as f:
@@ -211,7 +213,7 @@ def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
                 texts = [quoted[text] for text in texts]
             cells = [c[start:stop] for c in columns]
             if numpy_path:
-                f.write(_repr_rows(tokens, cells, texts))
+                f.write(_numpy_rows(tokens, cells, texts))
             else:
                 cells = [c.tolist() for c in cells]
                 if texts is not None:
@@ -220,18 +222,18 @@ def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
                         % tuple(chain.from_iterable(zip(*cells))))
 
 
-def _repr_rows(tokens, cells, texts) -> str:
-    """One chunk of rows as text.  ``tokens`` is ``re.split("(%[rs])",
-    row_fmt)``: each ``%r`` is the ``repr`` of the next of the equal-length
-    ``cells``, the ``%s`` each row's quoted text in ``texts``.  Every field
-    and literal is a block of bytes per row, and one mask keeps what each
-    row writes of them."""
+def _numpy_rows(tokens, cells, texts) -> str:
+    """One chunk of rows as text.  ``tokens`` is ``row_fmt`` split at its
+    conversions: each ``%r`` or ``%.8g`` formats the next of the
+    equal-length ``cells``, the ``%s`` is each row's quoted text in
+    ``texts``.  Every field and literal is a block of bytes per row, and
+    one mask keeps what each row writes of them."""
     rows = cells[0].size
     blocks, keep = [], []
     cells = iter(cells)
     for token in filter(None, tokens):
-        if token == "%r":
-            block = _repr_slots(next(cells))
+        if token in _FORMATTERS:
+            block = _FORMATTERS[token](next(cells))
             mask = block != 0
         elif token == "%s":   # the distinct texts, padded, then one gather
             index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
@@ -254,25 +256,33 @@ def _repr_rows(tokens, cells, texts) -> str:
     return np.hstack(blocks)[np.hstack(keep)].tobytes().decode("utf-8")
 
 
-# -- the repr formatter -------------------------------------------------------
+# -- the numpy formatters -----------------------------------------------------
 #
-# |x| in [1e-4, 1e16) is scaled by 10**k into [1e16, 1e17) as an exact sum
-# hi + lo (Dekker's product of Veltkamp halves; 10**k is exact for k <=
-# 22), hi an even integer.  Rounded to 15, 16 and 17 digits by exact
-# comparisons of lo, the shortest rounding whose distance to x is below half
-# an ulp of x (scaled) is the repr's digits: a 15-digit one once stripped of
-# its trailing zeros, as every decimal of 15 or fewer digits reads back
-# unchanged (DBL_DIG).  Two 16-digit roundings at one distance go to repr;
-# at 17 digits, np.rint takes the even one of two, as repr does.  Below a
-# power of two half an ulp is narrower, but each one in the domain has an
-# exact decimal of at most 16 digits, which the roundings meet at distance
-# 0.  Digits are laid out in three little-endian 64-bit words per value,
-# trailing zeros as NUL bytes.
+# Each scales |x| by 10**k (exact for k <= 22) into a range of integers,
+# rounds it there, and lays out the digits in little-endian 64-bit words,
+# trailing zeros as NUL bytes, by a per-k table of shifts and masks.
+#
+# repr: |x| in [1e-4, 1e16) goes into [1e16, 1e17) as an exact sum hi + lo
+# (Dekker's product of Veltkamp halves), hi an even integer.  Rounded to
+# 15, 16 and 17 digits by exact comparisons of lo, the shortest rounding
+# whose distance to x is below half an ulp of x (scaled) is the repr's
+# digits: a 15-digit one once stripped of its trailing zeros, as every
+# decimal of 15 or fewer digits reads back unchanged (DBL_DIG).  Two 16-digit
+# roundings at one distance go to repr; at 17 digits, np.rint takes the even
+# one of two, as repr does.  Below a power of two half an ulp is narrower,
+# but each one in the domain has an exact decimal of at most 16 digits,
+# which the roundings meet at distance 0.
+#
+# %.8g: |x| in [1e-4, 1e8) goes into [1e7, 1e8), where %.8g writes no
+# exponent.  Below 2**27 every midpoint n + 0.5 is a double, so the rounded
+# product lies on the same side of each midpoint as the exact one, or on it:
+# np.rint of it is the rounding to 8 digits but for a product on a midpoint.
 _P10 = np.array([float(10 ** k) for k in range(23)])
 _P10_HI = 134217729.0 * _P10   # 2**27 + 1: Veltkamp's splitter
 _P10_HI -= _P10_HI - _P10
 _SCALES = np.stack([_P10, _P10_HI, _P10 - _P10_HI])
-# k of a value from its biased binary exponent, at most 1 too large
+# k of a value from its biased binary exponent, at most 1 too large (for
+# repr; 9 less for %.8g)
 _K_GUESS = np.clip(16 - np.floor((np.arange(2048) - 1023) * np.log10(2)),
                    1, 21).astype(np.intp)
 # half an ulp of a normal value, by its biased binary exponent
@@ -285,33 +295,71 @@ _DIGITS4 = np.concatenate([
                            _GROUPS + 48, 0)]).astype(np.uint8).view(
     "<u4").ravel().astype(np.uint64)
 _DIGIT1 = np.array([0, *b"123456789"], np.uint64)
-_BYTE, _HALF_WORD = np.uint64(8), np.uint64(32)
-_SLOT = 24   # bytes of the longest repr, -2.2250738585072014e-308
+_BYTE, _HALF_WORD, _TOP = np.uint64(8), np.uint64(32), np.uint64(56)
 
 
-def _layouts() -> np.ndarray:
-    """Per k, rows: the byte shift of the digits after the point (bits),
-    64 minus it, then the three words each of the fixed bytes, of the
-    digits before the point and of those after it, byte 0 the sign."""
-    table = np.zeros((23, 3, _SLOT), np.uint8)
+def _layouts(digits: int, ks: range, slot: int, dotted: bool) -> np.ndarray:
+    """Per k in ``ks``, the digits after the point of a ``digits``-digit
+    value, rows: the byte shift of the digits after the point (bits), 64
+    minus it, then the ``slot // 8`` words each of the fixed bytes, of the
+    digits before the point and of those after it, byte 0 the sign.  The
+    point of a ``dotted`` layout is fixed, followed by at least one digit;
+    any other has one more row of words, a point for a digit after it."""
+    table = np.zeros((23, 4, slot), np.uint8)
     shift = np.zeros(23, np.uint64)
-    for k in range(1, 21):
-        point = 17 - k   # decimal exponent + 1: digits before the point
-        fixed, before, after = table[k]
+    for k in ks:
+        point = digits - k   # decimal exponent + 1: digits before the point
+        fixed, before, after, dot = table[k]
         if point <= 0:   # "0." and -point zeros, then every digit
             shift[k] = 8 * (3 - point)
             fixed[1:3 - point] = list(b"0." + b"0" * -point)
             after[:] = 255
-        else:   # the digits, zeros for NULs, "." and at least one digit
+        else:   # the digits, zeros for NULs, the point, the rest
             shift[k] = 16
-            fixed[1:point + 3] = list(b"0" * point + b".0")
+            fixed[1:point + 1] = ord("0")
             before[1:point + 1] = 255
             after[point + 2:] = 255
-    words = table.view("<u8").reshape(23, 9).T
+            if dotted:
+                fixed[point + 1:point + 3] = list(b".0")
+            else:
+                dot[point + 1] = ord(".")
+    words = table[:, :4 - dotted].copy().view("<u8").reshape(23, -1).T
     return np.concatenate([[shift, np.uint64(64) - shift], words])
 
 
-_LAYOUTS = _layouts()
+_REPR_LAYOUTS = _layouts(17, range(1, 21), 24, dotted=True)
+_G8_LAYOUTS = _layouts(8, range(12), 16, dotted=False)
+
+
+def _laid_out(values, k, words, layouts, bad, text) -> np.ndarray:
+    """A ``(len(values), 8 * len(words))`` uint8 array: the digit ``words``
+    of each value laid out by the ``layouts`` of its ``k`` and signed, or,
+    where ``bad``, ``text(value)``, each among NUL bytes."""
+    shift, back, *rows = layouts.take(k, axis=1)
+    n = len(words)
+    fixed, before, after, dots = (rows[i:i + n] for i in range(0, 4 * n, n))
+    slots = np.empty((values.size, n), "<u8")
+    fraction = np.uint64(0)
+    for i, word in enumerate(words):
+        # the digits past the sign byte, and past the point or "0.00"
+        head, tail = word << _BYTE, word << shift
+        if i:   # and what the shifts carry over from the word before
+            head = head | words[i - 1] >> _TOP
+            tail = tail | words[i - 1] >> back
+        tail = tail & after[i]
+        slots[:, i] = fixed[i] | head & before[i] | tail
+        if dots:
+            fraction = fraction | tail
+    if dots:   # a point before the digits after it, if any
+        slots |= np.column_stack(dots) * (fraction != 0)[:, None]
+    slots[:, 0] |= np.signbit(values) * np.uint64(ord("-"))
+    slots = slots.view(np.uint8)
+    if (fallback := np.flatnonzero(bad)).size:
+        slots[fallback] = np.frombuffer(b"".join(
+            text(value).encode("ascii").ljust(8 * n, b"\0")
+            for value in values[fallback].tolist()), np.uint8).reshape(
+            -1, 8 * n)
+    return slots
 
 
 def _repr_slots(values: np.ndarray) -> np.ndarray:
@@ -380,23 +428,39 @@ def _repr_slots(values: np.ndarray) -> np.ndarray:
     w0 = _DIGITS4[g1 + 10000 * zeros] << _HALF_WORD
     zeros &= g1 == 0
     w0 |= _DIGITS4[g0 + 10000 * zeros]
-    # shift the digits past the sign byte, then past the point or "0.00"
-    (shift, back, fixed0, fixed1, fixed2, before0, before1, before2,
-     after0, after1, after2) = _LAYOUTS.take(k, axis=1)
-    slots = np.empty((values.size, 3), "<u8")
-    slots[:, 0] = (fixed0 | np.signbit(values) * np.uint64(ord("-"))
-                   | (w0 << _BYTE) & before0 | (w0 << shift) & after0)
-    slots[:, 1] = (fixed1 | ((w1 << _BYTE) | (w0 >> np.uint64(56))) & before1
-                   | ((w1 << shift) | (w0 >> back)) & after1)
-    slots[:, 2] = (fixed2 | ((w2 << _BYTE) | (w1 >> np.uint64(56))) & before2
-                   | ((w2 << shift) | (w1 >> back)) & after2)
-    slots = slots.view(np.uint8)
-    if (fallback := np.flatnonzero(bad)).size:
-        slots[fallback] = np.frombuffer(b"".join(
-            repr(value).encode("ascii").ljust(_SLOT, b"\0")
-            for value in values[fallback].tolist()), np.uint8).reshape(
-            -1, _SLOT)
-    return slots
+    return _laid_out(values, k, [w0, w1, w2], _REPR_LAYOUTS, bad, repr)
+
+
+def _g8_slots(values: np.ndarray) -> np.ndarray:
+    """A ``(len(values), 16)`` uint8 array: row ``i`` is the ASCII of
+    ``"%.8g" % values[i]`` among NUL bytes, as ``_repr_slots`` lays it out.
+    The values in 1e-4 <= |x| < 1e8 are formatted in numpy, but for a
+    scaled value on a midpoint between two 8-digit roundings and a rounding
+    up to 1e8; those and all other values (zeros, NaN, +-inf, subnormals)
+    go to ``_g8_text`` one at a time.  The longest such text,
+    ``-1.7976931e+308``, fills 15 bytes."""
+    a = np.abs(values)
+    k = _K_GUESS[a.view(np.int64) >> 52] - 9
+    with np.errstate(all="ignore"):   # NaN, inf, 1e300: fall back below
+        k -= a * _P10[k] >= 1e8
+        scaled = a * _P10[k]
+        rounded = np.rint(scaled)
+        bad = ~((np.abs(scaled - rounded) < 0.5) & (a >= 1e-4)
+                & (a < 1e8) & (rounded < 1e8))
+    rounded[bad] = 1e7
+    k[bad] = 0
+    n = rounded.astype(np.int64)
+    high = n // 10 ** 4
+    low = n - high * 10 ** 4
+    word = (_DIGITS4[low + 10000] << _HALF_WORD
+            | _DIGITS4[high + 10000 * (low == 0)])
+    return _laid_out(values, k, [word, np.uint64(0)], _G8_LAYOUTS, bad,
+                     _g8_text)
+
+
+_g8_text = "%.8g".__mod__   # the fallback, looked up per call as repr is
+# the numpy formatter of each conversion write_rows formats in numpy
+_FORMATTERS = {"%r": _repr_slots, "%.8g": _g8_slots}
 
 
 def read_header(path) -> list[str]:

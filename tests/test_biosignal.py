@@ -3,8 +3,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-import scipy.interpolate
-import scipy.signal
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +17,15 @@ from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, TACHOGRAM_HZ,
 from exobench.errors import (DataQualityError, InsufficientDataError,
                              SchemaError)
 from retired import retired_windowed_features
+
+# scipy is the oracle of the numpy signal path, a test dependency only: the
+# tests that compare against it skip where it is not installed
+try:
+    import scipy.interpolate
+    import scipy.signal
+except ImportError:
+    scipy = None
+needs_scipy = pytest.mark.skipif(scipy is None, reason="scipy not installed")
 
 
 def synthetic_ecg(beat_times, fs, duration, amplitude=1.0, width_s=0.012,
@@ -119,6 +126,7 @@ def edge_beats_ecg(fs, duration):
     return synthetic_ecg(truth, fs, duration, noise_sigma=0.02, seed=5)
 
 
+@needs_scipy
 class TestDetectBeatsMatchesLoop:
     # the extra 0.37 s makes the length no multiple of fs
     @pytest.mark.parametrize("fs", [250.0, 360.0])
@@ -217,6 +225,7 @@ class TestDetectBeatsMatchesLoop:
         assert det.gaps[-1][1] == ecg.size / fs
 
 
+@needs_scipy
 def test_filter_design_is_cached_read_only_and_matches_butter():
     sos = _butter_sos((5.0, 18.0), "bandpass", 250.0)
     assert not sos.flags.writeable
@@ -235,6 +244,7 @@ def test_filter_design_is_cached_read_only_and_matches_butter():
 _SEED = st.integers(0, 2**32 - 1)
 
 
+@needs_scipy
 class TestNumpySignalPathMatchesScipy:
     """Each numpy replacement in ``biosignal`` against the scipy routine it
     replaces, which stays a test dependency for this."""

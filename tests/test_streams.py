@@ -1,6 +1,7 @@
 """SensorStream CSV reading: the accepted dialect, its errors, round trips;
 the chunked row writer pinned to the per-row writers it replaced, and its
-repr formatter pinned to repr; and the frames the control loop iterates."""
+repr and %.8g formatters pinned to Python; and the frames the control loop
+iterates."""
 
 import csv
 import math
@@ -17,9 +18,10 @@ from exobench.errors import IncompleteTrainingError
 from exobench.segmentation import training_session_builder
 from exobench.simulator import (GaitPattern, ReplayResult, generate_cycle,
                                 generate_training_protocol)
+from exobench.synthdata import synth_physio_session
 from exobench.streams import (CSV_HEADER, ROWS_PER_CHUNK, TIME_LIMIT,
-                              SensorFrame, SensorStream, _repr_slots,
-                              write_json)
+                              SensorFrame, SensorStream, _g8_slots,
+                              _repr_slots, write_json)
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -333,13 +335,18 @@ _WRITER_TAG = st.text(st.characters(blacklist_categories=("Cs",))
                       | st.sampled_from(',"\r\n '), max_size=6)
 
 
-def _column_maker(seed, specials):
-    """Columns of ``n`` floats over many magnitudes, seeded, with the
-    ``specials`` (NaN, inf, -0.0, subnormals, ...) spread over them."""
+# the decimal exponents of a wide draw, and of a waveform's magnitudes
+_WIDE, _WAVEFORM = (-300, 300), (-5, 3)
+
+
+def _column_maker(seed, specials, exponents=_WIDE):
+    """Columns of ``n`` floats, a normal draw times 10**e for ``e`` drawn
+    in ``exponents``, seeded, with the ``specials`` (NaN, inf, -0.0,
+    subnormals, ...) spread over them."""
     rng = np.random.default_rng(seed)
 
     def column(n):
-        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(*exponents, n)
         if n:
             values[rng.integers(0, n, len(specials))] = specials
         return values
@@ -389,10 +396,15 @@ def test_stream_writer_matches_the_csv_writer_loop_on_generated_streams(
     _check_stream_writer(tmp_path, stream)
 
 
-@settings(max_examples=25, deadline=None)
-@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4))
-def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials):
-    column = _column_maker(seed, specials)
+@settings(max_examples=40, deadline=None)
+@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4),
+       st.sampled_from([_WIDE, _WAVEFORM]))
+@example(ROWS_PER_CHUNK + 1, 0, [0.0, -0.0, math.nan, 5e-324], _WAVEFORM)
+def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials,
+                                      exponents):
+    """A wide draw, which ``%.8g`` writes mostly in exponent form, and a
+    waveform-scale one, which the numpy formatter writes."""
+    column = _column_maker(seed, specials, exponents)
     markers = {"sit": [0.0, 1.0], "sit_exo": [1.0, 2.0], "walk": [2.0, 3.0]}
     session = PhysioSession(
         markers=markers, ecg=column(n), beat_intervals_ms=column(n),
@@ -455,10 +467,10 @@ _EDGES = [9.999999999999999e15, 1e16, 1e-4, 9.999999999999999e-05,
           math.inf, -math.inf]
 
 
-def _formatted(values):
-    """The text ``_repr_slots`` makes of each of ``values``."""
+def _formatted(values, slots=_repr_slots):
+    """The text ``slots`` (a numpy formatter) makes of each of ``values``."""
     return [row[row != 0].tobytes().decode("ascii")
-            for row in _repr_slots(np.array(values, dtype=float))]
+            for row in slots(np.array(values, dtype=float))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -470,19 +482,25 @@ def test_repr_formatter_writes_the_bytes_of_repr(values):
     assert _formatted(values) == [repr(x) for x in values]
 
 
-def test_repr_formatter_matches_repr_over_a_seeded_sweep():
-    """10**6 values, mantissas in [1, 10) at decimal exponents -6..17 of
-    either sign: the sweep crosses both ends of the domain."""
+def _check_sweep(slots, text, exponents):
+    """``slots`` (a numpy formatter) writes ``text`` of each of 10**6
+    values, mantissas in [1, 10) at decimal ``exponents`` of either sign."""
     rng = np.random.default_rng(2024)
     n = 10 ** 6
-    values = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-6, 18, n)
+    values = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(*exponents, n)
               * rng.choice([-1.0, 1.0], n))
-    slots = np.vstack([_repr_slots(chunk) for chunk
+    block = np.vstack([slots(chunk) for chunk
                        in np.array_split(values, n // ROWS_PER_CHUNK)])
-    slots = np.hstack([slots, np.full((n, 1), ord(","), np.uint8)])
-    written = slots[slots != 0].tobytes().decode("ascii").split(",")[:-1]
-    assert written == list(map(repr, values.tolist())), [
-        x for x, text in zip(values.tolist(), written) if text != repr(x)][:5]
+    block = np.hstack([block, np.full((n, 1), ord(","), np.uint8)])
+    written = block[block != 0].tobytes().decode("ascii").split(",")[:-1]
+    assert written == list(map(text, values.tolist())), [
+        x for x, out in zip(values.tolist(), written) if out != text(x)][:5]
+
+
+def test_repr_formatter_matches_repr_over_a_seeded_sweep():
+    """Decimal exponents -6..17: the sweep crosses both ends of the
+    domain."""
+    _check_sweep(_repr_slots, repr, (-6, 18))
 
 
 def test_repr_formatter_formats_zeros_and_generated_gait_itself(
@@ -497,6 +515,48 @@ def test_repr_formatter_formats_zeros_and_generated_gait_itself(
                              stream.right_load, [0.0, -0.0]])
     assert _formatted(values) == [repr(x) for x in values.tolist()]
     assert 0.0 not in reached
+    assert len(reached) < values.size / 100
+
+
+# the %.8g formatter: its domain is 1e-4 <= |x| < 1e8
+_G8_DOMAIN = (st.floats(1e-4, 1e8, exclude_max=True)
+              | st.floats(-1e8, -1e-4, exclude_min=True))
+# ends of the domain; roundings up to 0.0001, 1e+08 and 1; exact ties
+# between two 8-digit roundings (Python takes the even one); values whose
+# scaled product rounds onto such a tie, which Python rounds by the exact
+# value (up, up, up, down); and the longest text "%.8g" writes
+_G8_EDGES = [1e-4, 9.99999995e-05, 99999999.49, 99999999.5, 99999999.6, 1e8,
+             0.999999996, 0.5, 1234567.25, 12345678.5, 1000000.05,
+             0.100000005, 0.00100000005, 10000.0075, 0.0, -0.0, 5e-324,
+             1e300, math.nan, math.inf, -math.inf, -1.7976931348623157e308]
+
+
+def _g8(x):
+    return "%.8g" % x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_G8_DOMAIN, min_size=1, max_size=64))
+@example(_G8_EDGES + [-x for x in _G8_EDGES])
+def test_g8_formatter_writes_the_bytes_of_percent(values):
+    assert _formatted(values, _g8_slots) == list(map(_g8, values))
+
+
+def test_g8_formatter_matches_percent_over_a_seeded_sweep():
+    """Decimal exponents -6..9: the sweep crosses both ends of the
+    domain."""
+    _check_sweep(_g8_slots, _g8, (-6, 10))
+
+
+def test_g8_formatter_formats_a_synthetic_session_itself(monkeypatch):
+    """Of a synthetic session's ECG, respiration and GSR, under 1% of the
+    values reach Python's ``%``."""
+    reached = []
+    monkeypatch.setattr(streams, "_g8_text",
+                        lambda x: reached.append(x) or _g8(x))
+    session = synth_physio_session(seed=7)
+    values = np.concatenate([session.ecg, session.respiration, session.gsr])
+    assert _formatted(values, _g8_slots) == list(map(_g8, values.tolist()))
     assert len(reached) < values.size / 100
 
 
