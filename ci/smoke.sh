@@ -33,8 +33,11 @@ exobench replay "$tmp/gait.csv" --model "$tmp/model.json" \
   --calibration "$tmp/set/calibration.json" --out "$tmp/commands2.csv"
 cmp <(cut -d, -f1-9 "$tmp/commands.csv") <(cut -d, -f1-9 "$tmp/commands2.csv")
 # the writer formats repr columns in numpy: a Python repr loop re-renders
-# the gait stream, and columns 1-9 of the command log, byte for byte
-python3 - "$tmp/gait.csv" "$tmp/gait_repr.csv" <<'EOF'
+# the gait streams, the set's training stream (several distinct stage tags)
+# and columns 1-9 of the command log, byte for byte
+for stream in "$tmp/gait.csv" "$tmp/set/subjects/s01/gait_stream.csv" \
+    "$tmp/set/subjects/s01/training.csv"; do
+  python3 - "$stream" "$tmp/stream_repr.csv" <<'EOF'
 import csv, sys
 with open(sys.argv[1], newline="") as src, \
         open(sys.argv[2], "w", newline="") as out:
@@ -44,7 +47,8 @@ with open(sys.argv[1], newline="") as src, \
     for row in rows:
         writer.writerow([repr(float(cell)) for cell in row[:9]] + row[9:])
 EOF
-cmp "$tmp/gait.csv" "$tmp/gait_repr.csv"
+  cmp "$stream" "$tmp/stream_repr.csv"
+done
 cut -d, -f1-9 "$tmp/commands.csv" > "$tmp/commands_1-9.csv"
 python3 - "$tmp/commands_1-9.csv" "$tmp/commands_repr.csv" <<'EOF'
 import sys

@@ -10,14 +10,15 @@ right_load, stage_tag`` (header required, stage_tag may be empty).
 
 The accepted dialect is what ``save_csv`` writes (``csv.writer`` defaults)
 through ``write_rows``, the chunked writer of every numeric CSV exobench
-makes.  Its ``%r`` columns are formatted in numpy by ``_repr_slots``, and
-the bytes are exactly those of Python's ``repr``: a zero and every value
+makes: one numpy formatter call per chunk of a file's number columns, and
+the rows cut out of one byte buffer per file.  ``_repr_slots`` formats the
+``%r`` columns with the bytes of Python's ``repr``: a zero and every value
 with 1e-4 <= |x| < 1e16 in numpy, any other value (and a near tie) by
 ``repr`` itself, one value at a time.  The dialect also covers the
 one-column physiological channel files that ``load_column`` reads, each
 with its own header and range; ``_g8_slots`` formats the ``%.8g`` ones
-(ECG, respiration, GSR) in numpy the same way, with the bytes of Python's
-``%`` for 1e-4 <= |x| < 1e8.  It also covers the questionnaire's
+(ECG, respiration, GSR) the same way, with the bytes of Python's ``%``
+for 1e-4 <= |x| < 1e8.  It also covers the questionnaire's
 ``questionnaire_responses.csv`` and ``questionnaire_preferences.csv``,
 whose cells are text (a score is ASCII digits after an optional sign):
 
@@ -79,8 +80,12 @@ CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
 # one parsed record: nine numbers and the tag as a Python str
 _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
                 + [(CSV_HEADER[9], object)])
-# rows per write_rows write and per replay_batch block: bounds what each holds
+# rows per replay_batch block: bounds what each holds
 ROWS_PER_CHUNK = 4096
+# values per write_rows chunk, formatted in one call: a stream writes about
+# 10% faster per value than at 4,096, flat from 8,192 to 24,576 and slower
+# from 32,768 on, as a chunk's arrays outgrow the L2 cache
+VALUES_PER_CHUNK = 16384
 ANGLE_LIMIT = 2 * math.pi   # rad: the largest |q| of a stream angle
 _ANGLE_RANGE = (-ANGLE_LIMIT, ANGLE_LIMIT, "[-2pi, 2pi] rad")
 # s: the largest |t| of a stream time, a breath mark or a phase marker;
@@ -156,7 +161,7 @@ class SensorStream:
     def save_csv(self, path):
         write_rows(path, ",".join(CSV_HEADER) + "\r\n",
                    [self.t, *self.q.T, self.left_load, self.right_load],
-                   "%r," * 9 + "%s\r\n", tags=self.stage, newline="")
+                   "%r," * 9 + "%s\r\n", tags=self.stage)
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
@@ -179,81 +184,82 @@ def load_column(path, name: str, limits: tuple) -> np.ndarray:
         quotechar='"', skiprows=1, ndmin=1, encoding="utf-8"))[name]
 
 
-def write_rows(path, header, columns, row_fmt, tags=None, newline=None):
+def write_rows(path, header, columns, row_fmt, tags=None):
     """Write ``header``, then each row of the equal-length 1-D ``columns``
-    as ``row_fmt`` of Python floats, one write per ``ROWS_PER_CHUNK`` rows;
-    ``str`` of each of the ``tags`` fills its row's last ``%s``, quoted as
-    ``csv.writer`` quotes a field.
+    as ``row_fmt`` of Python floats, in UTF-8, one write per chunk of about
+    ``VALUES_PER_CHUNK`` values; ``str`` of each of the ``tags`` fills its
+    row's last ``%s``, quoted as ``csv.writer`` quotes a field.  The file
+    is written as bytes: its line ends are those of ``header`` and
+    ``row_fmt``, ``\n`` or ``\r\n``, on every platform.
 
-    A ``row_fmt`` whose only conversions are one ``%r`` or ``%.8g`` per
-    column (then the ``%s`` of the tags) is formatted in numpy, a column of
-    a chunk at a time by ``_repr_slots`` or ``_g8_slots``, and each chunk's
-    rows are cut out of one byte array by one mask.  The bytes are
-    unchanged, those of Python's ``repr`` and ``%``: a value outside a
-    formatter's domain (or a near tie) is formatted by Python, one value at
-    a time.  Any other ``row_fmt`` (the ``%.12g`` beat intervals and breath
-    times, which ``sim`` does not write) is one Python ``%`` per chunk."""
+    A ``row_fmt`` whose number columns all take one conversion, ``%r`` or
+    ``%.8g`` (then the ``%s`` of the tags), with no other ``%``, is
+    formatted in numpy.  A chunk's values go row by row to one
+    ``_repr_slots`` or ``_g8_slots`` call, whose slots are copied into one
+    row buffer per file with the literals written in it once; one mask
+    keeps each row's bytes: the nonzero slot bytes, every literal byte and
+    the tag's text.  The bytes are those of Python's ``repr`` and ``%``: a
+    value outside a formatter's domain (or a near tie) is formatted by
+    Python, one value at a time.  Any other ``row_fmt`` (the ``%.12g`` beat
+    intervals and breath times, which ``sim`` does not write) is one Python
+    ``%`` per chunk."""
     columns = [np.asarray(c, dtype=float) for c in columns]
+    n, width = columns[0].size, len(columns)
+    rows = max(1, min(n, VALUES_PER_CHUNK // width))   # per chunk
     tokens = re.split(r"(%r|%\.8g|%s)", row_fmt)
-    numpy_path = ([field in _FORMATTERS for field in tokens[1::2]]
-                  == [True] * len(columns) + [False] * (tags is not None)
-                  and not any("%" in literal for literal in tokens[::2]))
-    quoted = {}
-    with open(path, "w", newline=newline, encoding="utf-8") as f:
-        f.write(header)
-        for start in range(0, len(columns[0]), ROWS_PER_CHUNK):
-            stop = start + ROWS_PER_CHUNK
-            texts = None
+    literals = [literal.encode("utf-8") for literal in tokens[::2]]
+    texts, index = [], {}
+    if tags is not None:   # each distinct text quoted once, by its index
+        tag_of = np.fromiter((index.setdefault(str(tag), len(index))
+                              for tag in np.asarray(tags, object).tolist()),
+                             np.intp, n)
+        for text in index:
+            line = io.StringIO()   # text after a field, then "\r\n"
+            csv.writer(line).writerow(["", text])
+            texts.append(line.getvalue()[1:-2])
+    with open(path, "wb") as f:
+        f.write(header.encode("utf-8"))
+        conversion = tokens[1] if len(tokens) > 1 else None
+        if (conversion not in _FORMATTERS or b"%" in b"".join(literals)
+                or tokens[1::2] != [conversion] * width
+                + ["%s"] * (tags is not None)):
+            for start in range(0, n, rows):
+                chunk = slice(start, start + rows)
+                cells = [c[chunk].tolist() for c in columns]
+                if tags is not None:
+                    cells.append([texts[i] for i in tag_of[chunk].tolist()])
+                f.write((row_fmt * len(cells[0]) % tuple(
+                    chain.from_iterable(zip(*cells)))).encode("utf-8"))
+            return
+        formatter, slot = _FORMATTERS[conversion]
+        texts = [text.encode("utf-8") for text in texts] or [b""]
+        table = np.array(texts)   # NUL-padded to the longest
+        sizes = [slot] * width + [table.itemsize] * (tags is not None)
+        # a row's bytes with NUL fields, and with fields of 1s, where a 0 is
+        # a NUL of a literal
+        row, marks = (np.frombuffer(b"".join(
+            literal + fill * size for literal, size in zip(literals, sizes))
+            + literals[-1], np.uint8) for fill in (b"\0", b"\1"))
+        starts = np.cumsum(list(map(len, literals[:-1]))) + np.cumsum(
+            [0] + sizes[:-1])
+        tag = slice(starts[-1], starts[-1] + sizes[-1])
+        by_length = (np.arange(table.itemsize)
+                     < np.array(list(map(len, texts)))[:, None])
+        table = table.view(np.uint8).reshape(by_length.shape)
+        buf = np.tile(row, (rows, 1))
+        for start in range(0, n, rows):
+            chunk = slice(start, start + rows)
+            slots = formatter(np.column_stack(
+                [c[chunk] for c in columns]).ravel())
+            out = buf[:len(slots) // width]
+            for i, at in enumerate(starts[:width]):
+                out[:, at:at + slot] = slots[i::width]
+            keep = out != 0
+            keep[:, marks == 0] = True   # a literal's NUL is written
             if tags is not None:
-                texts = [str(tag) for tag in tags[start:stop]]
-                for text in set(texts).difference(quoted):
-                    buf = io.StringIO()   # text after a field, then "\r\n"
-                    csv.writer(buf).writerow(["", text])
-                    quoted[text] = buf.getvalue()[1:-2]
-                texts = [quoted[text] for text in texts]
-            cells = [c[start:stop] for c in columns]
-            if numpy_path:
-                f.write(_numpy_rows(tokens, cells, texts))
-            else:
-                cells = [c.tolist() for c in cells]
-                if texts is not None:
-                    cells.append(texts)
-                f.write(row_fmt * len(cells[0])
-                        % tuple(chain.from_iterable(zip(*cells))))
-
-
-def _numpy_rows(tokens, cells, texts) -> str:
-    """One chunk of rows as text.  ``tokens`` is ``row_fmt`` split at its
-    conversions: each ``%r`` or ``%.8g`` formats the next of the
-    equal-length ``cells``, the ``%s`` is each row's quoted text in
-    ``texts``.  Every field and literal is a block of bytes per row, and
-    one mask keeps what each row writes of them."""
-    rows = cells[0].size
-    blocks, keep = [], []
-    cells = iter(cells)
-    for token in filter(None, tokens):
-        if token in _FORMATTERS:
-            block = _FORMATTERS[token](next(cells))
-            mask = block != 0
-        elif token == "%s":   # the distinct texts, padded, then one gather
-            index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-            encoded = [text.encode("utf-8") for text in index]
-            width = max(map(len, encoded))
-            table = np.frombuffer(b"".join(
-                text.ljust(width, b"\0") for text in encoded),
-                np.uint8).reshape(len(encoded), width)
-            rows_of = np.fromiter(map(index.__getitem__, texts), np.intp,
-                                  rows)
-            block = table[rows_of]
-            mask = (np.arange(width)
-                    < np.array([len(text) for text in encoded])[rows_of, None])
-        else:   # a literal between fields
-            literal = np.frombuffer(token.encode("utf-8"), np.uint8)
-            block = np.broadcast_to(literal, (rows, literal.size))
-            mask = np.ones(block.shape, bool)
-        blocks.append(block)
-        keep.append(mask)
-    return np.hstack(blocks)[np.hstack(keep)].tobytes().decode("utf-8")
+                out[:, tag] = table[tag_of[chunk]]
+                keep[:, tag] = by_length[tag_of[chunk]]
+            f.write(out[keep])
 
 
 # -- the numpy formatters -----------------------------------------------------
@@ -459,8 +465,9 @@ def _g8_slots(values: np.ndarray) -> np.ndarray:
 
 
 _g8_text = "%.8g".__mod__   # the fallback, looked up per call as repr is
-# the numpy formatter of each conversion write_rows formats in numpy
-_FORMATTERS = {"%r": _repr_slots, "%.8g": _g8_slots}
+# the numpy formatter of each conversion write_rows formats in numpy, and
+# the bytes of its slot
+_FORMATTERS = {"%r": (_repr_slots, 24), "%.8g": (_g8_slots, 16)}
 
 
 def read_header(path) -> list[str]:

@@ -46,6 +46,16 @@ def _scr_bumps(t, onsets, amplitudes):
     return x
 
 
+def _stamp_beats(ecg, beats, fs, half, width):
+    """Add to the ``fs`` Hz ``ecg`` a Gaussian of ``width`` s at each of the
+    ``beats`` (s), over the ``2 * half + 1`` samples around the beat's own
+    that lie in the recording, in beat order as a loop over beats adds."""
+    at = (beats * fs).astype(np.intp)[:, None] + np.arange(-half, half + 1)
+    inside = (at >= 0) & (at < ecg.size)
+    bump = np.exp(-0.5 * ((at / fs - beats[:, None]) / width) ** 2)
+    np.add.at(ecg, at[inside], bump[inside])
+
+
 def _smooth_level(t, boundaries, levels):
     """Piecewise level with tanh crossfades at the phase boundaries."""
     out = np.full_like(t, levels[0], dtype=float)
@@ -91,12 +101,7 @@ def synth_physio_session(seed: int = 0) -> PhysioSession:
     t_ecg = np.arange(n_ecg) / ECG_FS
     ecg = rng.normal(scale=0.02, size=n_ecg)
     ecg += 0.05 * np.sin(2 * np.pi * 0.33 * t_ecg)  # baseline wander
-    half = int(0.06 * ECG_FS)
-    width = 0.012
-    for bt in beats:
-        c = int(bt * ECG_FS)
-        lo, hi = max(0, c - half), min(n_ecg, c + half + 1)
-        ecg[lo:hi] += np.exp(-0.5 * ((t_ecg[lo:hi] - bt) / width) ** 2)
+    _stamp_beats(ecg, beats, ECG_FS, half=int(0.06 * ECG_FS), width=0.012)
 
     rr_sit = 18.0 + rng.uniform(0.0, 2.0)
     rr_walk = 29.0 + rng.uniform(0.0, 3.0)

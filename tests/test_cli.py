@@ -1356,6 +1356,26 @@ class TestSynthData:
                 * np.exp(-dt / SCR_DECAY_S), 0.0)
         assert _scr_bumps(t, onsets, amps).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("beats", [
+        # overlapping windows: beats 2 to 30 samples apart
+        np.cumsum(np.r_[0.35, np.repeat([0.008, 0.02, 0.12], 5)]),
+        # windows clipped at both ends of the 60 s recording
+        np.array([0.0, 0.01, 0.059, 1.0, 59.95, 59.99, 59.999]),
+        # a subject at about 75 beats per minute, jittered
+        0.35 + np.cumsum(np.random.default_rng(3).normal(0.8, 0.03, 74))])
+    def test_beat_stamping_matches_the_beat_loop_bit_for_bit(self, beats):
+        from exobench.synthdata import _stamp_beats
+        fs, half, width = 250.0, 15, 0.012
+        ecg = np.random.default_rng(4).normal(scale=0.02, size=int(60 * fs))
+        expected = ecg.copy()
+        t = np.arange(ecg.size) / fs
+        for bt in beats:   # the per-beat loop synth_physio_session ran
+            c = int(bt * fs)
+            lo, hi = max(0, c - half), min(ecg.size, c + half + 1)
+            expected[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - bt) / width) ** 2)
+        _stamp_beats(ecg, beats, fs, half, width)
+        assert ecg.tobytes() == expected.tobytes()
+
     def test_every_json_file_is_canonical(self, session_set, tmp_path):
         from exobench.segmentation import GaitRegressor
         from exobench.streams import canonical_json

@@ -5,6 +5,7 @@ iterates."""
 
 import csv
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,9 +20,9 @@ from exobench.segmentation import training_session_builder
 from exobench.simulator import (GaitPattern, ReplayResult, generate_cycle,
                                 generate_training_protocol)
 from exobench.synthdata import synth_physio_session
-from exobench.streams import (CSV_HEADER, ROWS_PER_CHUNK, TIME_LIMIT,
+from exobench.streams import (CSV_HEADER, TIME_LIMIT, VALUES_PER_CHUNK,
                               SensorFrame, SensorStream, _g8_slots,
-                              _repr_slots, write_json)
+                              _repr_slots, write_json, write_rows)
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -327,9 +328,16 @@ _PHYSIO_FILES = (("ecg", "ecg.csv", "ecg_mv", "%.8g"),
                  ("respiration", "respiration.csv", "respiration_au", "%.8g"),
                  ("breath_times", "breath_times.csv", "breath_t_s", "%.12g"),
                  ("gsr", "gsr.csv", "gsr_us", "%.8g"))
-# lengths around the chunk boundary, and the empty and one-row files
-_LENGTHS = st.sampled_from([0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK,
-                            ROWS_PER_CHUNK + 1])
+
+
+def _lengths(width):
+    """Row counts of a file of ``width`` number columns: the empty and
+    one-row files, the writer's rows per chunk and one row either side,
+    and several chunks."""
+    rows = VALUES_PER_CHUNK // width
+    return st.sampled_from([0, 1, rows - 1, rows, rows + 1, 3 * rows + 7])
+
+
 # tags csv.writer has to quote, and ones it must not
 _WRITER_TAG = st.text(st.characters(blacklist_categories=("Cs",))
                       | st.sampled_from(',"\r\n '), max_size=6)
@@ -358,7 +366,8 @@ def _same_bytes(a, b):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4),
+@given(_lengths(9), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(), max_size=4),
        st.none() | st.lists(_WRITER_TAG, min_size=1, max_size=5))
 @example(2, 0, [], ["", " ", "a,b", 'say "hi"', "x\r\ny"])
 def test_stream_writer_matches_the_csv_writer_loop(tmp_path_factory, n, seed,
@@ -381,7 +390,7 @@ def _check_stream_writer(directory, stream):
 
 
 # the streams exobench writes: a 5 kHz gait cycle and a training protocol,
-# each longer than one chunk
+# each longer than one chunk of the writer
 _GENERATED_STREAMS = {
     "gait_5khz": lambda: generate_cycle(GaitPattern(), rate=5000, cycles=1,
                                         seed=3),
@@ -392,14 +401,14 @@ _GENERATED_STREAMS = {
 def test_stream_writer_matches_the_csv_writer_loop_on_generated_streams(
         tmp_path, name):
     stream = _GENERATED_STREAMS[name]()
-    assert len(stream) > ROWS_PER_CHUNK
+    assert len(stream) > VALUES_PER_CHUNK // 9
     _check_stream_writer(tmp_path, stream)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4),
-       st.sampled_from([_WIDE, _WAVEFORM]))
-@example(ROWS_PER_CHUNK + 1, 0, [0.0, -0.0, math.nan, 5e-324], _WAVEFORM)
+@given(_lengths(1), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(), max_size=4), st.sampled_from([_WIDE, _WAVEFORM]))
+@example(VALUES_PER_CHUNK + 1, 0, [0.0, -0.0, math.nan, 5e-324], _WAVEFORM)
 def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials,
                                       exponents):
     """A wide draw, which ``%.8g`` writes mostly in exponent form, and a
@@ -418,7 +427,8 @@ def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials,
 
 
 @settings(max_examples=25, deadline=None)
-@given(_LENGTHS, st.integers(0, 2**32 - 1), st.lists(st.floats(), max_size=4))
+@given(_lengths(10), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(), max_size=4))
 def test_command_log_writer_matches_the_repr_loop(tmp_path_factory, n, seed,
                                                   specials):
     column = _column_maker(seed, specials)
@@ -439,10 +449,10 @@ def _check_command_log_writer(directory, result):
 
 def test_command_log_writer_matches_the_repr_loop_on_gait_sized_commands(
         tmp_path):
-    """A 5 kHz log longer than one chunk: zero torque in the warm-up,
-    torques of tens of Nm, a blend weight often exactly 0 or 1."""
+    """A 5 kHz log of several chunks: zero torque in the warm-up, torques
+    of tens of Nm, a blend weight often exactly 0 or 1."""
     rng = np.random.default_rng(5)
-    n = ROWS_PER_CHUNK + 1000
+    n = 3 * (VALUES_PER_CHUNK // 10) + 1000
     t = np.arange(n) / 5000
     tau = rng.normal(0.0, 30.0, (n, 6))
     tau[:250] = 0.0
@@ -452,6 +462,46 @@ def test_command_log_writer_matches_the_repr_loop_on_gait_sized_commands(
         degraded=np.zeros(n, bool), dropped_frames=0,
         step_us=rng.uniform(4.0, 40.0, n), period_us=200.0)
     _check_command_log_writer(tmp_path, result)
+
+
+def _percent_rows(header, row_fmt, *columns):
+    """The bytes of ``header`` and a Python ``%`` of ``row_fmt`` per row."""
+    return (header + "".join(row_fmt % row for row in zip(
+        *(c.tolist() for c in columns)))).encode("utf-8")
+
+
+def test_writer_formats_a_mixed_row_format_with_python(tmp_path):
+    """A ``%r`` and a ``%.8g`` column in one row take Python's ``%``."""
+    column = _column_maker(6, [0.0, -0.0, math.nan, math.inf, 5e-324],
+                           _WAVEFORM)
+    n = 3 * (VALUES_PER_CHUNK // 2) + 5
+    x, y = column(n), column(n)
+    write_rows(tmp_path / "mixed.csv", "x,y\n", [x, y], "%r,%.8g\n")
+    assert (tmp_path / "mixed.csv").read_bytes() == _percent_rows(
+        "x,y\n", "%r,%.8g\n", x, y)
+
+
+def test_writer_keeps_the_nul_bytes_of_a_literal_and_of_a_tag(tmp_path):
+    """The numpy path drops the NUL padding of its slots and of its tag
+    field, and writes every NUL that a literal or a tag holds."""
+    rng = np.random.default_rng(8)
+    column = _column_maker(8, [0.0, -0.0, math.nan])
+    n = VALUES_PER_CHUNK // 2 + 3
+    x, y = column(n), column(n)
+    write_rows(tmp_path / "literal.csv", "x\0y\n", [x, y], "%r\0,%r\n")
+    assert (tmp_path / "literal.csv").read_bytes() == _percent_rows(
+        "x\0y\n", "%r\0,%r\n", x, y)
+    n = VALUES_PER_CHUNK // 9 + 3
+    stream = SensorStream(
+        t=column(n), q=np.column_stack([column(n) for _ in range(6)]),
+        left_load=column(n), right_load=column(n),
+        stage=np.array(["a\0b", "\0", "", "x,\0", "\0\0"], object)[
+            rng.integers(0, 5, n)])
+    if sys.version_info < (3, 11):   # csv.writer writes no NUL before 3.11
+        with pytest.raises(csv.Error):
+            stream.save_csv(tmp_path / "stream.csv")
+    else:
+        _check_stream_writer(tmp_path, stream)
 
 
 # the repr formatter: its domain is 1e-4 <= |x| < 1e16, and zeros
@@ -490,7 +540,7 @@ def _check_sweep(slots, text, exponents):
     values = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(*exponents, n)
               * rng.choice([-1.0, 1.0], n))
     block = np.vstack([slots(chunk) for chunk
-                       in np.array_split(values, n // ROWS_PER_CHUNK)])
+                       in np.array_split(values, n // VALUES_PER_CHUNK)])
     block = np.hstack([block, np.full((n, 1), ord(","), np.uint8)])
     written = block[block != 0].tobytes().decode("ascii").split(",")[:-1]
     assert written == list(map(text, values.tolist())), [
