@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# The installed console script end to end: sim, analyze (twice, and the
-# two reports must be byte-identical), validate, train and replay (twice,
-# and the two command logs must match but for their step times), writing
-# into the directory given as the one argument.
+# The installed console script end to end: sim (twice, and the two session
+# sets must be byte-identical), analyze (twice, and the two reports must be
+# byte-identical), validate, train and replay (twice, and the two command
+# logs must match but for their step times), writing into the directory
+# given as the one argument.
 #
 #   ci/smoke.sh "$(mktemp -d)"
 set -euo pipefail
@@ -14,6 +15,9 @@ fi
 tmp=$1
 
 exobench sim --kind session-set --subjects 1 --seed 1 --seconds 2 --out "$tmp/set"
+# generation is deterministic: the same seed writes the same files
+exobench sim --kind session-set --subjects 1 --seed 1 --seconds 2 --out "$tmp/set2"
+diff -r "$tmp/set" "$tmp/set2"
 # the report is byte-reproducible: a second run writes the same bytes
 exobench analyze "$tmp/set" --out "$tmp/report.json"
 exobench analyze "$tmp/set" --out "$tmp/report2.json"

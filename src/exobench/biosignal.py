@@ -195,8 +195,9 @@ def _fft_filtfilt(x, cutoff, btype: str, fs: float) -> np.ndarray:
     if x.size <= 8 * settle:
         return _sosfiltfilt(sos, x)
     n = _fft_length(x.size)
-    y = np.fft.irfft(np.fft.rfft(x, n) * _power_response(cutoff, btype, fs, n),
-                     n)[:x.size]
+    spectrum = np.fft.rfft(x, n)
+    spectrum *= _power_response(cutoff, btype, fs, n)
+    y = np.fft.irfft(spectrum, n)[:x.size]
     y[:settle] = _sosfiltfilt(sos, x[:2 * settle])[:settle]
     y[-settle:] = _sosfiltfilt(sos, x[-2 * settle:])[-settle:]
     return y
@@ -209,11 +210,12 @@ def _find_peaks(x, height: float, distance: int):
     plateau, rounded down, and of peaks too close together the highest is
     kept, ranked by ``np.argsort`` of their values as scipy ranks them."""
     x = np.asarray(x, dtype=float)
-    d = np.diff(x)
+    mid = x[1:-1]
     # a rise into sample i and none out of it: a peak, or a plateau's start
-    peaks = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0)) + 1
-    flat = peaks[d[peaks] == 0]
-    if flat.size:
+    peaks = np.flatnonzero((mid > x[:-2]) & (mid >= x[2:])) + 1
+    if (x[peaks + 1] == x[peaks]).any():
+        d = np.diff(x)
+        flat = peaks[d[peaks] == 0]
         # a plateau is a peak if the first change after it is a fall
         changes = np.flatnonzero(d)
         at = np.searchsorted(changes, flat)
@@ -340,7 +342,7 @@ def detect_beats(ecg, fs: float) -> BeatDetection:
     env = np.convolve(env, np.ones(win) / win, mode="same")
     env[flat_mask] = 0.0
 
-    height = 0.2 * np.percentile(env[~flat_mask], 98)
+    height = 0.2 * np.percentile(env[~flat_mask], 98, overwrite_input=True)
     if height <= 0:
         return BeatDetection(times=np.empty(0), gaps=gaps)
     peaks, _ = _find_peaks(env, height, max(1, int(BEAT_REFRACTORY_S * fs)))

@@ -90,6 +90,17 @@ RIPPLE_AMPLITUDE = 0.25    # Nm
 RIPPLE_CYCLES = 9.0        # per rad
 
 
+# the largest length, mass and gravity a calibration may set: far above any
+# wearable device, and low enough that every torque a step computes from
+# them stays finite (one link's gravity moment is at most 2.5e5 Nm)
+_LINK_LIMITS = (
+    *((name, 5.0, "m") for name in ("back_length", "thigh_length",
+                                    "shank_length", "foot_height")),
+    *((name, 500.0, "kg") for name in ("thigh_mass", "shank_mass",
+                                       "foot_mass", "back_mass")),
+    ("gravity", 100.0, "m/s^2"))
+
+
 @dataclass(frozen=True)
 class ExoParams:
     """Link geometry and mass distribution of the device.
@@ -97,7 +108,8 @@ class ExoParams:
     Lengths are joint-to-joint distances; ``foot_height`` is the ankle
     height above the ground contact plane.  ``back_mass`` defaults to the
     battery pack (4.3 kg) plus minimal structure and may be set anywhere
-    in the supported [1.2, 8] kg range.
+    in the supported [1.2, 8] kg range.  Lengths lie in (0, 5] m, the
+    other masses in (0, 500] kg and ``gravity`` in (0, 100] m/s^2.
     """
 
     back_length: float = 0.474
@@ -112,22 +124,19 @@ class ExoParams:
     gravity: float = 9.81
 
     def __post_init__(self):
-        for name in ("back_length", "thigh_length", "shank_length",
-                     "foot_height", "thigh_mass", "shank_mass", "foot_mass",
-                     "back_mass"):
+        for name, limit, unit in _LINK_LIMITS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+            if value > limit:
+                raise ValueError(f"{name} must be at most {limit:g} {unit}, "
+                                 f"got {value!r}")
         if not 1.2 <= self.back_mass <= 8.0:
             raise ValueError("back_mass must lie in [1.2, 8] kg")
         if not 0.0 <= self.com_fraction <= 1.0:
             raise ValueError("com_fraction must lie in [0, 1]")
-        if not math.isfinite(self.gravity):
-            raise ValueError(f"gravity must be finite, got {self.gravity}")
-        if self.gravity <= 0:
-            raise ValueError("gravity must be positive")
 
 
 class PlanarChain:

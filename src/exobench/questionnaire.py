@@ -424,12 +424,20 @@ def load_preferences_csv(path) -> dict:
     return preferences
 
 
-def load_responses_csv(scores_path, preferences_path) -> dict:
-    """Read both CSV files; returns {subject_id: QuestionnaireResponse}."""
+def load_responses_csv(scores_path, preferences_path, subjects=()) -> dict:
+    """Read both CSV files; returns {subject_id: QuestionnaireResponse}.
+
+    Preferences of a subject with no responses are an error of the
+    responses file when the subject is one of ``subjects`` (the set's),
+    else of the preferences file."""
     responses = load_scores_csv(scores_path)
     for subject, preferences in load_preferences_csv(preferences_path).items():
-        if subject not in responses:
+        if subject in responses:
+            responses[subject].preferences = preferences
+        elif subject in subjects:
+            raise SchemaError(f"{scores_path}: no questionnaire response for "
+                              f"subject {subject}")
+        else:
             raise SchemaError(f"{preferences_path}: preferences for unknown "
                               f"subject {subject!r}")
-        responses[subject].preferences = preferences
     return responses

@@ -202,7 +202,8 @@ def analyze_session_set(root, lenient: bool = False):
         preferences_csv = root / files["preferences"]
         with _timed(stages, "questionnaire"):
             definition = EQDefinition.load(root / files["eq_definition"])
-            responses = load_responses_csv(responses_csv, preferences_csv)
+            responses = load_responses_csv(responses_csv, preferences_csv,
+                                           subject_ids)
 
     digests = {}
     with _timed(stages, "input_digests"):

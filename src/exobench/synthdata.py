@@ -34,15 +34,32 @@ SIT_EXO_DURATION_S = 180.0
 SCR_RISE_S = 0.6     # skin-conductance response rise time constant
 SCR_DECAY_S = 2.8    # and its recovery time constant
 LEVEL_BLEND_S = 45.0  # width of the tanh crossfade between phase levels
+# from this long after its onset a response's rise factor
+# 1 - exp(-dt / SCR_RISE_S) rounds to exactly 1.0: exp(-40) < 2**-54, half
+# an ulp of 1, so multiplying by it there would change no bit
+_RISE_SETTLED_S = 40 * SCR_RISE_S
 
 
 def _scr_bumps(t, onsets, amplitudes):
+    """Sum over the ``onsets`` (s), in the order given, of
+    ``amp * ((1 - exp(-dt / SCR_RISE_S)) * exp(-dt / SCR_DECAY_S))`` at the
+    samples of the ascending grid ``t`` (s) after each onset, ``dt`` being
+    the time since it.  The same products are taken in commuted order
+    (``dt / -c`` is ``-dt / c`` exactly), and the rise factor only within
+    ``_RISE_SETTLED_S`` of the onset, where it is not exactly 1.0."""
     x = np.zeros_like(t)
+    bump = np.empty_like(t)
+    rise = np.empty_like(t)
     for onset, amp in zip(onsets, amplitudes):
         start = np.searchsorted(t, onset, side="right")   # t ascends
-        dt = t[start:] - onset
-        x[start:] += amp * ((1 - np.exp(-dt / SCR_RISE_S))
-                            * np.exp(-dt / SCR_DECAY_S))
+        b = np.subtract(t[start:], onset, out=bump[start:])   # dt, ascending
+        k = np.searchsorted(b, _RISE_SETTLED_S)
+        r = np.divide(b[:k], -SCR_RISE_S, out=rise[:k])
+        np.subtract(1.0, np.exp(r, out=r), out=r)
+        np.exp(np.divide(b, -SCR_DECAY_S, out=b), out=b)      # the decay
+        b[:k] *= r
+        b *= amp
+        x[start:] += b
     return x
 
 

@@ -16,7 +16,8 @@ from exobench.biosignal import (ECG_FS, GSR_FS, RESP_FS, TACHOGRAM_HZ,
                                 lf_power, respiration_rate, windowed_features)
 from exobench.errors import (DataQualityError, InsufficientDataError,
                              SchemaError)
-from retired import retired_windowed_features
+from retired import (retired_detect_beats, retired_find_peaks,
+                     retired_windowed_features)
 
 # scipy is the oracle of the numpy signal path, a test dependency only: the
 # tests that compare against it skip where it is not installed
@@ -77,6 +78,46 @@ class TestDetectBeats:
     def test_rejects_low_rate(self):
         with pytest.raises(ValueError):
             detect_beats(np.zeros(1000), fs=100.0)
+
+
+class TestDetectBeatsMatchesRetired:
+    """``detect_beats`` filters its spectrum in place, takes the percentile
+    of its one masked copy in place and builds the envelope's difference
+    only for a plateau; the retired form did none of these."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_times_and_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        fs = (250.0, 360.0)[seed % 2]
+        duration = rng.uniform(12.0, 90.0)   # both sides of the FFT path
+        beats = 0.3 + np.cumsum(rng.normal(0.8, 0.05, int(duration / 0.6)))
+        ecg = synthetic_ecg(beats[beats < duration], fs, duration,
+                            noise_sigma=rng.uniform(0.0, 0.1), seed=seed)
+        block = int(fs)
+        # flat-line gaps: one-second blocks held at one value
+        for b in rng.choice(ecg.size // block, rng.integers(0, 4),
+                            replace=False).tolist():
+            ecg[b * block:(b + 1) * block] = ecg[b * block]
+        if seed % 3 == 0:   # flat-topped R-spikes: the ECG clipped at a rail
+            np.minimum(ecg, 0.6, out=ecg)
+        det = detect_beats(ecg, fs)
+        ref = retired_detect_beats(ecg, fs)
+        assert det.times.tobytes() == ref.times.tobytes()
+        assert det.gaps == ref.gaps
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_peaks_on_plateaus(self, seed):
+        # a walk rounded to whole steps holds plateaus of every length, and
+        # ends on one after a rise
+        rng = np.random.default_rng(seed)
+        x = np.round(np.cumsum(rng.normal(size=5000)) / 2.0)
+        x = np.r_[x, x[-1] + 1.0, x[-1] + 1.0]
+        for distance in (1, 7, 50):
+            peaks, values = _find_peaks(x, np.median(x), distance)
+            ref_peaks, ref_values = retired_find_peaks(x, np.median(x),
+                                                       distance)
+            assert peaks.tobytes() == ref_peaks.tobytes()
+            assert values.tobytes() == ref_values.tobytes()
 
 
 def detect_beats_loop(ecg, fs):

@@ -29,6 +29,7 @@ from exobench.streams import SensorStream, read_json
 from exobench.synthdata import (synth_physio_session,
                                 synth_questionnaire_response,
                                 synth_session_set)
+from retired import retired_scr_bumps
 
 
 def _python(*args):
@@ -614,10 +615,14 @@ class TestAnalyze:
          "missing responses for items: item_107"),
         ("responses", lambda text: re.sub("^(s01,item_001,).*$", r"\g<1>9",
                                           text, flags=re.M),
-         "line 2: Likert score out of range [1, 7]: 9")],
+         "line 2: Likert score out of range [1, 7]: 9"),
+        # once named the preferences, which are whole: "preferences for
+        # unknown subject 's02'"
+        ("responses", lambda text: re.sub("^s02,.*\n", "", text, flags=re.M),
+         "no questionnaire response for subject s02")],
         ids=["cut-mid-row", "cut-in-factor", "unexpected-pair", "bad-winner",
              "unknown-subject", "repeated-pair", "missing-item",
-             "likert-range"])
+             "likert-range", "subject-without-responses"])
     def test_questionnaire_error_names_its_csv(
             self, session_set, tmp_path, capsys, key, edit, reason):
         root = tmp_path / "set"
@@ -934,6 +939,36 @@ class TestMalformedJson:
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["replay", "analyze"])
+    @pytest.mark.parametrize("field, value, reason", [
+        ("thigh_mass", 1e300, "thigh_mass must be at most 500 kg, got 1e+300"),
+        ("gravity", 1e200, "gravity must be at most 100 m/s^2, got 1e+200")])
+    def test_huge_link_parameter_exits_one_naming_the_calibration(
+            self, session_set, tmp_path, capsys, command, field, value,
+            reason):
+        # finite but huge, each once let replay exit 0 with commands up to
+        # 1.5e301 Nm, and analyze overflow into a RuntimeWarning and an
+        # error that named no file
+        root = tmp_path / "set"
+        shutil.copytree(session_set, root)
+        path = root / "calibration.json"
+        doc = json.loads(path.read_text())
+        doc["link_parameters"][field] = value
+        path.write_text(json.dumps(doc))
+        if command == "replay":
+            model = tmp_path / "model.json"
+            GaitRegressor(weights=np.linspace(-1.0, 1.0, 6), rmse=0.1).save(
+                model)
+            stream = root / "subjects" / "s01" / "gait_stream.csv"
+            argv = ["replay", str(stream), "--model", str(model),
+                    "--calibration", str(path)]
+        else:
+            argv = ["analyze", str(root), "--out", str(tmp_path / "r.json")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        # main returned instead of raising, so no Traceback reaches stderr
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     def test_integer_beyond_the_float_range_exits_one(self, calibration,
                                                       tmp_path, capsys):
@@ -1375,6 +1410,46 @@ class TestSynthData:
             expected[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - bt) / width) ** 2)
         _stamp_beats(ecg, beats, fs, half, width)
         assert ecg.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(fs=st.floats(1.0, 250.0), n=st.integers(1, 20_000),
+           t0=st.just(0.0) | st.floats(-1e3, 1e3),
+           draws=st.lists(st.tuples(
+               st.sampled_from(["before", "on", "inside", "near-end", "past"]),
+               st.floats(0.0, 1.0), st.floats(0.1, 0.25)), max_size=12),
+           repeats=st.integers(0, 3))
+    def test_scr_bumps_match_the_retired_form_bit_for_bit(
+            self, fs, n, t0, draws, repeats):
+        from exobench.synthdata import _RISE_SETTLED_S, _scr_bumps
+        t = t0 + np.arange(n) / fs
+        where = {"before": lambda u: t[0] - 30.0 * u - 1e-3,
+                 "on": lambda u: t[int(u * (n - 1))],
+                 "inside": lambda u: t[0] + u * (t[-1] - t[0]),
+                 "near-end": lambda u: t[-1] - u * _RISE_SETTLED_S,
+                 "past": lambda u: t[-1] + 10.0 * u}
+        onsets = [where[kind](u) for kind, u, _ in draws]
+        amps = [amp for *_, amp in draws]
+        onsets += onsets[:repeats]
+        amps += amps[:repeats]
+        new = _scr_bumps(t, onsets, amps)
+        assert (new.view(np.uint64)
+                == retired_scr_bumps(t, onsets, amps).view(np.uint64)).all()
+
+    def test_rise_factor_is_exactly_one_once_settled(self):
+        from exobench.synthdata import _RISE_SETTLED_S, SCR_RISE_S
+        x = np.concatenate((
+            _RISE_SETTLED_S + np.arange(1_000_000) * 1e-5,   # 24 s to 34 s
+            np.geomspace(_RISE_SETTLED_S, 1e4, 100_000)))
+        assert (1 - np.exp(-x / SCR_RISE_S) == 1.0).all()
+
+    def test_gsr_matches_the_retired_responses(self, monkeypatch):
+        from exobench import synthdata
+        for seed in range(50):
+            gsr = synth_physio_session(seed).gsr
+            with monkeypatch.context() as m:
+                m.setattr(synthdata, "_scr_bumps", retired_scr_bumps)
+                expected = synth_physio_session(seed).gsr
+            assert gsr.tobytes() == expected.tobytes(), seed
 
     def test_every_json_file_is_canonical(self, session_set, tmp_path):
         from exobench.segmentation import GaitRegressor

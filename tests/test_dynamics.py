@@ -841,6 +841,19 @@ class TestParamsAndCalibration:
                                              f"got {bad}$"):
             ExoParams(**{name: bad})
 
+    @pytest.mark.parametrize("name, limit, unit", [
+        ("back_length", 5.0, "m"), ("thigh_length", 5.0, "m"),
+        ("shank_length", 5.0, "m"), ("foot_height", 5.0, "m"),
+        ("thigh_mass", 500.0, "kg"), ("shank_mass", 500.0, "kg"),
+        ("foot_mass", 500.0, "kg"), ("gravity", 100.0, "m/s^2")])
+    def test_field_above_its_limit_is_rejected(self, name, limit, unit):
+        # finite but huge, these once gave commands up to 1.5e301 Nm
+        assert getattr(ExoParams(**{name: limit}), name) == limit
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be at most {limit:g} {unit}, got {above!r}")):
+            ExoParams(**{name: above})
+
     def test_calibration_round_trip(self, tmp_path):
         path = tmp_path / "calibration.json"
         params = ExoParams(back_mass=6.0, com_fraction=0.45)
