@@ -76,6 +76,31 @@ with open(sys.argv[1]) as src, open(sys.argv[2], "w") as out:
 EOF
   cmp "$tmp/set/subjects/s01/physio/$channel.csv" "$tmp/${channel}_percent.csv"
 done
+# beat intervals and breath marks, which sim does not write, are written as
+# repr: a session saved through the API validates, and a Python repr loop
+# re-renders both files byte for byte
+python3 - "$tmp/marks" <<'EOF'
+import sys
+import numpy as np
+from exobench.biosignal import PhysioSession
+rng = np.random.default_rng(1)
+PhysioSession(
+    markers={"sit": (0.0, 240.0), "sit_exo": (240.0, 420.0),
+             "walk": (420.0, 1380.0)},
+    beat_intervals_ms=rng.uniform(600.0, 1000.0, 1800),
+    breath_times=np.cumsum(rng.uniform(2.0, 5.0, 400))).save(sys.argv[1])
+EOF
+exobench validate "$tmp"/marks/*.csv
+for channel in beat_intervals breath_times; do
+  python3 - "$tmp/marks/$channel.csv" "$tmp/${channel}_repr.csv" <<'EOF'
+import sys
+with open(sys.argv[1]) as src, open(sys.argv[2], "w") as out:
+    out.write(next(src))
+    for line in src:
+        out.write(repr(float(line)) + "\n")
+EOF
+  cmp "$tmp/marks/$channel.csv" "$tmp/${channel}_repr.csv"
+done
 # a step of 1e-170 s between the first two frames is below the estimator's
 # 1e-9 s minimum: replay exits 1 with a named error, not a traceback
 awk -F, -v OFS=, 'NR == 3 { $1 = "1e-170" } { print }' "$tmp/gait.csv" \

@@ -586,7 +586,7 @@ class PhysioSession:
             data = getattr(self, attr)
             if data is None:
                 continue
-            write_rows(directory / file, header + "\n", [data], fmt + "\n")
+            write_rows(directory / file, [header], [data], fmt)
             channels[name] = {"file": file, "kind": kind, "units": units}
             if rate:
                 channels[name]["fs"] = getattr(self, rate)
@@ -615,20 +615,21 @@ CHANNEL_LIMIT = 1e12   # the largest |value| of a channel sample, any unit
 _SPAN = -CHANNEL_LIMIT, CHANNEL_LIMIT
 
 # one row per channel file: session attribute, manifest channel name, file
-# name, header, number format, kind and units recorded in the manifest, the
+# name, header, write_rows conversion (repr for the event series, so they
+# read back bit for bit), kind and units recorded in the manifest, the
 # (low, high, range text) a value must lie in, and the session attribute
 # holding the sample rate (None for event series)
 CHANNELS = (
     ("ecg", "ecg", "ecg.csv", "ecg_mv", "%.8g", "waveform", "mV",
      (*_SPAN, "[-1e12, 1e12] mV"), "ecg_fs"),
     ("beat_intervals_ms", "beats", "beat_intervals.csv", "interval_ms",
-     "%.12g", "intervals", "ms",
+     "%r", "intervals", "ms",
      (math.nextafter(0.0, 1.0), CHANNEL_LIMIT, "(0, 1e12] ms"), None),
     ("respiration", "respiration", "respiration.csv", "respiration_au",
      "%.8g", "waveform", "a.u.", (*_SPAN, "[-1e12, 1e12] a.u."),
      "respiration_fs"),
     ("breath_times", "breath_times", "breath_times.csv", "breath_t_s",
-     "%.12g", "marks", "s", TIME_RANGE, None),
+     "%r", "marks", "s", TIME_RANGE, None),
     ("gsr", "gsr", "gsr.csv", "gsr_us", "%.8g", "waveform", "uS",
      (0.0, CHANNEL_LIMIT, "[0, 1e12] uS"), "gsr_fs"),
 )

@@ -88,6 +88,9 @@ FRICTION_COULOMB = 0.8     # Nm
 FRICTION_SMOOTH_VEL = 0.2  # rad/s, tanh width of the Coulomb step
 RIPPLE_AMPLITUDE = 0.25    # Nm
 RIPPLE_CYCLES = 9.0        # per rad
+# Nm: the largest |value| of a friction or ripple table, far above any
+# device's (the synthetic tables peak at 3.2 Nm); it keeps commands finite
+TABLE_LIMIT = 1e4
 
 
 # the largest length, mass and gravity a calibration may set: far above any
@@ -459,11 +462,12 @@ class LookupTable1D:
 class CompensationTables:
     """Per-joint friction (velocity) and ripple (position) tables.
 
-    Tables are required for every actuated joint; the passive ankles
-    contribute zero.  Each table remembers the interval of its last scalar
-    query as the start of the next search (see ``LookupTable1D``), so a
-    table object shared by several joints gives the same torques and only
-    searches more often; ``default_synthetic`` builds one per joint.
+    Tables are required for every actuated joint, with values in
+    [-1e4, 1e4] Nm (``TABLE_LIMIT``); the passive ankles contribute zero.
+    Each table remembers the interval of its last scalar query as the start
+    of the next search (see ``LookupTable1D``), so a table object shared by
+    several joints gives the same torques and only searches more often;
+    ``default_synthetic`` builds one per joint.
     """
 
     friction: dict = field(default_factory=dict)
@@ -471,10 +475,16 @@ class CompensationTables:
 
     def __post_init__(self):
         for joint in ACTUATED_JOINTS:
-            if joint not in self.friction:
-                raise ConfigurationError(f"missing friction table for joint {joint}")
-            if joint not in self.ripple:
-                raise ConfigurationError(f"missing ripple table for joint {joint}")
+            for kind in ("friction", "ripple"):
+                table = getattr(self, kind).get(joint)
+                if table is None:
+                    raise ConfigurationError(
+                        f"missing {kind} table for joint {joint}")
+                value = float(table.values[np.abs(table.values).argmax()])
+                if abs(value) > TABLE_LIMIT:
+                    raise ConfigurationError(
+                        f"{kind} table {joint}: value {value!r} outside "
+                        f"[-1e4, 1e4] Nm")
         # bound methods: calling them skips the instance __call__ lookup
         self._fr = tuple(
             (JOINTS.index(j), self.friction[j].__call__,

@@ -39,7 +39,7 @@ from .fuzzy import infer, load_fuzzy_model, normalize
 from .questionnaire import (EQDefinition, aggregate_reports,
                             load_responses_csv, score_session)
 from .segmentation import train, training_session_builder
-from .simulator import replay, replay_batch
+from .simulator import COMMAND_COLUMNS, replay, replay_batch
 from .streams import SensorStream, read_json
 from .synthdata import SET_SCHEMA_VERSION
 
@@ -126,12 +126,13 @@ def _controller_section(directory: Path, params, tables, stages: dict):
         rows = [np.column_stack([r.t[:n], r.raw_phase[:n], r.gamma_l[:n],
                                  r.tau[:n], r.degraded[:n]]).view(np.uint64)
                 for r in (probe, result)]
-        differs = (rows[0] != rows[1]).any(axis=1)
+        differs = rows[0] != rows[1]
     if differs.any():
-        k = differs.argmax()
+        k, column = np.unravel_index(differs.argmax(), differs.shape)
         raise ReplayMismatchError(
             f"{gait_csv}: batch replay differs from the streaming probe at "
-            f"command {k} (t = {probe.t[k]} s)")
+            f"command {k} (t = {probe.t[k]} s), first in column "
+            f"{(*COMMAND_COLUMNS, 'degraded')[column]}")
     with naming(gait_csv):
         smooth = result.smoothness()
     digest = hashlib.sha256()

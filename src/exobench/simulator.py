@@ -29,13 +29,16 @@ from .blend import ControlLoop, blend_gains
 from .dynamics import (MAX_STEP_S, MIN_STEP_S, WARMUP_S,
                        AccelerationEstimator, blended_torque_array)
 from .errors import OutOfOrderFrameError
-from .streams import (ANGLE_LIMIT, ROWS_PER_CHUNK, SensorFrame,
-                      SensorStream, write_rows)
+from .streams import ANGLE_LIMIT, SensorFrame, SensorStream, write_rows
 
 TREADMILL_SPEEDS_KMH = (1.0, 1.5, 2.0, 2.5, 3.0)
 SWINGS_PER_SIDE = 3          # leg-swing cycles per side in training
 TREADMILL_DURATION_S = 112.8  # split evenly over the treadmill speeds
 MAX_FRAMES = 5_000_000       # the largest rate x seconds sim generates
+ROWS_PER_CHUNK = 4096        # frames per replay_batch block: bounds its arrays
+# the number columns of a command log, before its step times
+COMMAND_COLUMNS = ("t", "raw_phase", "gamma_l", "tau_rh", "tau_rk", "tau_ra",
+                   "tau_lh", "tau_lk", "tau_la")
 
 # the waveform template: radians, and radians of phase
 HIP_AMPLITUDE = 0.32
@@ -330,10 +333,9 @@ class ReplayResult:
         )
 
     def save_csv(self, path):
-        write_rows(path, "t,raw_phase,gamma_l,tau_rh,tau_rk,tau_ra,tau_lh,"
-                   "tau_lk,tau_la,step_time_us\n",
+        write_rows(path, [*COMMAND_COLUMNS, "step_time_us"],
                    [self.t, self.raw_phase, self.gamma_l, *self.tau.T,
-                    self._step_times()], ",".join(["%r"] * 10) + "\n")
+                    self._step_times()], "%r")
 
 
 def replay(stream: SensorStream, loop: ControlLoop) -> ReplayResult:

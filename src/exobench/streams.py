@@ -9,16 +9,15 @@ CSV columns: ``t, q_rh, q_rk, q_ra, q_lh, q_lk, q_la, left_load,
 right_load, stage_tag`` (header required, stage_tag may be empty).
 
 The accepted dialect is what ``save_csv`` writes (``csv.writer`` defaults)
-through ``write_rows``, the chunked writer of every numeric CSV exobench
-makes: one numpy formatter call per chunk of a file's number columns, and
-the rows cut out of one byte buffer per file.  ``_repr_slots`` formats the
-``%r`` columns with the bytes of Python's ``repr``: a zero and every value
-with 1e-4 <= |x| < 1e16 in numpy, any other value (and a near tie) by
-``repr`` itself, one value at a time.  The dialect also covers the
-one-column physiological channel files that ``load_column`` reads, each
-with its own header and range; ``_g8_slots`` formats the ``%.8g`` ones
-(ECG, respiration, GSR) the same way, with the bytes of Python's ``%``
-for 1e-4 <= |x| < 1e8.  It also covers the questionnaire's
+through ``write_rows``, the one writer of every numeric CSV exobench makes:
+rows of numbers in one conversion and an optional quoted tag, a chunk of
+numbers formatted by one numpy call.  ``_repr_slots`` writes ``%r`` with the
+bytes of ``repr`` (streams, command logs, beat intervals and breath marks,
+which so read back bit for bit), ``_g8_slots`` ``%.8g`` with those of ``%``
+(the ECG, respiration and GSR waveforms); Python formats a value outside
+their domains, and a near tie.  The dialect also covers the one-column
+physiological channel files that ``load_column`` reads, each with its own
+header and range, and the questionnaire's
 ``questionnaire_responses.csv`` and ``questionnaire_preferences.csv``,
 whose cells are text (a score is ASCII digits after an optional sign):
 
@@ -63,12 +62,10 @@ import functools
 import io
 import json
 import math
-import re
 import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -80,8 +77,6 @@ CSV_HEADER = ["t", "q_rh", "q_rk", "q_ra", "q_lh", "q_lk", "q_la",
 # one parsed record: nine numbers and the tag as a Python str
 _ROW = np.dtype([(name, "f8") for name in CSV_HEADER[:9]]
                 + [(CSV_HEADER[9], object)])
-# rows per replay_batch block: bounds what each holds
-ROWS_PER_CHUNK = 4096
 # values per write_rows chunk, formatted in one call: a stream writes about
 # 10% faster per value than at 4,096, flat from 8,192 to 24,576 and slower
 # from 32,768 on, as a chunk's arrays outgrow the L2 cache
@@ -159,9 +154,9 @@ class SensorStream:
         )
 
     def save_csv(self, path):
-        write_rows(path, ",".join(CSV_HEADER) + "\r\n",
-                   [self.t, *self.q.T, self.left_load, self.right_load],
-                   "%r," * 9 + "%s\r\n", tags=self.stage)
+        write_rows(path, CSV_HEADER, [self.t, *self.q.T, self.left_load,
+                                      self.right_load], "%r", end="\r\n",
+                   tags=self.stage)
 
     @classmethod
     def load_csv(cls, path) -> "SensorStream":
@@ -184,30 +179,19 @@ def load_column(path, name: str, limits: tuple) -> np.ndarray:
         quotechar='"', skiprows=1, ndmin=1, encoding="utf-8"))[name]
 
 
-def write_rows(path, header, columns, row_fmt, tags=None):
-    """Write ``header``, then each row of the equal-length 1-D ``columns``
-    as ``row_fmt`` of Python floats, in UTF-8, one write per chunk of about
-    ``VALUES_PER_CHUNK`` values; ``str`` of each of the ``tags`` fills its
-    row's last ``%s``, quoted as ``csv.writer`` quotes a field.  The file
-    is written as bytes: its line ends are those of ``header`` and
-    ``row_fmt``, ``\n`` or ``\r\n``, on every platform.
-
-    A ``row_fmt`` whose number columns all take one conversion, ``%r`` or
-    ``%.8g`` (then the ``%s`` of the tags), with no other ``%``, is
-    formatted in numpy.  A chunk's values go row by row to one
-    ``_repr_slots`` or ``_g8_slots`` call, whose slots are copied into one
-    row buffer per file with the literals written in it once; one mask
-    keeps each row's bytes: the nonzero slot bytes, every literal byte and
-    the tag's text.  The bytes are those of Python's ``repr`` and ``%``: a
-    value outside a formatter's domain (or a near tie) is formatted by
-    Python, one value at a time.  Any other ``row_fmt`` (the ``%.12g`` beat
-    intervals and breath times, which ``sim`` does not write) is one Python
-    ``%`` per chunk."""
+def write_rows(path, names, columns, conversion, end="\n", tags=None):
+    """Write the header ``names`` joined by commas, then one row per entry
+    of the equal-length 1-D ``columns``: each value as ``conversion``
+    (``"%r"`` or ``"%.8g"``) of a Python float, the values joined by
+    commas, then, given ``tags``, a comma and ``str`` of the row's tag
+    quoted as ``csv.writer`` quotes a field; every line ends in ``end``.
+    The file is UTF-8 bytes, written one chunk of about
+    ``VALUES_PER_CHUNK`` values at a time into a buffer of rows that holds
+    the commas and line ends; a row keeps its nonzero bytes and its tag."""
+    formatter, slot = _FORMATTERS[conversion]
     columns = [np.asarray(c, dtype=float) for c in columns]
     n, width = columns[0].size, len(columns)
     rows = max(1, min(n, VALUES_PER_CHUNK // width))   # per chunk
-    tokens = re.split(r"(%r|%\.8g|%s)", row_fmt)
-    literals = [literal.encode("utf-8") for literal in tokens[::2]]
     texts, index = [], {}
     if tags is not None:   # each distinct text quoted once, by its index
         tag_of = np.fromiter((index.setdefault(str(tag), len(index))
@@ -216,47 +200,28 @@ def write_rows(path, header, columns, row_fmt, tags=None):
         for text in index:
             line = io.StringIO()   # text after a field, then "\r\n"
             csv.writer(line).writerow(["", text])
-            texts.append(line.getvalue()[1:-2])
+            texts.append(line.getvalue()[1:-2].encode("utf-8"))
+    texts = texts or [b""]
+    table = np.array(texts)   # NUL-padded to the longest
+    fields = [slot] * width + [table.itemsize] * (tags is not None)
+    buf = np.tile(np.frombuffer(b",".join(b"\0" * size for size in fields)
+                                + end.encode("utf-8"), np.uint8), (rows, 1))
+    # a view of the number fields, each followed by its separator
+    numbers = buf[:, :width * (slot + 1)].reshape(rows, width, -1)[..., :slot]
+    tag = slice(width * (slot + 1), width * (slot + 1) + table.itemsize)
+    by_length = (np.arange(table.itemsize)
+                 < np.array(list(map(len, texts)))[:, None])
+    table = table.view(np.uint8).reshape(by_length.shape)
     with open(path, "wb") as f:
-        f.write(header.encode("utf-8"))
-        conversion = tokens[1] if len(tokens) > 1 else None
-        if (conversion not in _FORMATTERS or b"%" in b"".join(literals)
-                or tokens[1::2] != [conversion] * width
-                + ["%s"] * (tags is not None)):
-            for start in range(0, n, rows):
-                chunk = slice(start, start + rows)
-                cells = [c[chunk].tolist() for c in columns]
-                if tags is not None:
-                    cells.append([texts[i] for i in tag_of[chunk].tolist()])
-                f.write((row_fmt * len(cells[0]) % tuple(
-                    chain.from_iterable(zip(*cells)))).encode("utf-8"))
-            return
-        formatter, slot = _FORMATTERS[conversion]
-        texts = [text.encode("utf-8") for text in texts] or [b""]
-        table = np.array(texts)   # NUL-padded to the longest
-        sizes = [slot] * width + [table.itemsize] * (tags is not None)
-        # a row's bytes with NUL fields, and with fields of 1s, where a 0 is
-        # a NUL of a literal
-        row, marks = (np.frombuffer(b"".join(
-            literal + fill * size for literal, size in zip(literals, sizes))
-            + literals[-1], np.uint8) for fill in (b"\0", b"\1"))
-        starts = np.cumsum(list(map(len, literals[:-1]))) + np.cumsum(
-            [0] + sizes[:-1])
-        tag = slice(starts[-1], starts[-1] + sizes[-1])
-        by_length = (np.arange(table.itemsize)
-                     < np.array(list(map(len, texts)))[:, None])
-        table = table.view(np.uint8).reshape(by_length.shape)
-        buf = np.tile(row, (rows, 1))
+        f.write((",".join(names) + end).encode("utf-8"))
         for start in range(0, n, rows):
             chunk = slice(start, start + rows)
             slots = formatter(np.column_stack(
-                [c[chunk] for c in columns]).ravel())
-            out = buf[:len(slots) // width]
-            for i, at in enumerate(starts[:width]):
-                out[:, at:at + slot] = slots[i::width]
-            keep = out != 0
-            keep[:, marks == 0] = True   # a literal's NUL is written
-            if tags is not None:
+                [c[chunk] for c in columns]).ravel()).reshape(-1, width, slot)
+            numbers[:len(slots)] = slots
+            out = buf[:len(slots)]
+            keep = out != 0   # the separators hold no NUL
+            if tags is not None:   # a tag may hold one
                 out[:, tag] = table[tag_of[chunk]]
                 keep[:, tag] = by_length[tag_of[chunk]]
             f.write(out[keep])
@@ -465,8 +430,8 @@ def _g8_slots(values: np.ndarray) -> np.ndarray:
 
 
 _g8_text = "%.8g".__mod__   # the fallback, looked up per call as repr is
-# the numpy formatter of each conversion write_rows formats in numpy, and
-# the bytes of its slot
+# the numpy formatter of each conversion write_rows takes, and the bytes of
+# its slot
 _FORMATTERS = {"%r": (_repr_slots, 24), "%.8g": (_g8_slots, 16)}
 
 

@@ -736,10 +736,15 @@ class TestPhysioSession:
 
     def test_directory_round_trip(self, tmp_path):
         session = small_session()
+        # breath marks with 17 significant digits, as the intervals have
+        marks = np.cumsum(np.random.default_rng(6).uniform(2.0, 5.0, 400))
+        session = replace(session, breath_times=marks)
         session.save(tmp_path / "phys")
         loaded = PhysioSession.load(tmp_path / "phys")
-        np.testing.assert_allclose(loaded.beat_intervals_ms,
-                                   session.beat_intervals_ms)
+        # the event series are written as repr: they read back bit for bit
+        for attr in ("beat_intervals_ms", "breath_times"):
+            assert (getattr(loaded, attr).view(np.uint64).tolist()
+                    == getattr(session, attr).view(np.uint64).tolist())
         np.testing.assert_allclose(loaded.gsr, session.gsr)
         assert loaded.markers["walk"] == session.markers["walk"]
         # waveforms round-trip through %.8g text, so features agree to

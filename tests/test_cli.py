@@ -467,7 +467,7 @@ class TestAnalyze:
 
         def one_row_off(*args):
             tau = batch_torque(*args)
-            tau[100, 2] += 1.0   # inside the streaming probe's window
+            tau[100, [2, 4]] += 1.0   # inside the streaming probe's window
             return tau
 
         monkeypatch.setattr(simulator, "blended_torque_array", one_row_off)
@@ -476,7 +476,7 @@ class TestAnalyze:
         gait = session_set / "subjects" / "s01" / "gait_stream.csv"
         assert capsys.readouterr().err == (
             f"error: {gait}: batch replay differs from the streaming probe "
-            f"at command 100 (t = 0.1 s)\n")
+            f"at command 100 (t = 0.1 s), first in column tau_ra\n")
 
     def test_not_a_session_set(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path), "--out",
@@ -949,11 +949,37 @@ class TestMalformedJson:
         # finite but huge, each once let replay exit 0 with commands up to
         # 1.5e301 Nm, and analyze overflow into a RuntimeWarning and an
         # error that named no file
+        def edit(doc):
+            doc["link_parameters"][field] = value
+        path = self._run_on_calibration(session_set, tmp_path, command, edit)
+        # main returned instead of raising, so no Traceback reaches stderr
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["replay", "analyze"])
+    @pytest.mark.parametrize("kind, value", [("friction", 1e308),
+                                             ("ripple", -1.0001e4)])
+    def test_huge_table_value_exits_one_naming_the_calibration(
+            self, session_set, tmp_path, capsys, command, kind, value):
+        # every friction value at 1e308 once let replay exit 0 with 1e308 Nm
+        # commands, and analyze overflow into an error that named no file
+        def edit(doc):
+            for table in doc[f"{kind}_tables"].values():
+                table["values"] = [value] * len(table["values"])
+        path = self._run_on_calibration(session_set, tmp_path, command, edit)
+        assert capsys.readouterr().err == (
+            f"error: {path}: {kind} table RH: value {value!r} outside "
+            f"[-1e4, 1e4] Nm\n")
+
+    @staticmethod
+    def _run_on_calibration(session_set, tmp_path, command, edit):
+        """Run ``command`` (replay or analyze) on a copy of the set whose
+        calibration ``edit`` changed, with every warning an error; check
+        that it exits 1, and return the calibration's path."""
         root = tmp_path / "set"
         shutil.copytree(session_set, root)
         path = root / "calibration.json"
         doc = json.loads(path.read_text())
-        doc["link_parameters"][field] = value
+        edit(doc)
         path.write_text(json.dumps(doc))
         if command == "replay":
             model = tmp_path / "model.json"
@@ -967,8 +993,7 @@ class TestMalformedJson:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 1
-        # main returned instead of raising, so no Traceback reaches stderr
-        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        return path
 
     def test_integer_beyond_the_float_range_exits_one(self, calibration,
                                                       tmp_path, capsys):

@@ -376,6 +376,25 @@ class TestChainTorque:
                         float(gain[j]), ref)
             assert np.array_equal(_bits(out), _bits(ref))
 
+    def test_numpy_sin_and_cos_equal_libm_over_the_chain_angles(self):
+        # replay_batch's kernels call np.sin/np.cos and ControlLoop.step
+        # calls math.sin/math.cos, and analyze requires their commands to
+        # agree bit for bit.  A chain's absolute angle sums at most five
+        # joint angles in [-2pi, 2pi]: a numpy build with a vectorised sin
+        # or cos that differs from libm fails here first.
+        top = 10 * math.pi
+        phi = np.concatenate([
+            np.random.default_rng(2024).uniform(-top, top, 10**6),
+            [0.0, -0.0, 5e-324, 2.0 ** -1022, 1e-8, math.pi / 2, math.pi,
+             2 * math.pi, top, np.nextafter(top, 0.0)]])
+        phi = np.concatenate([phi, -phi])
+        for vectorised, scalar in ((np.sin, math.sin), (np.cos, math.cos)):
+            expected = np.array(list(map(scalar, phi.tolist())))
+            bad = np.flatnonzero(_bits(vectorised(phi)) != _bits(expected))
+            assert not bad.size, (f"{vectorised.__name__} differs from libm "
+                                  f"at {bad.size} angles, first "
+                                  f"{phi[bad[0]]!r}")
+
     def test_kernel_is_built_once_per_text(self):
         chain = StanceModel("left").chain
         kernel = chain.kernel((5, 4, 3, 0, 1))
@@ -853,6 +872,25 @@ class TestParamsAndCalibration:
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} must be at most {limit:g} {unit}, got {above!r}")):
             ExoParams(**{name: above})
+
+    @pytest.mark.parametrize("kind", ["friction", "ripple"])
+    def test_table_value_above_the_limit_is_rejected(self, kind):
+        # finite but huge, friction values of 1e308 once gave 1e308 Nm
+        # commands
+        default = CompensationTables.default_synthetic()
+
+        def with_lk(value):
+            tables = {"friction": dict(default.friction),
+                      "ripple": dict(default.ripple)}
+            tables[kind]["LK"] = LookupTable1D([-1.0, 1.0], [0.0, value])
+            return CompensationTables(**tables)
+        for limit in (1e4, -1e4):
+            with_lk(limit)
+            above = math.nextafter(limit, 2 * limit)
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"{kind} table LK: value {above!r} outside "
+                    f"[-1e4, 1e4] Nm")):
+                with_lk(above)
 
     def test_calibration_round_trip(self, tmp_path):
         path = tmp_path / "calibration.json"

@@ -10,10 +10,11 @@ from exobench.blend import ControlLoop
 from exobench.dynamics import CompensationTables, StanceModel
 from exobench.segmentation import (GaitRegressor, label_from_soles, train,
                                    training_session_builder)
-from exobench.simulator import (GaitPattern, TREADMILL_SPEEDS_KMH,
-                                generate_cycle, generate_training_protocol,
-                                joint_angles, replay, replay_batch)
-from exobench.streams import ROWS_PER_CHUNK, SensorStream
+from exobench.simulator import (ROWS_PER_CHUNK, GaitPattern,
+                                TREADMILL_SPEEDS_KMH, generate_cycle,
+                                generate_training_protocol, joint_angles,
+                                replay, replay_batch)
+from exobench.streams import SensorStream
 
 
 class TestGaitPattern:

@@ -22,7 +22,7 @@ from exobench.simulator import (GaitPattern, ReplayResult, generate_cycle,
 from exobench.synthdata import synth_physio_session
 from exobench.streams import (CSV_HEADER, TIME_LIMIT, VALUES_PER_CHUNK,
                               SensorFrame, SensorStream, _g8_slots,
-                              _repr_slots, write_json, write_rows)
+                              _repr_slots, write_json)
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -302,11 +302,18 @@ def _csv_writer_oracle(path, stream):
             writer.writerow(row)
 
 
-def _savetxt_oracle(directory, session):
-    """The ``np.savetxt`` call ``PhysioSession.save`` made per channel."""
+def _physio_oracle(directory, session):
+    """Each channel of ``session`` by a reference writer: the ``np.savetxt``
+    call ``PhysioSession.save`` once made for a ``%.8g`` waveform, and a
+    ``repr`` loop for the beat intervals and breath marks."""
     for attr, file, header, fmt in _PHYSIO_FILES:
         data = getattr(session, attr)
-        if data is not None:
+        if data is None:
+            continue
+        if fmt == "%r":
+            (directory / file).write_bytes((header + "\n" + "".join(
+                repr(float(x)) + "\n" for x in data)).encode("ascii"))
+        else:
             np.savetxt(directory / file, data, fmt=fmt, header=header,
                        comments="")
 
@@ -324,9 +331,9 @@ def _command_log_oracle(path, result):
 
 _PHYSIO_FILES = (("ecg", "ecg.csv", "ecg_mv", "%.8g"),
                  ("beat_intervals_ms", "beat_intervals.csv", "interval_ms",
-                  "%.12g"),
+                  "%r"),
                  ("respiration", "respiration.csv", "respiration_au", "%.8g"),
-                 ("breath_times", "breath_times.csv", "breath_t_s", "%.12g"),
+                 ("breath_times", "breath_times.csv", "breath_t_s", "%r"),
                  ("gsr", "gsr.csv", "gsr_us", "%.8g"))
 
 
@@ -412,7 +419,8 @@ def test_stream_writer_matches_the_csv_writer_loop_on_generated_streams(
 def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials,
                                       exponents):
     """A wide draw, which ``%.8g`` writes mostly in exponent form, and a
-    waveform-scale one, which the numpy formatter writes."""
+    waveform-scale one, which the numpy formatter writes; the ``%r``
+    channels against a ``repr`` loop."""
     column = _column_maker(seed, specials, exponents)
     markers = {"sit": [0.0, 1.0], "sit_exo": [1.0, 2.0], "walk": [2.0, 3.0]}
     session = PhysioSession(
@@ -421,7 +429,7 @@ def test_physio_writer_matches_savetxt(tmp_path_factory, n, seed, specials,
     directory = tmp_path_factory.mktemp("physio_writer")
     session.save(directory / "new")
     (directory / "old").mkdir()
-    _savetxt_oracle(directory / "old", session)
+    _physio_oracle(directory / "old", session)
     for _, file, _, _ in _PHYSIO_FILES:
         _same_bytes(directory / "new" / file, directory / "old" / file)
 
@@ -464,33 +472,11 @@ def test_command_log_writer_matches_the_repr_loop_on_gait_sized_commands(
     _check_command_log_writer(tmp_path, result)
 
 
-def _percent_rows(header, row_fmt, *columns):
-    """The bytes of ``header`` and a Python ``%`` of ``row_fmt`` per row."""
-    return (header + "".join(row_fmt % row for row in zip(
-        *(c.tolist() for c in columns)))).encode("utf-8")
-
-
-def test_writer_formats_a_mixed_row_format_with_python(tmp_path):
-    """A ``%r`` and a ``%.8g`` column in one row take Python's ``%``."""
-    column = _column_maker(6, [0.0, -0.0, math.nan, math.inf, 5e-324],
-                           _WAVEFORM)
-    n = 3 * (VALUES_PER_CHUNK // 2) + 5
-    x, y = column(n), column(n)
-    write_rows(tmp_path / "mixed.csv", "x,y\n", [x, y], "%r,%.8g\n")
-    assert (tmp_path / "mixed.csv").read_bytes() == _percent_rows(
-        "x,y\n", "%r,%.8g\n", x, y)
-
-
-def test_writer_keeps_the_nul_bytes_of_a_literal_and_of_a_tag(tmp_path):
-    """The numpy path drops the NUL padding of its slots and of its tag
-    field, and writes every NUL that a literal or a tag holds."""
+def test_writer_keeps_the_nul_bytes_of_a_tag(tmp_path):
+    """The writer drops the NUL padding of its slots and of its tag field,
+    and writes every NUL that a tag holds."""
     rng = np.random.default_rng(8)
     column = _column_maker(8, [0.0, -0.0, math.nan])
-    n = VALUES_PER_CHUNK // 2 + 3
-    x, y = column(n), column(n)
-    write_rows(tmp_path / "literal.csv", "x\0y\n", [x, y], "%r\0,%r\n")
-    assert (tmp_path / "literal.csv").read_bytes() == _percent_rows(
-        "x\0y\n", "%r\0,%r\n", x, y)
     n = VALUES_PER_CHUNK // 9 + 3
     stream = SensorStream(
         t=column(n), q=np.column_stack([column(n) for _ in range(6)]),
